@@ -35,6 +35,7 @@ from .bloch import (
     canonical_momentum,
     expansion_fit,
     fiber_lambda1_2d,
+    reference_inverse,
 )
 from .cell_problems import (
     DispersionSample,
@@ -88,6 +89,7 @@ __all__ = [
     "canonical_momentum",
     "expansion_fit",
     "fiber_lambda1_2d",
+    "reference_inverse",
     "DispersionSample",
     "HomogenizedMatrix",
     "chi1",

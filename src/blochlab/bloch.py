@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .grid import PeriodicGrid
 from .microstructure import CoefficientField
-from .sparse_linalg import EigSolveReport, smallest_eigpair
+from .sparse_linalg import EigSolveReport, Preconditioner, smallest_eigpair
 
 
 def canonical_momentum(eta: np.ndarray) -> np.ndarray:
@@ -105,6 +105,65 @@ def assemble_shifted(
     return B, M_diag
 
 
+def reference_inverse(
+    field: CoefficientField,
+    eta: np.ndarray | None = None,
+    *,
+    scale: float = 1.0,
+    shift: float = 0.0,
+) -> Preconditioner:
+    """Reference-medium preconditioner ``P^{-1}`` for the shifted pencil.
+
+    ``P`` is the stencil of :func:`assemble_shifted` with every face
+    coefficient along axis ``k`` replaced by ``a_ref,k``, the smallest
+    cell value of ``field.axis_values(k)``, times ``scale``, plus
+    ``shift * w * a_ref`` on the diagonal.  A harmonic face mean is never
+    below the cell minimum, so ``P <= B`` in the Loewner order for
+    ``B = scale * B(eta) + shift * diag(w a)``.  The constant-coefficient
+    stencil is diagonalized by the DFT, with symbol
+
+        sigma(xi) = w sum_k a_ref,k 4 sin^2((eta_k h_k + xi_k) / 2) / h_k^2
+                    * scale + shift * w * a_ref,   xi_k = 2 pi fftfreq(n_k),
+
+    so ``P^{-1} r = ifftn(fftn(r) / sigma)``.  Modes where ``sigma``
+    vanishes (the constants at zero momentum and zero shift) are the
+    kernel of ``B`` and are projected out.  The returned callable accepts a
+    vector of length ``N`` or an ``(N, cols)`` block.
+    """
+    grid = field.grid
+    d, h, w, shape = grid.d, grid.h, grid.cell_volume, grid.shape
+    eta_arr = np.zeros(d) if eta is None else np.asarray(eta, dtype=np.float64)
+    theta = eta_arr * np.asarray(h)
+    sigma = np.full(shape, shift * w * float(field.a.min()))
+    for k in range(d):
+        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n[k])
+        a_ref = float(field.axis_values(k).min())
+        sym = w * a_ref * scale * 4.0 * np.sin((theta[k] + xi) / 2.0) ** 2 / h[k] ** 2
+        sigma = sigma + sym.reshape([-1 if j == k else 1 for j in range(d)])
+    kernel = sigma <= 1e-28 * sigma.max()  # rounding-level symbol: exact zero mode
+    inv_sigma = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, sigma))
+    # zero phases make sigma even in xi: real data stay real, half spectrum
+    real_symbol = not np.any(theta)
+    inv_half = inv_sigma[..., : shape[-1] // 2 + 1]
+    axes = tuple(range(d))
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        v = r.reshape(shape + r.shape[1:])
+        pad = (1,) * (r.ndim - 1)
+        if real_symbol and not np.iscomplexobj(r):
+            z = np.fft.irfftn(
+                np.fft.rfftn(v, axes=axes) * inv_half.reshape(inv_half.shape + pad),
+                s=shape, axes=axes,
+            )
+        else:
+            z = np.fft.ifftn(
+                np.fft.fftn(v, axes=axes) * inv_sigma.reshape(shape + pad), axes=axes
+            )
+        return z.reshape(r.shape)
+
+    return apply
+
+
 def residual(B: sp.spmatrix, M_diag: np.ndarray, lam: float, x: np.ndarray) -> float:
     """Mass-normalized eigen-residual ``||B x - lam M x|| / ||M x||``."""
     Mx = np.asarray(M_diag) * x
@@ -166,7 +225,9 @@ def bloch_lambda1(
 ) -> EigResult:
     """Lowest ``k`` eigenvalues of the shifted pencil at momentum ``eta``."""
     B, M = assemble_shifted(field, eta)
-    report = smallest_eigpair(B, M, k, tol=tol, maxit=maxit, X0=X0)
+    report = smallest_eigpair(
+        B, M, k, tol=tol, maxit=maxit, X0=X0, precond=reference_inverse(field, eta)
+    )
     return EigResult.from_report(np.asarray(eta, dtype=np.float64), report)
 
 
@@ -245,7 +306,10 @@ def fiber_lambda1_2d(
     w = section_field.grid.cell_volume
     mass_shift = sp.diags(float(eta3) ** 2 * w * section_field.axis_values(0))
     B = (B2 * (1.0 / eps**2) + mass_shift).tocsr()
-    report = smallest_eigpair(B, M, k, tol=tol, maxit=maxit, X0=X0)
+    precond = reference_inverse(
+        section_field, eps * eta_prime, scale=1.0 / eps**2, shift=float(eta3) ** 2
+    )
+    report = smallest_eigpair(B, M, k, tol=tol, maxit=maxit, X0=X0, precond=precond)
     eta_full = np.array([eta_prime[0], eta_prime[1], float(eta3)])
     return EigResult.from_report(eta_full, report)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import assemble_shifted, face_arrays
+from .bloch import assemble_shifted, face_arrays, reference_inverse
 from .grid import PeriodicGrid, ScalarGridField
 from .microstructure import CoefficientField
 from .sparse_linalg import cg_solve, largest_geneig
@@ -53,7 +53,10 @@ def _corrector_values(
         maxit = _default_cg_budget(grid)
     if not np.any(b):
         return np.zeros(grid.num_cells)
-    return cg_solve(K, b, tol=tol, maxit=maxit, deflate_constants=True, x0=x0)
+    return cg_solve(
+        K, b, tol=tol, maxit=maxit, deflate_constants=True, x0=x0,
+        precond=reference_inverse(field),
+    )
 
 
 def corrector(
@@ -265,7 +268,10 @@ def chi2(
         return ScalarGridField(grid, np.zeros(grid.num_cells))
     b -= b.mean()
     K, _ = assemble_shifted(field, None)
-    sol = cg_solve(K, b, tol=tol, maxit=maxit, deflate_constants=True)
+    sol = cg_solve(
+        K, b, tol=tol, maxit=maxit, deflate_constants=True,
+        precond=reference_inverse(field),
+    )
     return ScalarGridField(grid, sol)
 
 
@@ -349,4 +355,7 @@ def pw_constant(
         weight_cells = field.a @ (lam * lam)
     w = grid.cell_volume
     K, _ = assemble_shifted(field, None)
-    return largest_geneig(w * weight_cells, K, tol=tol, maxit=maxit, cg_tol=cg_tol)
+    return largest_geneig(
+        w * weight_cells, K, tol=tol, maxit=maxit, cg_tol=cg_tol,
+        precond=reference_inverse(field),
+    )

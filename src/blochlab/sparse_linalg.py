@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 _DEFAULT_SEED = 24389
 _MACHEPS = np.finfo(np.float64).eps
+#: step budget of the capped inner CG that preconditions the eigensolver
+_INNER_CG_STEPS = 40
+
+Preconditioner = Callable[[np.ndarray], np.ndarray]
 
 
 class ConvergenceError(RuntimeError):
@@ -66,14 +71,17 @@ def cg_solve(
     deflate_constants: bool = False,
     x0: np.ndarray | None = None,
     recompute_every: int = 50,
+    precond: Preconditioner | None = None,
 ) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for Hermitian positive
+    """Preconditioned conjugate gradients for Hermitian positive
     (semi-)definite systems.
 
-    With ``deflate_constants`` the constant kernel is projected out of the
-    right-hand side check, the start vector, and the residual at every
-    iteration; the returned solution has zero mean.  The true residual is
-    recomputed every ``recompute_every`` iterations (restart points).
+    ``precond`` applies an approximate inverse of ``A`` (Jacobi when
+    ``None``).  With ``deflate_constants`` the constant kernel is projected
+    out of the right-hand side check, the start vector, and the residual at
+    every iteration; the returned solution has zero mean.  The true
+    residual is recomputed every ``recompute_every`` iterations (restart
+    points).
     """
     b = np.asarray(b)
     n = b.shape[0]
@@ -96,14 +104,12 @@ def cg_solve(
             v = v - v.mean()
         return v
 
-    diag = A.diagonal().real
-    if diag.min() <= 0:
-        raise ValueError("Jacobi preconditioner needs a positive diagonal")
-    inv_diag = 1.0 / diag
+    if precond is None:
+        precond = _jacobi(A)
 
     x = np.zeros_like(b) if x0 is None else project(np.array(x0, copy=True))
     r = project(b - A @ x)
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = np.vdot(r, z).real
     history = [float(np.linalg.norm(r)) / bnorm]
@@ -127,7 +133,7 @@ def cg_solve(
         history.append(resnorm)
         if resnorm <= tol:
             return project(x) if deflate_constants else x
-        z = inv_diag * r
+        z = precond(r)
         rz_new = np.vdot(r, z).real
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -139,18 +145,27 @@ def cg_solve(
     )
 
 
+def _jacobi(A: sp.spmatrix) -> Preconditioner:
+    diag = A.diagonal().real
+    if diag.min() <= 0:
+        raise ValueError("Jacobi preconditioner needs a positive diagonal")
+    inv_diag = 1.0 / diag
+    return lambda r: inv_diag * r
+
+
 def _capped_cg(
     A: sp.spmatrix,
     b: np.ndarray,
-    iters: int,
-    inv_diag: np.ndarray,
+    precond: Preconditioner,
     deflate: bool,
-) -> np.ndarray:
-    """A few Jacobi-CG steps on ``A x = b`` from zero; never raises.
+) -> tuple[np.ndarray, int]:
+    """At most ``_INNER_CG_STEPS`` preconditioned CG steps on ``A x = b``
+    from zero; never raises.
 
     Used as an approximate inverse inside the eigensolver, where a rough
     solve is enough and robustness beats accuracy: the loop simply stops
     at the budget, on stagnation, or on loss of positive curvature.
+    Returns the iterate and the number of steps taken.
     """
     x = np.zeros_like(b)
     r = np.array(b, copy=True)
@@ -158,11 +173,11 @@ def _capped_cg(
         r = r - r.mean()
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
-        return x
-    z = inv_diag * r
+        return x, 0
+    z = precond(r)
     p = z.copy()
     rz = np.vdot(r, z).real
-    for _ in range(iters):
+    for steps in range(1, _INNER_CG_STEPS + 1):
         Ap = A @ p
         if deflate:
             Ap = Ap - Ap.mean()
@@ -174,7 +189,7 @@ def _capped_cg(
         r = r - alpha * Ap
         if float(np.linalg.norm(r)) <= 1e-2 * bnorm:
             break
-        z = inv_diag * r
+        z = precond(r)
         rz_new = np.vdot(r, z).real
         if rz_new <= 0:
             break
@@ -182,11 +197,11 @@ def _capped_cg(
         rz = rz_new
     if deflate:
         x = x - x.mean()
-    return x
+    return x, steps
 
 
 # ---------------------------------------------------------------------------
-# smallest eigenpairs: LOBPCG-type block iteration, Jacobi preconditioned
+# smallest eigenpairs: LOBPCG-type block iteration, inner-CG preconditioned
 
 
 def _m_orthonormalize(V: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -207,8 +222,28 @@ def _project_out(V: np.ndarray, W: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _pencil_scale(B: sp.spmatrix, M: np.ndarray) -> float:
     # infinity-norm bound on M^{-1/2} B M^{-1/2}; cheap and rigorous
-    row_sums = np.abs(B).sum(axis=1).A1 if hasattr(abs(B).sum(axis=1), "A1") else np.asarray(np.abs(B).sum(axis=1)).ravel()
+    row_sums = np.asarray(abs(B).sum(axis=1)).ravel()
     return float((row_sums / M).max())
+
+
+def _error_estimates(
+    R: np.ndarray,
+    X: np.ndarray,
+    lam: np.ndarray,
+    M: np.ndarray,
+    precond: Preconditioner,
+    lam_floor: float,
+) -> np.ndarray:
+    """``r_j^H P^{-1} r_j / (|lam_j| x_j^H M x_j)`` per column.
+
+    With ``P <= B`` the numerator bounds the ``B^{-1}``-norm of the
+    residual, which bounds the relative eigenvalue error however large the
+    coefficient contrast.  ``lam_floor`` stands in for eigenvalues that are
+    zero to rounding.
+    """
+    num = np.einsum("ij,ij->j", R.conj(), precond(R)).real
+    mass = np.einsum("ij,ij->j", X.conj(), M[:, None] * X).real
+    return num / (np.maximum(np.abs(lam), lam_floor) * mass)
 
 
 def smallest_eigpair(
@@ -220,24 +255,29 @@ def smallest_eigpair(
     maxit: int = 500,
     seed: int = _DEFAULT_SEED,
     X0: np.ndarray | None = None,
-    inner_cg: int | None = None,
+    precond: Preconditioner | None = None,
 ) -> EigSolveReport:
     """Smallest ``k`` eigenpairs of ``B x = lam M x`` with diagonal ``M``.
 
     Block iteration of LOBPCG type over span([X, preconditioned residuals,
-    previous directions]).  The preconditioner is the Jacobi diagonal, or,
-    when ``inner_cg`` steps are granted, a capped CG solve with ``B`` itself
-    (an approximate inverse; essential once the coefficient contrast is
-    large, where diagonal scaling alone stalls).  ``inner_cg=None`` picks
-    the rule automatically from the diagonal spread.  The start block is
-    the constant vector plus fixed-seed Gaussian columns, so runs are
+    previous directions]).  Each residual is preconditioned by a capped CG
+    solve with ``B`` itself (an approximate inverse; essential once the
+    coefficient contrast is large), and that inner CG is in turn
+    preconditioned by ``precond`` (Jacobi when ``None``).  The start block
+    is the constant vector plus fixed-seed Gaussian columns, so runs are
     reproducible; ``X0`` columns, when given, replace the random part
     (warm starts stay deterministic).
 
     Convergence is declared when every requested vector satisfies
     ``||B x - lam M x||_2 <= tol * scale * ||x||_2`` where ``scale`` bounds
-    the pencil norm; the report also carries the mass-normalized residual
-    ``||B x - lam M x|| / ||M x||`` used by distributional-form checks.
+    the pencil norm.  At high contrast ``scale`` is huge and that rule
+    alone admits inaccurate eigenvalues, so when ``precond`` is given (it
+    must satisfy ``P <= B``) every vector must also satisfy
+    ``est = r^H P^{-1} r / (|lam| x^H M x) <= tol``, a bound on the relative
+    eigenvalue error.  The report carries the mass-normalized residual
+    ``||B x - lam M x|| / ||M x||`` used by distributional-form checks, and
+    ``meta`` holds the final ``error_estimate`` (largest ``est``; ``None``
+    without ``precond``) and the total ``inner_cg_steps``.
     """
     n = B.shape[0]
     if k < 1 or k > n:
@@ -248,7 +288,7 @@ def smallest_eigpair(
 
     block = min(max(k + 2, 2), n)
     if 3 * block >= n:  # subspace would span nearly everything; go dense
-        return _dense_smallest(B, M, k, seed)
+        return _dense_smallest(B, M, k, seed, precond)
 
     dtype = np.complex128 if np.iscomplexobj(B.data) else np.float64
     rng = np.random.default_rng(seed)
@@ -265,24 +305,21 @@ def smallest_eigpair(
         m = min(X0.shape[1], block)
         X[:, :m] = X0[:, :m]
 
-    diagB = B.diagonal().real
-    inv_diag = 1.0 / np.clip(diagB, np.finfo(float).tiny, None)
+    inner = _jacobi(B) if precond is None else precond
     scale = _pencil_scale(B, M)
-    if inner_cg is None:
-        # the capped solve adapts to both stiffness sources (mesh and
-        # contrast); its early stop keeps easy problems cheap
-        inner_cg = 40
+    lam_floor = _MACHEPS * scale
     # capped-CG preconditioning needs to know whether constants are in the
     # kernel (shift-free assembly): then the inner systems must be deflated
     kernel_norm = float(np.linalg.norm(B @ np.ones(n)))
     deflate_inner = kernel_norm <= 1e-8 * scale * M.mean() * math.sqrt(n)
+    inner_steps = 0
 
     def _precondition(R: np.ndarray) -> np.ndarray:
-        if inner_cg <= 0:
-            return inv_diag[:, None] * R
+        nonlocal inner_steps
         Z = np.empty_like(R)
         for j in range(R.shape[1]):
-            Z[:, j] = _capped_cg(B, R[:, j], inner_cg, inv_diag, deflate_inner)
+            Z[:, j], steps = _capped_cg(B, R[:, j], inner, deflate_inner)
+            inner_steps += steps
         return Z
 
     X = _m_orthonormalize(X, M)
@@ -313,7 +350,11 @@ def smallest_eigpair(
             guard_ok = resnorms[k] <= np.sqrt(tol) * floor[k]
         else:
             guard_ok = True
-        if np.all(settled) and guard_ok:
+        if np.all(settled) and guard_ok and (
+            precond is None
+            or _error_estimates(R[:, :k], X[:, :k], lam[:k], M, precond, lam_floor).max()
+            <= tol
+        ):
             break
 
         W = _precondition(R)
@@ -355,11 +396,14 @@ def smallest_eigpair(
     rel = np.linalg.norm(Rk, axis=0) / (
         scale * M.mean() * np.linalg.norm(Xk, axis=0)
     )
-    converged = bool(np.all(rel <= tol))
+    est = None
+    if precond is not None:
+        est = float(_error_estimates(Rk, Xk, lam_k, M, precond, lam_floor).max())
+    converged = bool(np.all(rel <= tol)) and (est is None or est <= tol)
     if not converged:
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:.1e} in {maxit} iterations "
-            f"(relative residuals {rel})",
+            f"(relative residuals {rel}, error estimate {est})",
             history,
         )
     order = np.argsort(lam_k)
@@ -371,10 +415,17 @@ def smallest_eigpair(
         iterations=it,
         converged=converged,
         seed=seed,
+        meta={"error_estimate": est, "inner_cg_steps": inner_steps},
     )
 
 
-def _dense_smallest(B: sp.spmatrix, M: np.ndarray, k: int, seed: int) -> EigSolveReport:
+def _dense_smallest(
+    B: sp.spmatrix,
+    M: np.ndarray,
+    k: int,
+    seed: int,
+    precond: Preconditioner | None,
+) -> EigSolveReport:
     # tiny systems only: the blocked subspace would exhaust the space
     s = 1.0 / np.sqrt(M)
     A = B.toarray() * s[:, None] * s[None, :]
@@ -387,6 +438,9 @@ def _dense_smallest(B: sp.spmatrix, M: np.ndarray, k: int, seed: int) -> EigSolv
     resid = np.linalg.norm(Rk, axis=0) / mnorm
     scale = _pencil_scale(B, M)
     rel = np.linalg.norm(Rk, axis=0) / (scale * M.mean() * np.linalg.norm(vecs, axis=0))
+    est = None
+    if precond is not None:
+        est = float(_error_estimates(Rk, vecs, lam, M, precond, _MACHEPS * scale).max())
     return EigSolveReport(
         eigenvalues=lam,
         vectors=vecs,
@@ -395,6 +449,7 @@ def _dense_smallest(B: sp.spmatrix, M: np.ndarray, k: int, seed: int) -> EigSolv
         iterations=0,
         converged=True,
         seed=seed,
+        meta={"error_estimate": est, "inner_cg_steps": 0},
     )
 
 
@@ -410,13 +465,15 @@ def largest_geneig(
     maxit: int = 300,
     cg_tol: float = 1e-10,
     seed: int = _DEFAULT_SEED,
+    precond: Preconditioner | None = None,
 ) -> float:
     """Maximum of ``x* W x`` subject to ``x* K x = 1`` over the subspace of
     weighted-mean-zero vectors, ``W = diag(weight_diag)``.
 
     Inverse-operator power iteration: each step applies the shifted weight
     (which is exactly orthogonal to constants) and solves with ``K`` under
-    constant deflation.  Warm-started CG keeps later steps cheap.  At
+    constant deflation, preconditioned by ``precond`` (Jacobi when
+    ``None``).  Warm-started CG keeps later steps cheap.  At
     extreme coefficient contrast the inner CG can stagnate just above a
     tight tolerance; a stalled solve is retried once at a loosened
     tolerance, which caps the attainable accuracy at that level but keeps
@@ -445,11 +502,13 @@ def largest_geneig(
         if np.linalg.norm(y) == 0.0:
             return 0.0
         try:
-            u = cg_solve(K, y, tol=cg_tol, deflate_constants=True, x0=warm)
+            u = cg_solve(
+                K, y, tol=cg_tol, deflate_constants=True, x0=warm, precond=precond
+            )
         except ConvergenceError:
             u = cg_solve(
                 K, y, tol=max(100.0 * cg_tol, 1e-7),
-                deflate_constants=True, x0=warm,
+                deflate_constants=True, x0=warm, precond=precond,
             )
         warm = u
         us = shift(u)

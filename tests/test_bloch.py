@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -16,12 +17,16 @@ from blochlab.bloch import (
     canonical_momentum,
     expansion_fit,
     fiber_lambda1_2d,
+    reference_inverse,
 )
+from blochlab.experiments import fiber_beta
 from blochlab.grid import make_grid
 from blochlab.microstructure import (
+    CoefficientField,
     Constant,
     FiberLattice,
     TwoPhaseInclusion,
+    radius_for_gamma,
     rasterize,
     unit_pattern,
 )
@@ -203,3 +208,85 @@ def test_expansion_fit_identity_medium():
     assert_allclose(c2, 1.0, rtol=1e-6)
     assert_allclose(c4, -h**2 / 12.0, rtol=1e-2)
     assert resid < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# reference-medium preconditioner
+
+
+@pytest.mark.parametrize("d, n", [(1, 8), (2, (6, 10)), (2, (2, 7)), (3, (4, 5, 2))])
+def test_reference_inverse_exact_on_constant_medium(d, n):
+    f = constant_field(d, n, a0=2.5)
+    rng = np.random.default_rng(3)
+    N = f.grid.num_cells
+    eta = 0.3 * (np.arange(d) + 1) / d
+    B, _ = assemble_shifted(f, eta)
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    assert np.abs(reference_inverse(f, eta)(B @ x) - x).max() <= 1e-12
+    # zero momentum: the constants are the kernel, projected out
+    B0, _ = assemble_shifted(f, None)
+    x0 = rng.standard_normal(N)
+    z = reference_inverse(f)(B0 @ x0)
+    assert z.dtype == np.float64
+    assert np.abs(z - (x0 - x0.mean())).max() <= 1e-12
+
+
+def _below_pencil(B, apply, rng, trials=5):
+    # P <= B tested through z = P^{-1} x, for which z^H P z = z^H x
+    for _ in range(trials):
+        x = rng.standard_normal(B.shape[0]) + 1j * rng.standard_normal(B.shape[0])
+        z = apply(x)
+        pz = np.vdot(z, x).real
+        bz = np.vdot(z, B @ z).real
+        assert pz <= bz * (1.0 + 1e-12)
+
+
+def test_reference_inverse_below_fiber_pencil():
+    eps, eta_p, eta3 = 1 / 3, np.array([0.2, 0.2]), 0.3
+    r = radius_for_gamma(eps, 2.0)
+    spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))
+    f = rasterize(spec, make_grid(2, (52, 52)))
+    B2, _ = assemble_shifted(f, eps * eta_p)
+    w = f.grid.cell_volume
+    B = B2 / eps**2 + sp.diags(eta3**2 * w * f.a)
+    apply = reference_inverse(f, eps * eta_p, scale=1 / eps**2, shift=eta3**2)
+    _below_pencil(B.tocsr(), apply, np.random.default_rng(5))
+
+
+def test_reference_inverse_below_anisotropic_pencil():
+    g = make_grid(2, (12, 9))
+    rng = np.random.default_rng(7)
+    f = CoefficientField(grid=g, a=np.exp(2.0 * rng.standard_normal((g.num_cells, 2))))
+    eta = np.array([0.35, -0.15])
+    B, _ = assemble_shifted(f, eta)
+    _below_pencil(B, reference_inverse(f, eta), rng)
+
+
+def test_bloch_lambda1_zero_momentum():
+    f = rasterize(TwoPhaseInclusion(eps=1.0, beta=4.0, rho=0.5), make_grid(2, (16, 16)))
+    res = bloch_lambda1(f, np.zeros(2), tol=1e-10)
+    assert abs(res.lambda1) <= 1e-10
+
+
+# Shift-invert references (scipy eigsh, sigma=0, tol=1e-13) on the same
+# discrete pencils, copied from perfbench/oracle_cache.json: the thm31
+# eps = 1/5 rung (main, control, doubled mesh) and the gap_map eps = 1/5
+# rows at t = 1/16 and t = 1/64.  At contrast 1.7e5 a residual rule scaled
+# by the pencil norm admits errors up to 3.5e-3 on these rows.
+FIBER_REFERENCES = [
+    (184, (0.2, 0.2), 0.3, 1.6238291282377961),
+    (184, (0.2, 0.2), 0.0, 0.08024691750728463),
+    (368, (0.2, 0.2), 0.3, 1.624954700122577),
+    (184, (0.0125, 0.0125), 0.01875, 0.08602135533074198),
+    (184, (0.003125, 0.003125), 0.0046875, 0.005659334970421973),
+]
+
+
+@pytest.mark.parametrize("m, eta_p, eta3, reference", FIBER_REFERENCES)
+def test_fiber_lambda1_matches_shift_invert_reference(m, eta_p, eta3, reference):
+    eps = 1 / 5
+    r = radius_for_gamma(eps, 2.0)
+    spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))
+    section = rasterize(spec, make_grid(2, (m, m)))
+    lam = fiber_lambda1_2d(section, eps, np.array(eta_p), eta3, tol=1e-9).lambda1
+    assert abs(lam - reference) <= 1e-6 * reference

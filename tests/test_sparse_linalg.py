@@ -167,6 +167,18 @@ def test_smallest_eigpair_residual_report():
     r = np.linalg.norm(A @ x - lam * x)
     assert_allclose(rep.residuals[0], r, rtol=1e-6, atol=1e-12)
     assert rep.rel_residuals[0] <= 1e-11
+    assert rep.meta["error_estimate"] is None
+    assert rep.meta["inner_cg_steps"] > 0
+    # A = Q Q^T + 12 I, so P = 12 I satisfies P <= A
+    pre = smallest_eigpair(A, np.ones(12), k=1, tol=1e-12, precond=lambda v: v / 12.0)
+    x = pre.vectors[:, 0]
+    lam = pre.eigenvalues[0]
+    res = A @ x - lam * x
+    est = np.vdot(res, res).real / 12.0 / (abs(lam) * np.vdot(x, x).real)
+    assert_allclose(pre.meta["error_estimate"], est, rtol=1e-6, atol=1e-30)
+    assert pre.meta["error_estimate"] <= 1e-12
+    assert pre.meta["inner_cg_steps"] > 0
+    assert_allclose(pre.eigenvalues, rep.eigenvalues, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
