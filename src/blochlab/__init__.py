@@ -58,7 +58,7 @@ from .experiments import (
     run_thm22,
     run_thm31,
 )
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config
 from .fieldio import read_field_dump, write_field_dump
 
 __all__ = [
@@ -113,7 +113,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "parse_config",
-    "serialize_config",
     "read_field_dump",
     "write_field_dump",
 ]

@@ -18,7 +18,7 @@ eigenvalue tends to ``|eta|^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -190,8 +190,6 @@ class EigResult:
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
 
-    lam1 = lambda1
-
     @property
     def phi(self) -> np.ndarray:
         return self.vectors[:, 0]
@@ -201,16 +199,14 @@ class EigResult:
         return float(self.residuals[0])
 
     @classmethod
-    def from_report(
-        cls, eta: np.ndarray, report: EigSolveReport, meta: dict | None = None
-    ) -> "EigResult":
+    def from_report(cls, eta: np.ndarray, report: EigSolveReport) -> "EigResult":
         return cls(
             eta=np.asarray(eta, dtype=np.float64),
             eigenvalues=report.eigenvalues,
             vectors=report.vectors,
             residuals=report.residuals,
             iterations=report.iterations,
-            meta=meta,
+            meta=report.meta,
         )
 
 
@@ -258,13 +254,8 @@ def bloch_reduced(
     eta = np.asarray(eta, dtype=np.float64)
     _require_first_zone(eta)
     res = bloch_lambda1(unit_field, eps * eta, k, tol=tol, maxit=maxit, X0=X0)
-    return EigResult(
-        eta=eta,
-        eigenvalues=res.eigenvalues / eps**2,
-        vectors=res.vectors,
-        residuals=res.residuals,
-        iterations=res.iterations,
-    )
+    # the error estimate is relative, so it survives the eps^-2 rescaling
+    return replace(res, eta=eta, eigenvalues=res.eigenvalues / eps**2)
 
 
 def fiber_lambda1_2d(

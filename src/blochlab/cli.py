@@ -28,6 +28,8 @@ from .cell_problems import dispersion, homogenized, pw_constant
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
     ExperimentTable,
+    map_tasks,
+    pool_size,
     resolve_resolution,
     run_gap_map,
     run_pw,
@@ -71,21 +73,41 @@ def git_describe() -> str:
     return "unknown"
 
 
-def _field_for(cfg: RunConfig, d: int):
+def _require_field(cfg: RunConfig) -> None:
     if cfg.a is None:
         raise ConfigError(f"command {cfg.command!r} requires key 'a'")
     if cfg.n is None:
         raise ConfigError(f"command {cfg.command!r} needs a resolution n")
-    return rasterize(cfg.a, make_grid(d, (cfg.n,) * d))
 
 
-def _single_command_table(cfg: RunConfig) -> ExperimentTable:
-    """Tables for the non-experiment commands; no assertion columns."""
+def _momentum_task(command: str, a, n: int, eta) -> dict:
+    """Value cells of one ``bloch``/``dispersion``/``pw`` row: the field is
+    rasterized on ``n`` cells per axis in ``len(eta)`` dimensions."""
+    eta = np.asarray(eta, dtype=np.float64)
+    d = len(eta)
+    field = rasterize(a, make_grid(d, (n,) * d))
+    if command == "bloch":
+        res = bloch_lambda1(field, eta)
+        return {"lambda1": res.lambda1, "residual": res.residual,
+                "iterations": res.iterations}
+    if command == "dispersion":
+        sample = dispersion(field, eta)
+        return {"q_eta_eta": sample.q_eta_eta,
+                "dispersion_value": sample.value, "compat": sample.compat}
+    return {"pw_constant": pw_constant(field, eta)}
+
+
+def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
+    """Tables for the non-experiment commands; no assertion columns.
+
+    ``bloch``, ``dispersion`` and ``pw`` solve once per momentum, each
+    momentum a :func:`map_tasks` task on ``workers`` requested processes.
+    """
     name = cfg.command
     if name == "homogenize":
         # planar by convention; fiber patterns homogenize their cross-section
-        field = _field_for(cfg, 2)
-        hom = homogenized(field)
+        _require_field(cfg)
+        hom = homogenized(rasterize(cfg.a, make_grid(2, (cfg.n, cfg.n))))
         row = {}
         d = hom.q.shape[0]
         for i in range(d):
@@ -97,43 +119,19 @@ def _single_command_table(cfg: RunConfig) -> ExperimentTable:
         row["defect"] = float(hom.defect)
         return ExperimentTable(name, list(row), [row], {}, {})
 
-    if name == "bloch":
+    if name in ("bloch", "dispersion", "pw"):
+        _require_field(cfg)
+        tasks = [(name, cfg.a, cfg.n, eta) for eta in cfg.eta]
+        prefix = "lambda" if name == "pw" else "eta"  # pw: eta is the direction
         rows, cols = [], None
-        for eta in cfg.eta:
-            d = len(eta)
-            field = _field_for(cfg, d)
-            res = bloch_lambda1(field, np.asarray(eta, dtype=np.float64))
-            row = {f"eta{k + 1}": float(v) for k, v in enumerate(eta)}
-            row.update(lambda1=res.lambda1, residual=res.residual,
-                       iterations=res.iterations)
-            rows.append(row)
+        for eta, (values, seconds) in zip(cfg.eta, map_tasks(_momentum_task, tasks, workers)):
+            row = {f"{prefix}{k + 1}": float(v) for k, v in enumerate(eta)}
+            row.update(values)
             cols = list(row)
-        return ExperimentTable(name, cols, rows, {}, {})
-
-    if name == "dispersion":
-        rows, cols = [], None
-        for eta in cfg.eta:
-            d = len(eta)
-            field = _field_for(cfg, d)
-            sample = dispersion(field, np.asarray(eta, dtype=np.float64))
-            row = {f"eta{k + 1}": float(v) for k, v in enumerate(eta)}
-            row.update(q_eta_eta=sample.q_eta_eta,
-                       dispersion_value=sample.value, compat=sample.compat)
+            row["runtime_seconds"] = seconds
             rows.append(row)
-            cols = list(row)
-        return ExperimentTable(name, cols, rows, {}, {})
-
-    if name == "pw":
-        rows, cols = [], None
-        for lam in cfg.eta:        # for this command eta is the direction
-            d = len(lam)
-            field = _field_for(cfg, d)
-            C = pw_constant(field, np.asarray(lam, dtype=np.float64))
-            row = {f"lambda{k + 1}": float(v) for k, v in enumerate(lam)}
-            row["pw_constant"] = C
-            rows.append(row)
-            cols = list(row)
-        return ExperimentTable(name, cols, rows, {}, {})
+        return ExperimentTable(name, cols, rows, {}, {},
+                               workers=pool_size(workers, len(tasks)))
 
     if name == "capacity":
         R = float(cfg.R) if cfg.R is not None else CapacityProfile.DEFAULT_R
@@ -168,12 +166,12 @@ def _single_command_table(cfg: RunConfig) -> ExperimentTable:
     raise ConfigError(f"unhandled command {name!r}")  # pragma: no cover
 
 
-def _experiment_table(cfg: RunConfig) -> ExperimentTable:
+def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     name = cfg.command.split(":", 1)[1]
     eps = [float(v) for v in cfg.eps] if cfg.eps else None
     eta = tuple(float(v) for v in cfg.eta[0]) if cfg.eta else None
     gamma = float(cfg.gamma) if cfg.gamma is not None else 2.0
-    kw: dict = {"seed": cfg.seed}
+    kw: dict = {"seed": cfg.seed, "workers": workers}
     if name == "thm22":
         if eps:
             kw["eps_list"] = eps
@@ -213,16 +211,17 @@ def run_and_emit(
 ) -> tuple[int, list[Path]]:
     """Execute the config; write ``<command>.csv`` and ``<command>.json``.
 
-    Returns (exit code, written paths).  Assertion-column failures give
-    exit 2; the files are written either way.
+    ``threads`` is the requested worker count for the independent solves;
+    the CSV bytes do not depend on it.  Returns (exit code, written paths).
+    Assertion-column failures give exit 2; the files are written either way.
     """
     t0 = time.perf_counter()
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.command.startswith("experiment:"):
-        table = _experiment_table(cfg)
+        table = _experiment_table(cfg, threads)
     else:
-        table = _single_command_table(cfg)
+        table = _single_command_table(cfg, threads)
 
     stem = cfg.command.replace(":", "_")
     csv_path = out / f"{stem}.csv"
@@ -233,6 +232,7 @@ def run_and_emit(
         "command": cfg.command,
         "seed": cfg.seed,
         "threads": threads,
+        "workers": table.workers,
         "package_version": __version__,
         "git_describe": git_describe(),
         "q_normalization": cfg.q_normalization,
@@ -264,8 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (default: from config)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker count; recorded in the sidecar, "
-                             "computation is single-threaded")
+                        help="worker processes for the independent solves, "
+                             "clamped to the usable cores and to the number "
+                             "of solves; the CSV is the same for every N")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
     args = parser.parse_args(argv)

@@ -456,7 +456,3 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"command {command!r} requires key {key!r}",
                               key=key)
     return cfg
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    return cfg.serialize()

@@ -7,8 +7,12 @@ never fatal).  Rows are computed independently — no state flows between
 them — so any single row is bitwise reproducible from the table metadata
 and the seed alone.
 
-Wall times are recorded on the rows but belong to the metadata sidecar,
-not the CSV, which must be byte-stable across reruns.
+Every harness lists its independent solves as tasks and hands them to
+:func:`map_tasks`, which runs them in this process or on a fork pool and
+returns the results in input order; rows are then built in order, so the
+table does not depend on the worker count.  A row's wall time is the sum of
+its tasks' times; wall times belong to the metadata sidecar, not the CSV,
+which must be byte-stable across reruns.
 
 Resolution rule: the full-grid resolution per epsilon is the smallest
 multiple of 1/eps giving at least 8 cells across the finest feature,
@@ -20,6 +24,7 @@ cells.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -98,6 +103,7 @@ class ExperimentTable:
     rows: list[dict]
     checks: dict[str, bool]
     meta: dict = field(default_factory=dict)
+    workers: int = 1            # processes the rows were computed on
 
     @property
     def passed(self) -> bool:
@@ -136,6 +142,59 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
     return n
 
 
+def pool_size(threads: int, n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` independent tasks: the requested
+    count clamped to the number of tasks and to the usable cores."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without affinity masks
+        cores = os.cpu_count() or 1
+    return max(1, min(int(threads), n_tasks, cores))
+
+
+def _timed(fn, task: tuple) -> tuple:
+    t0 = time.perf_counter()
+    value = fn(*task)
+    return value, time.perf_counter() - t0
+
+
+def map_tasks(fn, tasks, workers: int = 1, cost=None) -> list[tuple]:
+    """``[(fn(*task), wall seconds), ...]`` for independent tasks, in input
+    order.
+
+    With one worker after :func:`pool_size` the tasks run in this process.
+    Otherwise they run on a fork pool, one task at a time per worker,
+    submitted in decreasing ``cost`` (grid cells) so that the largest
+    solves start first.  ``fn`` must be a module-level function, and tasks
+    and results must pickle: tasks carry specs (eps, m, eta), never fields,
+    and return scalars.  An exception raised in a task re-raises here.
+    """
+    tasks = list(tasks)
+    n_workers = pool_size(workers, len(tasks))
+    if n_workers == 1:
+        return [_timed(fn, task) for task in tasks]
+    import multiprocessing  # only pooled runs pay for the import
+
+    order = list(range(len(tasks)))
+    if cost is not None:
+        order.sort(key=lambda i: -cost[i])
+    # fork, not spawn: workers inherit numpy, scipy and blochlab already
+    # imported (tens of ms per worker instead of a fresh interpreter), and
+    # this process starts no threads of its own
+    with multiprocessing.get_context("fork").Pool(n_workers) as pool:
+        done = pool.starmap(_timed, [(fn, tasks[i]) for i in order], chunksize=1)
+    out: list = [None] * len(tasks)
+    for i, result in zip(order, done):
+        out[i] = result
+    return out
+
+
+def _grid_sizes(eps: float, extent: float, resolution: int | None = None):
+    """``(n, m)``: full-grid cells per axis and unit-pattern cells per axis."""
+    n = resolution or resolve_resolution(eps, extent)
+    return n, n // _as_inv_eps(eps)
+
+
 def _spread_checks(rows: list[dict], checks: dict[str, bool]) -> None:
     # assertion outcomes double as columns, repeated on every row
     for row in rows:
@@ -151,47 +210,63 @@ def _nondecreasing(seq) -> bool:
     return all(b >= a for a, b in zip(seq, seq[1:]))
 
 
+def _unit_inclusion(eps: float, m: int) -> CoefficientField:
+    # shrinking-inclusion family: rho = eps, beta = eps^-2, on the unit pattern
+    spec = TwoPhaseInclusion(eps=eps, beta=float(_as_inv_eps(eps)) ** 2, rho=eps)
+    return rasterize(unit_pattern(spec), make_grid(2, (m, m)))
+
+
+def _thm22_task(eps: float, m: int, eta: np.ndarray, forms: bool) -> tuple:
+    """``(q_eta_eta, eps^2 dispersion)`` when ``forms``, else
+    ``(lambda1, iterations)`` of the reduced solve."""
+    unit = _unit_inclusion(eps, m)
+    if forms:
+        q_eta_eta = float(eta @ homogenized(unit).q @ eta)
+        return q_eta_eta, eps * eps * dispersion(unit, eta).value
+    res = bloch_reduced(unit, eps, eta, tol=1e-11)
+    return res.lambda1, res.iterations
+
+
 def run_thm22(
     eps_list=(1 / 2, 1 / 4, 1 / 8),
     eta=(0.25, 0.0),
     *,
     resolution: int | None = None,
     seed: int = 24389,
+    workers: int = 1,
 ) -> ExperimentTable:
     """Shrinking-inclusion sweep: rho = eps, beta = eps^{-2}.
 
     Tracks the first-eigenvalue gap to the effective quadratic form and the
     dispersive coefficient of the oscillating medium; both must shrink as
-    the period does.
+    the period does.  ``workers`` is the requested pool size of
+    :func:`map_tasks`.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (2,):
         raise ValueError("eta must have two components")
     if float(np.hypot(*eta)) > 0.25 + 1e-12:
         raise ValueError("sweep is meaningful only for |eta| <= 1/4")
+    rungs = [
+        (eps, *_grid_sizes(eps, 2.0 * math.pi * eps * eps, resolution))
+        for eps in eps_list
+    ]
+    tasks = []
+    for eps, _, m in rungs:
+        tasks += [(eps, m, eta, True), (eps, m, eta, False), (eps, 2 * m, eta, False)]
+    done = iter(map_tasks(_thm22_task, tasks, workers, [t[1] ** 2 for t in tasks]))
     rows = []
-    for eps in eps_list:
-        t0 = time.perf_counter()
-        inv = _as_inv_eps(eps)
-        spec = TwoPhaseInclusion(eps=eps, beta=float(inv) ** 2, rho=eps)
-        n = resolution or resolve_resolution(eps, 2.0 * math.pi * eps * eps)
-        m = n // inv
-        unit = rasterize(unit_pattern(spec), make_grid(2, (m, m)))
-        hom = homogenized(unit)
-        q_eta_eta = float(eta @ hom.q @ eta)
-        res = bloch_reduced(unit, eps, eta, tol=1e-11)
-        disp_eps = eps * eps * dispersion(unit, eta).value
-
-        unit2 = rasterize(unit_pattern(spec), make_grid(2, (2 * m, 2 * m)))
-        lam2 = bloch_reduced(unit2, eps, eta, tol=1e-11).lambda1
-        mesh_rel = abs(lam2 - res.lambda1) / max(abs(res.lambda1), 1e-300)
-
+    for eps, n, m in rungs:
+        (q_eta_eta, disp_eps), t_forms = next(done)
+        (lam, iters), t_lam = next(done)
+        (lam2, _), t_lam2 = next(done)
+        mesh_rel = abs(lam2 - lam) / max(abs(lam), 1e-300)
         row = ExperimentRow(
-            eps=float(eps), n=n, eta=tuple(eta), lambda1=res.lambda1,
+            eps=float(eps), n=n, eta=tuple(eta), lambda1=lam,
             q_eta_eta=q_eta_eta, dispersion_value=disp_eps,
-            gap=abs(res.lambda1 - q_eta_eta),
-            runtime_seconds=time.perf_counter() - t0,
-            iterations=res.iterations,
+            gap=abs(lam - q_eta_eta),
+            runtime_seconds=t_forms + t_lam + t_lam2,
+            iterations=iters,
             extras={
                 "m": m,
                 "lambda1_doubled": lam2,
@@ -220,18 +295,30 @@ def run_thm22(
         "seed": seed,
         "q_normalization": Q_NORMALIZATION,
     }
-    return ExperimentTable("thm22", columns, rows, checks, meta)
+    return ExperimentTable("thm22", columns, rows, checks, meta,
+                           workers=pool_size(workers, len(tasks)))
 
 
-def _fiber_section(
-    eps: float, gamma: float, m: int, *, beta: float | None = None
-) -> tuple[CoefficientField, float, float]:
+def _fiber_params(eps: float, gamma: float) -> tuple[float, float]:
     r_eps = radius_for_gamma(eps, gamma)
-    if beta is None:
-        beta = fiber_beta(eps, r_eps)
-    spec = FiberLattice(eps=1.0, r_eps=r_eps, beta=beta)
-    section = rasterize(spec, make_grid(2, (m, m)))
-    return section, r_eps, beta
+    return r_eps, fiber_beta(eps, r_eps)
+
+
+def _fiber_section(eps: float, gamma: float, m: int) -> CoefficientField:
+    r_eps, beta = _fiber_params(eps, gamma)
+    return rasterize(FiberLattice(eps=1.0, r_eps=r_eps, beta=beta), make_grid(2, (m, m)))
+
+
+def _fiber_sizes(eps: float, gamma: float, resolution: int | None = None):
+    return _grid_sizes(eps, 2.0 * eps * radius_for_gamma(eps, gamma), resolution)
+
+
+def _fiber_task(
+    eps: float, gamma: float, m: int, eta_p: np.ndarray, eta3: float
+) -> tuple[float, int]:
+    """``(lambda1, iterations)`` of one fiber cross-section solve."""
+    res = fiber_lambda1_2d(_fiber_section(eps, gamma, m), eps, eta_p, eta3, tol=1e-9)
+    return res.lambda1, res.iterations
 
 
 def run_thm31(
@@ -242,6 +329,7 @@ def run_thm31(
     resolution: int | None = None,
     with_mesh_check: bool = True,
     seed: int = 24389,
+    workers: int = 1,
 ) -> ExperimentTable:
     """Thin-fiber sweep at the critical radius scaling.
 
@@ -251,7 +339,9 @@ def run_thm31(
     cross-section reduction (the medium does not vary along the fibers).
     The homogenized-form and dispersion columns stay empty: the fiber
     family has unbounded mean conductivity, which is exactly why its limit
-    eigenvalue detaches from any effective parabola.
+    eigenvalue detaches from any effective parabola.  The main, control
+    and doubled-mesh solves of every rung are separate tasks of
+    :func:`map_tasks`, on ``workers`` requested processes.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (3,):
@@ -260,41 +350,40 @@ def run_thm31(
         raise ValueError("main run needs a nonzero third momentum component")
     eta_sq = float(eta @ eta)
     eta_p = eta[:2]
+    rungs = [(eps, *_fiber_sizes(eps, gamma, resolution)) for eps in eps_list]
+    tasks = []
+    for eps, _, m in rungs:
+        tasks += [(eps, gamma, m, eta_p, float(eta[2])), (eps, gamma, m, eta_p, 0.0)]
+        if with_mesh_check:
+            tasks.append((eps, gamma, 2 * m, eta_p, float(eta[2])))
+    done = iter(map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks]))
     rows = []
-    for eps in eps_list:
-        t0 = time.perf_counter()
-        inv = _as_inv_eps(eps)
-        r_probe = radius_for_gamma(eps, gamma)
-        n = resolution or resolve_resolution(eps, 2.0 * eps * r_probe)
-        m = n // inv
-        section, r_eps, beta = _fiber_section(eps, gamma, m)
-
-        res = fiber_lambda1_2d(section, eps, eta_p, float(eta[2]), tol=1e-9)
-        excess = res.lambda1 - eta_sq
-        ctrl = fiber_lambda1_2d(section, eps, eta_p, 0.0, tol=1e-9)
-        ctrl_excess = ctrl.lambda1 - float(eta_p @ eta_p)
-
+    for eps, n, m in rungs:
+        (lam, iters), seconds = next(done)
+        (ctrl_lam, _), ctrl_seconds = next(done)
+        seconds += ctrl_seconds
+        r_eps, beta = _fiber_params(eps, gamma)
+        excess = lam - eta_sq
+        ctrl_excess = ctrl_lam - float(eta_p @ eta_p)
         extras = {
             "m": m,
             "r_eps": r_eps,
             "beta": beta,
             "excess": excess,
-            "control_lambda1": ctrl.lambda1,
+            "control_lambda1": ctrl_lam,
             "control_excess": ctrl_excess,
             "excess_ratio": excess / max(abs(ctrl_excess), 1e-300),
         }
         if with_mesh_check:
-            section2, _, _ = _fiber_section(eps, gamma, 2 * m)
-            lam2 = fiber_lambda1_2d(
-                section2, eps, eta_p, float(eta[2]), tol=1e-9
-            ).lambda1
+            (lam2, _), mesh_seconds = next(done)
+            seconds += mesh_seconds
             extras["lambda1_doubled"] = lam2
-            extras["mesh_rel_change"] = abs(lam2 - res.lambda1) / res.lambda1
+            extras["mesh_rel_change"] = abs(lam2 - lam) / lam
             extras["mesh_pass"] = extras["mesh_rel_change"] <= 0.01
         row = ExperimentRow(
-            eps=float(eps), n=n, eta=tuple(eta), lambda1=res.lambda1,
-            gap=excess, runtime_seconds=time.perf_counter() - t0,
-            iterations=res.iterations, extras=extras,
+            eps=float(eps), n=n, eta=tuple(eta), lambda1=lam,
+            gap=excess, runtime_seconds=seconds,
+            iterations=iters, extras=extras,
         )
         rows.append(row.as_dict())
 
@@ -324,7 +413,8 @@ def run_thm31(
         "seed": seed,
         "q_normalization": Q_NORMALIZATION,
     }
-    return ExperimentTable("thm31", columns, rows, checks, meta)
+    return ExperimentTable("thm31", columns, rows, checks, meta,
+                           workers=pool_size(workers, len(tasks)))
 
 
 def run_gap_map(
@@ -334,12 +424,14 @@ def run_gap_map(
     t_list=(1.0, 1 / 4, 1 / 16, 1 / 64),
     *,
     seed: int = 24389,
+    workers: int = 1,
 ) -> ExperimentTable:
     """Order-of-limits map over (eps, t) for momentum t*eta.
 
     At fixed eps the first eigenvalue vanishes with the momentum, yet the
     t = 1 column keeps a finite floor as eps shrinks — the two limits do
-    not commute, which is the discontinuity at zero momentum.
+    not commute, which is the discontinuity at zero momentum.  Every
+    (eps, t) cell is one task of :func:`map_tasks`.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (3,):
@@ -351,34 +443,29 @@ def run_gap_map(
     t_list = [float(t) for t in t_list]
     if sorted(t_list, reverse=True) != t_list or t_list[0] != 1.0:
         raise ValueError("t_list must start at 1 and decrease")
+    rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
+    cells = [(eps, n, m, t) for eps, n, m in rungs for t in t_list]
+    tasks = [(eps, gamma, m, t * eta[:2], float(t * eta[2])) for eps, _, m, t in cells]
+    done = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
     rows = []
     lam_at_1: dict[float, float] = {}
-    for eps in eps_list:
-        inv = _as_inv_eps(eps)
-        r_probe = radius_for_gamma(eps, gamma)
-        n = resolve_resolution(eps, 2.0 * eps * r_probe)
-        m = n // inv
-        section, r_eps, beta = _fiber_section(eps, gamma, m)
-        for t in t_list:
-            t0 = time.perf_counter()
-            res = fiber_lambda1_2d(
-                section, eps, t * eta[:2], float(t * eta[2]), tol=1e-9
-            )
-            if t == 1.0:
-                lam_at_1[eps] = res.lambda1
-            row = ExperimentRow(
-                eps=float(eps), n=n, eta=tuple(t * eta), lambda1=res.lambda1,
-                runtime_seconds=time.perf_counter() - t0,
-                iterations=res.iterations,
-                extras={
-                    "t": t,
-                    "m": m,
-                    "r_eps": r_eps,
-                    "beta": beta,
-                    "lambda1_over_t1": res.lambda1 / lam_at_1[eps],
-                },
-            )
-            rows.append(row.as_dict())
+    for (eps, n, m, t), ((lam, iters), seconds) in zip(cells, done):
+        if t == 1.0:
+            lam_at_1[eps] = lam
+        r_eps, beta = _fiber_params(eps, gamma)
+        row = ExperimentRow(
+            eps=float(eps), n=n, eta=tuple(t * eta), lambda1=lam,
+            runtime_seconds=seconds,
+            iterations=iters,
+            extras={
+                "t": t,
+                "m": m,
+                "r_eps": r_eps,
+                "beta": beta,
+                "lambda1_over_t1": lam / lam_at_1[eps],
+            },
+        )
+        rows.append(row.as_dict())
 
     t_min = t_list[-1]
     vanishing = all(
@@ -405,7 +492,20 @@ def run_gap_map(
         "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
         "seed": seed,
     }
-    return ExperimentTable("gap_map", columns, rows, checks, meta)
+    return ExperimentTable("gap_map", columns, rows, checks, meta,
+                           workers=pool_size(workers, len(tasks)))
+
+
+def _pw_task(family: str, eps: float, gamma: float, m: int, lam: np.ndarray):
+    """``(C, mean_a)`` on the family's unit cell; ``mean_a`` is ``None``
+    for the inclusion family."""
+    if family == "thm22":
+        return pw_constant(_unit_inclusion(eps, m), lam), None
+    section = _fiber_section(eps, gamma, m)
+    # inner tolerance sits above the CG stagnation floor at the extreme
+    # contrast of the finest rung
+    C = pw_constant(section, lam, tol=1e-7, cg_tol=1e-7)
+    return C, float(section.a.mean())
 
 
 def run_pw(
@@ -415,35 +515,50 @@ def run_pw(
     *,
     gamma: float = 2.0,
     seed: int = 24389,
+    workers: int = 1,
 ) -> ExperimentTable:
     """Weighted Poincare constants along the two microstructure families.
 
     thm22 family: ``eps^2 C`` must fall (the constants grow slower than the
     contrast).  Fiber family: ``C / (|ln r| mean(a))`` stays order one —
     the weighted constant tracks the conductivity mass and the log factor.
-    Constants are computed on the unit cell of each family's pattern.
+    Constants are computed on the unit cell of each family's pattern, one
+    :func:`map_tasks` task per eps.
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     lam2d = lam[:2]
-    rows = []
     if family == "thm22":
         eps_list = tuple(eps_list) if eps_list is not None else (1 / 2, 1 / 4, 1 / 8)
-        for eps in eps_list:
-            t0 = time.perf_counter()
-            inv = _as_inv_eps(eps)
-            spec = TwoPhaseInclusion(eps=eps, beta=float(inv) ** 2, rho=eps)
-            n = resolve_resolution(eps, 2.0 * math.pi * eps * eps)
-            m = n // inv
-            unit = rasterize(unit_pattern(spec), make_grid(2, (m, m)))
-            C = pw_constant(unit, lam2d)
-            row = ExperimentRow(
-                eps=float(eps), n=n, eta=tuple(lam2d), lambda1=C,
-                runtime_seconds=time.perf_counter() - t0,
-                extras={"m": m, "pw_constant": C, "eps2_C": eps * eps * C},
-            )
-            rows.append(row.as_dict())
+        rungs = [(eps, *_grid_sizes(eps, 2.0 * math.pi * eps * eps)) for eps in eps_list]
+    else:
+        eps_list = tuple(eps_list) if eps_list is not None else (
+            1 / 3, 1 / 4, 1 / 5, 1 / 6,
+        )
+        rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
+    tasks = [(family, eps, gamma, m, lam2d) for eps, _, m in rungs]
+    done = map_tasks(_pw_task, tasks, workers, [t[3] ** 2 for t in tasks])
+    rows = []
+    for (eps, n, m), ((C, mean_a), seconds) in zip(rungs, done):
+        if family == "thm22":
+            extras = {"m": m, "pw_constant": C, "eps2_C": eps * eps * C}
+        else:
+            r_eps, beta = _fiber_params(eps, gamma)
+            extras = {
+                "m": m,
+                "r_eps": r_eps,
+                "beta": beta,
+                "pw_constant": C,
+                "mean_a": mean_a,
+                "ratio": C / (abs(math.log(r_eps)) * mean_a),
+            }
+        row = ExperimentRow(
+            eps=float(eps), n=n, eta=tuple(lam2d), lambda1=C,
+            runtime_seconds=seconds, extras=extras,
+        )
+        rows.append(row.as_dict())
+    if family == "thm22":
         checks = {
             "eps2C_nonincreasing_pass": _nonincreasing(
                 [r["eps2_C"] for r in rows]
@@ -451,34 +566,6 @@ def run_pw(
         }
         value_cols = ["pw_constant", "eps2_C"]
     else:
-        eps_list = tuple(eps_list) if eps_list is not None else (
-            1 / 3, 1 / 4, 1 / 5, 1 / 6,
-        )
-        for eps in eps_list:
-            t0 = time.perf_counter()
-            inv = _as_inv_eps(eps)
-            r_probe = radius_for_gamma(eps, gamma)
-            n = resolve_resolution(eps, 2.0 * eps * r_probe)
-            m = n // inv
-            section, r_eps, beta = _fiber_section(eps, gamma, m)
-            # inner tolerance sits above the CG stagnation floor at the
-            # extreme contrast of the finest rung
-            C = pw_constant(section, lam2d, tol=1e-7, cg_tol=1e-7)
-            mean_a = float(section.a.mean())
-            ratio = C / (abs(math.log(r_eps)) * mean_a)
-            row = ExperimentRow(
-                eps=float(eps), n=n, eta=tuple(lam2d), lambda1=C,
-                runtime_seconds=time.perf_counter() - t0,
-                extras={
-                    "m": m,
-                    "r_eps": r_eps,
-                    "beta": beta,
-                    "pw_constant": C,
-                    "mean_a": mean_a,
-                    "ratio": ratio,
-                },
-            )
-            rows.append(row.as_dict())
         checks = {"ratio_bounded_pass": all(r["ratio"] <= 10.0 for r in rows)}
         value_cols = ["r_eps", "beta", "pw_constant", "mean_a", "ratio"]
     _spread_checks(rows, checks)
@@ -490,4 +577,5 @@ def run_pw(
         "gamma": gamma,
         "seed": seed,
     }
-    return ExperimentTable(f"pw_{family}", columns, rows, checks, meta)
+    return ExperimentTable(f"pw_{family}", columns, rows, checks, meta,
+                           workers=pool_size(workers, len(tasks)))

@@ -262,6 +262,24 @@ def test_reference_inverse_below_anisotropic_pencil():
     _below_pencil(B, reference_inverse(f, eta), rng)
 
 
+def test_results_carry_solver_meta():
+    # the eigensolver's error estimate and inner-CG work reach every result
+    tol = 1e-10
+    spec = TwoPhaseInclusion(eps=1 / 2, beta=16.0, rho=1 / 2)
+    unit = rasterize(unit_pattern(spec), make_grid(2, (16, 16)))
+    section = rasterize(FiberLattice(eps=1.0, r_eps=0.8, beta=50.0), make_grid(2, (16, 16)))
+    eta = np.array([0.2, -0.1])
+    results = [
+        bloch_lambda1(rasterize(spec, make_grid(2, (32, 32))), eta, tol=tol),
+        bloch_reduced(unit, 1 / 2, eta, tol=tol),
+        fiber_lambda1_2d(section, 1 / 2, eta, 0.3, tol=tol),
+    ]
+    for res in results:
+        est = res.meta["error_estimate"]
+        assert math.isfinite(est) and est <= tol
+        assert res.meta["inner_cg_steps"] > 0
+
+
 def test_bloch_lambda1_zero_momentum():
     f = rasterize(TwoPhaseInclusion(eps=1.0, beta=4.0, rho=0.5), make_grid(2, (16, 16)))
     res = bloch_lambda1(f, np.zeros(2), tol=1e-10)

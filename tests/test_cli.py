@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from blochlab.cli import _csv_cell, main, run_and_emit, write_csv
 from blochlab.config import parse_config
 from blochlab.fieldio import write_field_dump
+from blochlab.sparse_linalg import ConvergenceError
 
 
 def run_main(argv):
@@ -76,11 +78,25 @@ def test_csv_bytes_stable_across_reruns(tmp_path):
 
 
 def test_experiment_csv_bytes_stable(tmp_path):
-    text = "command = experiment:thm22\neps = 1/2\nn = 32\n"
-    _, pa = run_and_emit(parse_config(text), out_dir=tmp_path / "a")
-    _, pb = run_and_emit(parse_config(text), out_dir=tmp_path / "b")
-    assert pa[0].read_bytes() == pb[0].read_bytes()
-    assert pa[0].name == "experiment_thm22.csv"
+    # the in-process and the pooled run of each config write the same bytes
+    configs = {
+        "experiment_thm22.csv": "command = experiment:thm22\neps = 1/2\nn = 32\n",
+        "experiment_gap_map.csv":
+            "command = experiment:gap_map\neps = 1/3\nt_list = 1, 1/4\n",
+        "experiment_thm31.csv": "command = experiment:thm31\neps = 1/3\n",
+        "bloch.csv": "command = bloch\na = two_phase(eps=1/2, beta=4, rho=1/2)\n"
+                     "n = 16\neta = (0.25, 0.0); (0.1, -0.2)\n",
+    }
+    workers = min(2, len(os.sched_getaffinity(0)))
+    for csv_name, text in configs.items():
+        out = tmp_path / csv_name
+        _, pa = run_and_emit(parse_config(text), out_dir=out / "a", threads=1)
+        _, pb = run_and_emit(parse_config(text), out_dir=out / "b", threads=2)
+        assert pa[0].name == csv_name
+        assert pa[0].read_bytes() == pb[0].read_bytes()
+        sidecar = json.loads(pb[1].read_text())
+        assert sidecar["threads"] == 2 and sidecar["workers"] == workers
+        assert all(t > 0 for t in sidecar["wall_times"]["row_seconds"])
 
 
 def test_sidecar_contents(tmp_path):
@@ -90,6 +106,7 @@ def test_sidecar_contents(tmp_path):
     assert meta["command"] == "experiment:thm22"
     assert meta["seed"] == 5
     assert meta["threads"] == 3
+    assert meta["workers"] == min(3, len(os.sched_getaffinity(0)))
     assert meta["q_normalization"] == "cell-average"
     assert "gap" in meta["columns"]
     assert set(meta["checks"]) >= {"gap_nonincreasing_pass"}
@@ -157,6 +174,21 @@ def test_main_bad_config(tmp_path, capsys):
     rc = run_main(["--config", p])
     assert rc == 1
     assert "unknown command" in capsys.readouterr().err
+
+
+def test_main_pooled_failure_exits_one(tmp_path, capsys, monkeypatch):
+    # a solve that fails inside a pool worker still ends the run with exit 1
+    import blochlab.cli
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("eigensolver did not converge", [1.0, 0.5])
+
+    monkeypatch.setattr(blochlab.cli, "bloch_lambda1", fail)  # inherited by fork
+    p = write_cfg(tmp_path, "command = bloch\na = constant(1)\nn = 8\n"
+                            "eta = (0.1, 0.0); (0.2, 0.0)\n")
+    rc = run_main(["--config", p, "--out", tmp_path / "out", "--threads", 2])
+    assert rc == 1
+    assert "ConvergenceError: eigensolver did not converge" in capsys.readouterr().err
 
 
 def test_main_exit_two_on_failed_checks(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochlab.config import ConfigError, parse_config, serialize_config
+from blochlab.config import ConfigError, parse_config
 from blochlab.microstructure import Constant, FiberLattice, TwoPhaseInclusion
 
 
@@ -43,7 +43,7 @@ def test_eta_semicolon_list():
 def test_fractions_stay_exact():
     cfg = parse_config("command = experiment:thm22\neps = 1/2, 1/4, 1/8\n")
     assert cfg.eps == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
-    out = serialize_config(cfg)
+    out = cfg.serialize()
     assert "1/2, 1/4, 1/8" in out
 
 
@@ -75,8 +75,8 @@ def test_roundtrip_identity():
         "eta = (0.25, 0.0)\nn = 32\nseed = 7\n"
     )
     cfg = parse_config(text)
-    once = serialize_config(cfg)
-    twice = serialize_config(parse_config(once))
+    once = cfg.serialize()
+    twice = parse_config(once).serialize()
     assert once == twice
 
 
@@ -97,8 +97,8 @@ def test_roundtrip_generated(command, denom, beta, seed):
     if command != "homogenize":
         lines.append("eta = (0.1, 0.0); (0.0, 0.2)")
     cfg = parse_config("\n".join(lines) + "\n")
-    once = serialize_config(cfg)
-    assert serialize_config(parse_config(once)) == once
+    once = cfg.serialize()
+    assert parse_config(once).serialize() == once
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ to pin down row/column contracts, validation, and reproducibility.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from blochlab.experiments import (
     ExperimentRow,
     ExperimentTable,
     fiber_beta,
+    map_tasks,
+    pool_size,
     resolve_resolution,
     run_gap_map,
     run_pw,
     run_thm22,
     run_thm31,
 )
+from blochlab.sparse_linalg import ConvergenceError
 
 
 def test_resolve_resolution_shrinking_inclusions():
@@ -92,10 +96,48 @@ def test_thm22_small_run():
 
 
 def test_thm22_reproducible():
-    a = run_thm22(eps_list=(1 / 2,), resolution=32)
-    b = run_thm22(eps_list=(1 / 2,), resolution=32)
-    for key in ("lambda1", "q_eta_eta", "dispersion_value", "gap"):
+    a = run_thm22(eps_list=(1 / 2,), resolution=32, workers=1)
+    b = run_thm22(eps_list=(1 / 2,), resolution=32, workers=2)
+    for key in ("lambda1", "q_eta_eta", "dispersion_value", "gap",
+                "lambda1_doubled", "iterations"):
         assert a.rows[0][key] == b.rows[0][key]
+    assert a.workers == 1
+    assert b.workers == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_pool_size_clamps_without_starting_a_pool():
+    cores = len(os.sched_getaffinity(0))
+    assert pool_size(10**6, 5) <= min(5, cores)
+    assert pool_size(10**6, 10**6) == cores
+    assert pool_size(1, 100) == 1
+    assert pool_size(4, 1) == 1
+    assert pool_size(0, 3) == 1
+    assert pool_size(2, 0) == 1
+
+
+def _square(x):
+    return x * x
+
+
+def _fail_on(x, bad):
+    if x == bad:
+        raise ConvergenceError(f"no convergence at task {x}", [1.0, 0.25, 0.125])
+    return x
+
+
+def test_map_tasks_keeps_input_order():
+    tasks = [(v,) for v in range(5)]
+    for workers in (1, 2):
+        done = map_tasks(_square, tasks, workers, cost=[0, 3, 1, 4, 2])
+        assert [value for value, _ in done] == [0, 1, 4, 9, 16]
+        assert all(seconds >= 0.0 for _, seconds in done)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_tasks_reraises_convergence_error(workers):
+    with pytest.raises(ConvergenceError, match="no convergence at task 2") as info:
+        map_tasks(_fail_on, [(v, 2) for v in range(3)], workers)
+    assert info.value.residual_history == [1.0, 0.25, 0.125]
 
 
 def test_thm22_validation():
