@@ -6,7 +6,7 @@ dispersion post-processing, weighted Poincare constants, and scripted
 high-contrast experiment sweeps.
 """
 
-from .grid import PeriodicGrid, ScalarGridField, block_average, make_grid
+from .grid import PeriodicGrid, ScalarGridField, make_grid
 from .microstructure import (
     CoefficientField,
     Constant,
@@ -46,7 +46,6 @@ from .cell_problems import (
     dispersion,
     homogenized,
     pw_constant,
-    rescale_corrector,
 )
 from .capacity import CapacityProfile, annulus_energy, scaled_energy, vhat
 from .experiments import (
@@ -64,7 +63,6 @@ from .fieldio import read_field_dump, write_field_dump
 __all__ = [
     "PeriodicGrid",
     "ScalarGridField",
-    "block_average",
     "make_grid",
     "CoefficientField",
     "Constant",
@@ -98,7 +96,6 @@ __all__ = [
     "dispersion",
     "homogenized",
     "pw_constant",
-    "rescale_corrector",
     "CapacityProfile",
     "annulus_energy",
     "scaled_energy",

@@ -164,12 +164,6 @@ def reference_inverse(
     return apply
 
 
-def residual(B: sp.spmatrix, M_diag: np.ndarray, lam: float, x: np.ndarray) -> float:
-    """Mass-normalized eigen-residual ``||B x - lam M x|| / ||M x||``."""
-    Mx = np.asarray(M_diag) * x
-    return float(np.linalg.norm(B @ x - lam * Mx) / np.linalg.norm(Mx))
-
-
 @dataclass
 class EigResult:
     """First eigenvalues of a shifted pencil at one momentum.

@@ -32,11 +32,7 @@ def _default_cg_budget(grid: PeriodicGrid) -> int:
 
 
 def _corrector_values(
-    field: CoefficientField,
-    direction: np.ndarray,
-    tol: float,
-    maxit: int | None,
-    x0: np.ndarray | None = None,
+    field: CoefficientField, direction: np.ndarray, tol: float
 ) -> np.ndarray:
     grid = field.grid
     K, _ = assemble_shifted(field, None)
@@ -49,12 +45,10 @@ def _corrector_values(
         coeff = direction[k] * w / h[k] * a_face
         b[idx] += coeff
         b[jdx] -= coeff
-    if maxit is None:
-        maxit = _default_cg_budget(grid)
     if not np.any(b):
         return np.zeros(grid.num_cells)
     return cg_solve(
-        K, b, tol=tol, maxit=maxit, deflate_constants=True, x0=x0,
+        K, b, tol=tol, maxit=_default_cg_budget(grid), deflate_constants=True,
         precond=reference_inverse(field),
     )
 
@@ -64,7 +58,6 @@ def corrector(
     direction: np.ndarray,
     *,
     tol: float = 1e-12,
-    maxit: int | None = None,
 ) -> ScalarGridField:
     """Mean-zero periodic solution of ``div(a (grad X + direction)) = 0``.
 
@@ -74,7 +67,7 @@ def corrector(
     direction = np.asarray(direction, dtype=np.float64)
     if direction.shape != (field.grid.d,):
         raise ValueError(f"direction must have shape ({field.grid.d},)")
-    values = _corrector_values(field, direction, tol, maxit)
+    values = _corrector_values(field, direction, tol)
     return ScalarGridField(field.grid, values)
 
 
@@ -96,7 +89,6 @@ def homogenized(
     field: CoefficientField,
     *,
     tol: float = 1e-12,
-    maxit: int | None = None,
 ) -> HomogenizedMatrix:
     """Effective (homogenized) tensor of a periodic coefficient.
 
@@ -114,7 +106,7 @@ def homogenized(
     for j in range(d):
         e = np.zeros(d)
         e[j] = 1.0
-        X[:, j] = _corrector_values(field, e, tol, maxit)
+        X[:, j] = _corrector_values(field, e, tol)
 
     h, w = grid.h, grid.cell_volume
     q_energy = np.zeros((d, d))
@@ -134,78 +126,36 @@ def homogenized(
     )
 
 
-def tile_unit_values(
-    values: np.ndarray, unit_grid: PeriodicGrid, target_grid: PeriodicGrid
-) -> np.ndarray:
-    """Tile unit-cell values periodically onto a grid with matched cells."""
-    reps = []
-    for k in range(unit_grid.d):
-        q, r = divmod(target_grid.n[k], unit_grid.n[k])
-        if r != 0:
-            raise ValueError(
-                f"target axis {k} ({target_grid.n[k]} cells) is not divisible "
-                f"by the unit grid ({unit_grid.n[k]} cells)"
-            )
-        reps.append(q)
-    return np.tile(np.asarray(values).reshape(unit_grid.shape), reps).ravel()
-
-
-def rescale_corrector(
-    X: ScalarGridField,
-    eps: float,
-    direction: np.ndarray,
-    target_grid: PeriodicGrid,
-) -> ScalarGridField:
-    """Oscillating test function ``w(x) = direction . x + eps X(x / eps)``.
-
-    ``X`` lives on the unit pattern; its periodic tiling is exact because
-    the target grid has an integer number of cells per pattern period.  The
-    affine part is sampled at cell centers; only the periodic part should
-    ever be finite-differenced (the affine gradient is known exactly).
-    """
-    eps = float(eps)
-    inv_eps = round(1.0 / eps)
-    if abs(inv_eps * eps - 1.0) > 1e-12 or inv_eps < 1:
-        raise ValueError(f"1/eps must be a positive integer, got eps={eps}")
-    if any(t != u * inv_eps for t, u in zip(target_grid.n, X.grid.n)):
-        raise ValueError(
-            f"target grid {target_grid.n} is not the unit grid {X.grid.n} "
-            f"refined by 1/eps = {inv_eps}"
-        )
-    direction = np.asarray(direction, dtype=np.float64)
-    periodic = eps * tile_unit_values(X.values, X.grid, target_grid)
-    mesh = target_grid.center_mesh()  # sparse axes; broadcast to full shape
-    affine = np.zeros(target_grid.shape)
-    for k in range(target_grid.d):
-        affine = affine + direction[k] * mesh[k]
-    return ScalarGridField(target_grid, affine.ravel() + periodic)
-
-
 def chi1(
     field: CoefficientField,
     eta: np.ndarray,
     *,
     tol: float = 1e-12,
-    maxit: int | None = None,
 ) -> ScalarGridField:
     """First-order corrector for momentum ``eta`` (linear in ``eta``).
 
     On an oscillating field this equals ``eps`` times the tiled unit-cell
     corrector — exactly, cell for cell, since the stiffness tiles.
     """
-    return corrector(field, eta, tol=tol, maxit=maxit)
+    return corrector(field, eta, tol=tol)
 
 
-def _chi2_rhs(
-    field: CoefficientField, eta: np.ndarray, chi1_values: np.ndarray,
+def _chi2_values(
+    field: CoefficientField,
+    eta: np.ndarray,
+    chi1_values: np.ndarray,
     q_eta_eta: float | None,
-) -> tuple[np.ndarray, float]:
-    """Assemble the second-corrector source; returns (rhs, relative mean).
+    tol: float,
+) -> tuple[np.ndarray, float, float]:
+    """Second corrector from its source; returns (values, relative mean of
+    the source, flux-form ``q eta.eta``).
 
-    Terms, tested against periodic v with face quadrature (S = face average):
-    ``<a eta.eta, v>`` and ``<a eta . grad chi1, v>`` via S_k v, and
-    ``-<chi1 a eta, grad v>`` via D_k v; minus ``q eta.eta`` per cell.  With
-    the flux-form ``q`` the assembled mean vanishes identically.
+    Source terms, tested against periodic v with face quadrature (S = face
+    average): ``<a eta.eta, v>`` and ``<a eta . grad chi1, v>`` via S_k v,
+    and ``-<chi1 a eta, grad v>`` via D_k v; minus ``q eta.eta`` per cell
+    (the flux form when ``q_eta_eta`` is ``None``).  With the flux-form
+    ``q`` the assembled mean vanishes identically; a relative mean above
+    1e-10 signals an inconsistent ``q`` and raises.
     """
     grid = field.grid
     d, h, w, N = grid.d, grid.h, grid.cell_volume, grid.num_cells
@@ -230,7 +180,20 @@ def _chi2_rhs(
     b -= w * mean_term
     gross += N * w * abs(mean_term)
     compat = abs(b.sum()) / max(gross, np.finfo(float).tiny)
-    return b, compat
+    if compat > _COMPAT_TOL:
+        raise ValueError(
+            "incompatible right-hand side for the second corrector "
+            f"(relative mean {compat:.3e}); is q from the same discretization?"
+        )
+    if not np.any(b):
+        return np.zeros(N), compat, q_flux
+    b -= b.mean()
+    K, _ = assemble_shifted(field, None)
+    sol = cg_solve(
+        K, b, tol=tol, maxit=_default_cg_budget(grid), deflate_constants=True,
+        precond=reference_inverse(field),
+    )
+    return sol, compat, q_flux
 
 
 def chi2(
@@ -240,7 +203,6 @@ def chi2(
     chi1_field: ScalarGridField | None = None,
     *,
     tol: float = 1e-12,
-    maxit: int | None = None,
 ) -> ScalarGridField:
     """Second-order corrector at momentum ``eta``.
 
@@ -253,26 +215,11 @@ def chi2(
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (grid.d,):
         raise ValueError(f"eta must have shape ({grid.d},)")
-    if maxit is None:
-        maxit = _default_cg_budget(grid)
     if chi1_field is None:
-        chi1_field = chi1(field, eta, tol=tol, maxit=maxit)
+        chi1_field = chi1(field, eta, tol=tol)
     q_eta_eta = None if q is None else float(eta @ q.q @ eta)
-    b, compat = _chi2_rhs(field, eta, chi1_field.values, q_eta_eta)
-    if compat > _COMPAT_TOL:
-        raise ValueError(
-            "incompatible right-hand side for the second corrector "
-            f"(relative mean {compat:.3e}); is q from the same discretization?"
-        )
-    if not np.any(b):
-        return ScalarGridField(grid, np.zeros(grid.num_cells))
-    b -= b.mean()
-    K, _ = assemble_shifted(field, None)
-    sol = cg_solve(
-        K, b, tol=tol, maxit=maxit, deflate_constants=True,
-        precond=reference_inverse(field),
-    )
-    return ScalarGridField(grid, sol)
+    values, _, _ = _chi2_values(field, eta, chi1_field.values, q_eta_eta, tol)
+    return ScalarGridField(grid, values)
 
 
 @dataclass
@@ -292,7 +239,6 @@ def dispersion(
     eta: np.ndarray,
     *,
     tol: float = 1e-12,
-    maxit: int | None = None,
 ) -> DispersionSample:
     """Dispersive correction: ``lam(t eta) = t^2 q eta.eta + t^4 D + O(t^6)``.
 
@@ -303,27 +249,22 @@ def dispersion(
     """
     grid = field.grid
     eta = np.asarray(eta, dtype=np.float64)
-    c1 = chi1(field, eta, tol=tol, maxit=maxit)
-    c2 = chi2(field, eta, None, c1, tol=tol, maxit=maxit)
-    _, compat = _chi2_rhs(field, eta, c1.values, None)
-    g = c2.values - 0.5 * c1.values * c1.values
+    c1 = chi1(field, eta, tol=tol)
+    c2_values, compat, q_eta_eta = _chi2_values(field, eta, c1.values, None, tol)
+    g = c2_values - 0.5 * c1.values * c1.values
     h, w, N = grid.h, grid.cell_volume, grid.num_cells
     energy = 0.0
-    q_eta_eta = 0.0
     for k in range(grid.d):
         idx, jdx, a_face = face_arrays(field, k)
         dg = (g[jdx] - g[idx]) / h[k]
         energy += np.sum(w * a_face * dg * dg)
-        d_chi = (c1.values[jdx] - c1.values[idx]) / h[k]
-        q_eta_eta += eta[k] * np.sum(w * a_face * (d_chi + eta[k]))
-    vol = N * w
     return DispersionSample(
         eta=eta,
-        value=-energy / vol,
-        q_eta_eta=q_eta_eta / vol,
+        value=-energy / (N * w),
+        q_eta_eta=q_eta_eta,
         compat=compat,
         chi1=c1,
-        chi2=c2,
+        chi2=ScalarGridField(grid, c2_values),
     )
 
 

@@ -171,7 +171,7 @@ def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     eps = [float(v) for v in cfg.eps] if cfg.eps else None
     eta = tuple(float(v) for v in cfg.eta[0]) if cfg.eta else None
     gamma = float(cfg.gamma) if cfg.gamma is not None else 2.0
-    kw: dict = {"seed": cfg.seed, "workers": workers}
+    kw: dict = {"workers": workers}
     if name == "thm22":
         if eps:
             kw["eps_list"] = eps

@@ -5,7 +5,7 @@ Each harness returns an :class:`ExperimentTable`: ordered columns, one
 replicated into columns (assertion outcomes are data, never silent, and
 never fatal).  Rows are computed independently — no state flows between
 them — so any single row is bitwise reproducible from the table metadata
-and the seed alone.
+alone (solver start vectors come from a fixed internal seed).
 
 Every harness lists its independent solves as tasks and hands them to
 :func:`map_tasks`, which runs them in this process or on a fork pool and
@@ -232,7 +232,6 @@ def run_thm22(
     eta=(0.25, 0.0),
     *,
     resolution: int | None = None,
-    seed: int = 24389,
     workers: int = 1,
 ) -> ExperimentTable:
     """Shrinking-inclusion sweep: rho = eps, beta = eps^{-2}.
@@ -292,7 +291,6 @@ def run_thm22(
         "experiment": "thm22",
         "microstructure": "two_phase(rho=eps, beta=eps^-2, shape=square)",
         "eta": [float(v) for v in eta],
-        "seed": seed,
         "q_normalization": Q_NORMALIZATION,
     }
     return ExperimentTable("thm22", columns, rows, checks, meta,
@@ -328,7 +326,6 @@ def run_thm31(
     *,
     resolution: int | None = None,
     with_mesh_check: bool = True,
-    seed: int = 24389,
     workers: int = 1,
 ) -> ExperimentTable:
     """Thin-fiber sweep at the critical radius scaling.
@@ -410,7 +407,6 @@ def run_thm31(
         "gamma": gamma,
         "eta": [float(v) for v in eta],
         "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
-        "seed": seed,
         "q_normalization": Q_NORMALIZATION,
     }
     return ExperimentTable("thm31", columns, rows, checks, meta,
@@ -423,7 +419,6 @@ def run_gap_map(
     eta=(0.2, 0.2, 0.3),
     t_list=(1.0, 1 / 4, 1 / 16, 1 / 64),
     *,
-    seed: int = 24389,
     workers: int = 1,
 ) -> ExperimentTable:
     """Order-of-limits map over (eps, t) for momentum t*eta.
@@ -490,7 +485,6 @@ def run_gap_map(
         "eta": [float(v) for v in eta],
         "t_list": t_list,
         "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
-        "seed": seed,
     }
     return ExperimentTable("gap_map", columns, rows, checks, meta,
                            workers=pool_size(workers, len(tasks)))
@@ -514,7 +508,6 @@ def run_pw(
     lam=(0.25, 0.0),
     *,
     gamma: float = 2.0,
-    seed: int = 24389,
     workers: int = 1,
 ) -> ExperimentTable:
     """Weighted Poincare constants along the two microstructure families.
@@ -575,7 +568,6 @@ def run_pw(
         "family": family,
         "lambda": [float(v) for v in lam],
         "gamma": gamma,
-        "seed": seed,
     }
     return ExperimentTable(f"pw_{family}", columns, rows, checks, meta,
                            workers=pool_size(workers, len(tasks)))

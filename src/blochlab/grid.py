@@ -102,39 +102,8 @@ class ScalarGridField:
         m = self.values.mean()
         return complex(m) if np.iscomplexobj(self.values) else float(m)
 
-    def l2_norm(self) -> float:
-        """Discrete L2 norm, sqrt(sum |f|^2 * cell_volume)."""
-        return float(
-            np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2))
-        )
-
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
-
-
-def block_average(f: ScalarGridField, eps: float) -> ScalarGridField:
-    """Average ``f`` over the blocks ``2*pi*eps*k + eps*Y`` and tile back.
-
-    ``1/eps`` must be an integer and divide every axis count.  The output is
-    constant on each block; the operation is idempotent and preserves the
-    global mean exactly up to roundoff.  ``eps = 1`` collapses to the global
-    mean on every cell.
-    """
-    s = _reciprocal_int(eps)
-    grid = f.grid
-    for k, nk in enumerate(grid.n):
-        if nk % s != 0:
-            raise ValueError(
-                f"axis {k} has {nk} cells, not divisible by 1/eps = {s}"
-            )
-    block = tuple(nk // s for nk in grid.n)
-    # interleave (s, cells-per-block) per axis, reduce the per-block axes
-    split_shape = tuple(x for nk, bk in zip((s,) * grid.d, block) for x in (nk, bk))
-    arr = f.values.reshape(split_shape)
-    reduce_axes = tuple(range(1, 2 * grid.d, 2))
-    means = arr.mean(axis=reduce_axes, keepdims=True)
-    tiled = np.broadcast_to(means, split_shape).reshape(grid.num_cells)
-    return ScalarGridField(grid=grid, values=tiled.copy())
 
 
 def _reciprocal_int(eps: float) -> int:

@@ -127,21 +127,12 @@ class CoefficientField:
         """Diagonal coefficient entry along ``axis`` for every cell."""
         return self.a if self.isotropic else self.a[:, axis]
 
-    def min_coefficient(self) -> float:
-        # diagonal storage: smallest matrix eigenvalue is the smallest entry
-        return float(self.a.min())
-
     def mean_matrix(self) -> np.ndarray:
         """Arithmetic cell-average of the coefficient matrices (d x d)."""
         d = self.grid.d
         if self.isotropic:
             return float(self.a.mean()) * np.eye(d)
         return np.diag(self.a.mean(axis=0))
-
-    def inclusion_fraction(self) -> float:
-        if self.mask is None:
-            return 0.0
-        return float(self.mask.mean())
 
 
 def unit_pattern(spec: MicrostructureSpec) -> MicrostructureSpec:

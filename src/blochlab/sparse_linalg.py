@@ -24,6 +24,8 @@ _DEFAULT_SEED = 24389
 _MACHEPS = np.finfo(np.float64).eps
 #: step budget of the capped inner CG that preconditions the eigensolver
 _INNER_CG_STEPS = 40
+#: CG recomputes the true residual ``b - A x`` every this many steps
+_RESTART_EVERY = 50
 
 Preconditioner = Callable[[np.ndarray], np.ndarray]
 
@@ -70,27 +72,20 @@ def cg_solve(
     maxit: int | None = None,
     deflate_constants: bool = False,
     x0: np.ndarray | None = None,
-    recompute_every: int = 50,
     precond: Preconditioner | None = None,
 ) -> np.ndarray:
     """Preconditioned conjugate gradients for Hermitian positive
-    (semi-)definite systems.
+    (semi-)definite systems; raises :class:`ConvergenceError` with the
+    residual history when the solve fails.
 
     ``precond`` applies an approximate inverse of ``A`` (Jacobi when
     ``None``).  With ``deflate_constants`` the constant kernel is projected
     out of the right-hand side check, the start vector, and the residual at
-    every iteration; the returned solution has zero mean.  The true
-    residual is recomputed every ``recompute_every`` iterations (restart
-    points).
+    every iteration; the returned solution has zero mean.
     """
     b = np.asarray(b)
-    n = b.shape[0]
     if maxit is None:
-        maxit = max(1000, 2 * n)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-
+        maxit = max(1000, 2 * b.shape[0])
     if deflate_constants:
         drift = abs(b.sum()) / max(np.abs(b).sum(), np.finfo(float).tiny)
         if drift > 1e-10:
@@ -98,51 +93,13 @@ def cg_solve(
                 "incompatible right-hand side: nonzero mean "
                 f"(relative drift {drift:.3e}) under constant deflation"
             )
-
-    def project(v: np.ndarray) -> np.ndarray:
-        if deflate_constants:
-            v = v - v.mean()
-        return v
-
-    if precond is None:
-        precond = _jacobi(A)
-
-    x = np.zeros_like(b) if x0 is None else project(np.array(x0, copy=True))
-    r = project(b - A @ x)
-    z = precond(r)
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    history = [float(np.linalg.norm(r)) / bnorm]
-    if history[-1] <= tol:
-        return x
-
-    for it in range(1, maxit + 1):
-        Ap = project(A @ p)
-        pAp = np.vdot(p, Ap).real
-        if pAp <= 0:
-            raise ConvergenceError(
-                f"indefinite curvature encountered at iteration {it}", history
-            )
-        alpha = rz / pAp
-        x = x + alpha * p
-        if it % recompute_every == 0:
-            r = project(b - A @ x)  # restart: discard accumulated roundoff
-        else:
-            r = project(r - alpha * Ap)
-        resnorm = float(np.linalg.norm(r)) / bnorm
-        history.append(resnorm)
-        if resnorm <= tol:
-            return project(x) if deflate_constants else x
-        z = precond(r)
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    raise ConvergenceError(
-        f"CG did not reach tol={tol:.1e} in {maxit} iterations "
-        f"(last residual {history[-1]:.3e})",
-        history,
+    x, history, failure = _pcg(
+        A, b, _jacobi(A) if precond is None else precond,
+        tol=tol, maxit=maxit, deflate=deflate_constants, x0=x0,
     )
+    if failure is not None:
+        raise ConvergenceError(failure, history)
+    return x
 
 
 def _jacobi(A: sp.spmatrix) -> Preconditioner:
@@ -153,51 +110,75 @@ def _jacobi(A: sp.spmatrix) -> Preconditioner:
     return lambda r: inv_diag * r
 
 
-def _capped_cg(
+def _pcg(
     A: sp.spmatrix,
     b: np.ndarray,
     precond: Preconditioner,
+    *,
+    tol: float,
+    maxit: int,
     deflate: bool,
-) -> tuple[np.ndarray, int]:
-    """At most ``_INNER_CG_STEPS`` preconditioned CG steps on ``A x = b``
-    from zero; never raises.
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[float], str | None]:
+    """The preconditioned CG loop behind :func:`cg_solve` and the
+    eigensolver's inner solves; never raises.
 
-    Used as an approximate inverse inside the eigensolver, where a rough
-    solve is enough and robustness beats accuracy: the loop simply stops
-    at the budget, on stagnation, or on loss of positive curvature.
-    Returns the iterate and the number of steps taken.
+    Stops when ``||r|| <= tol * ||b||`` (``b`` with its mean removed under
+    ``deflate``), after ``maxit`` steps, or when ``p^H A p`` or
+    ``r^H P^{-1} r`` is no longer positive.  The true residual is
+    recomputed every ``_RESTART_EVERY`` steps.  Returns the iterate, the
+    relative residual history (the start, then one entry per completed
+    step) and the reason for failure, ``None`` on success.
     """
-    x = np.zeros_like(b)
-    r = np.array(b, copy=True)
-    if deflate:
-        r = r - r.mean()
+    def project(v: np.ndarray) -> np.ndarray:
+        return v - v.mean() if deflate else v
+
+    # the eigensolver passes strided block columns; reductions over a
+    # contiguous copy round the same whatever the caller's layout
+    b = np.ascontiguousarray(b)
+    r = project(b)
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
-        return x, 0
+        return np.zeros_like(b), [0.0], None
+    if x0 is None:
+        x = np.zeros_like(b)
+    else:
+        x = project(np.array(x0, copy=True))
+        r = project(b - A @ x)
+    history = [float(np.linalg.norm(r)) / bnorm]
+    if history[-1] <= tol:
+        return x, history, None
     z = precond(r)
     p = z.copy()
     rz = np.vdot(r, z).real
-    for steps in range(1, _INNER_CG_STEPS + 1):
-        Ap = A @ p
-        if deflate:
-            Ap = Ap - Ap.mean()
+    for it in range(1, maxit + 1):
+        Ap = project(A @ p)
         pAp = np.vdot(p, Ap).real
         if pAp <= 0:
-            break
+            return project(x), history, (
+                f"indefinite curvature encountered at iteration {it}"
+            )
         alpha = rz / pAp
         x = x + alpha * p
-        r = r - alpha * Ap
-        if float(np.linalg.norm(r)) <= 1e-2 * bnorm:
-            break
+        if it % _RESTART_EVERY == 0:
+            r = project(b - A @ x)  # restart: discard accumulated roundoff
+        else:
+            r = project(r - alpha * Ap)
+        history.append(float(np.linalg.norm(r)) / bnorm)
+        if history[-1] <= tol:
+            return project(x), history, None
         z = precond(r)
         rz_new = np.vdot(r, z).real
         if rz_new <= 0:
-            break
+            return project(x), history, (
+                f"preconditioned residual not positive at iteration {it}"
+            )
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if deflate:
-        x = x - x.mean()
-    return x, steps
+    return project(x), history, (
+        f"CG did not reach tol={tol:.1e} in {maxit} iterations "
+        f"(last residual {history[-1]:.3e})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +225,29 @@ def _error_estimates(
     num = np.einsum("ij,ij->j", R.conj(), precond(R)).real
     mass = np.einsum("ij,ij->j", X.conj(), M[:, None] * X).real
     return num / (np.maximum(np.abs(lam), lam_floor) * mass)
+
+
+def _final_residuals(
+    BX: np.ndarray,
+    X: np.ndarray,
+    lam: np.ndarray,
+    M: np.ndarray,
+    scale: float,
+    precond: Preconditioner | None,
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """Report figures of returned pairs: the mass-normalized residuals
+    ``||B x - lam M x|| / ||M x||``, the same norms relative to the pencil
+    scale, and the largest error estimate (``None`` without ``precond``).
+    """
+    MX = M[:, None] * X
+    R = BX - MX * lam
+    rnorm = np.linalg.norm(R, axis=0)
+    resid = rnorm / np.linalg.norm(MX, axis=0)
+    rel = rnorm / (scale * M.mean() * np.linalg.norm(X, axis=0))
+    est = None
+    if precond is not None:
+        est = float(_error_estimates(R, X, lam, M, precond, _MACHEPS * scale).max())
+    return resid, rel, est
 
 
 def smallest_eigpair(
@@ -318,8 +322,10 @@ def smallest_eigpair(
         nonlocal inner_steps
         Z = np.empty_like(R)
         for j in range(R.shape[1]):
-            Z[:, j], steps = _capped_cg(B, R[:, j], inner, deflate_inner)
-            inner_steps += steps
+            Z[:, j], inner_history, _ = _pcg(
+                B, R[:, j], inner, tol=1e-2, maxit=_INNER_CG_STEPS, deflate=deflate_inner
+            )
+            inner_steps += len(inner_history) - 1
         return Z
 
     X = _m_orthonormalize(X, M)
@@ -387,18 +393,10 @@ def smallest_eigpair(
     # final polish: exact Rayleigh quotients on the returned columns
     Xk = X[:, :k]
     BXk = B @ Xk
-    MXk = M[:, None] * Xk
     lam_k = np.einsum("ij,ij->j", Xk.conj(), BXk).real / np.einsum(
-        "ij,ij->j", Xk.conj(), MXk
+        "ij,ij->j", Xk.conj(), M[:, None] * Xk
     ).real
-    Rk = BXk - MXk * lam_k
-    resid = np.linalg.norm(Rk, axis=0) / np.linalg.norm(MXk, axis=0)
-    rel = np.linalg.norm(Rk, axis=0) / (
-        scale * M.mean() * np.linalg.norm(Xk, axis=0)
-    )
-    est = None
-    if precond is not None:
-        est = float(_error_estimates(Rk, Xk, lam_k, M, precond, lam_floor).max())
+    resid, rel, est = _final_residuals(BXk, Xk, lam_k, M, scale, precond)
     converged = bool(np.all(rel <= tol)) and (est is None or est <= tol)
     if not converged:
         raise ConvergenceError(
@@ -433,14 +431,9 @@ def _dense_smallest(
     w, V = np.linalg.eigh(A)
     vecs = s[:, None] * V[:, :k]
     lam = w[:k]
-    Rk = B @ vecs - (M[:, None] * vecs) * lam
-    mnorm = np.linalg.norm(M[:, None] * vecs, axis=0)
-    resid = np.linalg.norm(Rk, axis=0) / mnorm
-    scale = _pencil_scale(B, M)
-    rel = np.linalg.norm(Rk, axis=0) / (scale * M.mean() * np.linalg.norm(vecs, axis=0))
-    est = None
-    if precond is not None:
-        est = float(_error_estimates(Rk, vecs, lam, M, precond, _MACHEPS * scale).max())
+    resid, rel, est = _final_residuals(
+        B @ vecs, vecs, lam, M, _pencil_scale(B, M), precond
+    )
     return EigSolveReport(
         eigenvalues=lam,
         vectors=vecs,
@@ -473,11 +466,8 @@ def largest_geneig(
     Inverse-operator power iteration: each step applies the shifted weight
     (which is exactly orthogonal to constants) and solves with ``K`` under
     constant deflation, preconditioned by ``precond`` (Jacobi when
-    ``None``).  Warm-started CG keeps later steps cheap.  At
-    extreme coefficient contrast the inner CG can stagnate just above a
-    tight tolerance; a stalled solve is retried once at a loosened
-    tolerance, which caps the attainable accuracy at that level but keeps
-    the iteration sound.
+    ``None``).  Warm-started CG keeps later steps cheap.  A solve that
+    misses ``cg_tol`` raises :class:`ConvergenceError`.
     """
     w = np.asarray(weight_diag, dtype=np.float64)
     n = w.shape[0]
@@ -501,15 +491,7 @@ def largest_geneig(
         y -= y.mean()  # exact zero up to roundoff; keeps CG consistent
         if np.linalg.norm(y) == 0.0:
             return 0.0
-        try:
-            u = cg_solve(
-                K, y, tol=cg_tol, deflate_constants=True, x0=warm, precond=precond
-            )
-        except ConvergenceError:
-            u = cg_solve(
-                K, y, tol=max(100.0 * cg_tol, 1e-7),
-                deflate_constants=True, x0=warm, precond=precond,
-            )
+        u = cg_solve(K, y, tol=cg_tol, deflate_constants=True, x0=warm, precond=precond)
         warm = u
         us = shift(u)
         Ku = K @ u

@@ -24,7 +24,6 @@ from blochlab.cell_problems import (
     dispersion,
     homogenized,
     pw_constant,
-    rescale_corrector,
 )
 from blochlab.grid import make_grid
 from blochlab.microstructure import (
@@ -172,23 +171,6 @@ def test_chi1_tiles_from_unit_cell():
     f = chi1(fine, eta, tol=1e-13)
     tiled = 0.25 * np.tile(u.values.reshape(8, 8), (4, 4)).ravel()
     assert np.abs(f.values - tiled).max() <= 1e-12
-
-
-def test_rescale_corrector_values_and_validation():
-    spec = TwoPhaseInclusion(eps=1 / 2, beta=5.0, rho=0.5)
-    unit = rasterize(unit_pattern(spec), make_grid(2, (8, 8)))
-    X = chi1(unit, np.array([1.0, 0.0]), tol=1e-13)
-    fine_grid = make_grid(2, (16, 16))
-    w = rescale_corrector(X, 1 / 2, np.array([1.0, 0.0]), fine_grid)
-    mesh = fine_grid.center_mesh()
-    affine = np.broadcast_to(mesh[0], fine_grid.shape).ravel()
-    periodic = w.values - affine
-    assert_allclose(periodic, 0.5 * np.tile(X.values.reshape(8, 8), (2, 2)).ravel(),
-                    atol=1e-12)
-    with pytest.raises(ValueError, match="unit grid"):
-        rescale_corrector(X, 1 / 2, np.array([1.0, 0.0]), make_grid(2, (24, 24)))
-    with pytest.raises(ValueError, match="1/eps"):
-        rescale_corrector(X, 0.3, np.array([1.0, 0.0]), fine_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from blochlab.grid import PeriodicGrid, ScalarGridField, block_average, make_grid
+from blochlab.grid import PeriodicGrid, ScalarGridField, make_grid
 
 
 def test_make_grid_basic():
@@ -65,51 +63,10 @@ def test_neighbor_inverse_step():
         assert np.array_equal(back[fwd], np.arange(g.num_cells))
 
 
-def test_block_average_1d():
-    g = make_grid(1, (4,))
-    f = ScalarGridField(g, np.array([0.0, 1.0, 2.0, 3.0]))
-    out = block_average(f, 0.5)
-    assert_allclose(out.values, [0.5, 0.5, 2.5, 2.5])
-
-
-def test_block_average_global_mean():
-    g = make_grid(1, (4,))
-    f = ScalarGridField(g, np.array([0.0, 1.0, 2.0, 3.0]))
-    out = block_average(f, 1.0)
-    assert_allclose(out.values, 1.5)
-
-
-def test_block_average_divisibility():
-    g = make_grid(1, (6,))
-    f = ScalarGridField(g, np.arange(6, dtype=float))
-    with pytest.raises(ValueError):
-        block_average(f, 0.25)
-    with pytest.raises(ValueError):
-        block_average(f, 1.5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.sampled_from([4, 8, 12]),
-    inv=st.sampled_from([1, 2, 4]),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_block_average_mean_and_idempotence(n, inv, seed):
-    rng = np.random.default_rng(seed)
-    g = make_grid(2, (n, n))
-    f = ScalarGridField(g, rng.standard_normal(g.num_cells))
-    out = block_average(f, 1.0 / inv)
-    assert np.isclose(out.mean(), f.mean(), atol=1e-12)
-    again = block_average(out, 1.0 / inv)
-    assert_allclose(again.values, out.values, atol=1e-12)
-
-
 def test_scalar_field_stats():
     g = make_grid(1, (4,))
     f = ScalarGridField(g, np.array([1.0, -1.0, 1.0, -1.0]))
     assert f.mean() == 0.0
-    # integral norm: sqrt(cell_volume * sum |f|^2)
-    assert_allclose(f.l2_norm() ** 2, 2 * np.pi)
 
 
 def test_field_complex_kind():

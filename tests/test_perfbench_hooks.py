@@ -1,0 +1,55 @@
+"""The benchmark's tracer patches solver entry points by name: every
+``(module, function)`` pair in ``perfbench/tracing.py``'s ``TRACED`` list
+must resolve in ``blochlab``, and each solver must take its matrix at the
+argument position the tracer wraps.  A rename then fails here instead of
+crashing a traced benchmark pass."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing_module() -> ast.Module:
+    return ast.parse(TRACING.read_text())
+
+
+def _traced_pairs() -> list[tuple[str, str]]:
+    for node in _tracing_module().body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED list in perfbench/tracing.py")
+
+
+def _resolve(dotted: str):
+    module, name = dotted.rsplit(".", 1)
+    return getattr(importlib.import_module(f"blochlab.{module}"), name)
+
+
+def test_traced_names_resolve():
+    pairs = _traced_pairs()
+    assert pairs
+    for module, name in pairs:
+        assert callable(_resolve(f"{module}.{name}")), f"{module}.{name}"
+
+
+def test_solver_matrix_argument_positions():
+    # solver("sparse_linalg.cg_solve", 0, ...): argument 0 is the matrix
+    wrapped = {}
+    for node in ast.walk(_tracing_module()):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "solver" and len(node.args) >= 2
+                and isinstance(node.args[0], ast.Constant)):
+            wrapped[node.args[0].value] = ast.literal_eval(node.args[1])
+    assert set(wrapped) == {
+        "sparse_linalg.smallest_eigpair", "sparse_linalg.cg_solve",
+        "sparse_linalg.largest_geneig",
+    }
+    matrix_names = {"A", "B", "K"}
+    for dotted, index in wrapped.items():
+        params = list(inspect.signature(_resolve(dotted)).parameters)
+        assert params[index] in matrix_names, (dotted, params)

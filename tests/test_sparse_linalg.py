@@ -265,6 +265,25 @@ def test_largest_geneig_matches_pencil_route():
     assert_allclose(val, 1.0 / mu, rtol=1e-7)
 
 
+def test_largest_geneig_stalled_solve_raises():
+    # contrast ~1e5 over 40 cells: CG cannot reach cg_tol=1e-30, so the
+    # power iteration must raise with the stalled solve's history
+    n = 40
+    rng = np.random.default_rng(41)
+    d = np.exp(2.0 * rng.standard_normal(n))
+    A = sp.lil_matrix((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        A[i, i] += d[i]
+        A[j, j] += d[i]
+        A[i, j] -= d[i]
+        A[j, i] -= d[i]
+    w = np.exp(rng.standard_normal(n))
+    with pytest.raises(ConvergenceError) as exc:
+        largest_geneig(w, A.tocsr(), tol=1e-10, cg_tol=1e-30)
+    assert len(exc.value.residual_history) > 0
+
+
 def test_largest_geneig_zero_weight():
     K = periodic_laplacian(8)
     assert largest_geneig(np.zeros(8), K) == 0.0
