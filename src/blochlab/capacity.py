@@ -44,7 +44,8 @@ def _radius_mesh(grid: PeriodicGrid) -> np.ndarray:
     if grid.d != 2:
         raise ValueError("capacity profiles are two-dimensional")
     mesh = grid.center_mesh()
-    return np.sqrt((mesh[0] - _CENTER) ** 2 + (mesh[1] - _CENTER) ** 2)
+    rho = (mesh[0] - _CENTER) ** 2 + (mesh[1] - _CENTER) ** 2
+    return np.sqrt(rho, out=rho)
 
 
 def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = math.pi / 2) -> ScalarGridField:
@@ -64,10 +65,12 @@ def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = math.pi / 2) -> ScalarGr
                 f"disc of radius {r_eps} spans fewer than {min_cells} cells "
                 f"along axis {k}; need n >= {needed}"
             )
-    rho = _radius_mesh(grid2d)
+    # one grid, transformed in place (fine capacity grids hold millions of cells)
+    values = _radius_mesh(grid2d)
     with np.errstate(divide="ignore"):
-        raw = np.log(rho / prof.r_eps) / math.log(prof.R / prof.r_eps)
-    values = np.clip(raw, 0.0, 1.0)
+        np.log(np.divide(values, prof.r_eps, out=values), out=values)
+    values /= math.log(prof.R / prof.r_eps)
+    np.clip(values, 0.0, 1.0, out=values)
     return ScalarGridField(grid2d, values.ravel())
 
 
@@ -87,8 +90,12 @@ def annulus_energy(
     h = grid2d.h
     energy = 0.0
     for k in range(2):
-        dv = (np.roll(v, -1, axis=k) - v) / h[k]
-        energy += w * float(np.sum(dv * dv))
+        # differences in place, released before the next axis
+        dv = np.roll(v, -1, axis=k)
+        dv -= v
+        dv /= h[k]
+        energy += w * float(np.sum(np.multiply(dv, dv, out=dv)))
+        del dv
     return prof.analytic_energy, energy
 
 

@@ -273,7 +273,6 @@ def pw_constant(
     lam: np.ndarray,
     *,
     tol: float = 1e-8,
-    maxit: int = 300,
     cg_tol: float = 1e-11,
 ) -> float:
     """Weighted Poincare constant: the best ``C`` in
@@ -297,6 +296,6 @@ def pw_constant(
     w = grid.cell_volume
     K, _ = assemble_shifted(field, None)
     return largest_geneig(
-        w * weight_cells, K, tol=tol, maxit=maxit, cg_tol=cg_tol,
+        w * weight_cells, K, tol=tol, cg_tol=cg_tol,
         precond=reference_inverse(field),
     )

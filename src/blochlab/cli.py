@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -206,6 +207,20 @@ def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     raise ConfigError(f"unhandled experiment {name!r}")  # pragma: no cover
 
 
+def _peak_rss_mb(workers: int) -> dict:
+    """Peak resident set so far, in MB: this process, and the largest of
+    its reaped pool workers (``None`` when no pool ran)."""
+    unit = 1024.0**2 if sys.platform == "darwin" else 1024.0  # bytes or KiB
+
+    def mb(who: int) -> float:
+        return resource.getrusage(who).ru_maxrss / unit
+
+    return {
+        "process": mb(resource.RUSAGE_SELF),
+        "workers": mb(resource.RUSAGE_CHILDREN) if workers > 1 else None,
+    }
+
+
 def run_and_emit(
     cfg: RunConfig, out_dir: str | Path | None = None, threads: int = 1
 ) -> tuple[int, list[Path]]:
@@ -222,6 +237,7 @@ def run_and_emit(
         table = _experiment_table(cfg, threads)
     else:
         table = _single_command_table(cfg, threads)
+    peak_rss = _peak_rss_mb(table.workers)
 
     stem = cfg.command.replace(":", "_")
     csv_path = out / f"{stem}.csv"
@@ -239,6 +255,7 @@ def run_and_emit(
         "columns": table.columns,
         "checks": {k: bool(v) for k, v in table.checks.items()},
         "table_meta": table.meta,
+        "peak_rss_mb": peak_rss,
         "wall_times": {
             "total_seconds": time.perf_counter() - t0,
             "row_seconds": [row.get("runtime_seconds") for row in table.rows],

@@ -26,6 +26,10 @@ _MACHEPS = np.finfo(np.float64).eps
 _INNER_CG_STEPS = 40
 #: CG recomputes the true residual ``b - A x`` every this many steps
 _RESTART_EVERY = 50
+#: outer iteration budget of the block eigensolver
+_EIG_MAXIT = 500
+#: step budget of the power iteration in :func:`largest_geneig`
+_POWER_MAXIT = 300
 
 Preconditioner = Callable[[np.ndarray], np.ndarray]
 
@@ -129,14 +133,21 @@ def _pcg(
     recomputed every ``_RESTART_EVERY`` steps.  Returns the iterate, the
     relative residual history (the start, then one entry per completed
     step) and the reason for failure, ``None`` on success.
+
+    ``x``, ``r`` and ``p`` are updated in place through one work buffer;
+    every update evaluates the same operations, in the same order, as its
+    out-of-place form, so the iterates are bit-identical to it.
     """
     def project(v: np.ndarray) -> np.ndarray:
-        return v - v.mean() if deflate else v
+        # in place: v is always an array this loop owns
+        if deflate:
+            v -= v.mean()
+        return v
 
     # the eigensolver passes strided block columns; reductions over a
     # contiguous copy round the same whatever the caller's layout
     b = np.ascontiguousarray(b)
-    r = project(b)
+    r = project(b.copy())
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
         return np.zeros_like(b), [0.0], None
@@ -144,13 +155,15 @@ def _pcg(
         x = np.zeros_like(b)
     else:
         x = project(np.array(x0, copy=True))
-        r = project(b - A @ x)
+        np.subtract(b, A @ x, out=r)
+        project(r)
     history = [float(np.linalg.norm(r)) / bnorm]
     if history[-1] <= tol:
         return x, history, None
     z = precond(r)
     p = z.copy()
     rz = np.vdot(r, z).real
+    work = np.empty_like(p)
     for it in range(1, maxit + 1):
         Ap = project(A @ p)
         pAp = np.vdot(p, Ap).real
@@ -159,11 +172,13 @@ def _pcg(
                 f"indefinite curvature encountered at iteration {it}"
             )
         alpha = rz / pAp
-        x = x + alpha * p
+        x += np.multiply(alpha, p, out=work)
         if it % _RESTART_EVERY == 0:
-            r = project(b - A @ x)  # restart: discard accumulated roundoff
+            np.subtract(b, A @ x, out=r)  # restart: discard accumulated roundoff
         else:
-            r = project(r - alpha * Ap)
+            r -= np.multiply(alpha, Ap, out=work)
+        project(r)
+        del Ap
         history.append(float(np.linalg.norm(r)) / bnorm)
         if history[-1] <= tol:
             return project(x), history, None
@@ -173,7 +188,8 @@ def _pcg(
             return project(x), history, (
                 f"preconditioned residual not positive at iteration {it}"
             )
-        p = z + (rz_new / rz) * p
+        np.add(z, np.multiply(rz_new / rz, p, out=p), out=p)
+        del z
         rz = rz_new
     return project(x), history, (
         f"CG did not reach tol={tol:.1e} in {maxit} iterations "
@@ -185,9 +201,26 @@ def _pcg(
 # smallest eigenpairs: LOBPCG-type block iteration, inner-CG preconditioned
 
 
+def _adjoint_product(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``V^H W`` without a conjugated copy of ``V``.
+
+    ``V`` (contiguous, sharing no memory with ``W``) is conjugated in
+    place for the product and conjugated back; sign flips are exact, so
+    ``V`` is restored bit for bit and the product equals
+    ``V.conj().T @ W`` bit for bit.
+    """
+    if not np.iscomplexobj(V):
+        return V.T @ W
+    np.conjugate(V, out=V)
+    try:
+        return V.T @ W
+    finally:
+        np.conjugate(V, out=V)
+
+
 def _m_orthonormalize(V: np.ndarray, M: np.ndarray) -> np.ndarray:
     """SVQB-style M-orthonormalization, dropping near-dependent columns."""
-    G = V.conj().T @ (M[:, None] * V)
+    G = _adjoint_product(V, M[:, None] * V)
     G = (G + G.conj().T) / 2.0
     w, Q = np.linalg.eigh(G)
     keep = w > max(w.max(), 0.0) * 1e-14
@@ -198,7 +231,7 @@ def _m_orthonormalize(V: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _project_out(V: np.ndarray, W: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Remove the M-orthogonal projection of W onto orthonormal V."""
-    return W - V @ (V.conj().T @ (M[:, None] * W))
+    return W - V @ _adjoint_product(V, M[:, None] * W)
 
 
 def _pencil_scale(B: sp.spmatrix, M: np.ndarray) -> float:
@@ -256,7 +289,6 @@ def smallest_eigpair(
     k: int = 1,
     *,
     tol: float = 1e-10,
-    maxit: int = 500,
     seed: int = _DEFAULT_SEED,
     X0: np.ndarray | None = None,
     precond: Preconditioner | None = None,
@@ -282,6 +314,12 @@ def smallest_eigpair(
     ``||B x - lam M x|| / ||M x||`` used by distributional-form checks, and
     ``meta`` holds the final ``error_estimate`` (largest ``est``; ``None``
     without ``precond``) and the total ``inner_cg_steps``.
+
+    The working set is a few blocks: each length-``n`` block is released
+    as soon as the iteration no longer reads it, and no conjugated copy of
+    a block is made (see :func:`_adjoint_product`).  This changes no
+    floating-point operation, so the iterates are bit-identical to those
+    of the plain out-of-place form.
     """
     n = B.shape[0]
     if k < 1 or k > n:
@@ -319,30 +357,32 @@ def smallest_eigpair(
     inner_steps = 0
 
     def _precondition(R: np.ndarray) -> np.ndarray:
+        # overwrites each residual column with its inner solve: _pcg works
+        # on a copy of the column, and the residuals are not read again
         nonlocal inner_steps
-        Z = np.empty_like(R)
         for j in range(R.shape[1]):
-            Z[:, j], inner_history, _ = _pcg(
+            R[:, j], inner_history, _ = _pcg(
                 B, R[:, j], inner, tol=1e-2, maxit=_INNER_CG_STEPS, deflate=deflate_inner
             )
             inner_steps += len(inner_history) - 1
-        return Z
+        return R
 
     X = _m_orthonormalize(X, M)
     P = None
     lam = None
     history: list[float] = []
 
-    for it in range(1, maxit + 1):
+    for it in range(1, _EIG_MAXIT + 1):
         BX = B @ X
         # Rayleigh-Ritz inside the current block
-        H = X.conj().T @ BX
+        H = _adjoint_product(X, BX)
         H = (H + H.conj().T) / 2.0
         theta, C = np.linalg.eigh(H)
         X = X @ C
         BX = BX @ C
         lam = theta
         R = BX - (M[:, None] * X) * lam
+        del BX
         resnorms = np.linalg.norm(R, axis=0)
         xnorms = np.linalg.norm(X, axis=0)
         rel = resnorms / (scale * M.mean() * xnorms + np.abs(lam) * xnorms)
@@ -363,8 +403,8 @@ def smallest_eigpair(
         ):
             break
 
-        W = _precondition(R)
-        W = _project_out(X, W, M)
+        W = _project_out(X, _precondition(R), M)
+        del R
         try:
             W = _m_orthonormalize(W, M)
         except ConvergenceError:
@@ -379,12 +419,15 @@ def smallest_eigpair(
             except ConvergenceError:
                 P = None
         S = np.hstack(basis)
-        G = S.conj().T @ (B @ S)
+        del basis, X, W, P
+        G = _adjoint_product(S, B @ S)
         G = (G + G.conj().T) / 2.0
         theta, C = np.linalg.eigh(G)
         Xnew = S @ C[:, :block]
         P = S[:, block:] @ C[block:, :block]
+        del S
         X = _m_orthonormalize(Xnew, M)
+        del Xnew
         if X.shape[1] < block:
             block = X.shape[1]
             if block < k:
@@ -400,7 +443,7 @@ def smallest_eigpair(
     converged = bool(np.all(rel <= tol)) and (est is None or est <= tol)
     if not converged:
         raise ConvergenceError(
-            f"eigensolver did not reach tol={tol:.1e} in {maxit} iterations "
+            f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "
             f"(relative residuals {rel}, error estimate {est})",
             history,
         )
@@ -455,7 +498,6 @@ def largest_geneig(
     K: sp.spmatrix,
     *,
     tol: float = 1e-8,
-    maxit: int = 300,
     cg_tol: float = 1e-10,
     seed: int = _DEFAULT_SEED,
     precond: Preconditioner | None = None,
@@ -486,7 +528,7 @@ def largest_geneig(
     x /= np.linalg.norm(x)
     mu_prev = None
     warm = None
-    for it in range(1, maxit + 1):
+    for it in range(1, _POWER_MAXIT + 1):
         y = w * shift(x)
         y -= y.mean()  # exact zero up to roundoff; keeps CG consistent
         if np.linalg.norm(y) == 0.0:
@@ -505,7 +547,7 @@ def largest_geneig(
             return mu
         mu_prev = mu
     raise ConvergenceError(
-        f"power iteration did not settle to rel {tol:.1e} in {maxit} steps "
+        f"power iteration did not settle to rel {tol:.1e} in {_POWER_MAXIT} steps "
         f"(last value {mu_prev})"
     )
 

@@ -2,6 +2,7 @@
 symbol and the exact gauge/conjugation symmetries of the discretization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,23 @@ def test_results_carry_solver_meta():
         est = res.meta["error_estimate"]
         assert math.isfinite(est) and est <= tol
         assert res.meta["inner_cg_steps"] > 0
+
+
+def test_fiber_solve_working_set():
+    # the block eigensolver keeps a few length-N blocks alive, not dozens of
+    # vectors: traced peak of the whole solve, assembly included, in complex
+    # N-vectors (about 28 here; 63 before blocks were released early)
+    eps, m = 1 / 4, 90
+    r = radius_for_gamma(eps, 2.0)
+    spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))
+    section = rasterize(spec, make_grid(2, (m, m)))
+    tracemalloc.start()
+    try:
+        fiber_lambda1_2d(section, eps, np.array([0.2, 0.2]), 0.3, tol=1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * m * m * 16
 
 
 def test_bloch_lambda1_zero_momentum():

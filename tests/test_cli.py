@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -111,6 +112,12 @@ def test_sidecar_contents(tmp_path):
     assert "gap" in meta["columns"]
     assert set(meta["checks"]) >= {"gap_nonincreasing_pass"}
     assert meta["wall_times"]["total_seconds"] > 0
+    rss = meta["peak_rss_mb"]
+    assert 0 < rss["process"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if meta["workers"] > 1:
+        assert rss["workers"] > 0
+    else:
+        assert rss["workers"] is None
     assert "command = experiment:thm22" in meta["config"]
     assert "package_version" in meta and "git_describe" in meta
 

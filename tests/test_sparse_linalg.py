@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from blochlab.sparse_linalg import (
     ConvergenceError,
+    _adjoint_product,
     cg_solve,
     dense_oracle,
     is_hermitian,
@@ -179,6 +180,25 @@ def test_smallest_eigpair_residual_report():
     assert pre.meta["error_estimate"] <= 1e-12
     assert pre.meta["inner_cg_steps"] > 0
     assert_allclose(pre.eigenvalues, rep.eigenvalues, rtol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_adjoint_product_bitwise(dtype):
+    # the eigensolver's Gram products conjugate the block in place instead
+    # of copying it; product and block must match the plain form bit for bit
+    rng = np.random.default_rng(11)
+    n, cols = 400, 9
+    S = rng.standard_normal((n, cols)).astype(dtype)
+    B = sp.random(n, n, density=0.02, random_state=12, format="csr").astype(dtype)
+    if dtype == np.complex128:
+        S += 1j * rng.standard_normal((n, cols))
+        B = B + 1j * sp.random(n, n, density=0.02, random_state=13, format="csr")
+        S[0, 0], S[1, 1] = complex(0.0, -0.0), complex(-0.0, 0.0)  # signed zeros
+    before = S.copy()
+    BS = B @ S
+    G = _adjoint_product(S, BS)
+    assert G.tobytes() == (before.conj().T @ BS).tobytes()
+    assert S.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
