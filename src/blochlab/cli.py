@@ -98,68 +98,84 @@ def _momentum_task(command: str, a, n: int, eta) -> dict:
     return {"pw_constant": pw_constant(field, eta)}
 
 
+def _homogenize_task(a, n: int) -> dict:
+    """Value cells of the ``homogenize`` row: planar by convention, fiber
+    patterns homogenize their cross-section."""
+    hom = homogenized(rasterize(a, make_grid(2, (n, n))))
+    d = hom.q.shape[0]
+    row = {}
+    for name, mat in (("q", hom.q), ("voigt", hom.voigt)):
+        for i in range(d):
+            for j in range(d):
+                row[f"{name}{i + 1}{j + 1}"] = float(mat[i, j])
+    row["defect"] = float(hom.defect)
+    return row
+
+
+def _annulus_task(r: float, R: float, n: int) -> dict:
+    """Value cells of the ``capacity`` annulus check on ``n`` cells per axis."""
+    analytic, discrete = annulus_energy(r, R, make_grid(2, (n, n)))
+    return {"analytic_energy": analytic, "discrete_energy": discrete,
+            "rel_error": abs(discrete - analytic) / analytic}
+
+
+def _scaled_energy_task(eps: float, gamma: float, r: float, R: float, n: int) -> dict:
+    """Value cells of one ``capacity`` sweep row on ``n`` cells per axis."""
+    energy = scaled_energy(eps, r, R, make_grid(2, (n, n)))
+    return {"scaled_energy": energy, "gamma_deviation": abs(energy - gamma) / gamma}
+
+
+def _task_table(name: str, fn, keys: list[dict], tasks: list[tuple],
+                workers: int, cost=None) -> ExperimentTable:
+    """One row per task, in input order: the row's key cells, then the value
+    cells ``fn(*task)`` returns.  ``runtime_seconds`` goes to the sidecar,
+    not the CSV columns."""
+    rows = []
+    for key, (values, seconds) in zip(keys, map_tasks(fn, tasks, workers, cost)):
+        rows.append({**key, **values, "runtime_seconds": seconds})
+    columns = [c for c in rows[0] if c != "runtime_seconds"]
+    return ExperimentTable(name, columns, rows, {}, {},
+                           workers=pool_size(workers, len(tasks)))
+
+
 def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     """Tables for the non-experiment commands; no assertion columns.
 
-    ``bloch``, ``dispersion`` and ``pw`` solve once per momentum, each
-    momentum a :func:`map_tasks` task on ``workers`` requested processes.
+    Every row is one :func:`map_tasks` task on ``workers`` requested
+    processes: one per momentum for ``bloch``, ``dispersion`` and ``pw``,
+    one per eps for the ``capacity`` sweep, and a single task for
+    ``homogenize`` and the ``capacity`` annulus check.
     """
     name = cfg.command
     if name == "homogenize":
-        # planar by convention; fiber patterns homogenize their cross-section
         _require_field(cfg)
-        hom = homogenized(rasterize(cfg.a, make_grid(2, (cfg.n, cfg.n))))
-        row = {}
-        d = hom.q.shape[0]
-        for i in range(d):
-            for j in range(d):
-                row[f"q{i + 1}{j + 1}"] = float(hom.q[i, j])
-        for i in range(d):
-            for j in range(d):
-                row[f"voigt{i + 1}{j + 1}"] = float(hom.voigt[i, j])
-        row["defect"] = float(hom.defect)
-        return ExperimentTable(name, list(row), [row], {}, {})
+        return _task_table(name, _homogenize_task, [{}], [(cfg.a, cfg.n)], workers)
 
     if name in ("bloch", "dispersion", "pw"):
         _require_field(cfg)
-        tasks = [(name, cfg.a, cfg.n, eta) for eta in cfg.eta]
         prefix = "lambda" if name == "pw" else "eta"  # pw: eta is the direction
-        rows, cols = [], None
-        for eta, (values, seconds) in zip(cfg.eta, map_tasks(_momentum_task, tasks, workers)):
-            row = {f"{prefix}{k + 1}": float(v) for k, v in enumerate(eta)}
-            row.update(values)
-            cols = list(row)
-            row["runtime_seconds"] = seconds
-            rows.append(row)
-        return ExperimentTable(name, cols, rows, {}, {},
-                               workers=pool_size(workers, len(tasks)))
+        keys = [{f"{prefix}{k + 1}": float(v) for k, v in enumerate(eta)}
+                for eta in cfg.eta]
+        tasks = [(name, cfg.a, cfg.n, eta) for eta in cfg.eta]
+        return _task_table(name, _momentum_task, keys, tasks, workers)
 
     if name == "capacity":
         R = float(cfg.R) if cfg.R is not None else CapacityProfile.DEFAULT_R
         if cfg.r is not None:
-            n = cfg.n or 512
-            grid = make_grid(2, (n, n))
-            analytic, discrete = annulus_energy(float(cfg.r), R, grid)
-            rel = abs(discrete - analytic) / analytic
-            row = {"r": float(cfg.r), "R": R, "n": n,
-                   "analytic_energy": analytic, "discrete_energy": discrete,
-                   "rel_error": rel}
-            return ExperimentTable(name, list(row), [row], {}, {})
+            r, n = float(cfg.r), cfg.n or 512
+            return _task_table(name, _annulus_task, [{"r": r, "R": R, "n": n}],
+                               [(r, R, n)], workers)
         if cfg.eps and cfg.gamma is not None:
             gamma = float(cfg.gamma)
-            rows = []
+            keys, tasks = [], []
             for eps_f in cfg.eps:
                 eps = float(eps_f)
                 r = radius_for_gamma(eps, gamma)
                 n = cfg.n or resolve_resolution(eps, 2.0 * eps * r)
-                grid = make_grid(2, (n, n))
-                energy = scaled_energy(eps, r, R, grid)
-                rows.append({
-                    "eps": eps, "gamma": gamma, "r": r, "R": R, "n": n,
-                    "scaled_energy": energy,
-                    "gamma_deviation": abs(energy - gamma) / gamma,
-                })
-            return ExperimentTable(name, list(rows[0]), rows, {}, {})
+                keys.append({"eps": eps, "gamma": gamma, "r": r, "R": R, "n": n})
+                tasks.append((eps, gamma, r, R, n))
+            return _task_table(name, _scaled_energy_task, keys, tasks, workers,
+                               [t[-1] ** 2 for t in tasks])
         raise ConfigError(
             "capacity needs either r (annulus check) or eps and gamma "
             "(scaled-energy sweep)")

@@ -105,7 +105,6 @@ class CoefficientField:
 
     grid: PeriodicGrid
     a: np.ndarray
-    mask: np.ndarray | None = None
     inv_eps: int = 1
 
     def __post_init__(self) -> None:
@@ -151,7 +150,7 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
     """
     if isinstance(spec, Constant):
         values = np.full(grid.num_cells, float(spec.a0))
-        return CoefficientField(grid=grid, a=values, mask=None, inv_eps=1)
+        return CoefficientField(grid=grid, a=values, inv_eps=1)
 
     if isinstance(spec, FromFile):
         from . import fieldio
@@ -164,7 +163,7 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
             )
         if values.min() <= 0:
             raise ValueError("file-backed coefficients must be positive")
-        return CoefficientField(grid=grid, a=values, mask=None, inv_eps=1)
+        return CoefficientField(grid=grid, a=values, inv_eps=1)
 
     s = _reciprocal_int(spec.eps)
     if isinstance(spec, FiberLattice) and grid.d < 2:
@@ -195,9 +194,8 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
         if grid.d == 3:
             inside = inside & np.ones_like(pattern[2], dtype=bool)
 
-    mask = np.broadcast_to(inside, grid.shape).ravel().copy()
-    values = np.where(mask, float(spec.beta), 1.0)
-    return CoefficientField(grid=grid, a=values, mask=mask, inv_eps=s)
+    values = np.where(np.broadcast_to(inside, grid.shape).ravel(), float(spec.beta), 1.0)
+    return CoefficientField(grid=grid, a=values, inv_eps=s)
 
 
 def _check_resolution(spec, grid: PeriodicGrid, s: int) -> None:

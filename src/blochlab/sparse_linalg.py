@@ -56,14 +56,6 @@ class EigSolveReport:
     meta: dict = field(default_factory=dict)
 
 
-def is_hermitian(A: sp.spmatrix, tol: float = 1e-12) -> bool:
-    diff = (A - A.getH()).tocsr()
-    if diff.nnz == 0:
-        return True
-    scale = max(abs(A).max(), 1.0)
-    return abs(diff).max() <= tol * scale
-
-
 # ---------------------------------------------------------------------------
 # conjugate gradients
 
@@ -564,7 +556,9 @@ def dense_oracle(
     tol: float = 1e-14,
 ) -> np.ndarray:
     """All eigenvalues (ascending) of a Hermitian matrix, or of the pencil
-    ``(B, diag(M_diag))``, by cyclic Jacobi rotations.
+    ``(B, diag(M_diag))``, by cyclic Jacobi rotations in parallel
+    (round-robin) order: each sweep visits every off-diagonal pair once, in
+    rounds of disjoint pairs that are rotated together.
 
     Deliberately self-contained: no LAPACK eigensolvers, no shared code with
     :func:`smallest_eigpair`.  Intended for cross-checking at dimension
@@ -590,35 +584,53 @@ def dense_oracle(
     fro = np.linalg.norm(A)
     if fro == 0.0:
         return np.zeros(n)
+    rounds = _round_robin(n)
     for _ in range(max_sweeps):
         off = math.sqrt(max(np.linalg.norm(A) ** 2 - np.linalg.norm(np.diag(A)) ** 2, 0.0))
         if off <= tol * fro:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = A[p, q]
-                ag = abs(g)
-                if ag <= 1e-18 * fro:
-                    continue
-                alpha = A[p, p].real
-                delta = A[q, q].real
-                f = g / ag  # unit phase of the pivot
-                tau = (delta - alpha) / (2.0 * ag)
-                t = 1.0 if tau == 0.0 else -np.sign(tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * c
-                # columns: A <- A U with U = [[c, -s f], [s conj(f), c]]
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p + sn * np.conj(f) * col_q
-                A[:, q] = -sn * f * col_p + c * col_q
-                # rows: A <- U^H A
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p + sn * f * row_q
-                A[q, :] = -sn * np.conj(f) * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
+        for p, q in rounds:
+            g = A[p, q]
+            ag = np.abs(g)
+            live = ag > 1e-18 * fro
+            if not live.all():
+                p, q, g, ag = p[live], q[live], g[live], ag[live]
+            alpha = A[p, p].real
+            delta = A[q, q].real
+            f = g / ag  # unit phases of the pivots
+            tau = (delta - alpha) / (2.0 * ag)
+            t = np.where(tau == 0.0, 1.0,
+                         -np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sn = t * c
+            # columns: A <- A U with U = [[c, -s f], [s conj(f), c]] per pair;
+            # the pairs are disjoint, and index arrays read copies
+            col_p = A[:, p]
+            col_q = A[:, q]
+            A[:, p] = c * col_p + sn * np.conj(f) * col_q
+            A[:, q] = -sn * f * col_p + c * col_q
+            # rows: A <- U^H A
+            row_p = A[p, :]
+            row_q = A[q, :]
+            A[p, :] = c[:, None] * row_p + (sn * f)[:, None] * row_q
+            A[q, :] = -(sn * np.conj(f))[:, None] * row_p + c[:, None] * row_q
+            A[p, q] = 0.0
+            A[q, p] = 0.0
+            A[p, p] = A[p, p].real
+            A[q, q] = A[q, q].real
     return np.sort(np.real(np.diag(A)))
+
+
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every pair ``p < q`` of ``range(n)`` once, as rounds of disjoint
+    pairs ``(p, q)`` (circle method; for odd ``n`` one index sits out each
+    round)."""
+    m = n + n % 2
+    players = np.arange(m)
+    rounds = []
+    for _ in range(m - 1):
+        a, b = players[: m // 2], players[m // 2:][::-1]
+        keep = (a < n) & (b < n)
+        rounds.append((np.minimum(a, b)[keep], np.maximum(a, b)[keep]))
+        players = np.concatenate((players[:1], np.roll(players[1:], 1)))
+    return rounds

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blochlab import capacity
 from blochlab.capacity import CapacityProfile, annulus_energy, scaled_energy, vhat
 from blochlab.grid import make_grid
 from blochlab.microstructure import radius_for_gamma
@@ -65,6 +67,44 @@ def test_annulus_energy_discrete_converges():
     assert abs(e512 - analytic) / analytic < 1e-2
     # refinement moves the discrete value toward the analytic one
     assert abs(e512 - analytic) < abs(e256 - analytic)
+
+
+def _full_grid_energy(g, r, R):
+    # reference: both face-difference grids of the whole vhat field at once
+    v = vhat(g, r, R).reshaped()
+    energy = 0.0
+    for k in range(2):
+        dv = (np.roll(v, -1, axis=k) - v) / g.h[k]
+        energy += g.cell_volume * float(np.sum(dv * dv))
+    return energy
+
+
+@pytest.mark.parametrize("n, R, block_cells", [
+    (156, math.pi / 2, None), (257, math.pi / 2, None), (1024, math.pi / 2, None),
+    (257, 1.2, None),
+    (257, math.pi / 2, 1),      # one-row blocks
+    (257, math.pi / 2, 1000),   # 3-row blocks, the last one short: 257 = 85*3 + 2
+])
+def test_streamed_energy_matches_full_grid(monkeypatch, n, R, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(capacity, "_BLOCK_CELLS", block_cells)
+    g = make_grid(2, (n, n))
+    _, energy = annulus_energy(0.28, R, g)
+    assert_allclose(energy, _full_grid_energy(g, 0.28, R), rtol=1e-13)
+
+
+def test_scaled_energy_memory_is_bounded():
+    # the eps = 1/6 rung of the capacity sweep: two full 2046^2 grids would
+    # take 64 MiB
+    r = radius_for_gamma(1 / 6, 2.0)
+    g = make_grid(2, (2046, 2046))
+    tracemalloc.start()
+    try:
+        scaled_energy(1 / 6, r, grid2d=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_scaled_energy_tracks_gamma_from_below():

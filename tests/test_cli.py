@@ -100,6 +100,30 @@ def test_experiment_csv_bytes_stable(tmp_path):
         assert all(t > 0 for t in sidecar["wall_times"]["row_seconds"])
 
 
+def test_capacity_and_homogenize_rows_are_tasks(tmp_path):
+    # one task per sweep rung and one for homogenize: the same bytes in
+    # process and pooled, with the row times in the sidecar only
+    configs = {
+        "capacity.csv": ("command = capacity\neps = 1/3, 1/4\ngamma = 2\n",
+                         min(2, len(os.sched_getaffinity(0)))),
+        "homogenize.csv": ("command = homogenize\n"
+                           "a = two_phase(eps=1/2, beta=4, rho=1/2)\nn = 16\n", 1),
+    }
+    for csv_name, (text, workers) in configs.items():
+        out = tmp_path / csv_name
+        _, pa = run_and_emit(parse_config(text), out_dir=out / "a", threads=1)
+        _, pb = run_and_emit(parse_config(text), out_dir=out / "b", threads=2)
+        assert pa[0].name == csv_name
+        assert pa[0].read_bytes() == pb[0].read_bytes()
+        assert b"runtime_seconds" not in pa[0].read_bytes()
+        for path, n_workers in ((pa[1], 1), (pb[1], workers)):
+            sidecar = json.loads(path.read_text())
+            assert sidecar["workers"] == n_workers
+            seconds = sidecar["wall_times"]["row_seconds"]
+            assert len(seconds) == len(pa[0].read_text().splitlines()) - 1
+            assert all(t > 0 for t in seconds)
+
+
 def test_sidecar_contents(tmp_path):
     cfg = parse_config("command = experiment:thm22\neps = 1/2\nn = 32\nseed = 5\n")
     _, paths = run_and_emit(cfg, out_dir=tmp_path, threads=3)

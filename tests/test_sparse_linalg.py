@@ -12,7 +12,6 @@ from blochlab.sparse_linalg import (
     _adjoint_product,
     cg_solve,
     dense_oracle,
-    is_hermitian,
     largest_geneig,
     smallest_eigpair,
 )
@@ -242,13 +241,6 @@ def test_dense_oracle_rejects():
         dense_oracle(np.ones((2, 3)))
     with pytest.raises(ValueError, match="positive"):
         dense_oracle(np.eye(2), np.array([1.0, 0.0]))
-
-
-def test_is_hermitian():
-    assert is_hermitian(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 5.0]])))
-    assert not is_hermitian(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 5.0]])))
-    H = sp.csr_matrix(np.array([[1.0, 1j], [-1j, 2.0]]))
-    assert is_hermitian(H)
 
 
 # ---------------------------------------------------------------------------
