@@ -40,8 +40,6 @@ from .bloch import (
 from .cell_problems import (
     DispersionSample,
     HomogenizedMatrix,
-    chi1,
-    chi2,
     corrector,
     dispersion,
     homogenized,
@@ -90,8 +88,6 @@ __all__ = [
     "reference_inverse",
     "DispersionSample",
     "HomogenizedMatrix",
-    "chi1",
-    "chi2",
     "corrector",
     "dispersion",
     "homogenized",

@@ -11,6 +11,9 @@ cell volume.  This keeps the operator Hermitian for every momentum, makes
 constant medium reproduces the discrete symbol
 ``sum_k 4 sin^2(eta_k h_k / 2) / h_k^2`` exactly.
 
+Assembly and every cell problem share one face stencil, defined here: the
+face coefficient ``a_f``, the difference ``D_k`` and their adjoint scatters.
+
 Eigenvalues are reported for the pencil ``B(eta) x = lam M x`` with
 ``M = w I``, i.e. in mean-per-volume normalization: for ``a = I`` the first
 eigenvalue tends to ``|eta|^2``.
@@ -48,16 +51,33 @@ def _require_first_zone(eta: np.ndarray) -> None:
         )
 
 
-def face_arrays(field: CoefficientField, axis: int):
-    """Per-face data along ``axis``: (cell index, forward neighbor index,
-    harmonic-mean face coefficient).  Face ``f`` sits between cell ``c`` and
-    ``c + e_axis``; on a 2-cell axis the two distinct faces share endpoints.
+def face_arrays(field: CoefficientField, axis: int) -> np.ndarray:
+    """Harmonic-mean face coefficients along ``axis``.  Face ``c`` sits
+    between cell ``c`` and its forward neighbor ``c + e_axis``; on a 2-cell
+    axis the two distinct faces of a cell share both endpoints.
     """
     a = field.axis_values(axis)
-    idx = np.arange(field.grid.num_cells)
-    jdx = field.grid.neighbor(axis)
-    a_face = 2.0 * a[idx] * a[jdx] / (a[idx] + a[jdx])
-    return idx, jdx, a_face
+    a_next = field.grid.neighbor_values(a, axis)
+    return 2.0 * a * a_next / (a + a_next)
+
+
+def face_difference(u: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
+    """Plain forward difference ``D_k u = (u_{c+e_k} - u_c) / h_k`` per face."""
+    return (grid.neighbor_values(u, axis) - u) / grid.h[axis]
+
+
+def scatter_difference(b: np.ndarray, x: np.ndarray, grid: PeriodicGrid, axis: int):
+    """Adjoint of the difference, in place: face value ``x_c`` enters cell
+    ``c`` with ``+`` and cell ``c + e_axis`` with ``-``."""
+    b += x
+    b -= grid.neighbor_values(x, axis, -1)
+
+
+def scatter_sum(b: np.ndarray, x: np.ndarray, grid: PeriodicGrid, axis: int):
+    """Adjoint of twice the face average, in place: face value ``x_c``
+    enters both cells ``c`` and ``c + e_axis`` with ``+``."""
+    b += x
+    b += grid.neighbor_values(x, axis, -1)
 
 
 def assemble_shifted(
@@ -66,7 +86,10 @@ def assemble_shifted(
     """Assemble ``(B(eta), M_diag)`` for the shifted form on ``field.grid``.
 
     Returns a real matrix when ``eta`` is ``None`` or zero (the plain
-    stiffness with constant kernel), complex otherwise.
+    stiffness with constant kernel), complex otherwise.  The CSR arrays are
+    written directly, one fixed-width row per cell: the diagonal, then the
+    forward and backward neighbor along each axis, with the two faces of a
+    2-cell axis summed into one entry; each row is then sorted by column.
     """
     grid = field.grid
     d, h, w, N = grid.d, grid.h, grid.cell_volume, grid.num_cells
@@ -75,32 +98,39 @@ def assemble_shifted(
         raise ValueError(f"momentum must have shape ({d},), got {eta_arr.shape}")
     is_complex = bool(np.any(eta_arr != 0.0))
 
+    width = 1 + sum(1 if nk == 2 else 2 for nk in grid.n)
+    indices = np.empty((N, width), dtype=np.int32)
+    data = np.empty((N, width), dtype=np.complex128 if is_complex else np.float64)
+    indices[:, 0] = np.arange(N)
     diag = np.zeros(N)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    slot = 1
     for k in range(d):
-        idx, jdx, a_face = face_arrays(field, k)
-        coeff = w * a_face / h[k] ** 2
-        diag[idx] += coeff
-        diag[jdx] += coeff
+        two_cell = grid.n[k] == 2  # both faces of a cell join one neighbor
+        indices[:, slot] = grid.neighbor(k)
+        if not two_cell:
+            indices[:, slot + 1] = grid.neighbor(k, -1)
+        coeff = w * face_arrays(field, k) / h[k] ** 2
+        scatter_sum(diag, coeff, grid, k)
+        # entry (c, c + e_k); row c also holds the Hermitian partner of the
+        # entry (c - e_k, c)
+        off = np.negative(coeff, out=coeff)
         if is_complex:
-            phase = np.exp(1j * eta_arr[k] * h[k])
-            off = -coeff * phase
-            rows.extend([idx, jdx])
-            cols.extend([jdx, idx])
-            vals.extend([off, np.conj(off)])
+            off = off * np.exp(1j * eta_arr[k] * h[k])
+        del coeff
+        back = grid.neighbor_values(off, k, -1)
+        np.conj(back, out=back)
+        if two_cell:
+            np.add(off, back, out=data[:, slot])
+            slot += 1
         else:
-            rows.extend([idx, jdx])
-            cols.extend([jdx, idx])
-            vals.extend([-coeff, -coeff])
-    rows.append(np.arange(N))
-    cols.append(np.arange(N))
-    vals.append(diag.astype(np.complex128) if is_complex else diag)
-    B = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    ).tocsr()  # duplicate entries sum: 2-cell axes get both faces
+            data[:, slot] = off
+            data[:, slot + 1] = back
+            slot += 2
+        del off, back  # release before the next axis allocates
+    data[:, 0] = diag
+    indptr = np.arange(0, N * width + 1, width, dtype=np.int32)
+    B = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(N, N))
+    B.sort_indices()
     M_diag = np.full(N, w)
     return B, M_diag
 

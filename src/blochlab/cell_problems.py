@@ -6,19 +6,30 @@ for the identity coefficient the effective tensor is the identity and the
 first eigenvalue expands as |eta|^2 + O(|eta|^4).  The convention is
 recorded in emitted metadata as ``q_normalization = "cell-average"``.
 
-Face quantities reuse the assembly conventions of :mod:`blochlab.bloch`:
-harmonic-mean coefficients, plain differences ``D_k u = (u_j - u_i)/h_k``
-and face averages ``S_k u = (u_i + u_j)/2`` along each axis.
+Face quantities go through the face stencil of :mod:`blochlab.bloch`, the
+one that assembles the stiffness: harmonic-mean coefficients, plain
+differences ``D_k u = (u_j - u_i)/h_k``, face averages
+``S_k u = (u_i + u_j)/2`` and their adjoint scatters along each axis.  Each
+public call assembles one stiffness and one FFT inverse and shares them
+across its corrector solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bloch import assemble_shifted, face_arrays, reference_inverse
-from .grid import PeriodicGrid, ScalarGridField
+from .bloch import (
+    assemble_shifted,
+    face_arrays,
+    face_difference,
+    reference_inverse,
+    scatter_difference,
+    scatter_sum,
+)
+from .grid import ScalarGridField
 from .microstructure import CoefficientField
 from .sparse_linalg import cg_solve, largest_geneig
 
@@ -27,30 +38,30 @@ _COMPAT_TOL = 1e-10
 Q_NORMALIZATION = "cell-average"
 
 
-def _default_cg_budget(grid: PeriodicGrid) -> int:
-    return 50 * max(grid.n)
+def _cell_solver(field: CoefficientField, tol: float):
+    """``b -> x``, the mean-zero solve of ``K x = b`` on the periodic
+    stiffness: one ``K`` and one FFT inverse serve every source of a call."""
+    K, _ = assemble_shifted(field, None)
+    return partial(
+        cg_solve, K, tol=tol, maxit=50 * max(field.grid.n),
+        deflate_constants=True, precond=reference_inverse(field),
+    )
 
 
 def _corrector_values(
-    field: CoefficientField, direction: np.ndarray, tol: float
+    field: CoefficientField, direction: np.ndarray, solve
 ) -> np.ndarray:
     grid = field.grid
-    K, _ = assemble_shifted(field, None)
     h, w = grid.h, grid.cell_volume
     b = np.zeros(grid.num_cells)
     for k in range(grid.d):
         if direction[k] == 0.0:
             continue
-        idx, jdx, a_face = face_arrays(field, k)
-        coeff = direction[k] * w / h[k] * a_face
-        b[idx] += coeff
-        b[jdx] -= coeff
+        coeff = direction[k] * w / h[k] * face_arrays(field, k)
+        scatter_difference(b, coeff, grid, k)
     if not np.any(b):
         return np.zeros(grid.num_cells)
-    return cg_solve(
-        K, b, tol=tol, maxit=_default_cg_budget(grid), deflate_constants=True,
-        precond=reference_inverse(field),
-    )
+    return solve(b)
 
 
 def corrector(
@@ -63,11 +74,13 @@ def corrector(
 
     ``direction`` need not be normalized; the solution is linear in it, so
     a general direction is the superposition of the canonical correctors.
+    On an oscillating field, the corrector for momentum ``eta`` is ``eps``
+    times the tiled unit-cell corrector, exactly, since the stiffness tiles.
     """
     direction = np.asarray(direction, dtype=np.float64)
     if direction.shape != (field.grid.d,):
         raise ValueError(f"direction must have shape ({field.grid.d},)")
-    values = _corrector_values(field, direction, tol)
+    values = _corrector_values(field, direction, _cell_solver(field, tol))
     return ScalarGridField(field.grid, values)
 
 
@@ -102,20 +115,18 @@ def homogenized(
     d = grid.d
     N = grid.num_cells
     vol = N * grid.cell_volume
+    solve = _cell_solver(field, tol)
     X = np.empty((N, d))
     for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        X[:, j] = _corrector_values(field, e, tol)
+        X[:, j] = _corrector_values(field, np.eye(d)[j], solve)
 
-    h, w = grid.h, grid.cell_volume
+    w = grid.cell_volume
     q_energy = np.zeros((d, d))
     q_flux = np.zeros((d, d))
     for k in range(d):
-        idx, jdx, a_face = face_arrays(field, k)
-        g = (X[jdx, :] - X[idx, :]) / h[k]   # face gradients of X_j along k
-        g[:, k] += 1.0                        # plus the affine part delta_kj
-        wa = w * a_face
+        g = face_difference(X, grid, k)   # face gradients of X_j along k
+        g[:, k] += 1.0                    # plus the affine part delta_kj
+        wa = w * face_arrays(field, k)
         q_energy += g.T @ (wa[:, None] * g)
         q_flux[k, :] += wa @ g
     q_energy /= vol
@@ -126,36 +137,20 @@ def homogenized(
     )
 
 
-def chi1(
-    field: CoefficientField,
-    eta: np.ndarray,
-    *,
-    tol: float = 1e-12,
-) -> ScalarGridField:
-    """First-order corrector for momentum ``eta`` (linear in ``eta``).
-
-    On an oscillating field this equals ``eps`` times the tiled unit-cell
-    corrector — exactly, cell for cell, since the stiffness tiles.
-    """
-    return corrector(field, eta, tol=tol)
-
-
 def _chi2_values(
     field: CoefficientField,
     eta: np.ndarray,
     chi1_values: np.ndarray,
-    q_eta_eta: float | None,
-    tol: float,
+    solve,
 ) -> tuple[np.ndarray, float, float]:
     """Second corrector from its source; returns (values, relative mean of
     the source, flux-form ``q eta.eta``).
 
     Source terms, tested against periodic v with face quadrature (S = face
     average): ``<a eta.eta, v>`` and ``<a eta . grad chi1, v>`` via S_k v,
-    and ``-<chi1 a eta, grad v>`` via D_k v; minus ``q eta.eta`` per cell
-    (the flux form when ``q_eta_eta`` is ``None``).  With the flux-form
-    ``q`` the assembled mean vanishes identically; a relative mean above
-    1e-10 signals an inconsistent ``q`` and raises.
+    and ``-<chi1 a eta, grad v>`` via D_k v; minus the flux-form
+    ``q eta.eta`` per cell.  The assembled mean then vanishes identically;
+    a relative mean above 1e-10 signals an inconsistent source and raises.
     """
     grid = field.grid
     d, h, w, N = grid.d, grid.h, grid.cell_volume, grid.num_cells
@@ -163,63 +158,29 @@ def _chi2_values(
     q_flux = 0.0
     gross = 0.0  # magnitude before cancellation; the compat denominator
     for k in range(d):
-        idx, jdx, a_face = face_arrays(field, k)
-        wa = w * a_face
-        d_chi = (chi1_values[jdx] - chi1_values[idx]) / h[k]
-        s_chi = (chi1_values[jdx] + chi1_values[idx]) / 2.0
+        wa = w * face_arrays(field, k)
+        chi_next = grid.neighbor_values(chi1_values, k)
+        d_chi = (chi_next - chi1_values) / h[k]
+        s_chi = (chi_next + chi1_values) / 2.0
         q_flux += eta[k] * np.sum(wa * (d_chi + eta[k]))
         half = 0.5 * (eta[k] ** 2) * wa + 0.5 * eta[k] * wa * d_chi
-        b[idx] += half
-        b[jdx] += half
+        scatter_sum(b, half, grid, k)
         t3 = eta[k] * wa * s_chi / h[k]
-        b[idx] += t3
-        b[jdx] -= t3
+        scatter_difference(b, t3, grid, k)
         gross += 2.0 * np.abs(half).sum() + 2.0 * np.abs(t3).sum()
     q_flux /= N * w
-    mean_term = q_flux if q_eta_eta is None else q_eta_eta
-    b -= w * mean_term
-    gross += N * w * abs(mean_term)
+    b -= w * q_flux
+    gross += N * w * abs(q_flux)
     compat = abs(b.sum()) / max(gross, np.finfo(float).tiny)
     if compat > _COMPAT_TOL:
         raise ValueError(
             "incompatible right-hand side for the second corrector "
-            f"(relative mean {compat:.3e}); is q from the same discretization?"
+            f"(relative mean {compat:.3e})"
         )
     if not np.any(b):
         return np.zeros(N), compat, q_flux
     b -= b.mean()
-    K, _ = assemble_shifted(field, None)
-    sol = cg_solve(
-        K, b, tol=tol, maxit=_default_cg_budget(grid), deflate_constants=True,
-        precond=reference_inverse(field),
-    )
-    return sol, compat, q_flux
-
-
-def chi2(
-    field: CoefficientField,
-    eta: np.ndarray,
-    q: HomogenizedMatrix | None = None,
-    chi1_field: ScalarGridField | None = None,
-    *,
-    tol: float = 1e-12,
-) -> ScalarGridField:
-    """Second-order corrector at momentum ``eta``.
-
-    When ``q`` is supplied it must come from the same discretization; a
-    right-hand side whose relative mean exceeds 1e-10 signals an
-    inconsistent ``q`` and raises.  Without ``q`` the internally evaluated
-    flux form is used, for which compatibility holds to rounding.
-    """
-    grid = field.grid
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (grid.d,):
-        raise ValueError(f"eta must have shape ({grid.d},)")
-    if chi1_field is None:
-        chi1_field = chi1(field, eta, tol=tol)
-    q_eta_eta = None if q is None else float(eta @ q.q @ eta)
-    values, _, _ = _chi2_values(field, eta, chi1_field.values, q_eta_eta, tol)
-    return ScalarGridField(grid, values)
+    return solve(b), compat, q_flux
 
 
 @dataclass
@@ -230,8 +191,8 @@ class DispersionSample:
     value: float            # quartic coefficient; nonpositive
     q_eta_eta: float        # quadratic coefficient along the same momentum
     compat: float           # relative mean of the second-corrector source
-    chi1: ScalarGridField
-    chi2: ScalarGridField
+    chi1: ScalarGridField   # first-order corrector, linear in eta
+    chi2: ScalarGridField   # second-order corrector
 
 
 def dispersion(
@@ -245,25 +206,28 @@ def dispersion(
     ``D = -avg a |grad(chi2 - chi1^2 / 2)|^2``: the square is formed
     pointwise at cell centers and differenced with the same face stencil as
     every other gradient, keeping the value a single quadratic form (hence
-    always ``<= 0``).
+    always ``<= 0``).  The first corrector ``chi1`` is the corrector for
+    direction ``eta``; both correctors share one stiffness solve setup.
     """
     grid = field.grid
     eta = np.asarray(eta, dtype=np.float64)
-    c1 = chi1(field, eta, tol=tol)
-    c2_values, compat, q_eta_eta = _chi2_values(field, eta, c1.values, None, tol)
-    g = c2_values - 0.5 * c1.values * c1.values
-    h, w, N = grid.h, grid.cell_volume, grid.num_cells
+    if eta.shape != (grid.d,):
+        raise ValueError(f"eta must have shape ({grid.d},)")
+    solve = _cell_solver(field, tol)
+    c1_values = _corrector_values(field, eta, solve)
+    c2_values, compat, q_eta_eta = _chi2_values(field, eta, c1_values, solve)
+    g = c2_values - 0.5 * c1_values * c1_values
+    w, N = grid.cell_volume, grid.num_cells
     energy = 0.0
     for k in range(grid.d):
-        idx, jdx, a_face = face_arrays(field, k)
-        dg = (g[jdx] - g[idx]) / h[k]
-        energy += np.sum(w * a_face * dg * dg)
+        dg = face_difference(g, grid, k)
+        energy += np.sum(w * face_arrays(field, k) * dg * dg)
     return DispersionSample(
         eta=eta,
         value=-energy / (N * w),
         q_eta_eta=q_eta_eta,
         compat=compat,
-        chi1=c1,
+        chi1=ScalarGridField(grid, c1_values),
         chi2=ScalarGridField(grid, c2_values),
     )
 

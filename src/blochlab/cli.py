@@ -1,10 +1,10 @@
 """Command-line entry point: parse a config, run it, emit CSV + sidecar.
 
 The CSV is the data artifact and must be byte-stable across reruns of the
-same config and seed: header row, fixed column order, 17 significant
-digits, ``.`` decimal separator, ``\\n`` line endings, booleans written as
-``pass``/``fail``, empty cells for inapplicable fields.  Everything
-run-dependent (wall times, git state) goes to the JSON sidecar.
+same config: header row, fixed column order, 17 significant digits, ``.``
+decimal separator, ``\\n`` line endings, booleans written as ``pass``/``fail``,
+empty cells for inapplicable fields.  Everything run-dependent (wall times,
+git state) goes to the JSON sidecar.
 
 Exit codes: 0 success, 2 when a harness assertion column reports a
 failure, 1 on any error.
@@ -262,7 +262,6 @@ def run_and_emit(
     sidecar = {
         "config": cfg.serialize(),
         "command": cfg.command,
-        "seed": cfg.seed,
         "threads": threads,
         "workers": table.workers,
         "package_version": __version__,
@@ -300,8 +299,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for the independent solves, "
                              "clamped to the usable cores and to the number "
                              "of solves; the CSV is the same for every N")
-    parser.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="override the config seed")
     args = parser.parse_args(argv)
 
     try:
@@ -311,10 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         cfg = parse_config(text)
-        if args.seed is not None:
-            if not (0 <= args.seed < 2**64):
-                raise ConfigError("seed must be an integer in [0, 2^64)")
-            cfg.seed = args.seed
         code, paths = run_and_emit(cfg, out_dir=args.out,
                                    threads=max(1, args.threads))
     except ConfigError as exc:

@@ -45,7 +45,6 @@ _SCHEMA = {
                               "experiment:gap_map", "experiment:pw_thm22",
                               "experiment:pw_fiber", "capacity")),
     "n": ("positive_int", "*"),
-    "seed": ("seed", "*"),
     "out": ("string", "*"),
     "q_normalization": ("q_norm", "*"),
     "gamma": ("positive", ("experiment:thm31", "experiment:gap_map",
@@ -70,7 +69,6 @@ _REQUIRED = {
 }
 
 _DEFAULTS = {
-    "seed": 24389,
     "out": ".",
     "q_normalization": "cell-average",
 }
@@ -102,7 +100,6 @@ class RunConfig:
     eta: list | None = None           # list of momentum tuples
     eps: list | None = None           # list of Fractions
     n: int | None = None
-    seed: int = 24389
     out: str = "."
     q_normalization: str = "cell-average"
     gamma: object | None = None
@@ -113,7 +110,7 @@ class RunConfig:
 
     def serialize(self) -> str:
         lines = [f"command = {self.command}"]
-        for key in ("a", "eta", "eps", "n", "seed", "out", "q_normalization",
+        for key in ("a", "eta", "eps", "n", "out", "q_normalization",
                     "gamma", "t_list", "r", "R"):
             if not _key_applies(key, self.command):
                 continue
@@ -167,7 +164,7 @@ def _format_value(key: str, value) -> str:
         return "; ".join(_fmt_tuple(t) for t in value)
     if kind in ("fraction_list", "number_list"):
         return ", ".join(_fmt_number(v) for v in value)
-    if kind in ("positive_int", "seed"):
+    if kind == "positive_int":
         return str(value)
     if kind == "positive":
         return _fmt_number(value)
@@ -422,12 +419,6 @@ def parse_config(text: str) -> RunConfig:
             v = _parse_number(value, lineno, key)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"expected a positive integer, got {value!r}",
-                                  line=lineno, key=key)
-            parsed = v
-        elif kind == "seed":
-            v = _parse_number(value, lineno, key)
-            if not isinstance(v, int) or not (0 <= v < 2**64):
-                raise ConfigError("seed must be an integer in [0, 2^64)",
                                   line=lineno, key=key)
             parsed = v
         elif kind == "positive":

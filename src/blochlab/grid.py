@@ -56,10 +56,18 @@ class PeriodicGrid:
 
         Composing the +1 and -1 maps along the same axis is the identity.
         """
+        cells = np.arange(self.num_cells, dtype=np.int64)
+        return self.neighbor_values(cells, axis, step)
+
+    def neighbor_values(self, u: np.ndarray, axis: int, step: int = 1) -> np.ndarray:
+        """Per-cell values ``u`` read at the periodic neighbor ``+step``
+        along ``axis``: entry ``c`` holds ``u[c + step e_axis]``.  Trailing
+        dimensions of ``u`` (columns) ride along.
+        """
         if axis < 0 or axis >= self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
-        idx = np.arange(self.num_cells, dtype=np.int64).reshape(self.n)
-        return np.roll(idx, -step, axis=axis).ravel()
+        v = u.reshape(self.shape + u.shape[1:])
+        return np.roll(v, -step, axis=axis).reshape(u.shape)
 
 
 def make_grid(d: int, n: int | tuple[int, ...]) -> PeriodicGrid:

@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blochlab.cell_problems import (
-    chi1,
-    chi2,
     corrector,
     dispersion,
     homogenized,
@@ -102,23 +100,9 @@ def test_harmonic_and_voigt_bounds(seed):
 def test_chi_corrections_vanish_for_constant():
     f = rasterize(Constant(2.0), make_grid(2, (8, 8)))
     eta = np.array([0.3, 0.1])
-    assert_allclose(chi1(f, eta).values, 0.0, atol=1e-13)
-    assert_allclose(chi2(f, eta).values, 0.0, atol=1e-13)
-
-
-def test_chi2_rejects_foreign_tensor():
-    f = half_half_1d(32)
-    wrong = homogenized(half_half_1d(32, a2=9.0))
-    with pytest.raises(ValueError, match="incompatible right-hand side"):
-        chi2(f, np.array([1.0]), q=wrong)
-
-
-def test_chi2_accepts_matching_tensor():
-    f = half_half_1d(32)
-    own = homogenized(f, tol=1e-13)
-    c2 = chi2(f, np.array([1.0]), q=own, tol=1e-13)
-    ref = chi2(f, np.array([1.0]), tol=1e-13)
-    assert_allclose(c2.values, ref.values, atol=1e-9)
+    s = dispersion(f, eta)
+    assert_allclose(s.chi1.values, 0.0, atol=1e-13)
+    assert_allclose(s.chi2.values, 0.0, atol=1e-13)
 
 
 def test_dispersion_constant_is_zero():
@@ -167,8 +151,8 @@ def test_chi1_tiles_from_unit_cell():
     unit = rasterize(unit_pattern(spec), make_grid(2, (8, 8)))
     fine = rasterize(spec, make_grid(2, (32, 32)))
     eta = np.array([1.0, 0.0])
-    u = chi1(unit, eta, tol=1e-13)
-    f = chi1(fine, eta, tol=1e-13)
+    u = corrector(unit, eta, tol=1e-13)
+    f = corrector(fine, eta, tol=1e-13)
     tiled = 0.25 * np.tile(u.values.reshape(8, 8), (4, 4)).ravel()
     assert np.abs(f.values - tiled).max() <= 1e-12
 

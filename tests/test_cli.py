@@ -125,11 +125,10 @@ def test_capacity_and_homogenize_rows_are_tasks(tmp_path):
 
 
 def test_sidecar_contents(tmp_path):
-    cfg = parse_config("command = experiment:thm22\neps = 1/2\nn = 32\nseed = 5\n")
+    cfg = parse_config("command = experiment:thm22\neps = 1/2\nn = 32\n")
     _, paths = run_and_emit(cfg, out_dir=tmp_path, threads=3)
     meta = json.loads(paths[1].read_text())
     assert meta["command"] == "experiment:thm22"
-    assert meta["seed"] == 5
     assert meta["threads"] == 3
     assert meta["workers"] == min(3, len(os.sched_getaffinity(0)))
     assert meta["q_normalization"] == "cell-average"
@@ -186,12 +185,12 @@ def test_main_success_prints_paths(tmp_path, capsys):
     assert lines[1].endswith("homogenize.json")
 
 
-def test_main_seed_override(tmp_path):
-    p = write_cfg(tmp_path, "command = experiment:thm22\neps = 1/2\nn = 32\n")
-    rc = run_main(["--config", p, "--out", tmp_path / "out", "--seed", 99])
-    assert rc == 0
-    meta = json.loads((tmp_path / "out" / "experiment_thm22.json").read_text())
-    assert meta["seed"] == 99
+def test_main_has_no_seed_flag(tmp_path):
+    # start vectors use a fixed internal seed: there is nothing to override
+    p = write_cfg(tmp_path, "command = homogenize\na = constant(1)\nn = 8\n")
+    with pytest.raises(SystemExit) as exc:
+        run_main(["--config", p, "--seed", 99])
+    assert exc.value.code == 2
 
 
 def test_main_missing_config(tmp_path, capsys):

@@ -13,7 +13,6 @@ def test_minimal_config_defaults():
     assert cfg.command == "homogenize"
     assert isinstance(cfg.a, Constant)
     assert cfg.a.a0 == 2
-    assert cfg.seed == 24389
     assert cfg.out == "."
     assert cfg.q_normalization == "cell-average"
 
@@ -72,7 +71,7 @@ def test_roundtrip_identity():
     text = (
         "command = dispersion\n"
         "a = two_phase(eps=1/2, beta=4, rho=1/2, shape=square)\n"
-        "eta = (0.25, 0.0)\nn = 32\nseed = 7\n"
+        "eta = (0.25, 0.0)\nn = 32\n"
     )
     cfg = parse_config(text)
     once = cfg.serialize()
@@ -85,14 +84,12 @@ def test_roundtrip_identity():
     st.sampled_from(["homogenize", "bloch", "dispersion", "pw"]),
     st.integers(min_value=2, max_value=20),
     st.integers(min_value=1, max_value=1000),
-    st.integers(min_value=0, max_value=2**32),
 )
-def test_roundtrip_generated(command, denom, beta, seed):
+def test_roundtrip_generated(command, denom, beta):
     lines = [
         f"command = {command}",
         f"a = two_phase(eps=1/{denom}, beta={beta}, rho=1/{denom})",
         f"n = {8 * denom}",
-        f"seed = {seed}",
     ]
     if command != "homogenize":
         lines.append("eta = (0.1, 0.0); (0.0, 0.2)")
@@ -114,6 +111,11 @@ def err(text):
 def test_unknown_key_reports_line():
     msg = err("command = homogenize\na = constant(1)\nbogus = 3\n")
     assert "line 3" in msg and "bogus" in msg
+
+
+def test_seed_is_not_a_key():
+    msg = err("command = homogenize\na = constant(1)\nseed = 5\n")
+    assert "unknown key 'seed'" in msg and "line 3" in msg
 
 
 def test_duplicate_key():

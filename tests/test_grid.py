@@ -63,6 +63,19 @@ def test_neighbor_inverse_step():
         assert np.array_equal(back[fwd], np.arange(g.num_cells))
 
 
+def test_neighbor_values_read_through_the_index_map():
+    # values and index map share one shift; columns of a block ride along
+    g = make_grid(3, (2, 3, 4))
+    u = np.random.default_rng(2).standard_normal((g.num_cells, 2))
+    for axis in range(3):
+        for step in (1, -1):
+            nb = g.neighbor(axis, step)
+            assert np.array_equal(g.neighbor_values(u, axis, step), u[nb])
+            assert np.array_equal(g.neighbor_values(u[:, 0], axis, step), u[nb, 0])
+    with pytest.raises(ValueError, match="axis"):
+        g.neighbor_values(u, 3)
+
+
 def test_scalar_field_stats():
     g = make_grid(1, (4,))
     f = ScalarGridField(g, np.array([1.0, -1.0, 1.0, -1.0]))

@@ -1,15 +1,17 @@
 """The benchmark's tracer patches solver entry points by name: every
 ``(module, function)`` pair in ``perfbench/tracing.py``'s ``TRACED`` list
 must resolve in ``blochlab``, and each solver must take its matrix at the
-argument position the tracer wraps.  A rename then fails here instead of
-crashing a traced benchmark pass."""
+argument position the tracer wraps.  Every ``from blochlab.X import Y`` in
+``perfbench/*.py`` (oracle, probe, tracer) must resolve too.  A rename then
+fails here instead of crashing a benchmark pass."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing_module() -> ast.Module:
@@ -53,3 +55,16 @@ def test_solver_matrix_argument_positions():
     for dotted, index in wrapped.items():
         params = list(inspect.signature(_resolve(dotted)).parameters)
         assert params[index] in matrix_names, (dotted, params)
+
+
+def test_perfbench_imports_resolve():
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "blochlab"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.append(f"{node.module}.{alias.name}")
+                    assert hasattr(module, alias.name), (path.name, imported[-1])
+    assert "blochlab.bloch.assemble_shifted" in imported
