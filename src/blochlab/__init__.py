@@ -47,7 +47,6 @@ from .cell_problems import (
 )
 from .capacity import CapacityProfile, annulus_energy, scaled_energy, vhat
 from .experiments import (
-    ExperimentRow,
     ExperimentTable,
     resolve_resolution,
     run_gap_map,
@@ -96,7 +95,6 @@ __all__ = [
     "annulus_energy",
     "scaled_energy",
     "vhat",
-    "ExperimentRow",
     "ExperimentTable",
     "resolve_resolution",
     "run_gap_map",

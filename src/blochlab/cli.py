@@ -13,6 +13,7 @@ failure, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import resource
 import subprocess
@@ -29,6 +30,8 @@ from .cell_problems import dispersion, homogenized, pw_constant
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
     ExperimentTable,
+    eta_cells,
+    make_table,
     map_tasks,
     pool_size,
     resolve_resolution,
@@ -128,14 +131,11 @@ def _scaled_energy_task(eps: float, gamma: float, r: float, R: float, n: int) ->
 def _task_table(name: str, fn, keys: list[dict], tasks: list[tuple],
                 workers: int, cost=None) -> ExperimentTable:
     """One row per task, in input order: the row's key cells, then the value
-    cells ``fn(*task)`` returns.  ``runtime_seconds`` goes to the sidecar,
-    not the CSV columns."""
-    rows = []
-    for key, (values, seconds) in zip(keys, map_tasks(fn, tasks, workers, cost)):
-        rows.append({**key, **values, "runtime_seconds": seconds})
-    columns = [c for c in rows[0] if c != "runtime_seconds"]
-    return ExperimentTable(name, columns, rows, {}, {},
-                           workers=pool_size(workers, len(tasks)))
+    cells ``fn(*task)`` returns, then its ``runtime_seconds``."""
+    workers = pool_size(workers, len(tasks))
+    rows = [{**key, **values, "runtime_seconds": seconds}
+            for key, (values, seconds) in zip(keys, map_tasks(fn, tasks, workers, cost))]
+    return make_table(name, rows, workers)
 
 
 def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
@@ -154,8 +154,7 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     if name in ("bloch", "dispersion", "pw"):
         _require_field(cfg)
         prefix = "lambda" if name == "pw" else "eta"  # pw: eta is the direction
-        keys = [{f"{prefix}{k + 1}": float(v) for k, v in enumerate(eta)}
-                for eta in cfg.eta]
+        keys = [eta_cells(eta, prefix) for eta in cfg.eta]
         tasks = [(name, cfg.a, cfg.n, eta) for eta in cfg.eta]
         return _task_table(name, _momentum_task, keys, tasks, workers)
 
@@ -183,44 +182,36 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     raise ConfigError(f"unhandled command {name!r}")  # pragma: no cover
 
 
+#: config key -> the keyword of every experiment harness that reads it; the
+#: config schema admits a key only for the experiments whose harness takes it
+_HARNESS_KEYWORDS = {"eps": "eps_list", "eta": "eta", "n": "resolution",
+                    "gamma": "gamma", "t_list": "t_list"}
+
+
+def _harness(name: str):
+    """The function that computes ``experiment:<name>``.  The lookup reads
+    the module's names at call time, so a wrapper patched over a harness
+    (as perfbench's tracer does) is the one that runs."""
+    return {
+        "thm22": run_thm22,
+        "thm31": run_thm31,
+        "gap_map": run_gap_map,
+        "pw_thm22": functools.partial(run_pw, family="thm22"),
+        "pw_fiber": functools.partial(run_pw, family="fiber"),
+    }[name]
+
+
 def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
-    name = cfg.command.split(":", 1)[1]
-    eps = [float(v) for v in cfg.eps] if cfg.eps else None
-    eta = tuple(float(v) for v in cfg.eta[0]) if cfg.eta else None
-    gamma = float(cfg.gamma) if cfg.gamma is not None else 2.0
-    kw: dict = {"workers": workers}
-    if name == "thm22":
-        if eps:
-            kw["eps_list"] = eps
-        if eta:
-            kw["eta"] = eta
-        if cfg.n:
-            kw["resolution"] = cfg.n
-        return run_thm22(**kw)
-    if name == "thm31":
-        if eps:
-            kw["eps_list"] = eps
-        if eta:
-            kw["eta"] = eta
-        if cfg.n:
-            kw["resolution"] = cfg.n
-        return run_thm31(gamma=gamma, **kw)
-    if name == "gap_map":
-        if eps:
-            kw["eps_list"] = eps
-        if eta:
-            kw["eta"] = eta
-        if cfg.t_list:
-            kw["t_list"] = [float(t) for t in cfg.t_list]
-        return run_gap_map(gamma=gamma, **kw)
-    if name in ("pw_thm22", "pw_fiber"):
-        family = name.split("_", 1)[1]
-        if eps:
-            kw["eps_list"] = eps
-        if eta:
-            kw["lam"] = eta
-        return run_pw(family=family, gamma=gamma, **kw)
-    raise ConfigError(f"unhandled experiment {name!r}")  # pragma: no cover
+    kw = {}
+    for key, keyword in _HARNESS_KEYWORDS.items():
+        value = getattr(cfg, key)
+        if key == "eta" and value is not None:
+            (value,) = value  # an experiment takes one momentum
+        if isinstance(value, (list, tuple)):
+            kw[keyword] = [float(v) for v in value]
+        elif value is not None:
+            kw[keyword] = value if key == "n" else float(value)
+    return _harness(cfg.command.split(":", 1)[1])(workers=workers, **kw)
 
 
 def _peak_rss_mb(workers: int) -> dict:

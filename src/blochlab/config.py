@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .microstructure import (
@@ -44,12 +44,12 @@ _SCHEMA = {
     "eps": ("fraction_list", ("experiment:thm22", "experiment:thm31",
                               "experiment:gap_map", "experiment:pw_thm22",
                               "experiment:pw_fiber", "capacity")),
-    "n": ("positive_int", "*"),
+    "n": ("positive_int", ("homogenize", "bloch", "dispersion", "pw", "capacity",
+                           "experiment:thm22", "experiment:thm31")),
     "out": ("string", "*"),
     "q_normalization": ("q_norm", "*"),
     "gamma": ("positive", ("experiment:thm31", "experiment:gap_map",
-                           "experiment:pw_thm22", "experiment:pw_fiber",
-                           "capacity")),
+                           "experiment:pw_fiber", "capacity")),
     "t_list": ("number_list", ("experiment:gap_map",)),
     "r": ("positive", ("capacity",)),
     "R": ("positive", ("capacity",)),
@@ -106,7 +106,6 @@ class RunConfig:
     t_list: list | None = None
     r: object | None = None
     R: object | None = None
-    raw_values: dict = field(default_factory=dict, repr=False)
 
     def serialize(self) -> str:
         lines = [f"command = {self.command}"]
@@ -407,6 +406,9 @@ def parse_config(text: str) -> RunConfig:
             if not dims <= {1, 2, 3}:
                 raise ConfigError("tuples must have 1-3 components",
                                   line=lineno, key=key)
+            if len(parsed) > 1 and command.startswith("experiment:"):
+                raise ConfigError("an experiment takes one momentum tuple",
+                                  line=lineno, key=key)
         elif kind == "fraction_list":
             parsed = [_parse_number(p, lineno, key)
                       for p in _split_top(value, ",") if p.strip()]
@@ -435,8 +437,9 @@ def parse_config(text: str) -> RunConfig:
             parsed = value
         else:  # pragma: no cover
             raise ConfigError(f"unhandled kind {kind}", line=lineno, key=key)
+        if kind.endswith("_list") and not parsed:
+            raise ConfigError("empty list", line=lineno, key=key)
         setattr(cfg, key, parsed)
-        cfg.raw_values[key] = value
 
     for key, default in _DEFAULTS.items():
         if getattr(cfg, key, None) in (None,) and _key_applies(key, command):
@@ -446,4 +449,10 @@ def parse_config(text: str) -> RunConfig:
         if getattr(cfg, key) is None:
             raise ConfigError(f"command {command!r} requires key {key!r}",
                               key=key)
+    if command == "capacity" and cfg.r is not None:
+        for key in ("eps", "gamma"):
+            if key in entries:
+                raise ConfigError(
+                    "not read in the annulus mode of capacity (r is set)",
+                    line=entries[key][1], key=key)
     return cfg

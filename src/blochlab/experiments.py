@@ -1,7 +1,9 @@
 """Scripted convergence sweeps over shrinking-period high-contrast media.
 
-Each harness returns an :class:`ExperimentTable`: ordered columns, one
-:class:`ExperimentRow` per case, and named pass/fail checks that are also
+Each harness returns an :class:`ExperimentTable` built by
+:func:`make_table`, the one table builder of the package: one row dict per
+case, whose key order is the CSV column order (``None`` for a quantity the
+family does not define), and named pass/fail checks that are also
 replicated into columns (assertion outcomes are data, never silent, and
 never fatal).  Rows are computed independently — no state flows between
 them — so any single row is bitwise reproducible from the table metadata
@@ -32,7 +34,7 @@ import numpy as np
 
 from .bloch import bloch_reduced, fiber_lambda1_2d
 from .cell_problems import Q_NORMALIZATION, dispersion, homogenized, pw_constant
-from .grid import make_grid
+from .grid import _reciprocal_int, make_grid
 from .microstructure import (
     CoefficientField,
     FiberLattice,
@@ -57,46 +59,6 @@ def fiber_beta(eps: float, r_eps: float) -> float:
 
 
 @dataclass
-class ExperimentRow:
-    """One sweep case.  Fields that a harness cannot meaningfully fill
-    (for example a homogenized quadratic form for the unbounded-mass fiber
-    family) stay ``None`` and serialize as empty cells."""
-
-    eps: float
-    n: int
-    eta: tuple
-    lambda1: float
-    q_eta_eta: float | None = None
-    dispersion_value: float | None = None
-    gap: float | None = None
-    runtime_seconds: float = 0.0
-    iterations: int = 0
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("eps", "lambda1", "q_eta_eta", "dispersion_value",
-                     "gap", "runtime_seconds"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"non-finite row entry {name}={v}")
-
-    def as_dict(self) -> dict:
-        out = {"eps": self.eps, "n": self.n}
-        for k, v in enumerate(self.eta):
-            out[f"eta{k + 1}"] = float(v)
-        out.update(
-            lambda1=self.lambda1,
-            q_eta_eta=self.q_eta_eta,
-            dispersion_value=self.dispersion_value,
-            gap=self.gap,
-            iterations=self.iterations,
-            runtime_seconds=self.runtime_seconds,
-        )
-        out.update(self.extras)
-        return out
-
-
-@dataclass
 class ExperimentTable:
     name: str
     columns: list[str]          # CSV schema; runtime lives in the sidecar
@@ -113,11 +75,29 @@ class ExperimentTable:
         return [row[key] for row in self.rows]
 
 
-def _as_inv_eps(eps: float) -> int:
-    inv = round(1.0 / float(eps))
-    if inv < 1 or abs(inv * float(eps) - 1.0) > 1e-9:
-        raise ValueError(f"1/eps must be a positive integer, got eps={eps}")
-    return inv
+def make_table(name: str, rows: list[dict], workers: int,
+               checks: dict[str, bool] | None = None,
+               meta: dict | None = None) -> ExperimentTable:
+    """The table of ``rows``, computed on ``workers`` processes.
+
+    Each row's key order is the CSV column order; a ``runtime_seconds``
+    cell stays in the row for the sidecar but is not a column.  Every check
+    is appended to every row as a ``bool`` column.  A non-finite float cell
+    raises ``ValueError``.
+    """
+    checks = checks or {}
+    for row in rows:
+        for key, v in row.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"non-finite row entry {key}={v}")
+        row.update((key, bool(ok)) for key, ok in checks.items())
+    columns = [c for c in (rows[0] if rows else ()) if c != "runtime_seconds"]
+    return ExperimentTable(name, columns, rows, checks, meta or {}, workers)
+
+
+def eta_cells(eta, prefix: str = "eta") -> dict:
+    """``{prefix1: eta[0], ..., prefixd: eta[d-1]}`` as floats."""
+    return {f"{prefix}{k + 1}": float(v) for k, v in enumerate(eta)}
 
 
 def resolve_resolution(eps: float, feature_extent: float) -> int:
@@ -126,7 +106,7 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
     Smallest multiple of 1/eps with >= 8 cells across the feature, capped
     at 2048; below 4 cells across even at the cap, the case is refused.
     """
-    inv = _as_inv_eps(eps)
+    inv = _reciprocal_int(eps)
     if feature_extent <= 0:
         raise ValueError("feature extent must be positive")
     need = 8 * 2.0 * math.pi / feature_extent
@@ -192,14 +172,7 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> list[tuple]:
 def _grid_sizes(eps: float, extent: float, resolution: int | None = None):
     """``(n, m)``: full-grid cells per axis and unit-pattern cells per axis."""
     n = resolution or resolve_resolution(eps, extent)
-    return n, n // _as_inv_eps(eps)
-
-
-def _spread_checks(rows: list[dict], checks: dict[str, bool]) -> None:
-    # assertion outcomes double as columns, repeated on every row
-    for row in rows:
-        for name, ok in checks.items():
-            row[name] = bool(ok)
+    return n, n // _reciprocal_int(eps)
 
 
 def _nonincreasing(seq) -> bool:
@@ -212,7 +185,7 @@ def _nondecreasing(seq) -> bool:
 
 def _unit_inclusion(eps: float, m: int) -> CoefficientField:
     # shrinking-inclusion family: rho = eps, beta = eps^-2, on the unit pattern
-    spec = TwoPhaseInclusion(eps=eps, beta=float(_as_inv_eps(eps)) ** 2, rho=eps)
+    spec = TwoPhaseInclusion(eps=eps, beta=float(_reciprocal_int(eps)) ** 2, rho=eps)
     return rasterize(unit_pattern(spec), make_grid(2, (m, m)))
 
 
@@ -253,6 +226,7 @@ def run_thm22(
     tasks = []
     for eps, _, m in rungs:
         tasks += [(eps, m, eta, True), (eps, m, eta, False), (eps, 2 * m, eta, False)]
+    workers = pool_size(workers, len(tasks))
     done = iter(map_tasks(_thm22_task, tasks, workers, [t[1] ** 2 for t in tasks]))
     rows = []
     for eps, n, m in rungs:
@@ -260,20 +234,18 @@ def run_thm22(
         (lam, iters), t_lam = next(done)
         (lam2, _), t_lam2 = next(done)
         mesh_rel = abs(lam2 - lam) / max(abs(lam), 1e-300)
-        row = ExperimentRow(
-            eps=float(eps), n=n, eta=tuple(eta), lambda1=lam,
-            q_eta_eta=q_eta_eta, dispersion_value=disp_eps,
-            gap=abs(lam - q_eta_eta),
-            runtime_seconds=t_forms + t_lam + t_lam2,
-            iterations=iters,
-            extras={
-                "m": m,
-                "lambda1_doubled": lam2,
-                "mesh_rel_change": mesh_rel,
-                "mesh_pass": mesh_rel <= 0.01,
-            },
-        )
-        rows.append(row.as_dict())
+        rows.append({
+            "eps": float(eps), "n": n, "m": m, **eta_cells(eta),
+            "lambda1": lam,
+            "q_eta_eta": q_eta_eta,
+            "gap": abs(lam - q_eta_eta),
+            "dispersion_value": disp_eps,
+            "lambda1_doubled": lam2,
+            "mesh_rel_change": mesh_rel,
+            "mesh_pass": mesh_rel <= 0.01,
+            "iterations": iters,
+            "runtime_seconds": t_forms + t_lam + t_lam2,
+        })
 
     checks = {
         "gap_nonincreasing_pass": _nonincreasing([r["gap"] for r in rows]),
@@ -281,20 +253,13 @@ def run_thm22(
             [abs(r["dispersion_value"]) for r in rows]
         ),
     }
-    _spread_checks(rows, checks)
-    columns = [
-        "eps", "n", "m", "eta1", "eta2", "lambda1", "q_eta_eta", "gap",
-        "dispersion_value", "lambda1_doubled", "mesh_rel_change", "mesh_pass",
-        "iterations", "gap_nonincreasing_pass", "dispersion_nonincreasing_pass",
-    ]
     meta = {
         "experiment": "thm22",
         "microstructure": "two_phase(rho=eps, beta=eps^-2, shape=square)",
         "eta": [float(v) for v in eta],
         "q_normalization": Q_NORMALIZATION,
     }
-    return ExperimentTable("thm22", columns, rows, checks, meta,
-                           workers=pool_size(workers, len(tasks)))
+    return make_table("thm22", rows, workers, checks, meta)
 
 
 def _fiber_params(eps: float, gamma: float) -> tuple[float, float]:
@@ -353,6 +318,7 @@ def run_thm31(
         tasks += [(eps, gamma, m, eta_p, float(eta[2])), (eps, gamma, m, eta_p, 0.0)]
         if with_mesh_check:
             tasks.append((eps, gamma, 2 * m, eta_p, float(eta[2])))
+    workers = pool_size(workers, len(tasks))
     done = iter(map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks]))
     rows = []
     for eps, n, m in rungs:
@@ -362,27 +328,27 @@ def run_thm31(
         r_eps, beta = _fiber_params(eps, gamma)
         excess = lam - eta_sq
         ctrl_excess = ctrl_lam - float(eta_p @ eta_p)
-        extras = {
-            "m": m,
-            "r_eps": r_eps,
-            "beta": beta,
+        row = {
+            "eps": float(eps), "n": n, "m": m, "r_eps": r_eps, "beta": beta,
+            **eta_cells(eta),
+            "lambda1": lam,
+            "q_eta_eta": None,
+            "dispersion_value": None,
+            "gap": excess,
             "excess": excess,
             "control_lambda1": ctrl_lam,
             "control_excess": ctrl_excess,
             "excess_ratio": excess / max(abs(ctrl_excess), 1e-300),
+            "iterations": iters,
         }
         if with_mesh_check:
             (lam2, _), mesh_seconds = next(done)
             seconds += mesh_seconds
-            extras["lambda1_doubled"] = lam2
-            extras["mesh_rel_change"] = abs(lam2 - lam) / lam
-            extras["mesh_pass"] = extras["mesh_rel_change"] <= 0.01
-        row = ExperimentRow(
-            eps=float(eps), n=n, eta=tuple(eta), lambda1=lam,
-            gap=excess, runtime_seconds=seconds,
-            iterations=iters, extras=extras,
-        )
-        rows.append(row.as_dict())
+            mesh_rel = abs(lam2 - lam) / lam
+            row.update(lambda1_doubled=lam2, mesh_rel_change=mesh_rel,
+                       mesh_pass=mesh_rel <= 0.01)
+        row["runtime_seconds"] = seconds
+        rows.append(row)
 
     excesses = [r["excess"] for r in rows]
     checks = {
@@ -392,15 +358,6 @@ def run_thm31(
             abs(r["control_excess"]) <= 0.25 * gamma for r in rows
         ),
     }
-    _spread_checks(rows, checks)
-    columns = [
-        "eps", "n", "m", "r_eps", "beta", "eta1", "eta2", "eta3", "lambda1",
-        "q_eta_eta", "dispersion_value", "gap", "excess", "control_lambda1",
-        "control_excess", "excess_ratio", "iterations",
-    ]
-    if with_mesh_check:
-        columns += ["lambda1_doubled", "mesh_rel_change", "mesh_pass"]
-    columns += list(checks)
     meta = {
         "experiment": "thm31",
         "microstructure": "fiber_lattice(r=radius_for_gamma, beta=r^-2*eps^-5)",
@@ -409,8 +366,7 @@ def run_thm31(
         "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
         "q_normalization": Q_NORMALIZATION,
     }
-    return ExperimentTable("thm31", columns, rows, checks, meta,
-                           workers=pool_size(workers, len(tasks)))
+    return make_table("thm31", rows, workers, checks, meta)
 
 
 def run_gap_map(
@@ -441,6 +397,7 @@ def run_gap_map(
     rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
     cells = [(eps, n, m, t) for eps, n, m in rungs for t in t_list]
     tasks = [(eps, gamma, m, t * eta[:2], float(t * eta[2])) for eps, _, m, t in cells]
+    workers = pool_size(workers, len(tasks))
     done = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
     rows = []
     lam_at_1: dict[float, float] = {}
@@ -448,19 +405,14 @@ def run_gap_map(
         if t == 1.0:
             lam_at_1[eps] = lam
         r_eps, beta = _fiber_params(eps, gamma)
-        row = ExperimentRow(
-            eps=float(eps), n=n, eta=tuple(t * eta), lambda1=lam,
-            runtime_seconds=seconds,
-            iterations=iters,
-            extras={
-                "t": t,
-                "m": m,
-                "r_eps": r_eps,
-                "beta": beta,
-                "lambda1_over_t1": lam / lam_at_1[eps],
-            },
-        )
-        rows.append(row.as_dict())
+        rows.append({
+            "eps": float(eps), "t": t, "n": n, "m": m, "r_eps": r_eps, "beta": beta,
+            **eta_cells(t * eta),
+            "lambda1": lam,
+            "lambda1_over_t1": lam / lam_at_1[eps],
+            "iterations": iters,
+            "runtime_seconds": seconds,
+        })
 
     t_min = t_list[-1]
     vanishing = all(
@@ -472,12 +424,6 @@ def run_gap_map(
         lam >= 0.5 * gamma for eps, lam in lam_at_1.items() if eps <= 0.25 + 1e-12
     )
     checks = {"vanishing_at_small_t_pass": vanishing, "t1_floor_pass": floor}
-    _spread_checks(rows, checks)
-    columns = [
-        "eps", "t", "n", "m", "r_eps", "beta", "eta1", "eta2", "eta3",
-        "lambda1", "lambda1_over_t1", "iterations",
-        "vanishing_at_small_t_pass", "t1_floor_pass",
-    ]
     meta = {
         "experiment": "gap_map",
         "microstructure": "fiber_lattice(r=radius_for_gamma, beta=r^-2*eps^-5)",
@@ -486,8 +432,7 @@ def run_gap_map(
         "t_list": t_list,
         "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
     }
-    return ExperimentTable("gap_map", columns, rows, checks, meta,
-                           workers=pool_size(workers, len(tasks)))
+    return make_table("gap_map", rows, workers, checks, meta)
 
 
 def _pw_task(family: str, eps: float, gamma: float, m: int, lam: np.ndarray):
@@ -505,7 +450,7 @@ def _pw_task(family: str, eps: float, gamma: float, m: int, lam: np.ndarray):
 def run_pw(
     eps_list=None,
     family: str = "thm22",
-    lam=(0.25, 0.0),
+    eta=(0.25, 0.0),
     *,
     gamma: float = 2.0,
     workers: int = 1,
@@ -516,12 +461,13 @@ def run_pw(
     contrast).  Fiber family: ``C / (|ln r| mean(a))`` stays order one —
     the weighted constant tracks the conductivity mass and the log factor.
     Constants are computed on the unit cell of each family's pattern, one
-    :func:`map_tasks` task per eps.
+    :func:`map_tasks` task per eps.  ``eta`` is the weight direction of
+    :func:`pw_constant` (``lambda`` in the metadata).
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    lam2d = lam[:2]
+    eta = np.atleast_1d(np.asarray(eta, dtype=np.float64))
+    eta2d = eta[:2]
     if family == "thm22":
         eps_list = tuple(eps_list) if eps_list is not None else (1 / 2, 1 / 4, 1 / 8)
         rungs = [(eps, *_grid_sizes(eps, 2.0 * math.pi * eps * eps)) for eps in eps_list]
@@ -530,44 +476,32 @@ def run_pw(
             1 / 3, 1 / 4, 1 / 5, 1 / 6,
         )
         rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
-    tasks = [(family, eps, gamma, m, lam2d) for eps, _, m in rungs]
+    tasks = [(family, eps, gamma, m, eta2d) for eps, _, m in rungs]
+    workers = pool_size(workers, len(tasks))
     done = map_tasks(_pw_task, tasks, workers, [t[3] ** 2 for t in tasks])
     rows = []
     for (eps, n, m), ((C, mean_a), seconds) in zip(rungs, done):
+        row = {"eps": float(eps), "n": n, "m": m, **eta_cells(eta2d)}
         if family == "thm22":
-            extras = {"m": m, "pw_constant": C, "eps2_C": eps * eps * C}
+            row.update(pw_constant=C, eps2_C=eps * eps * C)
         else:
             r_eps, beta = _fiber_params(eps, gamma)
-            extras = {
-                "m": m,
-                "r_eps": r_eps,
-                "beta": beta,
-                "pw_constant": C,
-                "mean_a": mean_a,
-                "ratio": C / (abs(math.log(r_eps)) * mean_a),
-            }
-        row = ExperimentRow(
-            eps=float(eps), n=n, eta=tuple(lam2d), lambda1=C,
-            runtime_seconds=seconds, extras=extras,
-        )
-        rows.append(row.as_dict())
+            row.update(r_eps=r_eps, beta=beta, pw_constant=C, mean_a=mean_a,
+                       ratio=C / (abs(math.log(r_eps)) * mean_a))
+        row["runtime_seconds"] = seconds
+        rows.append(row)
     if family == "thm22":
         checks = {
             "eps2C_nonincreasing_pass": _nonincreasing(
                 [r["eps2_C"] for r in rows]
             )
         }
-        value_cols = ["pw_constant", "eps2_C"]
     else:
         checks = {"ratio_bounded_pass": all(r["ratio"] <= 10.0 for r in rows)}
-        value_cols = ["r_eps", "beta", "pw_constant", "mean_a", "ratio"]
-    _spread_checks(rows, checks)
-    columns = ["eps", "n", "m", "eta1", "eta2"] + value_cols + list(checks)
     meta = {
         "experiment": f"pw_{family}",
         "family": family,
-        "lambda": [float(v) for v in lam],
+        "lambda": [float(v) for v in eta],
         "gamma": gamma,
     }
-    return ExperimentTable(f"pw_{family}", columns, rows, checks, meta,
-                           workers=pool_size(workers, len(tasks)))
+    return make_table(f"pw_{family}", rows, workers, checks, meta)

@@ -52,7 +52,6 @@ class EigSolveReport:
     rel_residuals: np.ndarray    # residuals normalized by the pencil scale
     iterations: int
     converged: bool
-    seed: int = _DEFAULT_SEED
     meta: dict = field(default_factory=dict)
 
 
@@ -281,7 +280,6 @@ def smallest_eigpair(
     k: int = 1,
     *,
     tol: float = 1e-10,
-    seed: int = _DEFAULT_SEED,
     X0: np.ndarray | None = None,
     precond: Preconditioner | None = None,
 ) -> EigSolveReport:
@@ -322,10 +320,10 @@ def smallest_eigpair(
 
     block = min(max(k + 2, 2), n)
     if 3 * block >= n:  # subspace would span nearly everything; go dense
-        return _dense_smallest(B, M, k, seed, precond)
+        return _dense_smallest(B, M, k, precond)
 
     dtype = np.complex128 if np.iscomplexobj(B.data) else np.float64
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DEFAULT_SEED)
     X = np.empty((n, block), dtype=dtype)
     X[:, 0] = 1.0
     rand_cols = rng.standard_normal((n, block - 1))
@@ -447,7 +445,6 @@ def smallest_eigpair(
         rel_residuals=rel[order],
         iterations=it,
         converged=converged,
-        seed=seed,
         meta={"error_estimate": est, "inner_cg_steps": inner_steps},
     )
 
@@ -456,7 +453,6 @@ def _dense_smallest(
     B: sp.spmatrix,
     M: np.ndarray,
     k: int,
-    seed: int,
     precond: Preconditioner | None,
 ) -> EigSolveReport:
     # tiny systems only: the blocked subspace would exhaust the space
@@ -476,7 +472,6 @@ def _dense_smallest(
         rel_residuals=rel,
         iterations=0,
         converged=True,
-        seed=seed,
         meta={"error_estimate": est, "inner_cg_steps": 0},
     )
 
@@ -491,7 +486,6 @@ def largest_geneig(
     *,
     tol: float = 1e-8,
     cg_tol: float = 1e-10,
-    seed: int = _DEFAULT_SEED,
     precond: Preconditioner | None = None,
 ) -> float:
     """Maximum of ``x* W x`` subject to ``x* K x = 1`` over the subspace of
@@ -515,7 +509,7 @@ def largest_geneig(
         # subtract the weighted mean: the optimal constant shift
         return v - np.dot(w, v) / wsum
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DEFAULT_SEED)
     x = shift(rng.standard_normal(n))
     x /= np.linalg.norm(x)
     mu_prev = None

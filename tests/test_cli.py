@@ -1,13 +1,18 @@
+import inspect
 import json
 import math
 import os
+import re
 import resource
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blochlab.cli import _csv_cell, main, run_and_emit, write_csv
-from blochlab.config import parse_config
+from blochlab.cli import (
+    _HARNESS_KEYWORDS, _csv_cell, _harness, main, run_and_emit, write_csv,
+)
+from blochlab.config import _SCHEMA, EXPERIMENTS, parse_config
 from blochlab.fieldio import write_field_dump
 from blochlab.sparse_linalg import ConvergenceError
 
@@ -231,3 +236,66 @@ def test_main_exit_two_on_failed_checks(tmp_path, capsys):
     assert "assertion columns" in captured.err
     csv_text = (tmp_path / "out" / "experiment_thm22.csv").read_text()
     assert "fail" in csv_text
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: the smallest config of every table kind, keyed as in README's column block
+_SMALLEST = {
+    "homogenize": "command = homogenize\na = constant(1)\nn = 8\n",
+    "bloch": "command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n",
+    "dispersion": "command = dispersion\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n",
+    "pw": "command = pw\na = two_phase(eps=1/2, beta=4, rho=1/2)\nn = 16\n"
+          "eta = (1.0, 0.0)\n",
+    "capacity (annulus mode)": "command = capacity\nr = 0.28\nn = 64\n",
+    "capacity (sweep mode)": "command = capacity\neps = 1/3\ngamma = 2\n",
+    "experiment:thm22": "command = experiment:thm22\neps = 1/2\nn = 32\n",
+    "experiment:thm31": "command = experiment:thm31\neps = 1/3\n",
+    "experiment:gap_map": "command = experiment:gap_map\neps = 1/3\nt_list = 1, 1/4\n",
+    "experiment:pw_thm22": "command = experiment:pw_thm22\neps = 1/2\n",
+    "experiment:pw_fiber": "command = experiment:pw_fiber\neps = 1/3\n",
+}
+
+
+def _readme_column_orders() -> dict[str, str]:
+    """README's normative column orders; a line that starts with a space
+    continues the table above it."""
+    section = README.read_text(encoding="utf-8").split(
+        "### Normative CSV column orders", 1)[1].split("Floats are written", 1)[0]
+    orders: dict[str, str] = {}
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        for line in block.splitlines():
+            if line[:1].isspace():
+                orders[name] += line.strip()
+                continue
+            name, columns, *mode = line.split(maxsplit=2)
+            name = f"{name} {mode[0]}" if mode else name
+            orders[name] = columns
+    return orders
+
+
+def test_csv_headers_match_readme(tmp_path):
+    orders = _readme_column_orders()
+    assert set(orders) == set(_SMALLEST)
+    for name, text in _SMALLEST.items():
+        cfg = parse_config(text)
+        _, paths = run_and_emit(cfg, out_dir=tmp_path / name)
+        header = paths[0].read_text().splitlines()[0]
+        d = len(cfg.eta[0]) if cfg.eta else 0
+        expect = re.sub(r"(\w+)1,\.\.\.,\1d",
+                        lambda m: ",".join(f"{m[1]}{k}" for k in range(1, d + 1)),
+                        orders[name])
+        assert header == expect, name
+
+
+def test_experiment_keys_are_harness_parameters():
+    # a key the schema admits for an experiment is a keyword its harness reads
+    run_keys = {key for key, (_, cmds) in _SCHEMA.items() if cmds == "*"}
+    assert run_keys == {"command", "out", "q_normalization"}
+    for name in EXPERIMENTS:
+        params = inspect.signature(_harness(name)).parameters
+        keys = [key for key, (_, cmds) in _SCHEMA.items()
+                if cmds != "*" and f"experiment:{name}" in cmds]
+        assert keys, name
+        for key in keys:
+            assert _HARNESS_KEYWORDS[key] in params, (name, key)

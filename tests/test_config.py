@@ -146,6 +146,32 @@ def test_key_not_valid_for_command():
     assert "not valid for command" in msg
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("command = experiment:gap_map\nn = 999\n", "n", 2),
+    ("command = experiment:pw_fiber\neps = 1/3\nn = 12\n", "n", 3),
+    ("command = experiment:pw_thm22\ngamma = 77\n", "gamma", 2),
+    ("command = experiment:thm31\neta = (0.2, 0.2, 0.3); (0.1, 0.1, 0.3)\n", "eta", 2),
+    ("command = capacity\nr = 0.28\neps = 1/3\n", "eps", 3),
+    ("command = capacity\ngamma = 2\nr = 0.28\n", "gamma", 2),
+])
+def test_unread_keys_rejected(text, key, line):
+    # each of these keys would be parsed and then ignored by the command
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.key == key and exc.value.line == line
+
+
+@pytest.mark.parametrize("text, key", [
+    ("command = bloch\na = constant(1)\nn = 8\neta = ;\n", "eta"),
+    ("command = experiment:gap_map\nt_list = ,\n", "t_list"),
+    ("command = experiment:thm22\neps = , ,\n", "eps"),
+])
+def test_empty_list_rejected(text, key):
+    with pytest.raises(ConfigError, match="empty list") as exc:
+        parse_config(text)
+    assert exc.value.key == key
+
+
 def test_negative_gamma_rejected():
     msg = err("command = capacity\ngamma = -1\n")
     assert "strictly positive" in msg

@@ -13,9 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blochlab.experiments import (
-    ExperimentRow,
     ExperimentTable,
+    eta_cells,
     fiber_beta,
+    make_table,
     map_tasks,
     pool_size,
     resolve_resolution,
@@ -55,19 +56,25 @@ def test_resolve_resolution_errors_and_cap():
     assert n % 6 == 0
 
 
-def test_experiment_row_contract():
-    row = ExperimentRow(eps=0.5, n=32, eta=(0.25, 0.0), lambda1=0.1)
-    d = row.as_dict()
-    assert d["eta1"] == 0.25 and d["eta2"] == 0.0
-    assert "eta" not in d
-    assert d["q_eta_eta"] is None
-    with pytest.raises(ValueError, match="non-finite"):
-        ExperimentRow(eps=0.5, n=32, eta=(0.25, 0.0), lambda1=float("nan"))
+def test_make_table_columns_follow_row_order():
+    rows = [{"eps": 0.5, "n": 32, **eta_cells(np.array([0.25, 0.0])),
+             "lambda1": 0.1, "q_eta_eta": None, "runtime_seconds": 1.5}]
+    table = make_table("x", rows, 3, {"ok_pass": np.True_, "bad_pass": 0}, {"k": 1})
+    # check columns follow the row cells; the runtime stays for the sidecar only
+    assert table.columns == ["eps", "n", "eta1", "eta2", "lambda1", "q_eta_eta",
+                             "ok_pass", "bad_pass"]
+    row = table.rows[0]
+    assert row["runtime_seconds"] == 1.5
+    assert row["ok_pass"] is True and row["bad_pass"] is False
+    assert type(row["eta1"]) is float and row["q_eta_eta"] is None
+    assert table.workers == 3 and table.meta == {"k": 1} and not table.passed
+    assert make_table("y", [], 1).columns == []
 
 
-def test_experiment_row_extras_flatten():
-    row = ExperimentRow(eps=0.5, n=8, eta=(0.1,), lambda1=1.0, extras={"k": 2.0})
-    assert row.as_dict()["k"] == 2.0
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
+def test_make_table_rejects_non_finite_cells(bad):
+    with pytest.raises(ValueError, match="non-finite row entry mean_a"):
+        make_table("x", [{"eps": 0.5, "mean_a": bad}], 1)
 
 
 def test_table_passed_and_column():
