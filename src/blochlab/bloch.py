@@ -22,13 +22,16 @@ eigenvalue tends to ``|eta|^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import PeriodicGrid
 from .microstructure import CoefficientField
 from .sparse_linalg import EigSolveReport, Preconditioner, smallest_eigpair
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def canonical_momentum(eta: np.ndarray) -> np.ndarray:
@@ -91,6 +94,10 @@ def assemble_shifted(
     forward and backward neighbor along each axis, with the two faces of a
     2-cell axis summed into one entry; each row is then sorted by column.
     """
+    # the package's one sparse constructor: scipy loads at the first
+    # assembly, so config parsing, capacity and pool parents never import it
+    import scipy.sparse as sp
+
     grid = field.grid
     d, h, w, N = grid.d, grid.h, grid.cell_volume, grid.num_cells
     eta_arr = np.zeros(d) if eta is None else np.asarray(eta, dtype=np.float64)

@@ -216,14 +216,25 @@ def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
 
 def _peak_rss_mb(workers: int) -> dict:
     """Peak resident set so far, in MB: this process, and the largest of
-    its reaped pool workers (``None`` when no pool ran)."""
+    its reaped pool workers (``None`` when no pool ran).
+
+    This process's peak is ``VmHWM`` where ``/proc/self/status`` has it:
+    Linux carries ``ru_maxrss`` over ``exec``, so it would also report the
+    launcher's peak.  ``ru_maxrss`` is the fallback elsewhere.
+    """
     unit = 1024.0**2 if sys.platform == "darwin" else 1024.0  # bytes or KiB
 
     def mb(who: int) -> float:
         return resource.getrusage(who).ru_maxrss / unit
 
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            process = next(int(line.split()[1]) / 1024.0  # kB
+                           for line in fh if line.startswith(b"VmHWM:"))
+    except (OSError, StopIteration):
+        process = mb(resource.RUSAGE_SELF)
     return {
-        "process": mb(resource.RUSAGE_SELF),
+        "process": process,
         "workers": mb(resource.RUSAGE_CHILDREN) if workers > 1 else None,
     }
 

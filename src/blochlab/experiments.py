@@ -158,9 +158,10 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> list[tuple]:
     order = list(range(len(tasks)))
     if cost is not None:
         order.sort(key=lambda i: -cost[i])
-    # fork, not spawn: workers inherit numpy, scipy and blochlab already
-    # imported (tens of ms per worker instead of a fresh interpreter), and
-    # this process starts no threads of its own
+    # fork, not spawn: workers inherit numpy and blochlab already imported
+    # (tens of ms per worker instead of a fresh interpreter), and this
+    # process starts no threads of its own; scipy is not among them, so each
+    # worker imports it at its first assembly
     with multiprocessing.get_context("fork").Pool(n_workers) as pool:
         done = pool.starmap(_timed, [(fn, tasks[i]) for i in order], chunksize=1)
     out: list = [None] * len(tasks)
@@ -466,8 +467,9 @@ def run_pw(
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
-    eta = np.atleast_1d(np.asarray(eta, dtype=np.float64))
-    eta2d = eta[:2]
+    eta = np.asarray(eta, dtype=np.float64)
+    if eta.shape != (2,):
+        raise ValueError("eta must have two components")
     if family == "thm22":
         eps_list = tuple(eps_list) if eps_list is not None else (1 / 2, 1 / 4, 1 / 8)
         rungs = [(eps, *_grid_sizes(eps, 2.0 * math.pi * eps * eps)) for eps in eps_list]
@@ -476,12 +478,12 @@ def run_pw(
             1 / 3, 1 / 4, 1 / 5, 1 / 6,
         )
         rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
-    tasks = [(family, eps, gamma, m, eta2d) for eps, _, m in rungs]
+    tasks = [(family, eps, gamma, m, eta) for eps, _, m in rungs]
     workers = pool_size(workers, len(tasks))
     done = map_tasks(_pw_task, tasks, workers, [t[3] ** 2 for t in tasks])
     rows = []
     for (eps, n, m), ((C, mean_a), seconds) in zip(rungs, done):
-        row = {"eps": float(eps), "n": n, "m": m, **eta_cells(eta2d)}
+        row = {"eps": float(eps), "n": n, "m": m, **eta_cells(eta)}
         if family == "thm22":
             row.update(pw_constant=C, eps2_C=eps * eps * C)
         else:

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _DEFAULT_SEED = 24389
 _MACHEPS = np.finfo(np.float64).eps
@@ -558,7 +560,7 @@ def dense_oracle(
     :func:`smallest_eigpair`.  Intended for cross-checking at dimension
     <= 4096.
     """
-    A = B.toarray() if sp.issparse(B) else np.array(B, copy=True)
+    A = B.toarray() if hasattr(B, "toarray") else np.array(B, copy=True)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("square matrix required")

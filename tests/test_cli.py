@@ -4,11 +4,14 @@ import math
 import os
 import re
 import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blochlab.cli
 from blochlab.cli import (
     _HARNESS_KEYWORDS, _csv_cell, _harness, main, run_and_emit, write_csv,
 )
@@ -188,6 +191,76 @@ def test_main_success_prints_paths(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].endswith("homogenize.csv")
     assert lines[1].endswith("homogenize.json")
+
+
+def test_main_pw_experiment_rejects_third_eta_component(tmp_path, capsys):
+    p = write_cfg(tmp_path, "command = experiment:pw_thm22\neps = 1/2\n"
+                            "eta = (0.25, 0.0, 9)\n")
+    rc = run_main(["--config", p, "--out", tmp_path / "out"])
+    assert rc == 1
+    assert "eta must have two components" in capsys.readouterr().err
+
+
+#: the directory holding the ``blochlab`` package under test
+_PACKAGE_ROOT = Path(blochlab.cli.__file__).resolve().parents[1]
+
+
+def _python(code: str, *args) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package under test."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(_PACKAGE_ROOT)] + ([path] if path else [])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+_IMPORT_PROBE = r"""
+import json, sys
+import blochlab.cli as cli
+
+report = {"blochlab": [m for m in sys.modules if m.split(".")[0] == "blochlab"],
+          "scipy_at_import": [m for m in sys.modules if m.startswith("scipy")]}
+cli.parse_config("command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n")
+code, _ = cli.run_and_emit(cli.parse_config("command = capacity\nr = 0.28\nn = 64\n"),
+                           out_dir=sys.argv[1])
+report["capacity_code"] = code
+report["scipy_after_runs"] = [m for m in sys.modules if m.startswith("scipy")]
+print(json.dumps(report))
+"""
+
+
+def test_import_loads_every_module_and_no_scipy(tmp_path):
+    # perfbench's tracer needs every module loaded by `import blochlab.cli`;
+    # scipy loads only at the first sparse assembly, so config parsing and
+    # the capacity command never pay for it
+    proc = _python(_IMPORT_PROBE, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    expected = {"blochlab"} | {f"blochlab.{p.stem}" for p in
+                               (_PACKAGE_ROOT / "blochlab").glob("*.py")
+                               if p.stem != "__init__"}
+    assert set(report["blochlab"]) == expected
+    assert report["scipy_at_import"] == []
+    assert report["capacity_code"] == 0
+    assert report["scipy_after_runs"] == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="VmHWM is read from /proc/self/status")
+def test_sidecar_rss_excludes_the_launcher(tmp_path):
+    # Linux carries ru_maxrss over exec; the sidecar must report the CLI's
+    # own peak, not that of a launcher holding 100 MB
+    cfg = write_cfg(tmp_path, "command = capacity\nr = 0.28\nn = 64\n")
+    launcher = (
+        "import subprocess, sys\n"
+        "ballast = b'x' * (100 << 20)\n"
+        "argv = [sys.executable, '-m', 'blochlab.cli', *sys.argv[1:]]\n"
+        "sys.exit(subprocess.run(argv).returncode)\n"
+    )
+    proc = _python(launcher, "--config", cfg, "--out", tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((tmp_path / "out" / "capacity.json").read_text())
+    assert 0 < meta["peak_rss_mb"]["process"] < 100
 
 
 def test_main_has_no_seed_flag(tmp_path):

@@ -210,3 +210,5 @@ def test_pw_small_runs():
 def test_pw_validation():
     with pytest.raises(ValueError, match="unknown family"):
         run_pw(family="other")
+    with pytest.raises(ValueError, match="eta must have two components"):
+        run_pw(eta=(0.25, 0.0, 9))
