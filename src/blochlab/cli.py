@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bloch import bloch_lambda1
 from .capacity import CapacityProfile, annulus_energy, scaled_energy
-from .cell_problems import dispersion, homogenized, pw_constant
+from .cell_problems import Q_NORMALIZATION, dispersion, homogenized, pw_constant
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
     ExperimentTable,
@@ -75,13 +75,6 @@ def git_describe() -> str:
     except OSError:
         pass
     return "unknown"
-
-
-def _require_field(cfg: RunConfig) -> None:
-    if cfg.a is None:
-        raise ConfigError(f"command {cfg.command!r} requires key 'a'")
-    if cfg.n is None:
-        raise ConfigError(f"command {cfg.command!r} needs a resolution n")
 
 
 def _momentum_task(command: str, a, n: int, eta) -> dict:
@@ -148,38 +141,30 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     """
     name = cfg.command
     if name == "homogenize":
-        _require_field(cfg)
         return _task_table(name, _homogenize_task, [{}], [(cfg.a, cfg.n)], workers)
 
     if name in ("bloch", "dispersion", "pw"):
-        _require_field(cfg)
         prefix = "lambda" if name == "pw" else "eta"  # pw: eta is the direction
         keys = [eta_cells(eta, prefix) for eta in cfg.eta]
         tasks = [(name, cfg.a, cfg.n, eta) for eta in cfg.eta]
         return _task_table(name, _momentum_task, keys, tasks, workers)
 
-    if name == "capacity":
-        R = float(cfg.R) if cfg.R is not None else CapacityProfile.DEFAULT_R
-        if cfg.r is not None:
-            r, n = float(cfg.r), cfg.n or 512
-            return _task_table(name, _annulus_task, [{"r": r, "R": R, "n": n}],
-                               [(r, R, n)], workers)
-        if cfg.eps and cfg.gamma is not None:
-            gamma = float(cfg.gamma)
-            keys, tasks = [], []
-            for eps_f in cfg.eps:
-                eps = float(eps_f)
-                r = radius_for_gamma(eps, gamma)
-                n = cfg.n or resolve_resolution(eps, 2.0 * eps * r)
-                keys.append({"eps": eps, "gamma": gamma, "r": r, "R": R, "n": n})
-                tasks.append((eps, gamma, r, R, n))
-            return _task_table(name, _scaled_energy_task, keys, tasks, workers,
-                               [t[-1] ** 2 for t in tasks])
-        raise ConfigError(
-            "capacity needs either r (annulus check) or eps and gamma "
-            "(scaled-energy sweep)")
-
-    raise ConfigError(f"unhandled command {name!r}")  # pragma: no cover
+    # capacity: the config holds r (annulus check) or eps and gamma (sweep)
+    R = float(cfg.R) if cfg.R is not None else CapacityProfile.DEFAULT_R
+    if cfg.r is not None:
+        r, n = float(cfg.r), cfg.n or 512
+        return _task_table(name, _annulus_task, [{"r": r, "R": R, "n": n}],
+                           [(r, R, n)], workers)
+    gamma = float(cfg.gamma)
+    keys, tasks = [], []
+    for eps_f in cfg.eps:
+        eps = float(eps_f)
+        r = radius_for_gamma(eps, gamma)
+        n = cfg.n or resolve_resolution(eps, 2.0 * eps * r)
+        keys.append({"eps": eps, "gamma": gamma, "r": r, "R": R, "n": n})
+        tasks.append((eps, gamma, r, R, n))
+    return _task_table(name, _scaled_energy_task, keys, tasks, workers,
+                       [t[-1] ** 2 for t in tasks])
 
 
 #: config key -> the keyword of every experiment harness that reads it; the
@@ -268,7 +253,7 @@ def run_and_emit(
         "workers": table.workers,
         "package_version": __version__,
         "git_describe": git_describe(),
-        "q_normalization": cfg.q_normalization,
+        "q_normalization": Q_NORMALIZATION,
         "columns": table.columns,
         "checks": {k: bool(v) for k, v in table.checks.items()},
         "table_meta": table.meta,

@@ -2,17 +2,23 @@
 
 Grammar (UTF-8, ``#`` comments):
 
-* scalars — integers, floats, exact fractions (``1/6``), bare words;
+* scalars — finite decimal integers and floats, exact fractions (``1/6``),
+  bare words;
 * tuples — ``(0.3, 0.2)``;
 * constructor calls — ``two_phase(eps=1/6, beta=36, rho=1/6, shape=square)``
   (the nested section of the document: named arguments under one key);
 * semicolon lists — ``(0.3,0.2); (0.1,0.0)`` or ``1/2, 1/4, 1/8`` for the
   epsilon ladder.
 
-Unknown keys, wrong types, and constraint violations are rejected with the
-key path and line number.  ``serialize`` emits the canonical form (schema
-key order, defaults filled, shortest float representation, fractions kept
-exact), and parse -> serialize -> parse is the identity.
+Two tables hold the schema: ``_KINDS`` gives every key its value kind, and
+``_COMMANDS`` gives every command the keys it requires and the keys it may
+take; ``_CONSTRUCTORS`` does the same for the arguments of each
+microstructure constructor.  Unknown keys, keys the command does not read,
+missing keys, wrong types and constraint violations (the microstructure
+specs' own checks included) are all rejected here, with the key and line
+number.  ``serialize`` emits the canonical form (``_KINDS`` order, defaults
+filled, shortest float representation, fractions kept exact), and
+parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -31,47 +37,38 @@ from .microstructure import (
     radius_for_gamma,
 )
 
-COMMANDS = ("homogenize", "bloch", "dispersion", "pw", "capacity")
-EXPERIMENTS = ("thm22", "thm31", "gap_map", "pw_thm22", "pw_fiber")
-
-#: schema: key -> (kind, commands it applies to); "*" = every command
-_SCHEMA = {
-    "command": ("command", "*"),
-    "a": ("microstructure", ("homogenize", "bloch", "dispersion", "pw")),
-    "eta": ("vector_list", ("bloch", "dispersion", "pw", "experiment:thm22",
-                            "experiment:thm31", "experiment:gap_map",
-                            "experiment:pw_thm22", "experiment:pw_fiber")),
-    "eps": ("fraction_list", ("experiment:thm22", "experiment:thm31",
-                              "experiment:gap_map", "experiment:pw_thm22",
-                              "experiment:pw_fiber", "capacity")),
-    "n": ("positive_int", ("homogenize", "bloch", "dispersion", "pw", "capacity",
-                           "experiment:thm22", "experiment:thm31")),
-    "out": ("string", "*"),
-    "q_normalization": ("q_norm", "*"),
-    "gamma": ("positive", ("experiment:thm31", "experiment:gap_map",
-                           "experiment:pw_fiber", "capacity")),
-    "t_list": ("number_list", ("experiment:gap_map",)),
-    "r": ("positive", ("capacity",)),
-    "R": ("positive", ("capacity",)),
+#: key -> value kind, in canonical (serialization) order
+_KINDS = {
+    "command": "command",
+    "a": "microstructure",
+    "eta": "vector_list",
+    "eps": "fraction_list",
+    "n": "positive_int",
+    "out": "string",
+    "gamma": "positive",
+    "t_list": "number_list",
+    "r": "positive",
+    "R": "positive",
 }
 
-_REQUIRED = {
-    "homogenize": ("a",),
-    "bloch": ("a", "eta"),
-    "dispersion": ("a", "eta"),
-    "pw": ("a", "eta"),
-    "capacity": (),
-    "experiment:thm22": (),
-    "experiment:thm31": (),
-    "experiment:gap_map": (),
-    "experiment:pw_thm22": (),
-    "experiment:pw_fiber": (),
+#: command -> (required keys, optional keys); ``command`` and ``out`` apply
+#: to every command.  ``capacity`` also needs ``r`` (annulus check) or both
+#: ``eps`` and ``gamma`` (scaled-energy sweep), never both modes.
+_COMMANDS = {
+    "homogenize": (("a", "n"), ()),
+    "bloch": (("a", "eta", "n"), ()),
+    "dispersion": (("a", "eta", "n"), ()),
+    "pw": (("a", "eta", "n"), ()),
+    "capacity": ((), ("eps", "n", "gamma", "r", "R")),
+    "experiment:thm22": ((), ("eta", "eps", "n")),
+    "experiment:thm31": ((), ("eta", "eps", "n", "gamma")),
+    "experiment:gap_map": ((), ("eta", "eps", "gamma", "t_list")),
+    "experiment:pw_thm22": ((), ("eta", "eps")),
+    "experiment:pw_fiber": ((), ("eta", "eps", "gamma")),
 }
 
-_DEFAULTS = {
-    "out": ".",
-    "q_normalization": "cell-average",
-}
+COMMANDS = tuple(c for c in _COMMANDS if not c.startswith("experiment:"))
+EXPERIMENTS = tuple(c.split(":", 1)[1] for c in _COMMANDS if c.startswith("experiment:"))
 
 
 class ConfigError(ValueError):
@@ -96,27 +93,22 @@ class RunConfig:
 
     command: str
     a: object | None = None           # microstructure spec
-    a_form: tuple | None = None       # (constructor name, kwargs) for a
+    a_form: tuple | None = None       # (constructor name, arguments) for a
     eta: list | None = None           # list of momentum tuples
     eps: list | None = None           # list of Fractions
     n: int | None = None
     out: str = "."
-    q_normalization: str = "cell-average"
     gamma: object | None = None
     t_list: list | None = None
     r: object | None = None
     R: object | None = None
 
     def serialize(self) -> str:
-        lines = [f"command = {self.command}"]
-        for key in ("a", "eta", "eps", "n", "out", "q_normalization",
-                    "gamma", "t_list", "r", "R"):
-            if not _key_applies(key, self.command):
-                continue
+        lines = []
+        for key in _KINDS:
             value = self.a_form if key == "a" else getattr(self, key)
-            if value is None:
-                continue
-            lines.append(f"{key} = {_format_value(key, value)}")
+            if value is not None:
+                lines.append(f"{key} = {_format_value(key, value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -138,33 +130,17 @@ def _fmt_tuple(t) -> str:
     return "(" + ", ".join(_fmt_number(v) for v in t) + ")"
 
 
-_MICRO_ARG_ORDER = {
-    "constant": ("value",),
-    "two_phase": ("eps", "beta", "rho", "shape"),
-    "fiber": ("eps", "gamma", "beta"),
-    "fiber_lattice": ("eps", "r", "beta", "R"),
-    "from_file": ("path",),
-}
-
-
 def _format_value(key: str, value) -> str:
-    kind = _SCHEMA[key][0]
+    kind = _KINDS[key]
     if kind == "microstructure":
-        name, kwargs = value
-        order = _MICRO_ARG_ORDER[name]
-        parts = []
-        for arg in order:
-            if arg not in kwargs:
-                continue
-            v = kwargs[arg]
-            parts.append(f"{arg}={v if isinstance(v, str) else _fmt_number(v)}")
-        return f"{name}({', '.join(parts)})"
+        name, args = value
+        return name + "(" + ", ".join(
+            f"{arg}={v if isinstance(v, str) else _fmt_number(v)}"
+            for arg, v in args.items()) + ")"
     if kind == "vector_list":
         return "; ".join(_fmt_tuple(t) for t in value)
     if kind in ("fraction_list", "number_list"):
         return ", ".join(_fmt_number(v) for v in value)
-    if kind == "positive_int":
-        return str(value)
     if kind == "positive":
         return _fmt_number(value)
     return str(value)
@@ -174,30 +150,32 @@ def _format_value(key: str, value) -> str:
 # scanning
 
 
-_NUMBER_RE = re.compile(
-    r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?"
-)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.:\-]*")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_NUMBER_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _parse_number(text: str, line: int, key: str):
-    """int, float, or Fraction from a scalar token."""
+    """int, float, or exact Fraction from a finite decimal scalar token."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            f = Fraction(int(num.strip()), int(den.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad fraction {text!r} ({exc})",
-                              line=line, key=key) from None
-        return f
+    num, slash, den = (part.strip() for part in text.partition("/"))
     try:
-        if re.fullmatch(r"[+-]?\d+", text):
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}",
-                          line=line, key=key) from None
+        if slash:
+            if not (_INT_RE.fullmatch(num) and _INT_RE.fullmatch(den)):
+                raise ValueError
+            value = Fraction(int(num), int(den))
+        elif _INT_RE.fullmatch(text):
+            value = int(text)
+        elif _NUMBER_RE.fullmatch(text):
+            value = float(text)
+        else:
+            raise ValueError
+        if not math.isfinite(float(value)):  # float() of a huge int overflows
+            raise ValueError
+    except (ValueError, ArithmeticError):
+        raise ConfigError(
+            f"expected a finite decimal number or fraction, got {text!r}",
+            line=line, key=key) from None
+    return value
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -227,6 +205,7 @@ def _parse_tuple(text: str, line: int, key: str) -> tuple:
 
 
 def _parse_call(text: str, line: int, key: str):
+    """``(name, {argument: text})``; an unnamed argument is keyed ``None``."""
     m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$", text, re.S)
     if not m:
         raise ConfigError(
@@ -238,29 +217,17 @@ def _parse_call(text: str, line: int, key: str):
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            # single positional argument allowed: constant(1)
-            kwargs[None] = part
-            continue
-        arg, _, val = part.partition("=")
-        kwargs[arg.strip()] = val.strip()
+        arg, eq, val = part.partition("=")
+        arg = arg.strip() if eq else None
+        if arg in kwargs:
+            raise ConfigError(f"{name}() argument given twice: {part!r}",
+                              line=line, key=key)
+        kwargs[arg] = val.strip() if eq else part
     return name, kwargs
 
 
 # ---------------------------------------------------------------------------
 # microstructure constructors
-
-
-def _require_args(name, kwargs, allowed, required, line, key):
-    for arg in kwargs:
-        if arg not in allowed:
-            raise ConfigError(
-                f"unknown argument {arg!r} for {name}(); allowed: "
-                f"{', '.join(a for a in allowed if a)}", line=line, key=key)
-    for arg in required:
-        if arg not in kwargs:
-            raise ConfigError(f"{name}() needs argument {arg!r}",
-                              line=line, key=key)
 
 
 def _positive(value, what, line, key):
@@ -273,83 +240,71 @@ def _positive(value, what, line, key):
     return value
 
 
+def _fiber(eps: float, gamma: float, beta: float | None = None) -> FiberLattice:
+    """Fiber lattice whose radius gives capacity density ``gamma``."""
+    r = radius_for_gamma(eps, gamma)
+    return FiberLattice(eps=eps, r_eps=r,
+                        beta=default_beta(eps, r) if beta is None else beta)
+
+
+_NEEDED = object()
+
+#: constructor -> ({argument: default}, spec builder).  The arguments are in
+#: canonical order; ``_NEEDED`` marks a required one and ``None`` an
+#: optional one with no default.  The builder gets every argument given or
+#: defaulted by name, ``shape`` and ``path`` as words and the rest as floats.
+_CONSTRUCTORS = {
+    "constant": ({"value": 1}, lambda value: Constant(value)),
+    "two_phase": ({"eps": _NEEDED, "beta": _NEEDED, "rho": _NEEDED,
+                   "shape": "square"}, TwoPhaseInclusion),
+    "fiber": ({"eps": _NEEDED, "gamma": _NEEDED, "beta": None}, _fiber),
+    "fiber_lattice": ({"eps": _NEEDED, "r": _NEEDED, "beta": _NEEDED,
+                       "R": None}, lambda r, **kw: FiberLattice(r_eps=r, **kw)),
+    "from_file": ({"path": _NEEDED}, FromFile),
+}
+_WORD_ARGS = ("shape", "path")
+
+
 def _build_microstructure(text: str, line: int, key: str):
-    name, kw = _parse_call(text, line, key)
-    if name == "constant":
-        _require_args(name, kw, (None, "value"), (), line, key)
-        raw = kw.get("value", kw.get(None, "1"))
-        value = _parse_number(raw, line, key)
-        return Constant(float(_positive(value, "constant coefficient", line, key))), ("constant", {"value": value})
-    if name == "two_phase":
-        _require_args(name, kw, ("eps", "beta", "rho", "shape"),
-                      ("eps", "beta", "rho"), line, key)
-        eps = _parse_number(kw["eps"], line, key)
-        beta = _parse_number(kw["beta"], line, key)
-        rho = _parse_number(kw["rho"], line, key)
-        shape = kw.get("shape", "square")
-        if shape not in ("square", "disc"):
-            raise ConfigError(f"shape must be square or disc, got {shape!r}",
+    """``(spec, (name, arguments))`` of a constructor call; every failure,
+    the spec's own checks included, is a :class:`ConfigError`."""
+    name, given = _parse_call(text, line, key)
+    if name not in _CONSTRUCTORS:
+        raise ConfigError(f"unknown microstructure {name!r}; known: "
+                          f"{', '.join(_CONSTRUCTORS)}", line=line, key=key)
+    params, build = _CONSTRUCTORS[name]
+    if None in given:  # a sole argument may go unnamed: constant(2)
+        first, *rest = params
+        if rest:
+            raise ConfigError(f"{name}() takes named arguments only",
                               line=line, key=key)
-        spec = TwoPhaseInclusion(
-            eps=float(_positive(eps, "eps", line, key)),
-            beta=float(_positive(beta, "beta", line, key)),
-            rho=float(_positive(rho, "rho", line, key)),
-            shape=shape,
-        )
-        return spec, ("two_phase", {
-            "eps": eps, "beta": beta, "rho": rho, "shape": shape})
-    if name == "fiber":
-        _require_args(name, kw, ("eps", "gamma", "beta"), ("eps", "gamma"),
-                      line, key)
-        eps = _parse_number(kw["eps"], line, key)
-        gamma = _parse_number(kw["gamma"], line, key)
-        _positive(eps, "eps", line, key)
-        _positive(gamma, "gamma", line, key)
-        r = radius_for_gamma(float(eps), float(gamma))
-        if "beta" in kw:
-            beta = _parse_number(kw["beta"], line, key)
-            _positive(beta, "beta", line, key)
-        else:
-            beta = default_beta(float(eps), r)
-        spec = FiberLattice(eps=float(eps), r_eps=r, beta=float(beta))
-        form = {"eps": eps, "gamma": gamma}
-        if "beta" in kw:
-            form["beta"] = beta
-        return spec, ("fiber", form)
-    if name == "fiber_lattice":
-        _require_args(name, kw, ("eps", "r", "beta", "R"), ("eps", "r", "beta"),
-                      line, key)
-        eps = _parse_number(kw["eps"], line, key)
-        r = _parse_number(kw["r"], line, key)
-        beta = _parse_number(kw["beta"], line, key)
-        _positive(eps, "eps", line, key)
-        _positive(r, "fiber radius", line, key)
-        _positive(beta, "beta", line, key)
-        kwargs = dict(eps=float(eps), r_eps=float(r), beta=float(beta))
-        form = {"eps": eps, "r": r, "beta": beta}
-        if "R" in kw:
-            R = _parse_number(kw["R"], line, key)
-            kwargs["R"] = float(_positive(R, "R", line, key))
-            form["R"] = R
-        return FiberLattice(**kwargs), ("fiber_lattice", form)
-    if name == "from_file":
-        _require_args(name, kw, ("path", None), (), line, key)
-        path = kw.get("path", kw.get(None))
-        if path is None:
-            raise ConfigError("from_file() needs a path", line=line, key=key)
-        return FromFile(path), ("from_file", {"path": path})
-    raise ConfigError(
-        f"unknown microstructure {name!r}; known: constant, two_phase, "
-        f"fiber, fiber_lattice, from_file", line=line, key=key)
+        if first in given:
+            raise ConfigError(f"{name}() argument {first!r} given twice",
+                              line=line, key=key)
+        given[first] = given.pop(None)
+    for arg in given:
+        if arg not in params:
+            raise ConfigError(f"unknown argument {arg!r} for {name}(); "
+                              f"allowed: {', '.join(params)}", line=line, key=key)
+    form = {}
+    for arg, default in params.items():
+        if arg in given:
+            raw = given[arg]
+            form[arg] = raw if arg in _WORD_ARGS else _parse_number(raw, line, key)
+        elif default is _NEEDED:
+            raise ConfigError(f"{name}() needs argument {arg!r}", line=line, key=key)
+        elif default is not None:
+            form[arg] = default
+    try:
+        spec = build(**{arg: v if arg in _WORD_ARGS else float(v)
+                        for arg, v in form.items()})
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(str(exc), line=line, key=key) from None
+    return spec, (name, form)
 
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-def _key_applies(key: str, command: str) -> bool:
-    _, cmds = _SCHEMA[key]
-    return cmds == "*" or command in cmds
 
 
 def parse_config(text: str) -> RunConfig:
@@ -364,9 +319,9 @@ def parse_config(text: str) -> RunConfig:
                               line=lineno)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA:
+        if key not in _KINDS:
             raise ConfigError(
-                f"unknown key {key!r}; known keys: {', '.join(_SCHEMA)}",
+                f"unknown key {key!r}; known keys: {', '.join(_KINDS)}",
                 line=lineno, key=key)
         if key in entries:
             raise ConfigError("duplicate key", line=lineno, key=key)
@@ -377,26 +332,24 @@ def parse_config(text: str) -> RunConfig:
     if "command" not in entries:
         raise ConfigError("missing required key 'command'")
     command, cmd_line = entries.pop("command")
-    if command.startswith("experiment:"):
-        name = command.split(":", 1)[1]
-        if name not in EXPERIMENTS:
+    if command not in _COMMANDS:
+        if command.startswith("experiment:"):
             raise ConfigError(
-                f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}",
-                line=cmd_line, key="command")
-    elif command not in COMMANDS:
+                f"unknown experiment {command.split(':', 1)[1]!r}; "
+                f"known: {', '.join(EXPERIMENTS)}", line=cmd_line, key="command")
         raise ConfigError(
             f"unknown command {command!r}; known: {', '.join(COMMANDS)} "
             f"or experiment:<name>", line=cmd_line, key="command")
+    required, optional = _COMMANDS[command]
 
     cfg = RunConfig(command=command)
     for key, (value, lineno) in entries.items():
-        if not _key_applies(key, command):
+        if key != "out" and key not in required + optional:
             raise ConfigError(
                 f"key not valid for command {command!r}", line=lineno, key=key)
-        kind = _SCHEMA[key][0]
+        kind = _KINDS[key]
         if kind == "microstructure":
-            parsed, form = _build_microstructure(value, lineno, key)
-            cfg.a_form = form
+            parsed, cfg.a_form = _build_microstructure(value, lineno, key)
         elif kind == "vector_list":
             parts = [p for p in value.split(";") if p.strip()]
             parsed = [_parse_tuple(p, lineno, key) for p in parts]
@@ -409,50 +362,38 @@ def parse_config(text: str) -> RunConfig:
             if len(parsed) > 1 and command.startswith("experiment:"):
                 raise ConfigError("an experiment takes one momentum tuple",
                                   line=lineno, key=key)
-        elif kind == "fraction_list":
+        elif kind in ("fraction_list", "number_list"):
             parsed = [_parse_number(p, lineno, key)
                       for p in _split_top(value, ",") if p.strip()]
-            for v in parsed:
-                _positive(v, "eps", lineno, key)
-        elif kind == "number_list":
-            parsed = [_parse_number(p, lineno, key)
-                      for p in _split_top(value, ",") if p.strip()]
+            if kind == "fraction_list":
+                for v in parsed:
+                    _positive(v, "eps", lineno, key)
         elif kind == "positive_int":
-            v = _parse_number(value, lineno, key)
-            if not isinstance(v, int) or v < 1:
+            parsed = _parse_number(value, lineno, key)
+            if not isinstance(parsed, int) or parsed < 1:
                 raise ConfigError(f"expected a positive integer, got {value!r}",
                                   line=lineno, key=key)
-            parsed = v
         elif kind == "positive":
             parsed = _positive(_parse_number(value, lineno, key),
                                key, lineno, key)
-        elif kind == "q_norm":
-            if value != "cell-average":
-                raise ConfigError(
-                    "the only supported normalization is 'cell-average' "
-                    "(effective matrices are cell averages of the flux)",
-                    line=lineno, key=key)
+        else:  # "string"
             parsed = value
-        elif kind == "string":
-            parsed = value
-        else:  # pragma: no cover
-            raise ConfigError(f"unhandled kind {kind}", line=lineno, key=key)
         if kind.endswith("_list") and not parsed:
             raise ConfigError("empty list", line=lineno, key=key)
         setattr(cfg, key, parsed)
 
-    for key, default in _DEFAULTS.items():
-        if getattr(cfg, key, None) in (None,) and _key_applies(key, command):
-            setattr(cfg, key, default)
-
-    for key in _REQUIRED[command]:
-        if getattr(cfg, key) is None:
+    for key in required:
+        if key not in entries:
             raise ConfigError(f"command {command!r} requires key {key!r}",
-                              key=key)
-    if command == "capacity" and cfg.r is not None:
+                              line=cmd_line, key=key)
+    if command == "capacity":  # the annulus check (r) or the sweep (eps, gamma)
         for key in ("eps", "gamma"):
-            if key in entries:
+            if "r" in entries and key in entries:
                 raise ConfigError(
                     "not read in the annulus mode of capacity (r is set)",
                     line=entries[key][1], key=key)
+            if "r" not in entries and key not in entries:
+                raise ConfigError(
+                    "capacity needs either r (annulus check) or eps and gamma "
+                    "(scaled-energy sweep)", line=cmd_line, key=key)
     return cfg

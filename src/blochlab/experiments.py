@@ -171,9 +171,16 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> list[tuple]:
 
 
 def _grid_sizes(eps: float, extent: float, resolution: int | None = None):
-    """``(n, m)``: full-grid cells per axis and unit-pattern cells per axis."""
+    """``(n, m)``: full-grid cells per axis and unit-pattern cells per axis.
+
+    A ``resolution`` override must be a multiple of ``1/eps``.
+    """
+    s = _reciprocal_int(eps)
     n = resolution or resolve_resolution(eps, extent)
-    return n, n // _reciprocal_int(eps)
+    if n % s:
+        raise ValueError(f"resolution n = {n} is not a multiple of 1/eps = {s} "
+                         f"(eps = {eps})")
+    return n, n // s
 
 
 def _nonincreasing(seq) -> bool:

@@ -51,7 +51,7 @@ class TwoPhaseInclusion:
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.shape not in ("square", "disc"):
-            raise ValueError(f"shape must be 'square' or 'disc', got {self.shape!r}")
+            raise ValueError(f"shape must be square or disc, got {self.shape!r}")
 
 
 @dataclass(frozen=True)

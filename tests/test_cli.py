@@ -15,7 +15,7 @@ import blochlab.cli
 from blochlab.cli import (
     _HARNESS_KEYWORDS, _csv_cell, _harness, main, run_and_emit, write_csv,
 )
-from blochlab.config import _SCHEMA, EXPERIMENTS, parse_config
+from blochlab.config import _COMMANDS, _KINDS, EXPERIMENTS, ConfigError, parse_config
 from blochlab.fieldio import write_field_dump
 from blochlab.sparse_linalg import ConvergenceError
 
@@ -163,11 +163,10 @@ def test_capacity_annulus_mode(tmp_path):
 
 
 def test_capacity_needs_a_mode(tmp_path):
-    cfg = parse_config("command = capacity\n")
+    with pytest.raises(ConfigError, match="either r .* or eps and gamma"):
+        parse_config("command = capacity\n")
     rc = run_main(["--config", write_cfg(tmp_path, "command = capacity\n")])
     assert rc == 1
-    with pytest.raises(Exception):
-        run_and_emit(cfg, out_dir=tmp_path)
 
 
 def test_from_file_field(tmp_path):
@@ -362,13 +361,23 @@ def test_csv_headers_match_readme(tmp_path):
 
 
 def test_experiment_keys_are_harness_parameters():
-    # a key the schema admits for an experiment is a keyword its harness reads
-    run_keys = {key for key, (_, cmds) in _SCHEMA.items() if cmds == "*"}
-    assert run_keys == {"command", "out", "q_normalization"}
+    # a key the command table admits for an experiment is a keyword its
+    # harness reads; only command and out apply to every command
+    command_keys = {key for keys in _COMMANDS.values() for key in keys[0] + keys[1]}
+    assert set(_KINDS) - command_keys == {"command", "out"}
     for name in EXPERIMENTS:
         params = inspect.signature(_harness(name)).parameters
-        keys = [key for key, (_, cmds) in _SCHEMA.items()
-                if cmds != "*" and f"experiment:{name}" in cmds]
+        required, optional = _COMMANDS[f"experiment:{name}"]
+        keys = required + optional
         assert keys, name
         for key in keys:
             assert _HARNESS_KEYWORDS[key] in params, (name, key)
+
+
+def test_config_keys_match_readme():
+    # README's config key table lists exactly the keys the parser knows
+    table = README.read_text(encoding="utf-8").split(
+        "| key | meaning | applies to |", 1)[1].split("\n\n", 1)[0]
+    keys = {key for cell in re.findall(r"^\| ([^|]*) \|", table, re.M)
+            for key in re.findall(r"`(\w+)`", cell)}
+    assert keys == {"command", *_KINDS}

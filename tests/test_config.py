@@ -9,12 +9,11 @@ from blochlab.microstructure import Constant, FiberLattice, TwoPhaseInclusion
 
 
 def test_minimal_config_defaults():
-    cfg = parse_config("command = homogenize\na = constant(2)\n")
+    cfg = parse_config("command = homogenize\na = constant(2)\nn = 8\n")
     assert cfg.command == "homogenize"
     assert isinstance(cfg.a, Constant)
     assert cfg.a.a0 == 2
     assert cfg.out == "."
-    assert cfg.q_normalization == "cell-average"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -50,6 +49,7 @@ def test_two_phase_constructor():
     cfg = parse_config(
         "command = homogenize\n"
         "a = two_phase(eps=1/4, beta=16, rho=1/4, shape=disc)\n"
+        "n = 64\n"
     )
     spec = cfg.a
     assert isinstance(spec, TwoPhaseInclusion)
@@ -139,6 +139,8 @@ def test_unknown_command_and_experiment():
 def test_missing_required_key():
     msg = err("command = bloch\na = constant(1)\nn = 8\n")
     assert "requires key 'eta'" in msg
+    msg = err("command = homogenize\na = constant(1)\n")
+    assert "requires key 'n'" in msg and "line 1" in msg
 
 
 def test_key_not_valid_for_command():
@@ -177,9 +179,42 @@ def test_negative_gamma_rejected():
     assert "strictly positive" in msg
 
 
-def test_bad_q_normalization():
-    msg = err("command = homogenize\na = constant(1)\nq_normalization = lumped\n")
-    assert "cell-average" in msg
+def test_q_normalization_is_not_a_key():
+    msg = err("command = homogenize\na = constant(1)\nn = 8\n"
+              "q_normalization = cell-average\n")
+    assert "unknown key 'q_normalization'" in msg and "line 4" in msg
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("command = capacity\ngamma = inf\neps = 1/3\n", "gamma", 2),
+    ("command = capacity\neps = 1/3\ngamma = 1e999\n", "gamma", 3),
+    ("command = capacity\nr = infinity\n", "r", 2),
+    ("command = experiment:gap_map\nt_list = 1, nan\n", "t_list", 2),
+    ("command = capacity\neps = 1/3\ngamma = 1_000\n", "gamma", 3),
+    ("command = experiment:thm22\neps = 1/1_0\n", "eps", 2),
+    ("command = bloch\nn = 8\neta = (0.1, -inf)\na = constant(1)\n", "eta", 3),
+    ("command = homogenize\nn = 8\na = two_phase(eps=1/2, beta=inf, rho=1/2)\n",
+     "a", 3),
+])
+def test_numbers_are_finite_decimals(text, key, line):
+    with pytest.raises(ConfigError, match="finite decimal") as exc:
+        parse_config(text)
+    assert exc.value.key == key and exc.value.line == line
+
+
+@pytest.mark.parametrize("constructor, message", [
+    ("constant(0.5)", "constant coefficient must be >= 1"),
+    ("two_phase(eps=1/4, beta=0.5, rho=1/4)", "beta must be >= 1"),
+    ("two_phase(eps=2/7, beta=4, rho=1/4)", "1/eps must be an integer"),
+    ("two_phase(eps=1/2, beta=4, rho=2)", "rho must lie in"),
+    ("fiber_lattice(eps=1/3, r=4, beta=10)", "r_eps must lie in"),
+    ("fiber(eps=1/3, gamma=2, beta=0.5)", "beta must be >= 1"),
+])
+def test_spec_constraints_are_config_errors(constructor, message):
+    # the microstructure spec's own checks surface with the key and line
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(f"command = homogenize\nn = 48\na = {constructor}\n")
+    assert exc.value.key == "a" and exc.value.line == 3
 
 
 def test_mixed_tuple_lengths():

@@ -56,6 +56,14 @@ def test_resolve_resolution_errors_and_cap():
     assert n % 6 == 0
 
 
+def test_resolution_override_must_be_a_multiple_of_inv_eps():
+    # n = 66 at eps = 1/4 would run as m = 16, the grid of n = 64
+    with pytest.raises(ValueError, match=r"n = 66 .* 1/eps = 4 \(eps = 0.25\)"):
+        run_thm22(eps_list=(1 / 4,), resolution=66)
+    with pytest.raises(ValueError, match=r"n = 100 .* 1/eps = 3"):
+        run_thm31(eps_list=(1 / 3,), resolution=100)
+
+
 def test_make_table_columns_follow_row_order():
     rows = [{"eps": 0.5, "n": 32, **eta_cells(np.array([0.25, 0.0])),
              "lambda1": 0.1, "q_eta_eta": None, "runtime_seconds": 1.5}]
