@@ -35,7 +35,7 @@ from .bloch import (
     canonical_momentum,
     expansion_fit,
     fiber_lambda1_2d,
-    reference_inverse,
+    shifted_pencil,
 )
 from .cell_problems import (
     DispersionSample,
@@ -84,7 +84,7 @@ __all__ = [
     "canonical_momentum",
     "expansion_fit",
     "fiber_lambda1_2d",
-    "reference_inverse",
+    "shifted_pencil",
     "DispersionSample",
     "HomogenizedMatrix",
     "corrector",

@@ -142,33 +142,42 @@ def assemble_shifted(
     return B, M_diag
 
 
-def reference_inverse(
+def shifted_pencil(
     field: CoefficientField,
     eta: np.ndarray | None = None,
     *,
     scale: float = 1.0,
     shift: float = 0.0,
-) -> Preconditioner:
-    """Reference-medium preconditioner ``P^{-1}`` for the shifted pencil.
+) -> tuple[sp.csr_matrix, np.ndarray, Preconditioner]:
+    """The pencil ``(B, M_diag)`` of every library solve, with its bound
+    ``P^{-1}``: ``B = scale * B(eta) + shift * diag(w a)`` for the stencil
+    of :func:`assemble_shifted`, and ``a`` the cell values along axis 0.
 
-    ``P`` is the stencil of :func:`assemble_shifted` with every face
-    coefficient along axis ``k`` replaced by ``a_ref,k``, the smallest
-    cell value of ``field.axis_values(k)``, times ``scale``, plus
-    ``shift * w * a_ref`` on the diagonal.  A harmonic face mean is never
-    below the cell minimum, so ``P <= B`` in the Loewner order for
-    ``B = scale * B(eta) + shift * diag(w a)``.  The constant-coefficient
-    stencil is diagonalized by the DFT, with symbol
+    ``P`` is the same pencil with every face coefficient along axis ``k``
+    replaced by ``a_ref,k``, the smallest cell value of
+    ``field.axis_values(k)``, and ``a`` on the diagonal by its smallest
+    value.  A harmonic face mean is never below the cell minimum, so
+    ``P <= B`` in the Loewner order: the solvers' error estimate
+    ``r^H P^{-1} r`` then bounds the ``B^{-1}``-norm of the residual.  The
+    constant-coefficient stencil is diagonalized by the DFT, with symbol
 
         sigma(xi) = w sum_k a_ref,k 4 sin^2((eta_k h_k + xi_k) / 2) / h_k^2
                     * scale + shift * w * a_ref,   xi_k = 2 pi fftfreq(n_k),
 
     so ``P^{-1} r = ifftn(fftn(r) / sigma)``.  Modes where ``sigma``
     vanishes (the constants at zero momentum and zero shift) are the
-    kernel of ``B`` and are projected out.  The returned callable accepts a
-    vector of length ``N`` or an ``(N, cols)`` block.
+    kernel of ``B`` and are projected out.  The bound accepts a vector of
+    length ``N`` or an ``(N, cols)`` block.
     """
+    B, M = assemble_shifted(field, eta)
     grid = field.grid
     d, h, w, shape = grid.d, grid.h, grid.cell_volume, grid.shape
+    # in place, for the fiber section: no second CSR copy lives through the
+    # solve, and every entry rounds as in ``B(eta) * scale + diags(shift)``
+    if scale != 1.0 or shift != 0.0:
+        B.data *= scale
+        B.setdiag(B.diagonal() + shift * w * field.axis_values(0))
+
     eta_arr = np.zeros(d) if eta is None else np.asarray(eta, dtype=np.float64)
     theta = eta_arr * np.asarray(h)
     sigma = np.full(shape, shift * w * float(field.a.min()))
@@ -198,7 +207,7 @@ def reference_inverse(
             np.fft.ifftn(z, axes=axes, out=z)
         return z.reshape(r.shape)
 
-    return apply
+    return B, M, apply
 
 
 @dataclass
@@ -244,16 +253,13 @@ class EigResult:
 def bloch_lambda1(
     field: CoefficientField,
     eta: np.ndarray,
-    k: int = 1,
     *,
     tol: float = 1e-10,
     X0: np.ndarray | None = None,
 ) -> EigResult:
-    """Lowest ``k`` eigenvalues of the shifted pencil at momentum ``eta``."""
-    B, M = assemble_shifted(field, eta)
-    report = smallest_eigpair(
-        B, M, k, tol=tol, X0=X0, precond=reference_inverse(field, eta)
-    )
+    """Lowest eigenvalue at momentum ``eta``; ``X0`` warm-starts the solve."""
+    B, M, bound = shifted_pencil(field, eta)
+    report = smallest_eigpair(B, M, tol=tol, X0=X0, precond=bound)
     return EigResult.from_report(np.asarray(eta, dtype=np.float64), report)
 
 
@@ -261,12 +267,10 @@ def bloch_reduced(
     unit_field: CoefficientField,
     eps: float,
     eta: np.ndarray,
-    k: int = 1,
     *,
     tol: float = 1e-10,
-    X0: np.ndarray | None = None,
 ) -> EigResult:
-    """First eigenvalues of the oscillating problem via the unit-pattern cell.
+    """First eigenvalue of the oscillating problem via the unit-pattern cell.
 
     For a coefficient ``a(x / eps)`` the spectrum satisfies
     ``lam_eps(eta) = eps^{-2} lam_unit(eps eta)``, so one solve on the unit
@@ -282,7 +286,7 @@ def bloch_reduced(
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     eta = np.asarray(eta, dtype=np.float64)
     _require_first_zone(eta)
-    res = bloch_lambda1(unit_field, eps * eta, k, tol=tol, X0=X0)
+    res = bloch_lambda1(unit_field, eps * eta, tol=tol)
     # the error estimate is relative, so it survives the eps^-2 rescaling
     return replace(res, eta=eta, eigenvalues=res.eigenvalues / eps**2)
 
@@ -292,12 +296,10 @@ def fiber_lambda1_2d(
     eps: float,
     eta_prime: np.ndarray,
     eta3: float,
-    k: int = 1,
     *,
     tol: float = 1e-10,
-    X0: np.ndarray | None = None,
 ) -> EigResult:
-    """First eigenvalues for an axis-3 invariant medium via its cross-section.
+    """First eigenvalue for an axis-3 invariant medium via its cross-section.
 
     ``section_field`` is the 2-d unit-pattern cross-section of a coefficient
     that does not depend on the third coordinate.  On the subspace of
@@ -321,17 +323,10 @@ def fiber_lambda1_2d(
         raise ValueError("eta_prime must have two components")
     _require_first_zone(np.array([eta_prime[0], eta_prime[1], float(eta3)]))
 
-    # scale and shift the assembled matrix in place: no second CSR copy
-    # lives through the solve, and every entry rounds as in
-    # ``B_2d * eps^-2 + diags(shift)``
-    B, M = assemble_shifted(section_field, eps * eta_prime)
-    B.data *= 1.0 / eps**2
-    w = section_field.grid.cell_volume
-    B.setdiag(B.diagonal() + float(eta3) ** 2 * w * section_field.axis_values(0))
-    precond = reference_inverse(
+    B, M, bound = shifted_pencil(
         section_field, eps * eta_prime, scale=1.0 / eps**2, shift=float(eta3) ** 2
     )
-    report = smallest_eigpair(B, M, k, tol=tol, X0=X0, precond=precond)
+    report = smallest_eigpair(B, M, tol=tol, precond=bound)
     eta_full = np.array([eta_prime[0], eta_prime[1], float(eta3)])
     return EigResult.from_report(eta_full, report)
 
@@ -384,7 +379,7 @@ def expansion_fit(
     values = np.empty(t_sorted.size)
     X0 = None
     for i, t in enumerate(t_sorted):
-        res = bloch_lambda1(field, t * direction, 1, tol=tol, X0=X0)
+        res = bloch_lambda1(field, t * direction, tol=tol, X0=X0)
         values[i] = res.lambda1
         X0 = res.vectors
     u = t_sorted**2

@@ -10,8 +10,8 @@ Face quantities go through the face stencil of :mod:`blochlab.bloch`, the
 one that assembles the stiffness: harmonic-mean coefficients, plain
 differences ``D_k u = (u_j - u_i)/h_k``, face averages
 ``S_k u = (u_i + u_j)/2`` and their adjoint scatters along each axis.  Each
-public call assembles one stiffness and one FFT inverse and shares them
-across its corrector solves.
+public call builds one stiffness and its FFT bound with
+:func:`~blochlab.bloch.shifted_pencil` and shares them across its solves.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from functools import partial
 import numpy as np
 
 from .bloch import (
-    assemble_shifted,
     face_arrays,
     face_difference,
-    reference_inverse,
     scatter_difference,
     scatter_sum,
+    shifted_pencil,
 )
 from .grid import ScalarGridField
 from .microstructure import CoefficientField
@@ -41,10 +40,10 @@ Q_NORMALIZATION = "cell-average"
 def _cell_solver(field: CoefficientField, tol: float):
     """``b -> x``, the mean-zero solve of ``K x = b`` on the periodic
     stiffness: one ``K`` and one FFT inverse serve every source of a call."""
-    K, _ = assemble_shifted(field, None)
+    K, _, bound = shifted_pencil(field)
     return partial(
         cg_solve, K, tol=tol, maxit=50 * max(field.grid.n),
-        deflate_constants=True, precond=reference_inverse(field),
+        deflate_constants=True, precond=bound,
     )
 
 
@@ -258,8 +257,5 @@ def pw_constant(
     else:
         weight_cells = field.a @ (lam * lam)
     w = grid.cell_volume
-    K, _ = assemble_shifted(field, None)
-    return largest_geneig(
-        w * weight_cells, K, tol=tol, cg_tol=cg_tol,
-        precond=reference_inverse(field),
-    )
+    K, _, bound = shifted_pencil(field)
+    return largest_geneig(w * weight_cells, K, tol=tol, cg_tol=cg_tol, precond=bound)

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .grid import _reciprocal_int
 from .microstructure import (
     Constant,
     FiberLattice,
@@ -396,4 +397,16 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     "capacity needs either r (annulus check) or eps and gamma "
                     "(scaled-energy sweep)", line=cmd_line, key=key)
+    # a run that resolves its own grid per eps needs every 1/eps an integer,
+    # and an experiment's n a multiple of each (capacity with n takes any eps)
+    if cfg.eps is not None and (command.startswith("experiment:") or cfg.n is None):
+        try:
+            inverses = [_reciprocal_int(float(v)) for v in cfg.eps]
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=entries["eps"][1], key="eps") from None
+        if cfg.n is not None:
+            for s in inverses:
+                if cfg.n % s:
+                    raise ConfigError(f"n = {cfg.n} is not a multiple of 1/eps = {s}",
+                                      line=entries["n"][1], key="n")
     return cfg

@@ -69,16 +69,16 @@ def cg_solve(
     maxit: int | None = None,
     deflate_constants: bool = False,
     x0: np.ndarray | None = None,
-    precond: Preconditioner | None = None,
+    precond: Preconditioner,
 ) -> np.ndarray:
     """Preconditioned conjugate gradients for Hermitian positive
     (semi-)definite systems; raises :class:`ConvergenceError` with the
     residual history when the solve fails.
 
-    ``precond`` applies an approximate inverse of ``A`` (Jacobi when
-    ``None``).  With ``deflate_constants`` the constant kernel is projected
-    out of the right-hand side check, the start vector, and the residual at
-    every iteration; the returned solution has zero mean.
+    ``precond`` applies an approximate inverse of ``A``.  With
+    ``deflate_constants`` the constant kernel is projected out of the
+    right-hand side check, the start vector, and the residual at every
+    iteration; the returned solution has zero mean.
     """
     b = np.asarray(b)
     if maxit is None:
@@ -91,20 +91,11 @@ def cg_solve(
                 f"(relative drift {drift:.3e}) under constant deflation"
             )
     x, history, failure = _pcg(
-        A, b, _jacobi(A) if precond is None else precond,
-        tol=tol, maxit=maxit, deflate=deflate_constants, x0=x0,
+        A, b, precond, tol=tol, maxit=maxit, deflate=deflate_constants, x0=x0
     )
     if failure is not None:
         raise ConvergenceError(failure, history)
     return x
-
-
-def _jacobi(A: sp.spmatrix) -> Preconditioner:
-    diag = A.diagonal().real
-    if diag.min() <= 0:
-        raise ValueError("Jacobi preconditioner needs a positive diagonal")
-    inv_diag = 1.0 / diag
-    return lambda r: inv_diag * r
 
 
 def _pcg(
@@ -259,20 +250,18 @@ def _final_residuals(
     lam: np.ndarray,
     M: np.ndarray,
     scale: float,
-    precond: Preconditioner | None,
-) -> tuple[np.ndarray, np.ndarray, float | None]:
+    precond: Preconditioner,
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Report figures of returned pairs: the mass-normalized residuals
     ``||B x - lam M x|| / ||M x||``, the same norms relative to the pencil
-    scale, and the largest error estimate (``None`` without ``precond``).
+    scale, and the largest error estimate.
     """
     MX = M[:, None] * X
     R = BX - MX * lam
     rnorm = np.linalg.norm(R, axis=0)
     resid = rnorm / np.linalg.norm(MX, axis=0)
     rel = rnorm / (scale * M.mean() * np.linalg.norm(X, axis=0))
-    est = None
-    if precond is not None:
-        est = float(_error_estimates(R, X, lam, M, precond, _MACHEPS * scale).max())
+    est = float(_error_estimates(R, X, lam, M, precond, _MACHEPS * scale).max())
     return resid, rel, est
 
 
@@ -283,7 +272,7 @@ def smallest_eigpair(
     *,
     tol: float = 1e-10,
     X0: np.ndarray | None = None,
-    precond: Preconditioner | None = None,
+    precond: Preconditioner,
 ) -> EigSolveReport:
     """Smallest ``k`` eigenpairs of ``B x = lam M x`` with diagonal ``M``.
 
@@ -291,21 +280,21 @@ def smallest_eigpair(
     previous directions]).  Each residual is preconditioned by a capped CG
     solve with ``B`` itself (an approximate inverse; essential once the
     coefficient contrast is large), and that inner CG is in turn
-    preconditioned by ``precond`` (Jacobi when ``None``).  The start block
-    is the constant vector plus fixed-seed Gaussian columns, so runs are
-    reproducible; ``X0`` columns, when given, replace the random part
-    (warm starts stay deterministic).
+    preconditioned by ``precond``.  The start block is the constant vector
+    plus fixed-seed Gaussian columns, so runs are reproducible; ``X0``
+    columns, when given, replace the random part (warm starts stay
+    deterministic).
 
     Convergence is declared when every requested vector satisfies
     ``||B x - lam M x||_2 <= tol * scale * ||x||_2`` where ``scale`` bounds
     the pencil norm.  At high contrast ``scale`` is huge and that rule
-    alone admits inaccurate eigenvalues, so when ``precond`` is given (it
-    must satisfy ``P <= B``) every vector must also satisfy
-    ``est = r^H P^{-1} r / (|lam| x^H M x) <= tol``, a bound on the relative
+    alone admits inaccurate eigenvalues, so every vector must also satisfy
+    ``est = r^H P^{-1} r / (|lam| x^H M x) <= tol``.  ``precond`` must
+    satisfy ``P <= B``, which makes ``est`` a bound on the relative
     eigenvalue error.  The report carries the mass-normalized residual
     ``||B x - lam M x|| / ||M x||`` used by distributional-form checks, and
-    ``meta`` holds the final ``error_estimate`` (largest ``est``; ``None``
-    without ``precond``) and the total ``inner_cg_steps``.
+    ``meta`` holds the final ``error_estimate`` (largest ``est``) and the
+    total ``inner_cg_steps``.
 
     The working set is a few blocks: each length-``n`` block is released
     as soon as the iteration no longer reads it, and no conjugated copy of
@@ -339,7 +328,6 @@ def smallest_eigpair(
         m = min(X0.shape[1], block)
         X[:, :m] = X0[:, :m]
 
-    inner = _jacobi(B) if precond is None else precond
     scale = _pencil_scale(B, M)
     lam_floor = _MACHEPS * scale
     # capped-CG preconditioning needs to know whether constants are in the
@@ -354,7 +342,7 @@ def smallest_eigpair(
         nonlocal inner_steps
         for j in range(R.shape[1]):
             R[:, j], inner_history, _ = _pcg(
-                B, R[:, j], inner, tol=1e-2, maxit=_INNER_CG_STEPS, deflate=deflate_inner
+                B, R[:, j], precond, tol=1e-2, maxit=_INNER_CG_STEPS, deflate=deflate_inner
             )
             inner_steps += len(inner_history) - 1
         return R
@@ -389,8 +377,7 @@ def smallest_eigpair(
         else:
             guard_ok = True
         if np.all(settled) and guard_ok and (
-            precond is None
-            or _error_estimates(R[:, :k], X[:, :k], lam[:k], M, precond, lam_floor).max()
+            _error_estimates(R[:, :k], X[:, :k], lam[:k], M, precond, lam_floor).max()
             <= tol
         ):
             break
@@ -432,7 +419,7 @@ def smallest_eigpair(
         "ij,ij->j", Xk.conj(), M[:, None] * Xk
     ).real
     resid, rel, est = _final_residuals(BXk, Xk, lam_k, M, scale, precond)
-    converged = bool(np.all(rel <= tol)) and (est is None or est <= tol)
+    converged = bool(np.all(rel <= tol)) and est <= tol
     if not converged:
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "
@@ -455,7 +442,7 @@ def _dense_smallest(
     B: sp.spmatrix,
     M: np.ndarray,
     k: int,
-    precond: Preconditioner | None,
+    precond: Preconditioner,
 ) -> EigSolveReport:
     # tiny systems only: the blocked subspace would exhaust the space
     s = 1.0 / np.sqrt(M)
@@ -488,16 +475,16 @@ def largest_geneig(
     *,
     tol: float = 1e-8,
     cg_tol: float = 1e-10,
-    precond: Preconditioner | None = None,
+    precond: Preconditioner,
 ) -> float:
     """Maximum of ``x* W x`` subject to ``x* K x = 1`` over the subspace of
     weighted-mean-zero vectors, ``W = diag(weight_diag)``.
 
     Inverse-operator power iteration: each step applies the shifted weight
     (which is exactly orthogonal to constants) and solves with ``K`` under
-    constant deflation, preconditioned by ``precond`` (Jacobi when
-    ``None``).  Warm-started CG keeps later steps cheap.  A solve that
-    misses ``cg_tol`` raises :class:`ConvergenceError`.
+    constant deflation, preconditioned by ``precond``.  Warm-started CG
+    keeps later steps cheap.  A solve that misses ``cg_tol`` raises
+    :class:`ConvergenceError`.
     """
     w = np.asarray(weight_diag, dtype=np.float64)
     n = w.shape[0]

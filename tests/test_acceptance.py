@@ -12,7 +12,13 @@ import math
 import numpy as np
 from numpy.testing import assert_allclose
 
-from blochlab.bloch import bloch_lambda1, bloch_reduced, expansion_fit, fiber_lambda1_2d
+from blochlab.bloch import (
+    bloch_lambda1,
+    bloch_reduced,
+    expansion_fit,
+    fiber_lambda1_2d,
+    shifted_pencil,
+)
 from blochlab.capacity import annulus_energy, scaled_energy
 from blochlab.cell_problems import dispersion, homogenized
 from blochlab.cli import run_and_emit
@@ -29,7 +35,6 @@ from blochlab.microstructure import (
     unit_pattern,
 )
 from blochlab.sparse_linalg import dense_oracle, smallest_eigpair
-from blochlab.bloch import assemble_shifted
 
 
 def symbol(eta, n):
@@ -70,8 +75,8 @@ def test_criterion_03_iterative_matches_dense_oracle():
         rng = np.random.default_rng(seed)
         field = CoefficientField(grid=g, a=np.exp(rng.standard_normal(64)))
         for eta in (None, np.array([0.3, 0.2])):
-            B, M = assemble_shifted(field, eta)
-            lam_iter = smallest_eigpair(B, M, 1, tol=1e-12).eigenvalues[0]
+            B, M, bound = shifted_pencil(field, eta)
+            lam_iter = smallest_eigpair(B, M, 1, tol=1e-12, precond=bound).eigenvalues[0]
             lam_dense = dense_oracle(B, M)[0]
             worst = max(worst, abs(lam_iter - lam_dense))
     assert worst <= 1e-8, f"worst oracle gap {worst:.3e}"

@@ -18,7 +18,7 @@ from blochlab.bloch import (
     canonical_momentum,
     expansion_fit,
     fiber_lambda1_2d,
-    reference_inverse,
+    shifted_pencil,
 )
 from blochlab.experiments import fiber_beta
 from blochlab.grid import make_grid
@@ -283,7 +283,7 @@ def test_expansion_fit_identity_medium():
 
 
 # ---------------------------------------------------------------------------
-# reference-medium preconditioner
+# the pencil builder and its reference-medium bound
 
 
 @pytest.mark.parametrize("d, n", [(1, 8), (2, (6, 10)), (2, (2, 7)), (3, (4, 5, 2))])
@@ -292,13 +292,13 @@ def test_reference_inverse_exact_on_constant_medium(d, n):
     rng = np.random.default_rng(3)
     N = f.grid.num_cells
     eta = 0.3 * (np.arange(d) + 1) / d
-    B, _ = assemble_shifted(f, eta)
+    B, _, bound = shifted_pencil(f, eta)
     x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    assert np.abs(reference_inverse(f, eta)(B @ x) - x).max() <= 1e-12
+    assert np.abs(bound(B @ x) - x).max() <= 1e-12
     # zero momentum: the constants are the kernel, projected out
-    B0, _ = assemble_shifted(f, None)
+    B0, _, bound0 = shifted_pencil(f)
     x0 = rng.standard_normal(N)
-    z = reference_inverse(f)(B0 @ x0)
+    z = bound0(B0 @ x0)
     assert z.dtype == np.float64
     assert np.abs(z - (x0 - x0.mean())).max() <= 1e-12
 
@@ -313,25 +313,42 @@ def _below_pencil(B, apply, rng, trials=5):
         assert pz <= bz * (1.0 + 1e-12)
 
 
-def test_reference_inverse_below_fiber_pencil():
-    eps, eta_p, eta3 = 1 / 3, np.array([0.2, 0.2]), 0.3
+FIBER_PENCIL = (1 / 3, 52, np.array([0.2, 0.2]), 0.3)  # eps, m, eta', eta3
+
+
+def _fiber_pencil():
+    eps, m, eta_p, eta3 = FIBER_PENCIL
     r = radius_for_gamma(eps, 2.0)
-    spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))
-    f = rasterize(spec, make_grid(2, (52, 52)))
+    f = rasterize(FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r)),
+                  make_grid(2, (m, m)))
+    return f, shifted_pencil(f, eps * eta_p, scale=1 / eps**2, shift=eta3**2)
+
+
+def test_shifted_pencil_below_fiber_pencil():
+    # the exact pair fiber_lambda1_2d solves with
+    _, (B, _, bound) = _fiber_pencil()
+    _below_pencil(B, bound, np.random.default_rng(5))
+
+
+def test_shifted_pencil_fiber_matches_probe_form():
+    # perfbench's kernel probe times (B2 * eps^-2 + diags(eta3^2 w a)); the
+    # solver's in-place scale and shift must give that matrix to the bit
+    eps, _, eta_p, eta3 = FIBER_PENCIL
+    f, (B, M, _) = _fiber_pencil()
     B2, _ = assemble_shifted(f, eps * eta_p)
     w = f.grid.cell_volume
-    B = B2 / eps**2 + sp.diags(eta3**2 * w * f.a)
-    apply = reference_inverse(f, eps * eta_p, scale=1 / eps**2, shift=eta3**2)
-    _below_pencil(B.tocsr(), apply, np.random.default_rng(5))
+    probe = (B2 * (1.0 / eps**2) + sp.diags(eta3**2 * w * f.a)).tocsr()
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(B, attr).tobytes() == getattr(probe, attr).tobytes(), attr
+    assert np.array_equal(M, np.full(f.grid.num_cells, w))
 
 
-def test_reference_inverse_below_anisotropic_pencil():
+def test_shifted_pencil_below_anisotropic_pencil():
     g = make_grid(2, (12, 9))
     rng = np.random.default_rng(7)
     f = CoefficientField(grid=g, a=np.exp(2.0 * rng.standard_normal((g.num_cells, 2))))
-    eta = np.array([0.35, -0.15])
-    B, _ = assemble_shifted(f, eta)
-    _below_pencil(B, reference_inverse(f, eta), rng)
+    B, _, bound = shifted_pencil(f, np.array([0.35, -0.15]))
+    _below_pencil(B, bound, rng)
 
 
 def test_results_carry_solver_meta():

@@ -202,6 +202,28 @@ def test_numbers_are_finite_decimals(text, key, line):
     assert exc.value.key == key and exc.value.line == line
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("command = experiment:thm22\neps = 2/7\n", "eps", 2),
+    ("command = experiment:thm31\neps = 1/3, 0.3\n", "eps", 2),
+    ("command = experiment:gap_map\neps = 2\n", "eps", 2),
+    ("command = experiment:pw_fiber\neps = 1/3, 2/5\n", "eps", 2),
+    ("command = capacity\neps = 0.3\ngamma = 2\n", "eps", 2),
+    ("command = experiment:thm31\neps = 1/3\nn = 100\n", "n", 3),
+    ("command = experiment:thm22\nn = 64\neps = 1/2, 1/3\n", "n", 2),
+])
+def test_eps_ladder_checked_at_parse_time(text, key, line):
+    # every 1/eps a run resolves a grid for is an integer, and an
+    # experiment's n a multiple of each; before, both failed only at run time
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.key == key and exc.value.line == line
+
+
+def test_capacity_with_n_takes_any_eps():
+    cfg = parse_config("command = capacity\neps = 0.3\ngamma = 2\nn = 64\n")
+    assert cfg.eps == [0.3] and cfg.n == 64
+
+
 @pytest.mark.parametrize("constructor, message", [
     ("constant(0.5)", "constant coefficient must be >= 1"),
     ("two_phase(eps=1/4, beta=0.5, rho=1/4)", "beta must be >= 1"),

@@ -3,12 +3,23 @@
 must resolve in ``blochlab``, and each solver must take its matrix at the
 argument position the tracer wraps.  Every ``from blochlab.X import Y`` in
 ``perfbench/*.py`` (oracle, probe, tracer) must resolve too.  A rename then
-fails here instead of crashing a benchmark pass."""
+fails here instead of crashing a benchmark pass, and an assembly that
+escapes the patched name fails here instead of reading 0 in the per-layer
+counters."""
 
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
+
+import numpy as np
+
+import blochlab.cli  # noqa: F401  (loads every module, as the tracer does)
+from blochlab.bloch import assemble_shifted, bloch_lambda1, fiber_lambda1_2d
+from blochlab.cell_problems import homogenized, pw_constant
+from blochlab.grid import make_grid
+from blochlab.microstructure import FiberLattice, TwoPhaseInclusion, rasterize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -68,3 +79,34 @@ def test_perfbench_imports_resolve():
                     imported.append(f"{node.module}.{alias.name}")
                     assert hasattr(module, alias.name), (path.name, imported[-1])
     assert "blochlab.bloch.assemble_shifted" in imported
+
+
+def test_each_solve_records_one_assembly(monkeypatch):
+    # rebind assemble_shifted in every blochlab module that holds it, as
+    # perfbench/tracing.py's install() does, and count the calls
+    original = assemble_shifted
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "blochlab":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    grid = make_grid(2, (16, 16))
+    field = rasterize(TwoPhaseInclusion(eps=1 / 2, beta=4.0, rho=1 / 2), grid)
+    section = rasterize(FiberLattice(eps=1.0, r_eps=0.8, beta=50.0), grid)
+    solves = {
+        "bloch_lambda1": lambda: bloch_lambda1(field, np.array([0.2, 0.1])),
+        "fiber_lambda1_2d": lambda: fiber_lambda1_2d(
+            section, 1 / 2, np.array([0.2, 0.1]), 0.3),
+        "homogenized": lambda: homogenized(field),
+        "pw_constant": lambda: pw_constant(field, np.array([0.25, 0.0])),
+    }
+    for name, solve in solves.items():
+        calls.clear()
+        solve()
+        assert len(calls) == 1, name

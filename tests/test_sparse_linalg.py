@@ -33,11 +33,29 @@ def random_spd(n, seed):
     return sp.csr_matrix(A)
 
 
+# Every solver takes a bound P^{-1} with P <= A.  For Q Q^T + n I and for a
+# diagonal matrix, P = c I with c at most the smallest eigenvalue; for a
+# periodic Laplacian, P = lam2 I on the mean-free vectors, lam2 its smallest
+# nonzero eigenvalue.
+
+
+def scalar_bound(c):
+    return lambda r: r / c
+
+
+def mean_free_bound(lam2):
+    return lambda r: (r - r.mean(axis=0)) / lam2
+
+
+def laplacian_lam2(n):
+    return 4.0 * math.sin(math.pi / n) ** 2
+
+
 def test_cg_matches_direct_solve():
     A = random_spd(20, seed=1)
     rng = np.random.default_rng(2)
     b = rng.standard_normal(20)
-    x = cg_solve(A, b, tol=1e-13)
+    x = cg_solve(A, b, tol=1e-13, precond=scalar_bound(20))
     assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10, atol=1e-12)
 
 
@@ -46,7 +64,7 @@ def test_cg_complex_hermitian():
     Q = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     A = sp.csr_matrix(Q @ Q.conj().T + 12 * np.eye(12))
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    x = cg_solve(A, b, tol=1e-13)
+    x = cg_solve(A, b, tol=1e-13, precond=scalar_bound(12))
     assert_allclose(A @ x, b, atol=1e-9)
 
 
@@ -55,7 +73,8 @@ def test_cg_deflated_laplacian():
     rng = np.random.default_rng(3)
     b = rng.standard_normal(16)
     b -= b.mean()
-    x = cg_solve(A, b, tol=1e-12, deflate_constants=True)
+    x = cg_solve(A, b, tol=1e-12, deflate_constants=True,
+                 precond=mean_free_bound(laplacian_lam2(16)))
     assert abs(x.mean()) < 1e-12
     r = b - A @ x
     assert np.linalg.norm(r - r.mean()) < 1e-10
@@ -64,14 +83,15 @@ def test_cg_deflated_laplacian():
 def test_cg_incompatible_rhs():
     A = periodic_laplacian(8)
     with pytest.raises(ValueError, match="incompatible right-hand side"):
-        cg_solve(A, np.ones(8), deflate_constants=True)
+        cg_solve(A, np.ones(8), deflate_constants=True,
+                 precond=mean_free_bound(laplacian_lam2(8)))
 
 
 def test_cg_budget_error_has_history():
     A = random_spd(30, seed=7)
     b = np.ones(30)
     with pytest.raises(ConvergenceError) as exc:
-        cg_solve(A, b, tol=1e-15, maxit=2)
+        cg_solve(A, b, tol=1e-15, maxit=2, precond=scalar_bound(30))
     assert len(exc.value.residual_history) > 0
     assert all(r >= 0 for r in exc.value.residual_history)
 
@@ -80,7 +100,7 @@ def test_cg_warm_start_exact():
     A = random_spd(10, seed=11)
     b = np.arange(10, dtype=float)
     x = np.linalg.solve(A.toarray(), b)
-    out = cg_solve(A, b, tol=1e-12, x0=x)
+    out = cg_solve(A, b, tol=1e-12, x0=x, precond=scalar_bound(10))
     assert_allclose(out, x, rtol=1e-12)
 
 
@@ -89,7 +109,7 @@ def test_cg_warm_start_exact():
 def test_cg_random_spd_property(n, seed):
     A = random_spd(n, seed=seed)
     b = np.random.default_rng(seed + 1).standard_normal(n)
-    x = cg_solve(A, b, tol=1e-12)
+    x = cg_solve(A, b, tol=1e-12, precond=scalar_bound(n))
     assert np.linalg.norm(A @ x - b) <= 1e-8 * max(np.linalg.norm(b), 1.0)
 
 
@@ -99,7 +119,7 @@ def test_cg_random_spd_property(n, seed):
 
 def test_smallest_eigpair_diagonal():
     B = sp.diags([3.0, 1.0, 2.0]).tocsr()
-    rep = smallest_eigpair(B, np.ones(3), k=2, tol=1e-12)
+    rep = smallest_eigpair(B, np.ones(3), k=2, tol=1e-12, precond=scalar_bound(1.0))
     assert rep.converged
     assert_allclose(rep.eigenvalues, [1.0, 2.0], atol=1e-10)
     # M-orthonormal columns
@@ -110,7 +130,7 @@ def test_smallest_eigpair_mass_identity():
     """B == diag(M) makes every eigenvalue exactly 1."""
     m = np.array([0.5, 1.5, 2.0, 4.0])
     B = sp.diags(m).tocsr()
-    rep = smallest_eigpair(B, m, k=2, tol=1e-12)
+    rep = smallest_eigpair(B, m, k=2, tol=1e-12, precond=scalar_bound(m.min()))
     assert_allclose(rep.eigenvalues, 1.0, atol=1e-10)
 
 
@@ -118,7 +138,7 @@ def test_smallest_eigpair_vs_dense_oracle():
     A = random_spd(24, seed=17)
     rng = np.random.default_rng(18)
     m = np.exp(rng.standard_normal(24))
-    rep = smallest_eigpair(A, m, k=3, tol=1e-11)
+    rep = smallest_eigpair(A, m, k=3, tol=1e-11, precond=scalar_bound(24))
     spectrum = dense_oracle(A, m)
     assert_allclose(rep.eigenvalues, spectrum[:3], rtol=1e-8)
 
@@ -126,8 +146,8 @@ def test_smallest_eigpair_vs_dense_oracle():
 def test_smallest_eigpair_deterministic():
     A = random_spd(16, seed=23)
     m = np.ones(16)
-    r1 = smallest_eigpair(A, m, k=2, tol=1e-11)
-    r2 = smallest_eigpair(A, m, k=2, tol=1e-11)
+    r1 = smallest_eigpair(A, m, k=2, tol=1e-11, precond=scalar_bound(16))
+    r2 = smallest_eigpair(A, m, k=2, tol=1e-11, precond=scalar_bound(16))
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.array_equal(r1.vectors, r2.vectors)
     assert r1.iterations == r2.iterations
@@ -139,46 +159,41 @@ def test_smallest_eigpair_bad_start_recovers():
     B = sp.diags([5.0, 1.0, 3.0, 4.0]).tocsr()
     X0 = np.zeros((4, 1))
     X0[0, 0] = 1.0  # exact eigenvector of the largest eigenvalue
-    rep = smallest_eigpair(B, np.ones(4), k=1, tol=1e-12, X0=X0)
+    rep = smallest_eigpair(B, np.ones(4), k=1, tol=1e-12, X0=X0,
+                           precond=scalar_bound(1.0))
     assert_allclose(rep.eigenvalues[0], 1.0, atol=1e-10)
 
 
 def test_smallest_eigpair_validation():
     B = sp.eye(4, format="csr")
     with pytest.raises(ValueError, match="need 1 <= k"):
-        smallest_eigpair(B, np.ones(4), k=0)
+        smallest_eigpair(B, np.ones(4), k=0, precond=scalar_bound(1.0))
     with pytest.raises(ValueError, match="positive"):
-        smallest_eigpair(B, np.zeros(4), k=1)
+        smallest_eigpair(B, np.zeros(4), k=1, precond=scalar_bound(1.0))
 
 
 def test_smallest_eigpair_singular_pencil():
     # graph Laplacian: lambda_1 = 0 with the constant vector
     A = periodic_laplacian(12)
-    rep = smallest_eigpair(A, np.ones(12), k=2, tol=1e-10)
+    rep = smallest_eigpair(A, np.ones(12), k=2, tol=1e-10,
+                           precond=mean_free_bound(laplacian_lam2(12)))
     assert abs(rep.eigenvalues[0]) < 1e-10
     assert_allclose(rep.eigenvalues[1], 4 * math.sin(math.pi / 12) ** 2, rtol=1e-8)
 
 
 def test_smallest_eigpair_residual_report():
+    # A = Q Q^T + 12 I, so P = 12 I satisfies P <= A
     A = random_spd(12, seed=29)
-    rep = smallest_eigpair(A, np.ones(12), k=1, tol=1e-12)
+    rep = smallest_eigpair(A, np.ones(12), k=1, tol=1e-12, precond=scalar_bound(12.0))
     x = rep.vectors[:, 0]
     lam = rep.eigenvalues[0]
-    r = np.linalg.norm(A @ x - lam * x)
-    assert_allclose(rep.residuals[0], r, rtol=1e-6, atol=1e-12)
-    assert rep.rel_residuals[0] <= 1e-11
-    assert rep.meta["error_estimate"] is None
-    assert rep.meta["inner_cg_steps"] > 0
-    # A = Q Q^T + 12 I, so P = 12 I satisfies P <= A
-    pre = smallest_eigpair(A, np.ones(12), k=1, tol=1e-12, precond=lambda v: v / 12.0)
-    x = pre.vectors[:, 0]
-    lam = pre.eigenvalues[0]
     res = A @ x - lam * x
+    assert_allclose(rep.residuals[0], np.linalg.norm(res), rtol=1e-6, atol=1e-12)
+    assert rep.rel_residuals[0] <= 1e-11
     est = np.vdot(res, res).real / 12.0 / (abs(lam) * np.vdot(x, x).real)
-    assert_allclose(pre.meta["error_estimate"], est, rtol=1e-6, atol=1e-30)
-    assert pre.meta["error_estimate"] <= 1e-12
-    assert pre.meta["inner_cg_steps"] > 0
-    assert_allclose(pre.eigenvalues, rep.eigenvalues, rtol=1e-10)
+    assert_allclose(rep.meta["error_estimate"], est, rtol=1e-6, atol=1e-30)
+    assert rep.meta["error_estimate"] <= 1e-12
+    assert rep.meta["inner_cg_steps"] > 0
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
@@ -253,7 +268,8 @@ def test_largest_geneig_circulant_oracle():
     # 1 / (2 - sqrt(3)) = 2 + sqrt(3)
     n = 12
     K = periodic_laplacian(n)
-    val = largest_geneig(np.ones(n), K, tol=1e-10, cg_tol=1e-12)
+    val = largest_geneig(np.ones(n), K, tol=1e-10, cg_tol=1e-12,
+                         precond=mean_free_bound(laplacian_lam2(n)))
     assert_allclose(val, 2.0 + math.sqrt(3.0), rtol=1e-8)
 
 
@@ -272,8 +288,10 @@ def test_largest_geneig_matches_pencil_route():
     K = A.tocsr()
     assert main.shape == (n - 1,)
     w = np.exp(rng.standard_normal(n))
-    val = largest_geneig(w, K, tol=1e-10, cg_tol=1e-13)
-    mu = smallest_eigpair(K, w, k=2, tol=1e-12).eigenvalues[1]
+    # the ring of conductances d lies above min(d) times the unit ring
+    bound = mean_free_bound(d.min() * laplacian_lam2(n))
+    val = largest_geneig(w, K, tol=1e-10, cg_tol=1e-13, precond=bound)
+    mu = smallest_eigpair(K, w, k=2, tol=1e-12, precond=bound).eigenvalues[1]
     assert_allclose(val, 1.0 / mu, rtol=1e-7)
 
 
@@ -292,16 +310,17 @@ def test_largest_geneig_stalled_solve_raises():
         A[j, i] -= d[i]
     w = np.exp(rng.standard_normal(n))
     with pytest.raises(ConvergenceError) as exc:
-        largest_geneig(w, A.tocsr(), tol=1e-10, cg_tol=1e-30)
+        largest_geneig(w, A.tocsr(), tol=1e-10, cg_tol=1e-30,
+                       precond=mean_free_bound(d.min() * laplacian_lam2(n)))
     assert len(exc.value.residual_history) > 0
 
 
 def test_largest_geneig_zero_weight():
     K = periodic_laplacian(8)
-    assert largest_geneig(np.zeros(8), K) == 0.0
+    assert largest_geneig(np.zeros(8), K, precond=mean_free_bound(laplacian_lam2(8))) == 0.0
 
 
 def test_largest_geneig_negative_weight_rejected():
     K = periodic_laplacian(8)
     with pytest.raises(ValueError, match="nonnegative"):
-        largest_geneig(-np.ones(8), K)
+        largest_geneig(-np.ones(8), K, precond=mean_free_bound(laplacian_lam2(8)))
