@@ -6,7 +6,7 @@ dispersion post-processing, weighted Poincare constants, and scripted
 high-contrast experiment sweeps.
 """
 
-from .grid import PeriodicGrid, ScalarGridField, make_grid
+from .grid import PeriodicGrid, make_grid
 from .microstructure import (
     CoefficientField,
     Constant,
@@ -27,20 +27,16 @@ from .sparse_linalg import (
     smallest_eigpair,
 )
 from .bloch import (
-    EigResult,
-    ExpansionFit,
     assemble_shifted,
     bloch_lambda1,
     bloch_reduced,
     canonical_momentum,
-    expansion_fit,
     fiber_lambda1_2d,
     shifted_pencil,
 )
 from .cell_problems import (
     DispersionSample,
     HomogenizedMatrix,
-    corrector,
     dispersion,
     homogenized,
     pw_constant,
@@ -59,7 +55,6 @@ from .fieldio import read_field_dump, write_field_dump
 
 __all__ = [
     "PeriodicGrid",
-    "ScalarGridField",
     "make_grid",
     "CoefficientField",
     "Constant",
@@ -76,18 +71,14 @@ __all__ = [
     "dense_oracle",
     "largest_geneig",
     "smallest_eigpair",
-    "EigResult",
-    "ExpansionFit",
     "assemble_shifted",
     "bloch_lambda1",
     "bloch_reduced",
     "canonical_momentum",
-    "expansion_fit",
     "fiber_lambda1_2d",
     "shifted_pencil",
     "DispersionSample",
     "HomogenizedMatrix",
-    "corrector",
     "dispersion",
     "homogenized",
     "pw_constant",

@@ -21,7 +21,7 @@ eigenvalue tends to ``|eta|^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -210,57 +210,20 @@ def shifted_pencil(
     return B, M, apply
 
 
-@dataclass
-class EigResult:
-    """First eigenvalues of a shifted pencil at one momentum.
-
-    Eigenvectors are the periodic parts phi (the physical mode is
-    ``exp(i x . eta) phi``), normalized so the discrete integral of
-    ``|phi|^2`` over the cell equals one.
-    """
-
-    eta: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
-    iterations: int
-    meta: dict | None = None
-
-    @property
-    def lambda1(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.vectors[:, 0]
-
-    @property
-    def residual(self) -> float:
-        return float(self.residuals[0])
-
-    @classmethod
-    def from_report(cls, eta: np.ndarray, report: EigSolveReport) -> "EigResult":
-        return cls(
-            eta=np.asarray(eta, dtype=np.float64),
-            eigenvalues=report.eigenvalues,
-            vectors=report.vectors,
-            residuals=report.residuals,
-            iterations=report.iterations,
-            meta=report.meta,
-        )
-
-
 def bloch_lambda1(
     field: CoefficientField,
     eta: np.ndarray,
     *,
     tol: float = 1e-10,
-    X0: np.ndarray | None = None,
-) -> EigResult:
-    """Lowest eigenvalue at momentum ``eta``; ``X0`` warm-starts the solve."""
+) -> EigSolveReport:
+    """Lowest eigenpair at momentum ``eta``.
+
+    The eigenvector is the periodic part ``phi`` (the physical mode is
+    ``exp(i x . eta) phi``), normalized so the discrete integral of
+    ``|phi|^2`` over the cell is one: ``w sum |phi|^2 = 1``.
+    """
     B, M, bound = shifted_pencil(field, eta)
-    report = smallest_eigpair(B, M, tol=tol, X0=X0, precond=bound)
-    return EigResult.from_report(np.asarray(eta, dtype=np.float64), report)
+    return smallest_eigpair(B, M, tol=tol, precond=bound)
 
 
 def bloch_reduced(
@@ -269,7 +232,7 @@ def bloch_reduced(
     eta: np.ndarray,
     *,
     tol: float = 1e-10,
-) -> EigResult:
+) -> EigSolveReport:
     """First eigenvalue of the oscillating problem via the unit-pattern cell.
 
     For a coefficient ``a(x / eps)`` the spectrum satisfies
@@ -286,9 +249,9 @@ def bloch_reduced(
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     eta = np.asarray(eta, dtype=np.float64)
     _require_first_zone(eta)
-    res = bloch_lambda1(unit_field, eps * eta, tol=tol)
+    report = bloch_lambda1(unit_field, eps * eta, tol=tol)
     # the error estimate is relative, so it survives the eps^-2 rescaling
-    return replace(res, eta=eta, eigenvalues=res.eigenvalues / eps**2)
+    return replace(report, eigenvalues=report.eigenvalues / eps**2)
 
 
 def fiber_lambda1_2d(
@@ -298,7 +261,7 @@ def fiber_lambda1_2d(
     eta3: float,
     *,
     tol: float = 1e-10,
-) -> EigResult:
+) -> EigSolveReport:
     """First eigenvalue for an axis-3 invariant medium via its cross-section.
 
     ``section_field`` is the 2-d unit-pattern cross-section of a coefficient
@@ -326,73 +289,5 @@ def fiber_lambda1_2d(
     B, M, bound = shifted_pencil(
         section_field, eps * eta_prime, scale=1.0 / eps**2, shift=float(eta3) ** 2
     )
-    report = smallest_eigpair(B, M, tol=tol, precond=bound)
-    eta_full = np.array([eta_prime[0], eta_prime[1], float(eta3)])
-    return EigResult.from_report(eta_full, report)
+    return smallest_eigpair(B, M, tol=tol, precond=bound)
 
-
-@dataclass
-class ExpansionFit:
-    """Small-momentum fit ``lam(t d) = c2 t^2 + c4 t^4 (+ t^6 in residual)``.
-
-    Unpacks as ``(c2, c4, fit_residual)``.
-    """
-
-    direction: np.ndarray
-    t_samples: np.ndarray
-    values: np.ndarray       # lam(t d) per sample
-    c2: float                # quadratic coefficient: effective-tensor value
-    c4: float                # quartic coefficient: dispersive correction
-    fit_residual: float      # rms misfit of lam/t^2, absorbs the t^6 term
-
-    def __iter__(self):
-        return iter((self.c2, self.c4, self.fit_residual))
-
-
-def expansion_fit(
-    field: CoefficientField,
-    direction: np.ndarray,
-    t_samples: np.ndarray | None = None,
-    *,
-    tol: float = 1e-11,
-) -> ExpansionFit:
-    """Fit the small-momentum expansion of the first eigenvalue.
-
-    Solves along ``eta = t * direction`` for a ladder of small ``t`` in
-    (0, 0.2], then regresses ``lam / t^2`` linearly against ``t^2``: the
-    intercept is the quadratic (homogenized) coefficient, the slope the
-    quartic one, and the sixth-order term lands in the reported residual.
-    Consecutive solves warm-start each other.  For media with a strong
-    sixth-order term, shrink the ladder: the slope bias grows linearly with
-    ``max(t)^2``.
-    """
-    direction = np.asarray(direction, dtype=np.float64)
-    if t_samples is None:
-        t_samples = np.linspace(0.02, 0.12, 6)
-    t_samples = np.asarray(t_samples, dtype=np.float64)
-    if t_samples.size < 4:
-        raise ValueError("need at least four t samples for a stable fit")
-    if np.any(t_samples <= 0) or np.any(t_samples > 0.2):
-        raise ValueError("t samples must lie in (0, 0.2]")
-
-    t_sorted = np.sort(t_samples)
-    values = np.empty(t_sorted.size)
-    X0 = None
-    for i, t in enumerate(t_sorted):
-        res = bloch_lambda1(field, t * direction, tol=tol, X0=X0)
-        values[i] = res.lambda1
-        X0 = res.vectors
-    u = t_sorted**2
-    y = values / u
-    # two-parameter least squares: y = c2 + c4 * u
-    A = np.column_stack([np.ones_like(u), u])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    misfit = y - A @ coef
-    return ExpansionFit(
-        direction=direction,
-        t_samples=t_sorted,
-        values=values,
-        c2=float(coef[0]),
-        c4=float(coef[1]),
-        fit_residual=float(np.sqrt(np.mean(misfit**2))),
-    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid, ScalarGridField
+from .grid import PeriodicGrid
 
 _CENTER = math.pi  # the disc sits at the cell midpoint (pi, pi)
 
@@ -78,15 +78,15 @@ def _profile_rows(
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = math.pi / 2) -> ScalarGridField:
-    """Cell-center samples of the radial profile.
+def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = math.pi / 2) -> np.ndarray:
+    """Cell-center samples of the radial profile, shape ``grid2d.shape``.
 
     0 inside ``r_eps``, ``ln(rho / r_eps) / ln(R / r_eps)`` on the annulus,
     1 outside ``R``; in particular exactly zero on every cell inside the
     disc, and the value 1/2 on the logarithmic midpoint circle.
     """
     prof = _checked_profile(grid2d, r_eps, R)
-    return ScalarGridField(grid2d, _profile_rows(grid2d, prof, 0, grid2d.n[0]).ravel())
+    return _profile_rows(grid2d, prof, 0, grid2d.n[0])
 
 
 def annulus_energy(

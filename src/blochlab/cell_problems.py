@@ -28,7 +28,6 @@ from .bloch import (
     scatter_sum,
     shifted_pencil,
 )
-from .grid import ScalarGridField
 from .microstructure import CoefficientField
 from .sparse_linalg import cg_solve, largest_geneig
 
@@ -61,26 +60,6 @@ def _corrector_values(
     if not np.any(b):
         return np.zeros(grid.num_cells)
     return solve(b)
-
-
-def corrector(
-    field: CoefficientField,
-    direction: np.ndarray,
-    *,
-    tol: float = 1e-12,
-) -> ScalarGridField:
-    """Mean-zero periodic solution of ``div(a (grad X + direction)) = 0``.
-
-    ``direction`` need not be normalized; the solution is linear in it, so
-    a general direction is the superposition of the canonical correctors.
-    On an oscillating field, the corrector for momentum ``eta`` is ``eps``
-    times the tiled unit-cell corrector, exactly, since the stiffness tiles.
-    """
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != (field.grid.d,):
-        raise ValueError(f"direction must have shape ({field.grid.d},)")
-    values = _corrector_values(field, direction, _cell_solver(field, tol))
-    return ScalarGridField(field.grid, values)
 
 
 @dataclass
@@ -190,8 +169,8 @@ class DispersionSample:
     value: float            # quartic coefficient; nonpositive
     q_eta_eta: float        # quadratic coefficient along the same momentum
     compat: float           # relative mean of the second-corrector source
-    chi1: ScalarGridField   # first-order corrector, linear in eta
-    chi2: ScalarGridField   # second-order corrector
+    chi1: np.ndarray        # first-order corrector per cell, linear in eta
+    chi2: np.ndarray        # second-order corrector per cell
 
 
 def dispersion(
@@ -206,7 +185,9 @@ def dispersion(
     pointwise at cell centers and differenced with the same face stencil as
     every other gradient, keeping the value a single quadratic form (hence
     always ``<= 0``).  The first corrector ``chi1`` is the corrector for
-    direction ``eta``; both correctors share one stiffness solve setup.
+    direction ``eta``; both correctors share one stiffness solve setup.  On
+    an oscillating field, ``chi1`` is ``eps`` times the tiled unit-cell
+    ``chi1``, exactly, since the stiffness tiles.
     """
     grid = field.grid
     eta = np.asarray(eta, dtype=np.float64)
@@ -226,8 +207,8 @@ def dispersion(
         value=-energy / (N * w),
         q_eta_eta=q_eta_eta,
         compat=compat,
-        chi1=ScalarGridField(grid, c1_values),
-        chi2=ScalarGridField(grid, c2_values),
+        chi1=c1_values,
+        chi2=c2_values,
     )
 
 

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .experiments import THM22_EPS, THM31_EPS
 from .grid import _reciprocal_int
 from .microstructure import (
     Constant,
@@ -67,6 +68,9 @@ _COMMANDS = {
     "experiment:pw_thm22": ((), ("eta", "eps")),
     "experiment:pw_fiber": ((), ("eta", "eps", "gamma")),
 }
+
+#: the eps ladder an experiment that takes ``n`` runs when ``eps`` is absent
+_DEFAULT_EPS = {"experiment:thm22": THM22_EPS, "experiment:thm31": THM31_EPS}
 
 COMMANDS = tuple(c for c in _COMMANDS if not c.startswith("experiment:"))
 EXPERIMENTS = tuple(c.split(":", 1)[1] for c in _COMMANDS if c.startswith("experiment:"))
@@ -398,15 +402,20 @@ def parse_config(text: str) -> RunConfig:
                     "capacity needs either r (annulus check) or eps and gamma "
                     "(scaled-energy sweep)", line=cmd_line, key=key)
     # a run that resolves its own grid per eps needs every 1/eps an integer,
-    # and an experiment's n a multiple of each (capacity with n takes any eps)
-    if cfg.eps is not None and (command.startswith("experiment:") or cfg.n is None):
+    # and an experiment's n a multiple of each, of the config's ladder or the
+    # default one (capacity with n takes any eps)
+    experiment = command.startswith("experiment:")
+    if cfg.eps is not None and (experiment or cfg.n is None):
         try:
-            inverses = [_reciprocal_int(float(v)) for v in cfg.eps]
+            for v in cfg.eps:
+                _reciprocal_int(float(v))
         except ValueError as exc:
             raise ConfigError(str(exc), line=entries["eps"][1], key="eps") from None
-        if cfg.n is not None:
-            for s in inverses:
-                if cfg.n % s:
-                    raise ConfigError(f"n = {cfg.n} is not a multiple of 1/eps = {s}",
-                                      line=entries["n"][1], key="n")
+    if experiment and cfg.n is not None:
+        ladder = cfg.eps if cfg.eps is not None else _DEFAULT_EPS[command]
+        for v in ladder:
+            s = _reciprocal_int(float(v))
+            if cfg.n % s:
+                raise ConfigError(f"n = {cfg.n} is not a multiple of 1/eps = {s}",
+                                  line=entries["n"][1], key="n")
     return cfg

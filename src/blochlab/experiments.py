@@ -54,6 +54,12 @@ _MIN_CELLS = 4
 FIBER_BETA_EXPONENT = 5
 
 
+#: default eps ladders of the shrinking-inclusion (thm22) and fiber (thm31)
+#: families; the config parser checks an ``n`` override against them
+THM22_EPS = (1 / 2, 1 / 4, 1 / 8)
+THM31_EPS = (1 / 3, 1 / 4, 1 / 5, 1 / 6)
+
+
 def fiber_beta(eps: float, r_eps: float) -> float:
     return r_eps**-2 * float(eps) ** -FIBER_BETA_EXPONENT
 
@@ -209,7 +215,7 @@ def _thm22_task(eps: float, m: int, eta: np.ndarray, forms: bool) -> tuple:
 
 
 def run_thm22(
-    eps_list=(1 / 2, 1 / 4, 1 / 8),
+    eps_list=THM22_EPS,
     eta=(0.25, 0.0),
     *,
     resolution: int | None = None,
@@ -293,7 +299,7 @@ def _fiber_task(
 
 
 def run_thm31(
-    eps_list=(1 / 3, 1 / 4, 1 / 5, 1 / 6),
+    eps_list=THM31_EPS,
     gamma: float = 2.0,
     eta=(0.2, 0.2, 0.3),
     *,
@@ -397,8 +403,6 @@ def run_gap_map(
         raise ValueError("eta must have three components")
     if eta[2] == 0.0:
         raise ValueError("map needs a nonzero third momentum component")
-    if np.isscalar(eps_list):
-        eps_list = (float(eps_list),)
     t_list = [float(t) for t in t_list]
     if sorted(t_list, reverse=True) != t_list or t_list[0] != 1.0:
         raise ValueError("t_list must start at 1 and decrease")
@@ -478,12 +482,10 @@ def run_pw(
     if eta.shape != (2,):
         raise ValueError("eta must have two components")
     if family == "thm22":
-        eps_list = tuple(eps_list) if eps_list is not None else (1 / 2, 1 / 4, 1 / 8)
+        eps_list = THM22_EPS if eps_list is None else eps_list
         rungs = [(eps, *_grid_sizes(eps, 2.0 * math.pi * eps * eps)) for eps in eps_list]
     else:
-        eps_list = tuple(eps_list) if eps_list is not None else (
-            1 / 3, 1 / 4, 1 / 5, 1 / 6,
-        )
+        eps_list = THM31_EPS if eps_list is None else eps_list
         rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
     tasks = [(family, eps, gamma, m, eta) for eps, _, m in rungs]
     workers = pool_size(workers, len(tasks))

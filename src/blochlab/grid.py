@@ -86,34 +86,6 @@ def make_grid(d: int, n: int | tuple[int, ...]) -> PeriodicGrid:
     return PeriodicGrid(d=d, n=counts)
 
 
-@dataclass
-class ScalarGridField:
-    """One scalar (real or complex) value per cell, flat row-major storage."""
-
-    grid: PeriodicGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.shape != (self.grid.num_cells,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid with "
-                f"{self.grid.num_cells} cells"
-            )
-
-    @property
-    def kind(self) -> str:
-        return "complex" if np.iscomplexobj(self.values) else "real"
-
-    def mean(self) -> float | complex:
-        """Cell-average, equal to the |Y|-normalized integral."""
-        m = self.values.mean()
-        return complex(m) if np.iscomplexobj(self.values) else float(m)
-
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
-
-
 def _reciprocal_int(eps: float) -> int:
     """Validate that eps is the reciprocal of a positive integer, return it."""
     if eps <= 0 or eps > 1:

@@ -53,8 +53,15 @@ class EigSolveReport:
     residuals: np.ndarray        # ||B x - lam M x||_2 / ||M x||_2 per vector
     rel_residuals: np.ndarray    # residuals normalized by the pencil scale
     iterations: int
-    converged: bool
     meta: dict = field(default_factory=dict)
+
+    @property
+    def lambda1(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def residual(self) -> float:
+        return float(self.residuals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +278,6 @@ def smallest_eigpair(
     k: int = 1,
     *,
     tol: float = 1e-10,
-    X0: np.ndarray | None = None,
     precond: Preconditioner,
 ) -> EigSolveReport:
     """Smallest ``k`` eigenpairs of ``B x = lam M x`` with diagonal ``M``.
@@ -281,9 +287,7 @@ def smallest_eigpair(
     solve with ``B`` itself (an approximate inverse; essential once the
     coefficient contrast is large), and that inner CG is in turn
     preconditioned by ``precond``.  The start block is the constant vector
-    plus fixed-seed Gaussian columns, so runs are reproducible; ``X0``
-    columns, when given, replace the random part (warm starts stay
-    deterministic).
+    plus fixed-seed Gaussian columns, so runs are reproducible.
 
     Convergence is declared when every requested vector satisfies
     ``||B x - lam M x||_2 <= tol * scale * ||x||_2`` where ``scale`` bounds
@@ -321,12 +325,6 @@ def smallest_eigpair(
     if dtype == np.complex128:
         rand_cols = rand_cols + 1j * rng.standard_normal((n, block - 1))
     X[:, 1:] = rand_cols
-    if X0 is not None:
-        X0 = np.atleast_2d(np.asarray(X0, dtype=dtype))
-        if X0.shape[0] != n:
-            X0 = X0.T
-        m = min(X0.shape[1], block)
-        X[:, :m] = X0[:, :m]
 
     scale = _pencil_scale(B, M)
     lam_floor = _MACHEPS * scale
@@ -419,8 +417,7 @@ def smallest_eigpair(
         "ij,ij->j", Xk.conj(), M[:, None] * Xk
     ).real
     resid, rel, est = _final_residuals(BXk, Xk, lam_k, M, scale, precond)
-    converged = bool(np.all(rel <= tol)) and est <= tol
-    if not converged:
+    if not (np.all(rel <= tol) and est <= tol):
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "
             f"(relative residuals {rel}, error estimate {est})",
@@ -433,7 +430,6 @@ def smallest_eigpair(
         residuals=resid[order],
         rel_residuals=rel[order],
         iterations=it,
-        converged=converged,
         meta={"error_estimate": est, "inner_cg_steps": inner_steps},
     )
 
@@ -460,7 +456,6 @@ def _dense_smallest(
         residuals=resid,
         rel_residuals=rel,
         iterations=0,
-        converged=True,
         meta={"error_estimate": est, "inner_cg_steps": 0},
     )
 

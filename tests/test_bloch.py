@@ -16,7 +16,6 @@ from blochlab.bloch import (
     bloch_lambda1,
     bloch_reduced,
     canonical_momentum,
-    expansion_fit,
     fiber_lambda1_2d,
     shifted_pencil,
 )
@@ -200,7 +199,7 @@ def test_eigvector_normalization():
     f = rasterize(TwoPhaseInclusion(eps=1.0, beta=3.0, rho=0.5), make_grid(2, (8, 8)))
     res = bloch_lambda1(f, np.array([0.2, 0.1]), tol=1e-12)
     w = f.grid.cell_volume
-    assert_allclose(w * np.sum(np.abs(res.phi) ** 2), 1.0, rtol=1e-10)
+    assert_allclose(w * np.sum(np.abs(res.vectors[:, 0]) ** 2), 1.0, rtol=1e-10)
 
 
 def test_reduced_equals_full_cell():
@@ -259,27 +258,6 @@ def test_fiber_section_scaling_consistency():
     lam_fiber = fiber_lambda1_2d(unit, 1 / 2, eta_p, 0.0, tol=1e-12).lambda1
     lam_red = bloch_reduced(unit, 1 / 2, eta_p, tol=1e-12).lambda1
     assert_allclose(lam_fiber, lam_red, rtol=1e-10)
-
-
-def test_expansion_fit_validation():
-    f = constant_field(1, 16)
-    with pytest.raises(ValueError, match="four t samples"):
-        expansion_fit(f, np.array([1.0]), np.array([0.05, 0.1, 0.15]))
-    with pytest.raises(ValueError, match=r"\(0, 0.2\]"):
-        expansion_fit(f, np.array([1.0]), np.array([0.1, 0.2, 0.3, 0.4]))
-
-
-def test_expansion_fit_identity_medium():
-    # 1-d constant medium: lam(t) = 4 sin^2(t h / 2) / h^2
-    #                              = t^2 - h^2 t^4 / 12 + O(t^6)
-    n = 256
-    f = constant_field(1, n)
-    fit = expansion_fit(f, np.array([1.0]), np.linspace(0.05, 0.2, 6), tol=1e-13)
-    c2, c4, resid = fit
-    h = 2.0 * math.pi / n
-    assert_allclose(c2, 1.0, rtol=1e-6)
-    assert_allclose(c4, -h**2 / 12.0, rtol=1e-2)
-    assert resid < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_analytic_energy_closed_forms():
 def test_vhat_profile_values():
     g = make_grid(2, (256, 256))
     r, R = 0.3, math.pi / 2
-    v = vhat(g, r, R).reshaped()
+    v = vhat(g, r, R)
     mesh = g.center_mesh()
     rho = np.sqrt((mesh[0] - math.pi) ** 2 + (mesh[1] - math.pi) ** 2)
     rho = np.broadcast_to(rho, g.shape)
@@ -71,7 +71,7 @@ def test_annulus_energy_discrete_converges():
 
 def _full_grid_energy(g, r, R):
     # reference: both face-difference grids of the whole vhat field at once
-    v = vhat(g, r, R).reshaped()
+    v = vhat(g, r, R)
     energy = 0.0
     for k in range(2):
         dv = (np.roll(v, -1, axis=k) - v) / g.h[k]

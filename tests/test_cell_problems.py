@@ -17,12 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from blochlab.cell_problems import (
-    corrector,
-    dispersion,
-    homogenized,
-    pw_constant,
-)
+from blochlab.cell_problems import dispersion, homogenized, pw_constant
 from blochlab.grid import make_grid
 from blochlab.microstructure import (
     CoefficientField,
@@ -47,20 +42,22 @@ def laminate_2d(n, a1=1.0, a2=4.0):
 
 def test_corrector_constant_is_zero():
     f = rasterize(Constant(3.0), make_grid(2, (8, 8)))
-    X = corrector(f, np.array([1.0, 0.0]))
-    assert_allclose(X.values, 0.0, atol=1e-13)
+    X = homogenized(f).correctors
+    assert_allclose(X[:, 0], 0.0, atol=1e-13)
 
 
 def test_corrector_along_layers_is_zero():
     f = laminate_2d(8)
-    X = corrector(f, np.array([0.0, 1.0]))
-    assert_allclose(X.values, 0.0, atol=1e-12)
+    X = homogenized(f).correctors
+    assert_allclose(X[:, 1], 0.0, atol=1e-12)
 
 
-def test_corrector_shape_validation():
+def test_momentum_shape_validation():
     f = half_half_1d(8)
-    with pytest.raises(ValueError, match="direction"):
-        corrector(f, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="eta"):
+        dispersion(f, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="lam"):
+        pw_constant(f, np.array([1.0, 0.0]))
 
 
 def test_harmonic_mean_1d():
@@ -101,8 +98,8 @@ def test_chi_corrections_vanish_for_constant():
     f = rasterize(Constant(2.0), make_grid(2, (8, 8)))
     eta = np.array([0.3, 0.1])
     s = dispersion(f, eta)
-    assert_allclose(s.chi1.values, 0.0, atol=1e-13)
-    assert_allclose(s.chi2.values, 0.0, atol=1e-13)
+    assert_allclose(s.chi1, 0.0, atol=1e-13)
+    assert_allclose(s.chi2, 0.0, atol=1e-13)
 
 
 def test_dispersion_constant_is_zero():
@@ -151,10 +148,10 @@ def test_chi1_tiles_from_unit_cell():
     unit = rasterize(unit_pattern(spec), make_grid(2, (8, 8)))
     fine = rasterize(spec, make_grid(2, (32, 32)))
     eta = np.array([1.0, 0.0])
-    u = corrector(unit, eta, tol=1e-13)
-    f = corrector(fine, eta, tol=1e-13)
-    tiled = 0.25 * np.tile(u.values.reshape(8, 8), (4, 4)).ravel()
-    assert np.abs(f.values - tiled).max() <= 1e-12
+    u = dispersion(unit, eta, tol=1e-13).chi1
+    f = dispersion(fine, eta, tol=1e-13).chi1
+    tiled = 0.25 * np.tile(u.reshape(8, 8), (4, 4)).ravel()
+    assert np.abs(f - tiled).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

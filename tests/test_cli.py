@@ -244,6 +244,15 @@ def test_import_loads_every_module_and_no_scipy(tmp_path):
     assert report["scipy_after_runs"] == []
 
 
+def test_package_exports_resolve():
+    # a deleted name must not linger in the export list
+    import blochlab
+
+    assert len(set(blochlab.__all__)) == len(blochlab.__all__)
+    for name in blochlab.__all__:
+        assert hasattr(blochlab, name), name
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="VmHWM is read from /proc/self/status")
 def test_sidecar_rss_excludes_the_launcher(tmp_path):

@@ -210,10 +210,13 @@ def test_numbers_are_finite_decimals(text, key, line):
     ("command = capacity\neps = 0.3\ngamma = 2\n", "eps", 2),
     ("command = experiment:thm31\neps = 1/3\nn = 100\n", "n", 3),
     ("command = experiment:thm22\nn = 64\neps = 1/2, 1/3\n", "n", 2),
+    ("command = experiment:thm22\nn = 12\n", "n", 2),
+    ("command = experiment:thm31\nn = 100\n", "n", 2),
 ])
 def test_eps_ladder_checked_at_parse_time(text, key, line):
     # every 1/eps a run resolves a grid for is an integer, and an
-    # experiment's n a multiple of each; before, both failed only at run time
+    # experiment's n a multiple of each, of the config's eps or the default
+    # ladder; before, both failed only at run time
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert exc.value.key == key and exc.value.line == line

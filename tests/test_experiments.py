@@ -189,7 +189,7 @@ def test_fiber_beta_scaling():
 
 
 def test_gap_map_small():
-    table = run_gap_map(eps_list=1 / 3, t_list=(1.0, 1 / 4))
+    table = run_gap_map(eps_list=(1 / 3,), t_list=(1.0, 1 / 4))
     assert len(table.rows) == 2
     t1, t4 = table.rows
     assert t1["t"] == 1.0 and t4["t"] == 0.25
@@ -200,9 +200,9 @@ def test_gap_map_small():
 
 def test_gap_map_validation():
     with pytest.raises(ValueError, match="t_list must start at 1"):
-        run_gap_map(eps_list=1 / 3, t_list=(0.5, 0.25))
+        run_gap_map(eps_list=(1 / 3,), t_list=(0.5, 0.25))
     with pytest.raises(ValueError, match="t_list must start at 1"):
-        run_gap_map(eps_list=1 / 3, t_list=(1.0, 0.5, 0.7))
+        run_gap_map(eps_list=(1 / 3,), t_list=(1.0, 0.5, 0.7))
     with pytest.raises(ValueError, match="third momentum"):
         run_gap_map(eta=(0.1, 0.1, 0.0))
 

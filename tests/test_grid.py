@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blochlab.grid import PeriodicGrid, ScalarGridField, make_grid
+from blochlab.grid import PeriodicGrid, make_grid
 
 
 def test_make_grid_basic():
@@ -74,25 +74,6 @@ def test_neighbor_values_read_through_the_index_map():
             assert np.array_equal(g.neighbor_values(u[:, 0], axis, step), u[nb, 0])
     with pytest.raises(ValueError, match="axis"):
         g.neighbor_values(u, 3)
-
-
-def test_scalar_field_stats():
-    g = make_grid(1, (4,))
-    f = ScalarGridField(g, np.array([1.0, -1.0, 1.0, -1.0]))
-    assert f.mean() == 0.0
-
-
-def test_field_complex_kind():
-    g = make_grid(1, (4,))
-    f = ScalarGridField(g, np.array([1j, 0, 0, 0]))
-    assert f.kind == "complex"
-    assert isinstance(f.mean(), complex)
-
-
-def test_field_rejects_wrong_length():
-    g = make_grid(2, (4, 4))
-    with pytest.raises(ValueError):
-        ScalarGridField(g, np.zeros(7))
 
 
 def test_grid_is_frozen():
