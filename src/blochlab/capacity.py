@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PeriodicGrid
+from .microstructure import check_cells_across
 
 _CENTER = math.pi  # the disc sits at the cell midpoint (pi, pi)
+
+#: outer radius of the annulus when none is given
+DEFAULT_R = math.pi / 2
 
 
 @dataclass(frozen=True)
 class CapacityProfile:
     """Geometry of the radial test profile."""
-
-    DEFAULT_R = math.pi / 2
 
     r_eps: float
     R: float = DEFAULT_R
@@ -50,14 +52,7 @@ def _checked_profile(grid: PeriodicGrid, r_eps: float, R: float) -> CapacityProf
     prof = CapacityProfile(r_eps, R)
     if grid.d != 2:
         raise ValueError("capacity profiles are two-dimensional")
-    min_cells = 4
-    for k in range(2):
-        if 2.0 * r_eps / grid.h[k] < min_cells:
-            needed = math.ceil(min_cells * grid.h[k] * grid.n[k] / (2.0 * r_eps))
-            raise ValueError(
-                f"disc of radius {r_eps} spans fewer than {min_cells} cells "
-                f"along axis {k}; need n >= {needed}"
-            )
+    check_cells_across(2.0 * r_eps, grid)  # the fiber section's disc at s = 1
     return prof
 
 
@@ -78,7 +73,7 @@ def _profile_rows(
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = math.pi / 2) -> np.ndarray:
+def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = DEFAULT_R) -> np.ndarray:
     """Cell-center samples of the radial profile, shape ``grid2d.shape``.
 
     0 inside ``r_eps``, ``ln(rho / r_eps) / ln(R / r_eps)`` on the annulus,
@@ -90,7 +85,7 @@ def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = math.pi / 2) -> np.ndarr
 
 
 def annulus_energy(
-    r_eps: float, R: float = math.pi / 2, grid2d: PeriodicGrid | None = None
+    r_eps: float, R: float = DEFAULT_R, grid2d: PeriodicGrid | None = None
 ) -> tuple[float, float | None]:
     """Analytic and (optionally) discrete Dirichlet energy of the profile.
 
@@ -120,7 +115,7 @@ def annulus_energy(
 
 
 def scaled_energy(
-    eps: float, r_eps: float, R: float = math.pi / 2,
+    eps: float, r_eps: float, R: float = DEFAULT_R,
     grid2d: PeriodicGrid | None = None,
 ) -> float:
     """Thin-structure energy density ``eps^{-2} . mean |grad vhat|^2``.

@@ -165,7 +165,6 @@ def _chi2_values(
 class DispersionSample:
     """Fourth-order (dispersive) coefficient of the eigenvalue expansion."""
 
-    eta: np.ndarray
     value: float            # quartic coefficient; nonpositive
     q_eta_eta: float        # quadratic coefficient along the same momentum
     compat: float           # relative mean of the second-corrector source
@@ -203,7 +202,6 @@ def dispersion(
         dg = face_difference(g, grid, k)
         energy += np.sum(w * face_arrays(field, k) * dg * dg)
     return DispersionSample(
-        eta=eta,
         value=-energy / (N * w),
         q_eta_eta=q_eta_eta,
         compat=compat,

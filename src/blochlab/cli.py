@@ -25,15 +25,14 @@ import numpy as np
 
 from . import __version__
 from .bloch import bloch_lambda1
-from .capacity import CapacityProfile, annulus_energy, scaled_energy
+from .capacity import DEFAULT_R, annulus_energy, scaled_energy
 from .cell_problems import Q_NORMALIZATION, dispersion, homogenized, pw_constant
-from .config import ConfigError, RunConfig, parse_config
+from .config import _COMMANDS, ConfigError, RunConfig, parse_config
 from .experiments import (
     ExperimentTable,
     eta_cells,
     make_table,
     map_tasks,
-    pool_size,
     resolve_resolution,
     run_gap_map,
     run_pw,
@@ -121,14 +120,14 @@ def _scaled_energy_task(eps: float, gamma: float, r: float, R: float, n: int) ->
     return {"scaled_energy": energy, "gamma_deviation": abs(energy - gamma) / gamma}
 
 
-def _task_table(name: str, fn, keys: list[dict], tasks: list[tuple],
-                workers: int, cost=None) -> ExperimentTable:
+def _task_table(fn, keys: list[dict], tasks: list[tuple], workers: int,
+                cost=None) -> ExperimentTable:
     """One row per task, in input order: the row's key cells, then the value
     cells ``fn(*task)`` returns, then its ``runtime_seconds``."""
-    workers = pool_size(workers, len(tasks))
+    done, workers = map_tasks(fn, tasks, workers, cost)
     rows = [{**key, **values, "runtime_seconds": seconds}
-            for key, (values, seconds) in zip(keys, map_tasks(fn, tasks, workers, cost))]
-    return make_table(name, rows, workers)
+            for key, (values, seconds) in zip(keys, done)]
+    return make_table(rows, workers)
 
 
 def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
@@ -141,20 +140,20 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     """
     name = cfg.command
     if name == "homogenize":
-        return _task_table(name, _homogenize_task, [{}], [(cfg.a, cfg.n)], workers)
+        return _task_table(_homogenize_task, [{}], [(cfg.a, cfg.n)], workers)
 
     if name in ("bloch", "dispersion", "pw"):
         prefix = "lambda" if name == "pw" else "eta"  # pw: eta is the direction
         keys = [eta_cells(eta, prefix) for eta in cfg.eta]
         tasks = [(name, cfg.a, cfg.n, eta) for eta in cfg.eta]
-        return _task_table(name, _momentum_task, keys, tasks, workers)
+        return _task_table(_momentum_task, keys, tasks, workers)
 
     # capacity: the config holds r (annulus check) or eps and gamma (sweep)
-    R = float(cfg.R) if cfg.R is not None else CapacityProfile.DEFAULT_R
+    R = float(cfg.R) if cfg.R is not None else DEFAULT_R
     if cfg.r is not None:
         r, n = float(cfg.r), cfg.n or 512
-        return _task_table(name, _annulus_task, [{"r": r, "R": R, "n": n}],
-                           [(r, R, n)], workers)
+        return _task_table(_annulus_task, [{"r": r, "R": R, "n": n}], [(r, R, n)],
+                           workers)
     gamma = float(cfg.gamma)
     keys, tasks = [], []
     for eps_f in cfg.eps:
@@ -163,14 +162,8 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
         n = cfg.n or resolve_resolution(eps, 2.0 * eps * r)
         keys.append({"eps": eps, "gamma": gamma, "r": r, "R": R, "n": n})
         tasks.append((eps, gamma, r, R, n))
-    return _task_table(name, _scaled_energy_task, keys, tasks, workers,
+    return _task_table(_scaled_energy_task, keys, tasks, workers,
                        [t[-1] ** 2 for t in tasks])
-
-
-#: config key -> the keyword of every experiment harness that reads it; the
-#: config schema admits a key only for the experiments whose harness takes it
-_HARNESS_KEYWORDS = {"eps": "eps_list", "eta": "eta", "n": "resolution",
-                    "gamma": "gamma", "t_list": "t_list"}
 
 
 def _harness(name: str):
@@ -188,14 +181,14 @@ def _harness(name: str):
 
 def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     kw = {}
-    for key, keyword in _HARNESS_KEYWORDS.items():
+    for key in _COMMANDS[cfg.command][1]:
         value = getattr(cfg, key)
         if key == "eta" and value is not None:
             (value,) = value  # an experiment takes one momentum
         if isinstance(value, (list, tuple)):
-            kw[keyword] = [float(v) for v in value]
+            kw[key] = [float(v) for v in value]
         elif value is not None:
-            kw[keyword] = value if key == "n" else float(value)
+            kw[key] = value if key == "n" else float(value)
     return _harness(cfg.command.split(":", 1)[1])(workers=workers, **kw)
 
 

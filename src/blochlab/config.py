@@ -15,10 +15,11 @@ Two tables hold the schema: ``_KINDS`` gives every key its value kind, and
 take; ``_CONSTRUCTORS`` does the same for the arguments of each
 microstructure constructor.  Unknown keys, keys the command does not read,
 missing keys, wrong types and constraint violations (the microstructure
-specs' own checks included) are all rejected here, with the key and line
-number.  ``serialize`` emits the canonical form (``_KINDS`` order, defaults
-filled, shortest float representation, fractions kept exact), and
-parse -> serialize -> parse is the identity.
+specs' own checks and the harnesses' ``eta`` and ``t_list`` checks
+included) are all rejected here, with the key and line number.
+``serialize`` emits the canonical form (``_KINDS`` order, defaults filled,
+shortest float representation, fractions kept exact), and parse ->
+serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .experiments import THM22_EPS, THM31_EPS
+from .experiments import THM22_EPS, THM31_EPS, check_eta, check_t_list
 from .grid import _reciprocal_int
 from .microstructure import (
     Constant,
@@ -263,8 +264,8 @@ _CONSTRUCTORS = {
     "two_phase": ({"eps": _NEEDED, "beta": _NEEDED, "rho": _NEEDED,
                    "shape": "square"}, TwoPhaseInclusion),
     "fiber": ({"eps": _NEEDED, "gamma": _NEEDED, "beta": None}, _fiber),
-    "fiber_lattice": ({"eps": _NEEDED, "r": _NEEDED, "beta": _NEEDED,
-                       "R": None}, lambda r, **kw: FiberLattice(r_eps=r, **kw)),
+    "fiber_lattice": ({"eps": _NEEDED, "r": _NEEDED, "beta": _NEEDED},
+                      lambda r, **kw: FiberLattice(r_eps=r, **kw)),
     "from_file": ({"path": _NEEDED}, FromFile),
 }
 _WORD_ARGS = ("shape", "path")
@@ -401,10 +402,19 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     "capacity needs either r (annulus check) or eps and gamma "
                     "(scaled-energy sweep)", line=cmd_line, key=key)
+    # an experiment's momentum and t_list pass its harness's own checks
+    experiment = command.startswith("experiment:")
+    if experiment:
+        name = command.split(":", 1)[1]
+        for key, check in (("eta", lambda v: check_eta(name, v[0])), ("t_list", check_t_list)):
+            if key in entries:
+                try:
+                    check(getattr(cfg, key))
+                except ValueError as exc:
+                    raise ConfigError(str(exc), line=entries[key][1], key=key) from None
     # a run that resolves its own grid per eps needs every 1/eps an integer,
     # and an experiment's n a multiple of each, of the config's ladder or the
     # default one (capacity with n takes any eps)
-    experiment = command.startswith("experiment:")
     if cfg.eps is not None and (experiment or cfg.n is None):
         try:
             for v in cfg.eps:

@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import bloch_reduced, fiber_lambda1_2d
-from .cell_problems import Q_NORMALIZATION, dispersion, homogenized, pw_constant
+from .cell_problems import dispersion, homogenized, pw_constant
 from .grid import _reciprocal_int, make_grid
 from .microstructure import (
+    MIN_CELLS_ACROSS,
     CoefficientField,
     FiberLattice,
     TwoPhaseInclusion,
@@ -45,7 +46,6 @@ from .microstructure import (
 )
 
 _CAP = 2048
-_MIN_CELLS = 4
 
 #: contrast growth used by the fiber sweeps: beta = r^{-2} eps^{-5}.  The
 #: shared default_beta rule (r^{-2}/eps) grows too slowly for the spectral
@@ -66,7 +66,6 @@ def fiber_beta(eps: float, r_eps: float) -> float:
 
 @dataclass
 class ExperimentTable:
-    name: str
     columns: list[str]          # CSV schema; runtime lives in the sidecar
     rows: list[dict]
     checks: dict[str, bool]
@@ -77,11 +76,8 @@ class ExperimentTable:
     def passed(self) -> bool:
         return all(self.checks.values())
 
-    def column(self, key: str) -> list:
-        return [row[key] for row in self.rows]
 
-
-def make_table(name: str, rows: list[dict], workers: int,
+def make_table(rows: list[dict], workers: int,
                checks: dict[str, bool] | None = None,
                meta: dict | None = None) -> ExperimentTable:
     """The table of ``rows``, computed on ``workers`` processes.
@@ -98,7 +94,7 @@ def make_table(name: str, rows: list[dict], workers: int,
                 raise ValueError(f"non-finite row entry {key}={v}")
         row.update((key, bool(ok)) for key, ok in checks.items())
     columns = [c for c in (rows[0] if rows else ()) if c != "runtime_seconds"]
-    return ExperimentTable(name, columns, rows, checks, meta or {}, workers)
+    return ExperimentTable(columns, rows, checks, meta or {}, workers)
 
 
 def eta_cells(eta, prefix: str = "eta") -> dict:
@@ -120,7 +116,7 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
     if n > _CAP:
         n = (_CAP // inv) * inv
         have = n * feature_extent / (2.0 * math.pi)
-        if have < _MIN_CELLS:
+        if have < MIN_CELLS_ACROSS:
             raise ValueError(
                 f"feature of extent {feature_extent:.3e} spans only "
                 f"{have:.2f} cells at the {_CAP} cap; case unresolvable"
@@ -144,11 +140,11 @@ def _timed(fn, task: tuple) -> tuple:
     return value, time.perf_counter() - t0
 
 
-def map_tasks(fn, tasks, workers: int = 1, cost=None) -> list[tuple]:
-    """``[(fn(*task), wall seconds), ...]`` for independent tasks, in input
-    order.
+def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]:
+    """``([(fn(*task), wall seconds), ...], pool)`` for independent tasks,
+    in input order, run on ``pool = pool_size(workers, len(tasks))`` processes.
 
-    With one worker after :func:`pool_size` the tasks run in this process.
+    With a pool of one the tasks run in this process.
     Otherwise they run on a fork pool, one task at a time per worker,
     submitted in decreasing ``cost`` (grid cells) so that the largest
     solves start first.  ``fn`` must be a module-level function, and tasks
@@ -158,7 +154,7 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> list[tuple]:
     tasks = list(tasks)
     n_workers = pool_size(workers, len(tasks))
     if n_workers == 1:
-        return [_timed(fn, task) for task in tasks]
+        return [_timed(fn, task) for task in tasks], 1
     import multiprocessing  # only pooled runs pay for the import
 
     order = list(range(len(tasks)))
@@ -173,20 +169,45 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> list[tuple]:
     out: list = [None] * len(tasks)
     for i, result in zip(order, done):
         out[i] = result
-    return out
+    return out, n_workers
 
 
-def _grid_sizes(eps: float, extent: float, resolution: int | None = None):
+def _grid_sizes(eps: float, extent: float, n: int | None = None):
     """``(n, m)``: full-grid cells per axis and unit-pattern cells per axis.
 
-    A ``resolution`` override must be a multiple of ``1/eps``.
+    An ``n`` override must be a multiple of ``1/eps``.
     """
     s = _reciprocal_int(eps)
-    n = resolution or resolve_resolution(eps, extent)
+    n = n or resolve_resolution(eps, extent)
     if n % s:
         raise ValueError(f"resolution n = {n} is not a multiple of 1/eps = {s} "
                          f"(eps = {eps})")
     return n, n // s
+
+
+def check_eta(experiment: str, eta) -> np.ndarray:
+    """The momentum of ``experiment:<experiment>`` as a float array, once it
+    passes the harness's rule: three components with a nonzero third for
+    the fiber sweeps (thm31, gap_map), else two, of norm <= 1/4 for thm22."""
+    eta = np.asarray(eta, dtype=np.float64)
+    fiber = experiment in ("thm31", "gap_map")
+    if eta.shape != ((3,) if fiber else (2,)):
+        raise ValueError(f"eta must have {'three' if fiber else 'two'} components")
+    if fiber and eta[2] == 0.0:
+        run = "main run" if experiment == "thm31" else "map"
+        raise ValueError(f"{run} needs a nonzero third momentum component")
+    if experiment == "thm22" and float(np.hypot(*eta)) > 0.25 + 1e-12:
+        raise ValueError("sweep is meaningful only for |eta| <= 1/4")
+    return eta
+
+
+def check_t_list(t_list) -> list[float]:
+    """The gap map's momentum scales as floats, once they start at 1 and
+    decrease."""
+    t_list = [float(t) for t in t_list]
+    if sorted(t_list, reverse=True) != t_list or t_list[0] != 1.0:
+        raise ValueError("t_list must start at 1 and decrease")
+    return t_list
 
 
 def _nonincreasing(seq) -> bool:
@@ -215,10 +236,10 @@ def _thm22_task(eps: float, m: int, eta: np.ndarray, forms: bool) -> tuple:
 
 
 def run_thm22(
-    eps_list=THM22_EPS,
+    eps=THM22_EPS,
     eta=(0.25, 0.0),
     *,
-    resolution: int | None = None,
+    n: int | None = None,
     workers: int = 1,
 ) -> ExperimentTable:
     """Shrinking-inclusion sweep: rho = eps, beta = eps^{-2}.
@@ -228,20 +249,13 @@ def run_thm22(
     the period does.  ``workers`` is the requested pool size of
     :func:`map_tasks`.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (2,):
-        raise ValueError("eta must have two components")
-    if float(np.hypot(*eta)) > 0.25 + 1e-12:
-        raise ValueError("sweep is meaningful only for |eta| <= 1/4")
-    rungs = [
-        (eps, *_grid_sizes(eps, 2.0 * math.pi * eps * eps, resolution))
-        for eps in eps_list
-    ]
+    eta = check_eta("thm22", eta)
+    rungs = [(e, *_grid_sizes(e, 2.0 * math.pi * e * e, n)) for e in eps]
     tasks = []
     for eps, _, m in rungs:
         tasks += [(eps, m, eta, True), (eps, m, eta, False), (eps, 2 * m, eta, False)]
-    workers = pool_size(workers, len(tasks))
-    done = iter(map_tasks(_thm22_task, tasks, workers, [t[1] ** 2 for t in tasks]))
+    done, workers = map_tasks(_thm22_task, tasks, workers, [t[1] ** 2 for t in tasks])
+    done = iter(done)
     rows = []
     for eps, n, m in rungs:
         (q_eta_eta, disp_eps), t_forms = next(done)
@@ -271,9 +285,8 @@ def run_thm22(
         "experiment": "thm22",
         "microstructure": "two_phase(rho=eps, beta=eps^-2, shape=square)",
         "eta": [float(v) for v in eta],
-        "q_normalization": Q_NORMALIZATION,
     }
-    return make_table("thm22", rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta)
 
 
 def _fiber_params(eps: float, gamma: float) -> tuple[float, float]:
@@ -286,8 +299,8 @@ def _fiber_section(eps: float, gamma: float, m: int) -> CoefficientField:
     return rasterize(FiberLattice(eps=1.0, r_eps=r_eps, beta=beta), make_grid(2, (m, m)))
 
 
-def _fiber_sizes(eps: float, gamma: float, resolution: int | None = None):
-    return _grid_sizes(eps, 2.0 * eps * radius_for_gamma(eps, gamma), resolution)
+def _fiber_sizes(eps: float, gamma: float, n: int | None = None):
+    return _grid_sizes(eps, 2.0 * eps * radius_for_gamma(eps, gamma), n)
 
 
 def _fiber_task(
@@ -299,12 +312,11 @@ def _fiber_task(
 
 
 def run_thm31(
-    eps_list=THM31_EPS,
+    eps=THM31_EPS,
     gamma: float = 2.0,
     eta=(0.2, 0.2, 0.3),
     *,
-    resolution: int | None = None,
-    with_mesh_check: bool = True,
+    n: int | None = None,
     workers: int = 1,
 ) -> ExperimentTable:
     """Thin-fiber sweep at the critical radius scaling.
@@ -319,30 +331,26 @@ def run_thm31(
     and doubled-mesh solves of every rung are separate tasks of
     :func:`map_tasks`, on ``workers`` requested processes.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (3,):
-        raise ValueError("eta must have three components")
-    if eta[2] == 0.0:
-        raise ValueError("main run needs a nonzero third momentum component")
+    eta = check_eta("thm31", eta)
     eta_sq = float(eta @ eta)
     eta_p = eta[:2]
-    rungs = [(eps, *_fiber_sizes(eps, gamma, resolution)) for eps in eps_list]
+    rungs = [(e, *_fiber_sizes(e, gamma, n)) for e in eps]
     tasks = []
     for eps, _, m in rungs:
-        tasks += [(eps, gamma, m, eta_p, float(eta[2])), (eps, gamma, m, eta_p, 0.0)]
-        if with_mesh_check:
-            tasks.append((eps, gamma, 2 * m, eta_p, float(eta[2])))
-    workers = pool_size(workers, len(tasks))
-    done = iter(map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks]))
+        tasks += [(eps, gamma, m, eta_p, float(eta[2])), (eps, gamma, m, eta_p, 0.0),
+                  (eps, gamma, 2 * m, eta_p, float(eta[2]))]
+    done, workers = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
+    done = iter(done)
     rows = []
     for eps, n, m in rungs:
         (lam, iters), seconds = next(done)
         (ctrl_lam, _), ctrl_seconds = next(done)
-        seconds += ctrl_seconds
+        (lam2, _), mesh_seconds = next(done)
+        mesh_rel = abs(lam2 - lam) / lam
         r_eps, beta = _fiber_params(eps, gamma)
         excess = lam - eta_sq
         ctrl_excess = ctrl_lam - float(eta_p @ eta_p)
-        row = {
+        rows.append({
             "eps": float(eps), "n": n, "m": m, "r_eps": r_eps, "beta": beta,
             **eta_cells(eta),
             "lambda1": lam,
@@ -354,15 +362,11 @@ def run_thm31(
             "control_excess": ctrl_excess,
             "excess_ratio": excess / max(abs(ctrl_excess), 1e-300),
             "iterations": iters,
-        }
-        if with_mesh_check:
-            (lam2, _), mesh_seconds = next(done)
-            seconds += mesh_seconds
-            mesh_rel = abs(lam2 - lam) / lam
-            row.update(lambda1_doubled=lam2, mesh_rel_change=mesh_rel,
-                       mesh_pass=mesh_rel <= 0.01)
-        row["runtime_seconds"] = seconds
-        rows.append(row)
+            "lambda1_doubled": lam2,
+            "mesh_rel_change": mesh_rel,
+            "mesh_pass": mesh_rel <= 0.01,
+            "runtime_seconds": seconds + ctrl_seconds + mesh_seconds,
+        })
 
     excesses = [r["excess"] for r in rows]
     checks = {
@@ -378,13 +382,12 @@ def run_thm31(
         "gamma": gamma,
         "eta": [float(v) for v in eta],
         "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
-        "q_normalization": Q_NORMALIZATION,
     }
-    return make_table("thm31", rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta)
 
 
 def run_gap_map(
-    eps_list=(1 / 3, 1 / 4, 1 / 5),
+    eps=(1 / 3, 1 / 4, 1 / 5),
     gamma: float = 2.0,
     eta=(0.2, 0.2, 0.3),
     t_list=(1.0, 1 / 4, 1 / 16, 1 / 64),
@@ -398,19 +401,12 @@ def run_gap_map(
     not commute, which is the discontinuity at zero momentum.  Every
     (eps, t) cell is one task of :func:`map_tasks`.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (3,):
-        raise ValueError("eta must have three components")
-    if eta[2] == 0.0:
-        raise ValueError("map needs a nonzero third momentum component")
-    t_list = [float(t) for t in t_list]
-    if sorted(t_list, reverse=True) != t_list or t_list[0] != 1.0:
-        raise ValueError("t_list must start at 1 and decrease")
-    rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
+    eta = check_eta("gap_map", eta)
+    t_list = check_t_list(t_list)
+    rungs = [(e, *_fiber_sizes(e, gamma)) for e in eps]
     cells = [(eps, n, m, t) for eps, n, m in rungs for t in t_list]
     tasks = [(eps, gamma, m, t * eta[:2], float(t * eta[2])) for eps, _, m, t in cells]
-    workers = pool_size(workers, len(tasks))
-    done = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
+    done, workers = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
     rows = []
     lam_at_1: dict[float, float] = {}
     for (eps, n, m, t), ((lam, iters), seconds) in zip(cells, done):
@@ -444,7 +440,7 @@ def run_gap_map(
         "t_list": t_list,
         "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
     }
-    return make_table("gap_map", rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta)
 
 
 def _pw_task(family: str, eps: float, gamma: float, m: int, lam: np.ndarray):
@@ -460,7 +456,7 @@ def _pw_task(family: str, eps: float, gamma: float, m: int, lam: np.ndarray):
 
 
 def run_pw(
-    eps_list=None,
+    eps=None,
     family: str = "thm22",
     eta=(0.25, 0.0),
     *,
@@ -478,18 +474,15 @@ def run_pw(
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape != (2,):
-        raise ValueError("eta must have two components")
+    eta = check_eta(f"pw_{family}", eta)
     if family == "thm22":
-        eps_list = THM22_EPS if eps_list is None else eps_list
-        rungs = [(eps, *_grid_sizes(eps, 2.0 * math.pi * eps * eps)) for eps in eps_list]
+        eps = THM22_EPS if eps is None else eps
+        rungs = [(e, *_grid_sizes(e, 2.0 * math.pi * e * e)) for e in eps]
     else:
-        eps_list = THM31_EPS if eps_list is None else eps_list
-        rungs = [(eps, *_fiber_sizes(eps, gamma)) for eps in eps_list]
+        eps = THM31_EPS if eps is None else eps
+        rungs = [(e, *_fiber_sizes(e, gamma)) for e in eps]
     tasks = [(family, eps, gamma, m, eta) for eps, _, m in rungs]
-    workers = pool_size(workers, len(tasks))
-    done = map_tasks(_pw_task, tasks, workers, [t[3] ** 2 for t in tasks])
+    done, workers = map_tasks(_pw_task, tasks, workers, [t[3] ** 2 for t in tasks])
     rows = []
     for (eps, n, m), ((C, mean_a), seconds) in zip(rungs, done):
         row = {"eps": float(eps), "n": n, "m": m, **eta_cells(eta)}
@@ -515,4 +508,4 @@ def run_pw(
         "lambda": [float(v) for v in eta],
         "gamma": gamma,
     }
-    return make_table(f"pw_{family}", rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta)

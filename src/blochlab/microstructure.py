@@ -18,6 +18,9 @@ from .grid import PeriodicGrid, _reciprocal_int
 
 _PI = math.pi
 
+#: fewest cells that may span the smallest feature of a rasterized pattern
+MIN_CELLS_ACROSS = 4
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -60,15 +63,12 @@ class FiberLattice:
     ``eps Y`` sub-cell, with conductivity ``beta`` inside and 1 outside.
 
     In pattern coordinates the fiber cross-section is the disc of radius
-    ``r_eps`` centered at ``(pi, pi)``.  ``R`` is the outer radius of the
-    matching capacity annulus and is carried here so downstream consumers
-    agree on it.
+    ``r_eps`` centered at ``(pi, pi)``.
     """
 
     eps: float
     r_eps: float
     beta: float
-    R: float = _PI / 2
 
     def __post_init__(self) -> None:
         _reciprocal_int(self.eps)
@@ -76,11 +76,6 @@ class FiberLattice:
             raise ValueError(f"r_eps must lie in (0, pi), got {self.r_eps}")
         if self.beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if not self.r_eps < self.R <= _PI:
-            raise ValueError(
-                f"outer radius R must lie in (r_eps, pi], got R={self.R} "
-                f"with r_eps={self.r_eps}"
-            )
 
 
 @dataclass(frozen=True)
@@ -145,8 +140,8 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
     """Sample a microstructure at cell centers.
 
     Raises if a grid axis is not divisible by ``1/eps`` (the field would not
-    be exactly ``eps Y``-periodic) or if fewer than 4 cells span the smallest
-    feature of the pattern.
+    be exactly ``eps Y``-periodic) or if fewer than ``MIN_CELLS_ACROSS``
+    cells span the smallest feature of the pattern.
     """
     if isinstance(spec, Constant):
         values = np.full(grid.num_cells, float(spec.a0))
@@ -174,7 +169,10 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
                 f"axis {k} has {nk} cells, not divisible by 1/eps = {s}; "
                 f"the sampled field would not be eps*Y-periodic"
             )
-    _check_resolution(spec, grid, s)
+    if isinstance(spec, TwoPhaseInclusion):
+        check_cells_across(2.0 * _PI * spec.rho / s, grid, range(grid.d))
+    else:
+        check_cells_across(2.0 * spec.r_eps / s, grid)
 
     # pattern coordinates y = (x / eps) mod 2*pi, evaluated per axis
     mesh = grid.center_mesh()
@@ -191,28 +189,21 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
     else:  # FiberLattice: cylinder along the last axis of a 3-d grid
         r2 = (pattern[0] - _PI) ** 2 + (pattern[1] - _PI) ** 2
         inside = r2 < spec.r_eps**2
-        if grid.d == 3:
-            inside = inside & np.ones_like(pattern[2], dtype=bool)
 
     values = np.where(np.broadcast_to(inside, grid.shape).ravel(), float(spec.beta), 1.0)
     return CoefficientField(grid=grid, a=values, inv_eps=s)
 
 
-def _check_resolution(spec, grid: PeriodicGrid, s: int) -> None:
-    """Require at least 4 cells across the smallest feature diameter."""
-    if isinstance(spec, TwoPhaseInclusion):
-        diameter = 2.0 * _PI * spec.rho / s  # inclusion extent in x units
-        axes = range(grid.d)
-    else:
-        diameter = 2.0 * spec.r_eps / s
-        axes = range(2)
+def check_cells_across(diameter: float, grid: PeriodicGrid, axes=(0, 1)) -> None:
+    """Require at least ``MIN_CELLS_ACROSS`` cells across a feature of
+    ``diameter`` (x units) along each of ``axes``."""
     for k in axes:
         across = diameter / grid.h[k]
-        if across < 4.0:
-            need = math.ceil(4.0 * 2.0 * _PI / diameter)
+        if across < MIN_CELLS_ACROSS:
+            need = math.ceil(MIN_CELLS_ACROSS * 2.0 * _PI / diameter)
             raise ValueError(
                 f"feature of extent {diameter:.4g} spans only {across:.2f} cells "
-                f"along axis {k}; need n >= {need} (at least 4 cells across)"
+                f"along axis {k}; need n >= {need} (at least {MIN_CELLS_ACROSS} across)"
             )
 
 

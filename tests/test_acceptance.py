@@ -97,9 +97,9 @@ def test_criterion_04_expansion_consistency():
 
 def test_criterion_05_shrinking_inclusion_trend():
     table = run_thm22()
-    gaps = table.column("gap")
-    disp = table.column("dispersion_value")
-    lam = table.column("lambda1")
+    gaps = [r["gap"] for r in table.rows]
+    disp = [r["dispersion_value"] for r in table.rows]
+    lam = [r["lambda1"] for r in table.rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:])), f"gaps {gaps}"
     assert gaps[-1] <= 0.05 * lam[-1], f"final gap {gaps[-1]:.3e} vs 5% of {lam[-1]:.4f}"
     mags = [abs(v) for v in disp]
@@ -108,8 +108,8 @@ def test_criterion_05_shrinking_inclusion_trend():
 
 def test_criterion_06_fiber_gap_emerges():
     table = run_thm31()
-    excess = table.column("excess")
-    control = table.column("control_excess")
+    excess = [r["excess"] for r in table.rows]
+    control = [r["control_excess"] for r in table.rows]
     gamma = 2.0
     assert all(a < b for a, b in zip(excess, excess[1:])), f"excess {excess}"
     assert 0.5 * gamma <= excess[-1] <= 1.5 * gamma, f"final excess {excess[-1]:.4f}"
@@ -159,11 +159,11 @@ def test_criterion_08_reduction_cross_checks():
 
 def test_criterion_09_poincare_constants():
     t22 = run_pw(family="thm22")
-    vals = t22.column("eps2_C")
+    vals = [r["eps2_C"] for r in t22.rows]
     assert all(a > b for a, b in zip(vals, vals[1:])), f"eps^2 C {vals}"
 
     fib = run_pw(family="fiber")
-    ratios = fib.column("ratio")
+    ratios = [r["ratio"] for r in fib.rows]
     assert all(0.0 < r <= 10.0 for r in ratios), f"fiber ratios {ratios}"
 
 

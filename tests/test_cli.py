@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 import blochlab.cli
-from blochlab.cli import (
-    _HARNESS_KEYWORDS, _csv_cell, _harness, main, run_and_emit, write_csv,
-)
+from blochlab.cli import _csv_cell, _harness, main, run_and_emit, write_csv
 from blochlab.config import _COMMANDS, _KINDS, EXPERIMENTS, ConfigError, parse_config
 from blochlab.fieldio import write_field_dump
 from blochlab.sparse_linalg import ConvergenceError
@@ -370,17 +368,23 @@ def test_csv_headers_match_readme(tmp_path):
 
 
 def test_experiment_keys_are_harness_parameters():
-    # a key the command table admits for an experiment is a keyword its
-    # harness reads; only command and out apply to every command
+    # a key the command table admits for an experiment is a keyword of its
+    # harness, under the same name, and every keyword of a harness function
+    # but workers and the family _harness binds is reached by the keys of
+    # the experiments it runs (gamma of run_pw only by pw_fiber); only
+    # command and out apply to every command
     command_keys = {key for keys in _COMMANDS.values() for key in keys[0] + keys[1]}
     assert set(_KINDS) - command_keys == {"command", "out"}
+    reached = {}
     for name in EXPERIMENTS:
-        params = inspect.signature(_harness(name)).parameters
+        harness = _harness(name)
+        params = set(inspect.signature(harness).parameters) - {"workers", "family"}
         required, optional = _COMMANDS[f"experiment:{name}"]
-        keys = required + optional
-        assert keys, name
-        for key in keys:
-            assert _HARNESS_KEYWORDS[key] in params, (name, key)
+        assert not required and set(optional) <= params, name
+        reached.setdefault(getattr(harness, "func", harness), set()).update(optional)
+    for fn, keys in reached.items():
+        params = set(inspect.signature(fn).parameters) - {"workers", "family"}
+        assert keys == params, fn.__name__
 
 
 def test_config_keys_match_readme():

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochlab.config import ConfigError, parse_config
-from blochlab.microstructure import Constant, FiberLattice, TwoPhaseInclusion
+from blochlab.config import _CONSTRUCTORS, ConfigError, parse_config
+from blochlab.fieldio import write_field_dump
+from blochlab.grid import make_grid
+from blochlab.microstructure import Constant, FiberLattice, TwoPhaseInclusion, rasterize
 
 
 def test_minimal_config_defaults():
@@ -212,11 +215,16 @@ def test_numbers_are_finite_decimals(text, key, line):
     ("command = experiment:thm22\nn = 64\neps = 1/2, 1/3\n", "n", 2),
     ("command = experiment:thm22\nn = 12\n", "n", 2),
     ("command = experiment:thm31\nn = 100\n", "n", 2),
+    ("command = experiment:thm31\neta = (0.2, 0.2)\n", "eta", 2),
+    ("command = experiment:thm22\neta = (0.3, 0.0)\n", "eta", 2),
+    ("command = experiment:gap_map\nt_list = 1/4, 1\n", "t_list", 2),
+    ("command = experiment:thm31\neps = 1/3\neta = (0.2, 0.2, 0.0)\n", "eta", 3),
 ])
 def test_eps_ladder_checked_at_parse_time(text, key, line):
     # every 1/eps a run resolves a grid for is an integer, and an
     # experiment's n a multiple of each, of the config's eps or the default
-    # ladder; before, both failed only at run time
+    # ladder; an experiment's eta and t_list pass its harness's own checks;
+    # before, all of these failed only at run time
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert exc.value.key == key and exc.value.line == line
@@ -258,6 +266,45 @@ def test_bad_fraction():
 def test_constructor_unknown_argument():
     msg = err("command = homogenize\na = constant(1, wobble=2)\n")
     assert "wobble" in msg
+    # fiber_lattice has no outer radius: the capacity command owns R
+    msg = err("command = homogenize\nn = 48\n"
+              "a = fiber_lattice(eps=1/3, r=0.5, beta=10, R=3)\n")
+    assert "unknown argument 'R' for fiber_lattice()" in msg
+
+
+#: constructor -> (grid side, two valid values of every argument).  The
+#: first values make the base call; the grid resolves the base call with
+#: any one argument changed to its second value.
+_ARGUMENT_VALUES = {
+    "constant": (8, {"value": ("1", "2")}),
+    "two_phase": (64, {"eps": ("1/2", "1/4"), "beta": ("4", "9"),
+                       "rho": ("1/2", "1/4"), "shape": ("square", "disc")}),
+    "fiber": (96, {"eps": ("1/2", "1/3"), "gamma": ("2", "4"),
+                   "beta": ("10", "100")}),
+    "fiber_lattice": (96, {"eps": ("1/2", "1/3"), "r": ("0.5", "1"),
+                           "beta": ("10", "100")}),
+    "from_file": (8, {"path": ("{dump}1.blf", "{dump}2.blf")}),
+}
+
+
+def test_every_constructor_argument_reaches_the_medium(tmp_path):
+    # an argument the config accepts changes the rasterized coefficients
+    for k in (1, 2):
+        write_field_dump(tmp_path / f"dump{k}.blf", np.full(64, 1.0 + k), (8, 8))
+    assert set(_ARGUMENT_VALUES) == set(_CONSTRUCTORS)
+    for name, (n, values) in _ARGUMENT_VALUES.items():
+        assert list(values) == list(_CONSTRUCTORS[name][0]), name
+
+        def medium(args):
+            call = ", ".join(f"{arg}={v}" for arg, v in args.items())
+            call = call.replace("{dump}", str(tmp_path / "dump"))
+            cfg = parse_config(f"command = homogenize\nn = {n}\na = {name}({call})\n")
+            return rasterize(cfg.a, make_grid(2, (n, n))).a
+
+        base = {arg: pair[0] for arg, pair in values.items()}
+        for arg, (_, other) in values.items():
+            assert not np.array_equal(medium(base), medium({**base, arg: other})), \
+                (name, arg)
 
 
 def test_constructor_missing_argument():

@@ -59,15 +59,15 @@ def test_resolve_resolution_errors_and_cap():
 def test_resolution_override_must_be_a_multiple_of_inv_eps():
     # n = 66 at eps = 1/4 would run as m = 16, the grid of n = 64
     with pytest.raises(ValueError, match=r"n = 66 .* 1/eps = 4 \(eps = 0.25\)"):
-        run_thm22(eps_list=(1 / 4,), resolution=66)
+        run_thm22(eps=(1 / 4,), n=66)
     with pytest.raises(ValueError, match=r"n = 100 .* 1/eps = 3"):
-        run_thm31(eps_list=(1 / 3,), resolution=100)
+        run_thm31(eps=(1 / 3,), n=100)
 
 
 def test_make_table_columns_follow_row_order():
     rows = [{"eps": 0.5, "n": 32, **eta_cells(np.array([0.25, 0.0])),
              "lambda1": 0.1, "q_eta_eta": None, "runtime_seconds": 1.5}]
-    table = make_table("x", rows, 3, {"ok_pass": np.True_, "bad_pass": 0}, {"k": 1})
+    table = make_table(rows, 3, {"ok_pass": np.True_, "bad_pass": 0}, {"k": 1})
     # check columns follow the row cells; the runtime stays for the sidecar only
     assert table.columns == ["eps", "n", "eta1", "eta2", "lambda1", "q_eta_eta",
                              "ok_pass", "bad_pass"]
@@ -76,28 +76,27 @@ def test_make_table_columns_follow_row_order():
     assert row["ok_pass"] is True and row["bad_pass"] is False
     assert type(row["eta1"]) is float and row["q_eta_eta"] is None
     assert table.workers == 3 and table.meta == {"k": 1} and not table.passed
-    assert make_table("y", [], 1).columns == []
+    assert make_table([], 1).columns == []
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
 def test_make_table_rejects_non_finite_cells(bad):
     with pytest.raises(ValueError, match="non-finite row entry mean_a"):
-        make_table("x", [{"eps": 0.5, "mean_a": bad}], 1)
+        make_table([{"eps": 0.5, "mean_a": bad}], 1)
 
 
 def test_table_passed_and_column():
     t = ExperimentTable(
-        name="x", columns=["a"], rows=[{"a": 1.0}, {"a": 2.0}],
-        checks={"ok": True}, meta={},
+        columns=["a"], rows=[{"a": 1.0}, {"a": 2.0}], checks={"ok": True}, meta={},
     )
     assert t.passed
-    assert t.column("a") == [1.0, 2.0]
-    t2 = ExperimentTable(name="x", columns=["a"], rows=[], checks={"ok": False}, meta={})
+    assert [r["a"] for r in t.rows] == [1.0, 2.0]
+    t2 = ExperimentTable(columns=["a"], rows=[], checks={"ok": False}, meta={})
     assert not t2.passed
 
 
 def test_thm22_small_run():
-    table = run_thm22(eps_list=(1 / 2,), resolution=32)
+    table = run_thm22(eps=(1 / 2,), n=32)
     assert len(table.rows) == 1
     row = table.rows[0]
     assert row["n"] == 32
@@ -111,8 +110,8 @@ def test_thm22_small_run():
 
 
 def test_thm22_reproducible():
-    a = run_thm22(eps_list=(1 / 2,), resolution=32, workers=1)
-    b = run_thm22(eps_list=(1 / 2,), resolution=32, workers=2)
+    a = run_thm22(eps=(1 / 2,), n=32, workers=1)
+    b = run_thm22(eps=(1 / 2,), n=32, workers=2)
     for key in ("lambda1", "q_eta_eta", "dispersion_value", "gap",
                 "lambda1_doubled", "iterations"):
         assert a.rows[0][key] == b.rows[0][key]
@@ -143,9 +142,11 @@ def _fail_on(x, bad):
 def test_map_tasks_keeps_input_order():
     tasks = [(v,) for v in range(5)]
     for workers in (1, 2):
-        done = map_tasks(_square, tasks, workers, cost=[0, 3, 1, 4, 2])
+        done, pool = map_tasks(_square, tasks, workers, cost=[0, 3, 1, 4, 2])
         assert [value for value, _ in done] == [0, 1, 4, 9, 16]
         assert all(seconds >= 0.0 for _, seconds in done)
+        # the pool the tasks ran on is the one clamp of the requested count
+        assert pool == pool_size(workers, len(tasks))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -163,7 +164,7 @@ def test_thm22_validation():
 
 
 def test_thm31_single_rung():
-    table = run_thm31(eps_list=(1 / 3,), with_mesh_check=False)
+    table = run_thm31(eps=(1 / 3,))
     row = table.rows[0]
     eta_sq = 0.2**2 + 0.2**2 + 0.3**2
     assert row["n"] == 156
@@ -172,6 +173,8 @@ def test_thm31_single_rung():
     assert_allclose(row["excess"], row["lambda1"] - eta_sq, atol=1e-12)
     assert row["control_excess"] <= 0.01
     assert row["q_eta_eta"] is None and row["dispersion_value"] is None
+    # every run checks the mesh: the doubled-mesh solve moves lambda1 < 1%
+    assert row["mesh_pass"] and row["mesh_rel_change"] <= 0.01
     assert table.checks["excess_monotone_pass"]
 
 
@@ -189,7 +192,7 @@ def test_fiber_beta_scaling():
 
 
 def test_gap_map_small():
-    table = run_gap_map(eps_list=(1 / 3,), t_list=(1.0, 1 / 4))
+    table = run_gap_map(eps=(1 / 3,), t_list=(1.0, 1 / 4))
     assert len(table.rows) == 2
     t1, t4 = table.rows
     assert t1["t"] == 1.0 and t4["t"] == 0.25
@@ -200,17 +203,17 @@ def test_gap_map_small():
 
 def test_gap_map_validation():
     with pytest.raises(ValueError, match="t_list must start at 1"):
-        run_gap_map(eps_list=(1 / 3,), t_list=(0.5, 0.25))
+        run_gap_map(eps=(1 / 3,), t_list=(0.5, 0.25))
     with pytest.raises(ValueError, match="t_list must start at 1"):
-        run_gap_map(eps_list=(1 / 3,), t_list=(1.0, 0.5, 0.7))
+        run_gap_map(eps=(1 / 3,), t_list=(1.0, 0.5, 0.7))
     with pytest.raises(ValueError, match="third momentum"):
         run_gap_map(eta=(0.1, 0.1, 0.0))
 
 
 def test_pw_small_runs():
-    t22 = run_pw(eps_list=(1 / 2,), family="thm22")
+    t22 = run_pw(eps=(1 / 2,), family="thm22")
     assert t22.rows[0]["eps2_C"] > 0.0
-    fib = run_pw(eps_list=(1 / 3,), family="fiber")
+    fib = run_pw(eps=(1 / 3,), family="fiber")
     assert 0.0 < fib.rows[0]["ratio"] <= 10.0
     assert fib.checks["ratio_bounded_pass"]
 
