@@ -59,7 +59,7 @@ def face_arrays(field: CoefficientField, axis: int) -> np.ndarray:
     between cell ``c`` and its forward neighbor ``c + e_axis``; on a 2-cell
     axis the two distinct faces of a cell share both endpoints.
     """
-    a = field.axis_values(axis)
+    a = field.a
     a_next = field.grid.neighbor_values(a, axis)
     return 2.0 * a * a_next / (a + a_next)
 
@@ -151,17 +151,16 @@ def shifted_pencil(
 ) -> tuple[sp.csr_matrix, np.ndarray, Preconditioner]:
     """The pencil ``(B, M_diag)`` of every library solve, with its bound
     ``P^{-1}``: ``B = scale * B(eta) + shift * diag(w a)`` for the stencil
-    of :func:`assemble_shifted`, and ``a`` the cell values along axis 0.
+    of :func:`assemble_shifted`.
 
-    ``P`` is the same pencil with every face coefficient along axis ``k``
-    replaced by ``a_ref,k``, the smallest cell value of
-    ``field.axis_values(k)``, and ``a`` on the diagonal by its smallest
-    value.  A harmonic face mean is never below the cell minimum, so
+    ``P`` is the same pencil with every face coefficient and every ``a`` on
+    the diagonal replaced by ``a_ref``, the smallest cell value.  A
+    harmonic face mean is never below the cell minimum, so
     ``P <= B`` in the Loewner order: the solvers' error estimate
     ``r^H P^{-1} r`` then bounds the ``B^{-1}``-norm of the residual.  The
     constant-coefficient stencil is diagonalized by the DFT, with symbol
 
-        sigma(xi) = w sum_k a_ref,k 4 sin^2((eta_k h_k + xi_k) / 2) / h_k^2
+        sigma(xi) = w sum_k a_ref 4 sin^2((eta_k h_k + xi_k) / 2) / h_k^2
                     * scale + shift * w * a_ref,   xi_k = 2 pi fftfreq(n_k),
 
     so ``P^{-1} r = ifftn(fftn(r) / sigma)``.  Modes where ``sigma``
@@ -176,14 +175,14 @@ def shifted_pencil(
     # solve, and every entry rounds as in ``B(eta) * scale + diags(shift)``
     if scale != 1.0 or shift != 0.0:
         B.data *= scale
-        B.setdiag(B.diagonal() + shift * w * field.axis_values(0))
+        B.setdiag(B.diagonal() + shift * w * field.a)
 
     eta_arr = np.zeros(d) if eta is None else np.asarray(eta, dtype=np.float64)
     theta = eta_arr * np.asarray(h)
-    sigma = np.full(shape, shift * w * float(field.a.min()))
+    a_ref = float(field.a.min())
+    sigma = np.full(shape, shift * w * a_ref)
     for k in range(d):
         xi = 2.0 * np.pi * np.fft.fftfreq(grid.n[k])
-        a_ref = float(field.axis_values(k).min())
         sym = w * a_ref * scale * 4.0 * np.sin((theta[k] + xi) / 2.0) ** 2 / h[k] ** 2
         sigma = sigma + sym.reshape([-1 if j == k else 1 for j in range(d)])
     kernel = sigma <= 1e-28 * sigma.max()  # rounding-level symbol: exact zero mode
@@ -274,8 +273,6 @@ def fiber_lambda1_2d(
     """
     if section_field.grid.d != 2:
         raise ValueError("cross-section field must be 2-dimensional")
-    if not section_field.isotropic:
-        raise ValueError("axis-3 reduction needs an isotropic cross-section")
     if section_field.inv_eps != 1:
         raise ValueError("cross-section must be a unit pattern (inv_eps == 1)")
     eps = float(eps)

@@ -68,7 +68,7 @@ class HomogenizedMatrix:
 
     q: np.ndarray          # energy form, symmetrized, shape (d, d)
     q_flux: np.ndarray     # averaged-flux form; equals q up to solver error
-    voigt: np.ndarray      # arithmetic cell mean of the coefficient matrix
+    voigt: np.ndarray      # arithmetic cell mean of the coefficient, times I
     correctors: np.ndarray  # columns X_j, shape (num_cells, d)
 
     @property
@@ -111,7 +111,8 @@ def homogenized(
     q_flux /= vol
     q_energy = (q_energy + q_energy.T) / 2.0
     return HomogenizedMatrix(
-        q=q_energy, q_flux=q_flux, voigt=field.mean_matrix(), correctors=X
+        q=q_energy, q_flux=q_flux, voigt=float(field.a.mean()) * np.eye(d),
+        correctors=X,
     )
 
 
@@ -231,10 +232,6 @@ def pw_constant(
         raise ValueError(f"lam must have shape ({grid.d},)")
     if not np.any(lam):
         return 0.0
-    if field.isotropic:
-        weight_cells = field.a * float(lam @ lam)
-    else:
-        weight_cells = field.a @ (lam * lam)
-    w = grid.cell_volume
     K, _, bound = shifted_pencil(field)
-    return largest_geneig(w * weight_cells, K, tol=tol, cg_tol=cg_tol, precond=bound)
+    weight = grid.cell_volume * (field.a * float(lam @ lam))
+    return largest_geneig(weight, K, tol=tol, cg_tol=cg_tol, precond=bound)

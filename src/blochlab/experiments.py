@@ -203,10 +203,13 @@ def check_eta(experiment: str, eta) -> np.ndarray:
 
 def check_t_list(t_list) -> list[float]:
     """The gap map's momentum scales as floats, once they start at 1 and
-    decrease."""
+    strictly decrease through at least two entries."""
     t_list = [float(t) for t in t_list]
-    if sorted(t_list, reverse=True) != t_list or t_list[0] != 1.0:
-        raise ValueError("t_list must start at 1 and decrease")
+    if len(t_list) < 2 or t_list[0] != 1.0 or not all(
+        b < a for a, b in zip(t_list, t_list[1:])
+    ):
+        raise ValueError("t_list must start at 1 and strictly decrease, "
+                         "with at least two entries")
     return t_list
 
 
@@ -506,6 +509,7 @@ def run_pw(
         "experiment": f"pw_{family}",
         "family": family,
         "lambda": [float(v) for v in eta],
-        "gamma": gamma,
     }
+    if family == "fiber":
+        meta["gamma"] = gamma
     return make_table(rows, workers, checks, meta)

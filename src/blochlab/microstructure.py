@@ -90,12 +90,10 @@ MicrostructureSpec = Constant | TwoPhaseInclusion | FiberLattice | FromFile
 
 @dataclass
 class CoefficientField:
-    """Symmetric positive coefficient per cell.
+    """Positive scalar conductivity, one value per cell.
 
-    ``a`` has shape ``(N,)`` for isotropic media or ``(N, d)`` for per-axis
-    diagonal anisotropy; full off-diagonal matrices are out of scope for the
-    face-based discretization, whose fluxes only see the diagonal entry along
-    each face normal.
+    The face-based discretization sees a cell through one value along every
+    face normal, so ``a`` has shape ``(N,)``.
     """
 
     grid: PeriodicGrid
@@ -105,28 +103,13 @@ class CoefficientField:
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, dtype=np.float64)
         N = self.grid.num_cells
-        if self.a.shape not in ((N,), (N, self.grid.d)):
+        if self.a.shape != (N,):
             raise ValueError(
                 f"coefficient shape {self.a.shape} incompatible with grid "
-                f"({N} cells, d={self.grid.d})"
+                f"({N} cells)"
             )
         if not np.all(np.isfinite(self.a)) or self.a.min() <= 0:
             raise ValueError("coefficients must be finite and positive")
-
-    @property
-    def isotropic(self) -> bool:
-        return self.a.ndim == 1
-
-    def axis_values(self, axis: int) -> np.ndarray:
-        """Diagonal coefficient entry along ``axis`` for every cell."""
-        return self.a if self.isotropic else self.a[:, axis]
-
-    def mean_matrix(self) -> np.ndarray:
-        """Arithmetic cell-average of the coefficient matrices (d x d)."""
-        d = self.grid.d
-        if self.isotropic:
-            return float(self.a.mean()) * np.eye(d)
-        return np.diag(self.a.mean(axis=0))
 
 
 def unit_pattern(spec: MicrostructureSpec) -> MicrostructureSpec:

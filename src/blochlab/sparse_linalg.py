@@ -251,27 +251,6 @@ def _error_estimates(
     return num / (np.maximum(np.abs(lam), lam_floor) * mass)
 
 
-def _final_residuals(
-    BX: np.ndarray,
-    X: np.ndarray,
-    lam: np.ndarray,
-    M: np.ndarray,
-    scale: float,
-    precond: Preconditioner,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Report figures of returned pairs: the mass-normalized residuals
-    ``||B x - lam M x|| / ||M x||``, the same norms relative to the pencil
-    scale, and the largest error estimate.
-    """
-    MX = M[:, None] * X
-    R = BX - MX * lam
-    rnorm = np.linalg.norm(R, axis=0)
-    resid = rnorm / np.linalg.norm(MX, axis=0)
-    rel = rnorm / (scale * M.mean() * np.linalg.norm(X, axis=0))
-    est = float(_error_estimates(R, X, lam, M, precond, _MACHEPS * scale).max())
-    return resid, rel, est
-
-
 def smallest_eigpair(
     B: sp.spmatrix,
     M_diag: np.ndarray,
@@ -313,9 +292,7 @@ def smallest_eigpair(
     if M.shape != (n,) or M.min() <= 0:
         raise ValueError("M_diag must be a positive vector matching B")
 
-    block = min(max(k + 2, 2), n)
-    if 3 * block >= n:  # subspace would span nearly everything; go dense
-        return _dense_smallest(B, M, k, precond)
+    block = min(k + 2, n)
 
     dtype = np.complex128 if np.iscomplexobj(B.data) else np.float64
     rng = np.random.default_rng(_DEFAULT_SEED)
@@ -413,10 +390,15 @@ def smallest_eigpair(
     # final polish: exact Rayleigh quotients on the returned columns
     Xk = X[:, :k]
     BXk = B @ Xk
+    MXk = M[:, None] * Xk
     lam_k = np.einsum("ij,ij->j", Xk.conj(), BXk).real / np.einsum(
-        "ij,ij->j", Xk.conj(), M[:, None] * Xk
+        "ij,ij->j", Xk.conj(), MXk
     ).real
-    resid, rel, est = _final_residuals(BXk, Xk, lam_k, M, scale, precond)
+    R = BXk - MXk * lam_k
+    rnorm = np.linalg.norm(R, axis=0)
+    resid = rnorm / np.linalg.norm(MXk, axis=0)
+    rel = rnorm / (scale * M.mean() * np.linalg.norm(Xk, axis=0))
+    est = float(_error_estimates(R, Xk, lam_k, M, precond, lam_floor).max())
     if not (np.all(rel <= tol) and est <= tol):
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "
@@ -431,32 +413,6 @@ def smallest_eigpair(
         rel_residuals=rel[order],
         iterations=it,
         meta={"error_estimate": est, "inner_cg_steps": inner_steps},
-    )
-
-
-def _dense_smallest(
-    B: sp.spmatrix,
-    M: np.ndarray,
-    k: int,
-    precond: Preconditioner,
-) -> EigSolveReport:
-    # tiny systems only: the blocked subspace would exhaust the space
-    s = 1.0 / np.sqrt(M)
-    A = B.toarray() * s[:, None] * s[None, :]
-    A = (A + A.conj().T) / 2.0
-    w, V = np.linalg.eigh(A)
-    vecs = s[:, None] * V[:, :k]
-    lam = w[:k]
-    resid, rel, est = _final_residuals(
-        B @ vecs, vecs, lam, M, _pencil_scale(B, M), precond
-    )
-    return EigSolveReport(
-        eigenvalues=lam,
-        vectors=vecs,
-        residuals=resid,
-        rel_residuals=rel,
-        iterations=0,
-        meta={"error_estimate": est, "inner_cg_steps": 0},
     )
 
 

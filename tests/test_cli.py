@@ -61,6 +61,20 @@ def test_bloch_command_matches_symbol(tmp_path):
     assert float(cells[3]) < 1e-9
 
 
+def test_bloch_command_on_two_cells_per_axis(tmp_path):
+    # a 4-cell pencil, solved by the block eigensolver like any other
+    cfg = parse_config(
+        "command = bloch\na = constant(2)\nn = 2\neta = (0.3, 0.2); (0.1, -0.2)\n"
+    )
+    code, paths = run_and_emit(cfg, out_dir=tmp_path)
+    assert code == 0
+    h = math.pi
+    for row in paths[0].read_text().splitlines()[1:]:
+        cells = [float(c) for c in row.split(",")]
+        expect = 2 * sum(4 * math.sin(e * h / 2) ** 2 / h**2 for e in cells[:2])
+        assert abs(cells[2] - expect) <= 1e-14 * expect
+
+
 def test_homogenize_constant(tmp_path):
     cfg = parse_config("command = homogenize\na = constant(2)\nn = 8\n")
     code, paths = run_and_emit(cfg, out_dir=tmp_path)

@@ -218,6 +218,8 @@ def test_numbers_are_finite_decimals(text, key, line):
     ("command = experiment:thm31\neta = (0.2, 0.2)\n", "eta", 2),
     ("command = experiment:thm22\neta = (0.3, 0.0)\n", "eta", 2),
     ("command = experiment:gap_map\nt_list = 1/4, 1\n", "t_list", 2),
+    ("command = experiment:gap_map\neps = 1/3\nt_list = 1, 1\n", "t_list", 3),
+    ("command = experiment:gap_map\nt_list = 1\n", "t_list", 2),
     ("command = experiment:thm31\neps = 1/3\neta = (0.2, 0.2, 0.0)\n", "eta", 3),
 ])
 def test_eps_ladder_checked_at_parse_time(text, key, line):

@@ -216,6 +216,9 @@ def test_pw_small_runs():
     fib = run_pw(eps=(1 / 3,), family="fiber")
     assert 0.0 < fib.rows[0]["ratio"] <= 10.0
     assert fib.checks["ratio_bounded_pass"]
+    # only the fiber family reads gamma, so only its metadata records it
+    assert "gamma" not in t22.meta
+    assert fib.meta["gamma"] == 2.0
 
 
 def test_pw_validation():

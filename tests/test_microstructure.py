@@ -22,9 +22,8 @@ from blochlab.microstructure import (
 def test_constant_rasterize():
     f = rasterize(Constant(2.5), make_grid(2, (4, 4)))
     assert_allclose(f.a, 2.5)
-    assert f.isotropic
+    assert f.a.shape == (16,)
     assert f.a.min() == 2.5
-    assert_allclose(f.mean_matrix(), 2.5 * np.eye(2))
 
 
 def test_constant_below_background_rejected():
@@ -130,16 +129,8 @@ def test_coefficient_field_validation():
         CoefficientField(grid=g, a=np.zeros(16))  # not positive
     with pytest.raises(ValueError):
         CoefficientField(grid=g, a=np.ones(15))
-    f = CoefficientField(grid=g, a=np.ones((16, 2)))
-    assert not f.isotropic
-    assert_allclose(f.axis_values(1), 1.0)
-
-
-def test_anisotropic_mean_matrix():
-    g = make_grid(2, (2, 2))
-    a = np.array([[1.0, 2.0]] * 4)
-    f = CoefficientField(grid=g, a=a)
-    assert_allclose(f.mean_matrix(), np.diag([1.0, 2.0]))
+    with pytest.raises(ValueError, match="incompatible"):
+        CoefficientField(grid=g, a=np.ones((16, 2)))  # one value per cell
 
 
 def test_from_file_roundtrip(tmp_path):

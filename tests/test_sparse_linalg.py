@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from blochlab.bloch import shifted_pencil
+from blochlab.grid import make_grid
+from blochlab.microstructure import CoefficientField
 from blochlab.sparse_linalg import (
     ConvergenceError,
     _adjoint_product,
@@ -155,8 +158,7 @@ def test_smallest_eigpair_deterministic():
 def test_smallest_eigpair_bad_start_recovers():
     # the built-in constant start column is an exact excited eigenvector
     # (lam = 1), so only the settled k+1-st pair keeps the iteration going
-    # down to lam_1 = 1/2 along v = (e_0 - e_1) / sqrt(2); n = 12 is large
-    # enough for the block iteration, not the dense branch
+    # down to lam_1 = 1/2 along v = (e_0 - e_1) / sqrt(2)
     n = 12
     v = np.zeros(n)
     v[:2] = [1.0, -1.0]
@@ -165,6 +167,20 @@ def test_smallest_eigpair_bad_start_recovers():
     rep = smallest_eigpair(sp.csr_matrix(B), np.ones(n), k=1, tol=1e-12,
                            precond=scalar_bound(0.5))
     assert_allclose(rep.eigenvalues[0], 0.5, atol=1e-10)
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (1, 9), (2, 2), (2, 3)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_smallest_eigpair_tiny_pencils(d, n, k):
+    # N <= 9 cells: the block of k + 2 columns and its search directions
+    # span the whole space, and dependent columns are dropped
+    g = make_grid(d, (n,) * d)
+    rng = np.random.default_rng(31)
+    f = CoefficientField(grid=g, a=np.exp(rng.standard_normal(g.num_cells)))
+    B, M, bound = shifted_pencil(f, np.array([0.3, -0.2][:d]))
+    rep = smallest_eigpair(B, M, k=k, precond=bound)
+    spectrum = dense_oracle(B, M)
+    assert_allclose(rep.eigenvalues, spectrum[:k], rtol=1e-12)
 
 
 def test_smallest_eigpair_validation():
