@@ -10,8 +10,10 @@ Face quantities go through the face stencil of :mod:`blochlab.bloch`, the
 one that assembles the stiffness: harmonic-mean coefficients, plain
 differences ``D_k u = (u_j - u_i)/h_k``, face averages
 ``S_k u = (u_i + u_j)/2`` and their adjoint scatters along each axis.  Each
-public call builds one stiffness and its FFT bound with
-:func:`~blochlab.bloch.shifted_pencil` and shares them across its solves.
+public call builds one stiffness and the inverse its CG solves use with
+:func:`~blochlab.bloch.periodic_stiffness` and shares them across its
+solves: on a medium with few faces above its smallest value (a thin fiber
+section) that inverse is exact, and each solve ends in a few steps.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 from .bloch import (
     face_arrays,
     face_difference,
+    periodic_stiffness,
     scatter_difference,
     scatter_sum,
-    shifted_pencil,
 )
 from .microstructure import CoefficientField
 from .sparse_linalg import cg_solve, largest_geneig
@@ -38,11 +40,11 @@ Q_NORMALIZATION = "cell-average"
 
 def _cell_solver(field: CoefficientField, tol: float):
     """``b -> x``, the mean-zero solve of ``K x = b`` on the periodic
-    stiffness: one ``K`` and one FFT inverse serve every source of a call."""
-    K, _, bound = shifted_pencil(field)
+    stiffness: one ``K`` and one inverse serve every source of a call."""
+    K, inverse = periodic_stiffness(field)
     return partial(
         cg_solve, K, tol=tol, maxit=50 * max(field.grid.n),
-        deflate_constants=True, precond=bound,
+        deflate_constants=True, precond=inverse,
     )
 
 
@@ -232,6 +234,6 @@ def pw_constant(
         raise ValueError(f"lam must have shape ({grid.d},)")
     if not np.any(lam):
         return 0.0
-    K, _, bound = shifted_pencil(field)
+    K, inverse = periodic_stiffness(field)
     weight = grid.cell_volume * (field.a * float(lam @ lam))
-    return largest_geneig(weight, K, tol=tol, cg_tol=cg_tol, precond=bound)
+    return largest_geneig(weight, K, tol=tol, cg_tol=cg_tol, precond=inverse)

@@ -452,10 +452,7 @@ def _pw_task(family: str, eps: float, gamma: float, m: int, lam: np.ndarray):
     if family == "thm22":
         return pw_constant(_unit_inclusion(eps, m), lam), None
     section = _fiber_section(eps, gamma, m)
-    # inner tolerance sits above the CG stagnation floor at the extreme
-    # contrast of the finest rung
-    C = pw_constant(section, lam, tol=1e-7, cg_tol=1e-7)
-    return C, float(section.a.mean())
+    return pw_constant(section, lam), float(section.a.mean())
 
 
 def run_pw(
@@ -469,8 +466,11 @@ def run_pw(
     """Weighted Poincare constants along the two microstructure families.
 
     thm22 family: ``eps^2 C`` must fall (the constants grow slower than the
-    contrast).  Fiber family: ``C / (|ln r| mean(a))`` stays order one —
-    the weighted constant tracks the conductivity mass and the log factor.
+    contrast).  Fiber family: the ``ratio`` column is
+    ``C / (|ln r| mean(a))``, the constant over the conductivity mass and
+    the fiber's log factor, and its check only asks ``ratio <= 10``.  The
+    column is not order one: it falls from 0.035 to 0.0008 over
+    eps = 1/3 .. 1/6, as the mass grows faster than the constant.
     Constants are computed on the unit cell of each family's pattern, one
     :func:`map_tasks` task per eps.  ``eta`` is the weight direction of
     :func:`pw_constant` (``lambda`` in the metadata).

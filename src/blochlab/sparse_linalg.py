@@ -456,6 +456,7 @@ def largest_geneig(
     warm = None
     for it in range(1, _POWER_MAXIT + 1):
         y = w * shift(x)
+        del x  # not read again before the solve returns its successor
         y -= y.mean()  # exact zero up to roundoff; keeps CG consistent
         if np.linalg.norm(y) == 0.0:
             return 0.0

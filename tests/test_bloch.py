@@ -17,6 +17,7 @@ from blochlab.bloch import (
     bloch_reduced,
     canonical_momentum,
     fiber_lambda1_2d,
+    periodic_stiffness,
     shifted_pencil,
 )
 from blochlab.experiments import fiber_beta
@@ -295,11 +296,15 @@ def _below_pencil(B, apply, rng, trials=5):
 FIBER_PENCIL = (1 / 3, 52, np.array([0.2, 0.2]), 0.3)  # eps, m, eta', eta3
 
 
+def _fiber_section(eps, m):
+    r = radius_for_gamma(eps, 2.0)
+    return rasterize(FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r)),
+                     make_grid(2, (m, m)))
+
+
 def _fiber_pencil():
     eps, m, eta_p, eta3 = FIBER_PENCIL
-    r = radius_for_gamma(eps, 2.0)
-    f = rasterize(FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r)),
-                  make_grid(2, (m, m)))
+    f = _fiber_section(eps, m)
     return f, shifted_pencil(f, eps * eta_p, scale=1 / eps**2, shift=eta3**2)
 
 
@@ -328,6 +333,23 @@ def test_shifted_pencil_below_rough_pencil():
     f = CoefficientField(grid=g, a=np.exp(2.0 * rng.standard_normal(g.num_cells)))
     B, _, bound = shifted_pencil(f, np.array([0.35, -0.15]))
     _below_pencil(B, bound, rng)
+
+
+def test_periodic_stiffness_inverse_is_exact_on_fiber_section():
+    # eps = 1/5 section: 120 faces above a_ref on 184^2 cells, so the
+    # capacitance correction applies and the inverse is K's own
+    f = _fiber_section(1 / 5, 184)
+    K, inverse = periodic_stiffness(f)
+    B, _, _ = shifted_pencil(f)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(K, attr).tobytes() == getattr(B, attr).tobytes(), attr
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(K.shape[0])
+    x -= x.mean()
+    assert np.linalg.norm(inverse(K @ x) - x) <= 1e-8 * np.linalg.norm(x)
+    X = rng.standard_normal((K.shape[0], 3))
+    columns = np.column_stack([inverse(X[:, j].copy()) for j in range(3)])
+    assert_allclose(inverse(X), columns, rtol=0, atol=1e-13 * np.abs(columns).max())
 
 
 def test_results_carry_solver_meta():

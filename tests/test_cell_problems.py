@@ -17,15 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from blochlab import sparse_linalg
+from blochlab.bloch import periodic_stiffness, shifted_pencil
 from blochlab.cell_problems import dispersion, homogenized, pw_constant
+from blochlab.experiments import fiber_beta
 from blochlab.grid import make_grid
 from blochlab.microstructure import (
     CoefficientField,
     Constant,
+    FiberLattice,
     TwoPhaseInclusion,
+    radius_for_gamma,
     rasterize,
     unit_pattern,
 )
+from blochlab.sparse_linalg import dense_oracle, largest_geneig
 
 
 def half_half_1d(n, a1=1.0, a2=4.0):
@@ -189,3 +195,62 @@ def test_pw_scale_invariant_in_a():
 def test_pw_zero_lam():
     f = rasterize(Constant(1.0), make_grid(2, (4, 4)))
     assert pw_constant(f, np.zeros(2)) == 0.0
+
+
+def _lognormal_32():
+    rng = np.random.default_rng(61)
+    return CoefficientField(grid=make_grid(2, (32, 32)), a=np.exp(rng.standard_normal(1024)))
+
+
+def _readme_two_phase():
+    spec = TwoPhaseInclusion(eps=1 / 4, beta=16.0, rho=1 / 4)
+    return rasterize(spec, make_grid(2, (128, 128)))
+
+
+@pytest.mark.parametrize("make_field", [_lognormal_32, _readme_two_phase],
+                         ids=["lognormal_32", "readme_128"])
+def test_pw_many_faces_keep_the_plain_bound(make_field):
+    # F^2 > N on both media: the solves run on the FFT bound, bit for bit
+    f = make_field()
+    lam = np.array([0.25, 0.0])
+    K, _, bound = shifted_pencil(f)
+    weight = f.grid.cell_volume * (f.a * float(lam @ lam))
+    plain = largest_geneig(weight, K, tol=1e-8, cg_tol=1e-11, precond=bound)
+    assert pw_constant(f, lam) == plain
+
+
+def test_pw_corrected_inverse_matches_dense_oracle():
+    # a 2x2 inclusion has 12 faces above a_ref; 12^2 <= 12 * 14 cells
+    g = make_grid(2, (12, 14))
+    a = np.ones(g.shape)
+    a[5:7, 6:8] = 50.0
+    f = CoefficientField(grid=g, a=a.ravel())
+    K, inverse = periodic_stiffness(f)
+    x = np.random.default_rng(67).standard_normal(g.num_cells)
+    x -= x.mean()
+    assert np.abs(inverse(K @ x) - x).max() <= 1e-12 * np.abs(x).max()
+    lam = np.array([0.3, 0.1])
+    mu = dense_oracle(K, g.cell_volume * f.a * float(lam @ lam))
+    assert_allclose(pw_constant(f, lam), 1.0 / mu[1], rtol=1e-9)
+
+
+def test_pw_fiber_finest_rung_at_default_tolerances(monkeypatch):
+    # eps = 1/6 section, beta = 2.4e6: every stiffness solve of the power
+    # iteration ends in a few CG steps on the corrected inverse
+    steps = []
+    pcg = sparse_linalg._pcg
+
+    def counted(*args, **kwargs):
+        out = pcg(*args, **kwargs)
+        steps.append(len(out[1]) - 1)
+        return out
+
+    monkeypatch.setattr(sparse_linalg, "_pcg", counted)
+    eps = 1 / 6
+    r = radius_for_gamma(eps, 2.0)
+    f = rasterize(FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r)),
+                  make_grid(2, (341, 341)))
+    got = pw_constant(f, np.array([0.25, 0.0]))
+    assert steps and max(steps) <= 3
+    # the value published at tol = cg_tol = 1e-7 on the plain FFT bound
+    assert_allclose(got, 1.3429807164408329, rtol=1e-8)
