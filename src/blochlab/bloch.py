@@ -49,8 +49,8 @@ def _require_first_zone(eta: np.ndarray) -> None:
     # reductions assume first-zone momenta; folding is the caller's call
     if np.any(np.abs(eta) > 0.5 + 1e-12):
         raise ValueError(
-            f"momentum {tuple(eta)} lies outside the first zone [-1/2, 1/2]; "
-            "fold it with canonical_momentum first"
+            f"momentum {tuple(float(v) for v in eta)} lies outside the first "
+            "zone [-1/2, 1/2]; fold it with canonical_momentum first"
         )
 
 

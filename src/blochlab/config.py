@@ -15,7 +15,8 @@ Two tables hold the schema: ``_KINDS`` gives every key its value kind, and
 take; ``_CONSTRUCTORS`` does the same for the arguments of each
 microstructure constructor.  Unknown keys, keys the command does not read,
 missing keys, wrong types and constraint violations (the microstructure
-specs' own checks and the harnesses' ``eta`` and ``t_list`` checks
+specs' own checks, a single command's ``n`` against its medium, the
+capacity profile's radii and the harnesses' ``eta`` and ``t_list`` checks
 included) are all rejected here, with the key and line number.
 ``serialize`` emits the canonical form (``_KINDS`` order, defaults filled,
 shortest float representation, fractions kept exact), and parse ->
@@ -29,13 +30,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .capacity import DEFAULT_R, CapacityProfile
 from .experiments import THM22_EPS, THM31_EPS, check_eta, check_t_list
-from .grid import _reciprocal_int
+from .grid import _reciprocal_int, make_grid
 from .microstructure import (
     Constant,
     FiberLattice,
     FromFile,
     TwoPhaseInclusion,
+    check_resolution,
     default_beta,
     radius_for_gamma,
 )
@@ -402,6 +405,28 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     "capacity needs either r (annulus check) or eps and gamma "
                     "(scaled-energy sweep)", line=cmd_line, key=key)
+        # every profile the run builds: the annulus radius r, or each eps's
+        # derived radius, must lie below R, and R below pi
+        R = float(cfg.R) if cfg.R is not None else DEFAULT_R
+        if cfg.r is not None:
+            radii = [float(cfg.r)]
+            key = "R" if R >= math.pi else "r"
+        else:
+            radii = [radius_for_gamma(float(v), float(cfg.gamma)) for v in cfg.eps]
+            key = "R" if cfg.R is not None else "eps"
+        for r in radii:
+            try:
+                CapacityProfile(r, R)
+            except ValueError as exc:
+                raise ConfigError(str(exc), line=entries[key][1], key=key) from None
+    # a single command's grid (planar for homogenize) must sample its
+    # medium: rasterize's own checks, without rasterizing
+    if cfg.a is not None:
+        d = len(cfg.eta[0]) if cfg.eta is not None else 2
+        try:
+            check_resolution(cfg.a, make_grid(d, cfg.n))
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=entries["n"][1], key="n") from None
     # an experiment's momentum and t_list pass its harness's own checks
     experiment = command.startswith("experiment:")
     if experiment:

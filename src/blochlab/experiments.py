@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import bloch_reduced, fiber_lambda1_2d
+from .bloch import _require_first_zone, bloch_reduced, fiber_lambda1_2d
 from .cell_problems import dispersion, homogenized, pw_constant
 from .grid import _reciprocal_int, make_grid
 from .microstructure import (
@@ -187,8 +187,9 @@ def _grid_sizes(eps: float, extent: float, n: int | None = None):
 
 def check_eta(experiment: str, eta) -> np.ndarray:
     """The momentum of ``experiment:<experiment>`` as a float array, once it
-    passes the harness's rule: three components with a nonzero third for
-    the fiber sweeps (thm31, gap_map), else two, of norm <= 1/4 for thm22."""
+    passes the harness's rule: three components with a nonzero third, in the
+    first zone, for the fiber sweeps (thm31, gap_map), else two, of norm
+    <= 1/4 for thm22."""
     eta = np.asarray(eta, dtype=np.float64)
     fiber = experiment in ("thm31", "gap_map")
     if eta.shape != ((3,) if fiber else (2,)):
@@ -196,6 +197,8 @@ def check_eta(experiment: str, eta) -> np.ndarray:
     if fiber and eta[2] == 0.0:
         run = "main run" if experiment == "thm31" else "map"
         raise ValueError(f"{run} needs a nonzero third momentum component")
+    if fiber:
+        _require_first_zone(eta)
     if experiment == "thm22" and float(np.hypot(*eta)) > 0.25 + 1e-12:
         raise ValueError("sweep is meaningful only for |eta| <= 1/4")
     return eta
@@ -203,13 +206,14 @@ def check_eta(experiment: str, eta) -> np.ndarray:
 
 def check_t_list(t_list) -> list[float]:
     """The gap map's momentum scales as floats, once they start at 1 and
-    strictly decrease through at least two entries."""
+    strictly decrease through at least two entries, all positive (a negative
+    scale reflects the momentum)."""
     t_list = [float(t) for t in t_list]
     if len(t_list) < 2 or t_list[0] != 1.0 or not all(
         b < a for a, b in zip(t_list, t_list[1:])
-    ):
+    ) or not t_list[-1] > 0.0:
         raise ValueError("t_list must start at 1 and strictly decrease, "
-                         "with at least two entries")
+                         "with at least two entries, all > 0")
     return t_list
 
 
@@ -359,7 +363,6 @@ def run_thm31(
             "lambda1": lam,
             "q_eta_eta": None,
             "dispersion_value": None,
-            "gap": excess,
             "excess": excess,
             "control_lambda1": ctrl_lam,
             "control_excess": ctrl_excess,

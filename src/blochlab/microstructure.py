@@ -122,9 +122,8 @@ def unit_pattern(spec: MicrostructureSpec) -> MicrostructureSpec:
 def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
     """Sample a microstructure at cell centers.
 
-    Raises if a grid axis is not divisible by ``1/eps`` (the field would not
-    be exactly ``eps Y``-periodic) or if fewer than ``MIN_CELLS_ACROSS``
-    cells span the smallest feature of the pattern.
+    Raises if :func:`check_resolution` refuses the grid, or if a field
+    dump's resolution differs from it.
     """
     if isinstance(spec, Constant):
         values = np.full(grid.num_cells, float(spec.a0))
@@ -143,19 +142,8 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
             raise ValueError("file-backed coefficients must be positive")
         return CoefficientField(grid=grid, a=values, inv_eps=1)
 
+    check_resolution(spec, grid)
     s = _reciprocal_int(spec.eps)
-    if isinstance(spec, FiberLattice) and grid.d < 2:
-        raise ValueError("fiber lattice needs a 2-d cross-section or a 3-d grid")
-    for k, nk in enumerate(grid.n):
-        if nk % s != 0:
-            raise ValueError(
-                f"axis {k} has {nk} cells, not divisible by 1/eps = {s}; "
-                f"the sampled field would not be eps*Y-periodic"
-            )
-    if isinstance(spec, TwoPhaseInclusion):
-        check_cells_across(2.0 * _PI * spec.rho / s, grid, range(grid.d))
-    else:
-        check_cells_across(2.0 * spec.r_eps / s, grid)
 
     # pattern coordinates y = (x / eps) mod 2*pi, evaluated per axis
     mesh = grid.center_mesh()
@@ -175,6 +163,29 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
 
     values = np.where(np.broadcast_to(inside, grid.shape).ravel(), float(spec.beta), 1.0)
     return CoefficientField(grid=grid, a=values, inv_eps=s)
+
+
+def check_resolution(spec: MicrostructureSpec, grid: PeriodicGrid) -> None:
+    """Raise unless ``grid`` can sample an inclusion pattern: every axis
+    divisible by ``1/eps`` (else the field would not be exactly
+    ``eps Y``-periodic) and at least ``MIN_CELLS_ACROSS`` cells across the
+    smallest feature.  Constant and file-backed media pass; a dump's
+    resolution is checked when it is read."""
+    if not isinstance(spec, (TwoPhaseInclusion, FiberLattice)):
+        return
+    s = _reciprocal_int(spec.eps)
+    if isinstance(spec, FiberLattice) and grid.d < 2:
+        raise ValueError("fiber lattice needs a 2-d cross-section or a 3-d grid")
+    for k, nk in enumerate(grid.n):
+        if nk % s != 0:
+            raise ValueError(
+                f"axis {k} has {nk} cells, not divisible by 1/eps = {s}; "
+                f"the sampled field would not be eps*Y-periodic"
+            )
+    if isinstance(spec, TwoPhaseInclusion):
+        check_cells_across(2.0 * _PI * spec.rho / s, grid, range(grid.d))
+    else:
+        check_cells_across(2.0 * spec.r_eps / s, grid)
 
 
 def check_cells_across(diameter: float, grid: PeriodicGrid, axes=(0, 1)) -> None:

@@ -51,7 +51,6 @@ class EigSolveReport:
     eigenvalues: np.ndarray      # ascending, shape (k,)
     vectors: np.ndarray          # M-orthonormal columns, shape (n, k)
     residuals: np.ndarray        # ||B x - lam M x||_2 / ||M x||_2 per vector
-    rel_residuals: np.ndarray    # residuals normalized by the pencil scale
     iterations: int
     meta: dict = field(default_factory=dict)
 
@@ -410,7 +409,6 @@ def smallest_eigpair(
         eigenvalues=lam_k[order],
         vectors=Xk[:, order],
         residuals=resid[order],
-        rel_residuals=rel[order],
         iterations=it,
         meta={"error_estimate": est, "inner_cg_steps": inner_steps},
     )

@@ -92,7 +92,7 @@ def test_roundtrip_generated(command, denom, beta):
     lines = [
         f"command = {command}",
         f"a = two_phase(eps=1/{denom}, beta={beta}, rho=1/{denom})",
-        f"n = {8 * denom}",
+        f"n = {8 * denom**2}",  # 8 cells across the inclusion
     ]
     if command != "homogenize":
         lines.append("eta = (0.1, 0.0); (0.0, 0.2)")
@@ -230,6 +230,64 @@ def test_eps_ladder_checked_at_parse_time(text, key, line):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert exc.value.key == key and exc.value.line == line
+
+
+@pytest.mark.parametrize("text, key, line, message", [
+    # a fiber sweep's momentum lies in the first zone
+    ("command = experiment:thm31\neta = (0.6, 0.2, 0.3)\n", "eta", 2,
+     r"momentum \(0\.6, 0\.2, 0\.3\) lies outside the first zone"),
+    ("command = experiment:gap_map\neps = 1/3\neta = (0.2, 0.2, 0.7)\n", "eta", 3,
+     r"momentum \(0\.2, 0\.2, 0\.7\) lies outside the first zone"),
+    # every t is positive
+    ("command = experiment:gap_map\neps = 1/3\nt_list = 1, 0.5, -0.25\n", "t_list", 3,
+     "all > 0"),
+    # capacity radii: 0 < r < R < pi, the sweep's derived radius below R
+    ("command = capacity\nr = 2\n", "r", 2, "need 0 < r_eps < R < pi"),
+    ("command = capacity\nr = 0.3\nR = 4\n", "R", 3, "need 0 < r_eps < R < pi"),
+    ("command = capacity\nr = 0.3\nR = 0.2\n", "r", 2, "need 0 < r_eps < R < pi"),
+    ("command = capacity\neps = 1/3\ngamma = 2\nR = 0.01\n", "R", 4,
+     r"got r_eps=0\.488"),
+    # a single command's n samples its medium
+    ("command = homogenize\na = two_phase(eps=1/3, beta=4, rho=1/3)\nn = 16\n", "n", 3,
+     "not divisible by 1/eps = 3"),
+    ("command = bloch\na = fiber_lattice(eps=1/3, r=0.1, beta=10)\nn = 12\n"
+     "eta = (0.1, 0.1)\n", "n", 3, "spans only 0.13 cells"),
+    ("command = pw\neta = (1, 0)\nn = 36\na = two_phase(eps=1/3, beta=4, rho=1/9)\n",
+     "n", 3, "spans only 1.33 cells"),
+    ("command = bloch\neta = (0.1)\nn = 96\na = fiber(eps=1/3, gamma=2)\n", "n", 3,
+     "fiber lattice needs a 2-d cross-section"),
+    ("command = dispersion\na = constant(2)\neta = (0.1)\nn = 1\n", "n", 4,
+     "need at least 2 cells"),
+])
+def test_run_time_failures_refused_at_parse_time(text, key, line, message):
+    # each of these parsed, then exited 1 at run time without key or line
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(text)
+    assert exc.value.key == key and exc.value.line == line
+
+
+@pytest.mark.parametrize("text", [
+    "command = capacity\nr = 0.3\nR = 3.1\n",
+    "command = capacity\neps = 1/3, 1/4\ngamma = 2\nR = 0.5\n",
+    "command = bloch\na = fiber_lattice(eps=1/3, r=0.1, beta=10)\nn = 378\n"
+    "eta = (0.1, 0.1)\n",
+    "command = homogenize\na = two_phase(eps=1/3, beta=4, rho=1/3)\nn = 36\n",
+    "command = bloch\na = from_file(path=missing.bin)\nn = 7\neta = (0.1, 0.1)\n",
+])
+def test_parse_time_checks_admit_valid_runs(text):
+    # the boundary cases pass, and a dump is not read while parsing
+    parse_config(text)
+
+
+def test_parse_and_rasterize_share_the_resolution_rule():
+    cfg = parse_config("command = homogenize\na = two_phase(eps=1/3, beta=4, rho=1/3)\n"
+                       "n = 36\n")
+    with pytest.raises(ValueError) as raster:
+        rasterize(cfg.a, make_grid(2, (16, 16)))
+    with pytest.raises(ConfigError) as parse:
+        parse_config("command = homogenize\na = two_phase(eps=1/3, beta=4, rho=1/3)\n"
+                     "n = 16\n")
+    assert str(parse.value).endswith(str(raster.value))
 
 
 def test_capacity_with_n_takes_any_eps():

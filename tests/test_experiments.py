@@ -173,6 +173,8 @@ def test_thm31_single_rung():
     assert_allclose(row["excess"], row["lambda1"] - eta_sq, atol=1e-12)
     assert row["control_excess"] <= 0.01
     assert row["q_eta_eta"] is None and row["dispersion_value"] is None
+    # the excess is written once; thm22's "gap" is a different quantity
+    assert "gap" not in table.columns
     # every run checks the mesh: the doubled-mesh solve moves lambda1 < 1%
     assert row["mesh_pass"] and row["mesh_rel_change"] <= 0.01
     assert table.checks["excess_monotone_pass"]
@@ -183,6 +185,8 @@ def test_thm31_validation():
         run_thm31(eta=(0.1, 0.1))
     with pytest.raises(ValueError, match="third momentum"):
         run_thm31(eta=(0.1, 0.1, 0.0))
+    with pytest.raises(ValueError, match=r"\(0\.6, 0\.2, 0\.3\) lies outside"):
+        run_thm31(eta=(0.6, 0.2, 0.3))
 
 
 def test_fiber_beta_scaling():
@@ -208,6 +212,10 @@ def test_gap_map_validation():
         run_gap_map(eps=(1 / 3,), t_list=(1.0, 0.5, 0.7))
     with pytest.raises(ValueError, match="third momentum"):
         run_gap_map(eta=(0.1, 0.1, 0.0))
+    with pytest.raises(ValueError, match="all > 0"):
+        run_gap_map(eps=(1 / 3,), t_list=(1.0, 0.5, -0.25))
+    with pytest.raises(ValueError, match="outside the first zone"):
+        run_gap_map(eta=(0.2, 0.2, 0.7))
 
 
 def test_pw_small_runs():
