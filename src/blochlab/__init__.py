@@ -44,12 +44,12 @@ from .cell_problems import (
 from .capacity import CapacityProfile, annulus_energy, scaled_energy, vhat
 from .experiments import (
     ExperimentTable,
-    resolve_resolution,
     run_gap_map,
     run_pw,
     run_thm22,
     run_thm31,
 )
+from .plan import resolve_resolution
 from .config import ConfigError, RunConfig, parse_config
 from .fieldio import read_field_dump, write_field_dump
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import bloch_lambda1
-from .capacity import DEFAULT_R, annulus_energy, scaled_energy
+from .capacity import annulus_energy, scaled_energy
 from .cell_problems import Q_NORMALIZATION, dispersion, homogenized, pw_constant
 from .config import _COMMANDS, ConfigError, RunConfig, parse_config
 from .experiments import (
@@ -33,14 +33,14 @@ from .experiments import (
     eta_cells,
     make_table,
     map_tasks,
-    resolve_resolution,
     run_gap_map,
     run_pw,
     run_thm22,
     run_thm31,
 )
 from .grid import make_grid
-from .microstructure import radius_for_gamma, rasterize
+from .microstructure import rasterize
+from .plan import plan_capacity
 
 
 def _csv_cell(v) -> str:
@@ -149,19 +149,14 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
         return _task_table(_momentum_task, keys, tasks, workers)
 
     # capacity: the config holds r (annulus check) or eps and gamma (sweep)
-    R = float(cfg.R) if cfg.R is not None else DEFAULT_R
     if cfg.r is not None:
-        r, n = float(cfg.r), cfg.n or 512
+        (r, R, n), = plan_capacity(r=cfg.r, R=cfg.R, n=cfg.n)
         return _task_table(_annulus_task, [{"r": r, "R": R, "n": n}], [(r, R, n)],
                            workers)
     gamma = float(cfg.gamma)
-    keys, tasks = [], []
-    for eps_f in cfg.eps:
-        eps = float(eps_f)
-        r = radius_for_gamma(eps, gamma)
-        n = cfg.n or resolve_resolution(eps, 2.0 * eps * r)
-        keys.append({"eps": eps, "gamma": gamma, "r": r, "R": R, "n": n})
-        tasks.append((eps, gamma, r, R, n))
+    rows = plan_capacity(cfg.eps, gamma, R=cfg.R, n=cfg.n)
+    keys = [{"eps": eps, "gamma": gamma, "r": r, "R": R, "n": n} for eps, r, R, n in rows]
+    tasks = [(eps, gamma, r, R, n) for eps, r, R, n in rows]
     return _task_table(_scaled_energy_task, keys, tasks, workers,
                        [t[-1] ** 2 for t in tasks])
 

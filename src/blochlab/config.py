@@ -16,11 +16,17 @@ take; ``_CONSTRUCTORS`` does the same for the arguments of each
 microstructure constructor.  Unknown keys, keys the command does not read,
 missing keys, wrong types and constraint violations (the microstructure
 specs' own checks, a single command's ``n`` against its medium, the
-capacity profile's radii and the harnesses' ``eta`` and ``t_list`` checks
+harnesses' ``eta`` and ``t_list`` checks, and every rule of the grid plan
+that an experiment or ``capacity`` run makes with :mod:`blochlab.plan`
 included) are all rejected here, with the key and line number.
-``serialize`` emits the canonical form (``_KINDS`` order, defaults filled,
-shortest float representation, fractions kept exact), and parse ->
-serialize -> parse is the identity.
+
+Only ``out`` has its default recorded.  Every other key left out stays
+``None``, and the run fills its default: an experiment's eps ladder,
+``gamma``, ``eta`` and ``t_list`` come from its harness, and ``capacity``'s
+``R`` and annulus ``n`` from :func:`blochlab.plan.plan_capacity`.
+``serialize`` emits the canonical form (``_KINDS`` order, ``out``
+included, shortest float representation, fractions kept exact), and
+parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -30,9 +36,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacity import DEFAULT_R, CapacityProfile
-from .experiments import THM22_EPS, THM31_EPS, check_eta, check_t_list
-from .grid import _reciprocal_int, make_grid
+from .experiments import check_eta, check_t_list
+from .grid import make_grid
 from .microstructure import (
     Constant,
     FiberLattice,
@@ -42,6 +47,7 @@ from .microstructure import (
     default_beta,
     radius_for_gamma,
 )
+from .plan import PlanError, plan_capacity, plan_sweep
 
 #: key -> value kind, in canonical (serialization) order
 _KINDS = {
@@ -73,9 +79,6 @@ _COMMANDS = {
     "experiment:pw_fiber": ((), ("eta", "eps", "gamma")),
 }
 
-#: the eps ladder an experiment that takes ``n`` runs when ``eps`` is absent
-_DEFAULT_EPS = {"experiment:thm22": THM22_EPS, "experiment:thm31": THM31_EPS}
-
 COMMANDS = tuple(c for c in _COMMANDS if not c.startswith("experiment:"))
 EXPERIMENTS = tuple(c.split(":", 1)[1] for c in _COMMANDS if c.startswith("experiment:"))
 
@@ -98,7 +101,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A validated run request with every default recorded."""
+    """A validated run request: the keys the config sets, and ``out``.
+    A key left out is ``None``; the run fills its default."""
 
     command: str
     a: object | None = None           # microstructure spec
@@ -317,7 +321,8 @@ def _build_microstructure(text: str, line: int, key: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config document; fill and record defaults."""
+    """Parse and validate a config document, planning the grids of an
+    experiment or ``capacity`` run."""
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -405,20 +410,6 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     "capacity needs either r (annulus check) or eps and gamma "
                     "(scaled-energy sweep)", line=cmd_line, key=key)
-        # every profile the run builds: the annulus radius r, or each eps's
-        # derived radius, must lie below R, and R below pi
-        R = float(cfg.R) if cfg.R is not None else DEFAULT_R
-        if cfg.r is not None:
-            radii = [float(cfg.r)]
-            key = "R" if R >= math.pi else "r"
-        else:
-            radii = [radius_for_gamma(float(v), float(cfg.gamma)) for v in cfg.eps]
-            key = "R" if cfg.R is not None else "eps"
-        for r in radii:
-            try:
-                CapacityProfile(r, R)
-            except ValueError as exc:
-                raise ConfigError(str(exc), line=entries[key][1], key=key) from None
     # a single command's grid (planar for homogenize) must sample its
     # medium: rasterize's own checks, without rasterizing
     if cfg.a is not None:
@@ -437,20 +428,16 @@ def parse_config(text: str) -> RunConfig:
                     check(getattr(cfg, key))
                 except ValueError as exc:
                     raise ConfigError(str(exc), line=entries[key][1], key=key) from None
-    # a run that resolves its own grid per eps needs every 1/eps an integer,
-    # and an experiment's n a multiple of each, of the config's ladder or the
-    # default one (capacity with n takes any eps)
-    if cfg.eps is not None and (experiment or cfg.n is None):
-        try:
-            for v in cfg.eps:
-                _reciprocal_int(float(v))
-        except ValueError as exc:
-            raise ConfigError(str(exc), line=entries["eps"][1], key="eps") from None
-    if experiment and cfg.n is not None:
-        ladder = cfg.eps if cfg.eps is not None else _DEFAULT_EPS[command]
-        for v in ladder:
-            s = _reciprocal_int(float(v))
-            if cfg.n % s:
-                raise ConfigError(f"n = {cfg.n} is not a multiple of 1/eps = {s}",
-                                  line=entries["n"][1], key="n")
+    # the run's grids, planned as its harness or the capacity command plans
+    # them; a refusal names the first key the failing rule reads that the
+    # config sets
+    try:
+        if experiment:
+            plan_sweep(name, cfg.eps, gamma=cfg.gamma, n=cfg.n)
+        elif command == "capacity":
+            plan_capacity(cfg.eps, cfg.gamma, r=cfg.r, R=cfg.R, n=cfg.n)
+    except PlanError as exc:
+        key = next((k for k in exc.keys if k in entries), "command")
+        line = entries[key][1] if key in entries else cmd_line
+        raise ConfigError(str(exc), line=line, key=key) from None
     return cfg

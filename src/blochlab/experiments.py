@@ -8,6 +8,9 @@ replicated into columns (assertion outcomes are data, never silent, and
 never fatal).  Rows are computed independently — no state flows between
 them — so any single row is bitwise reproducible from the table metadata
 alone (solver start vectors come from a fixed internal seed).
+Every harness takes its rungs' grids from :func:`blochlab.plan.plan_sweep`,
+which applies the resolution rule and every grid check before the first
+solve.
 
 Every harness lists its independent solves as tasks and hands them to
 :func:`map_tasks`, which runs them in this process or on a fork pool and
@@ -15,12 +18,6 @@ returns the results in input order; rows are then built in order, so the
 table does not depend on the worker count.  A row's wall time is the sum of
 its tasks' times; wall times belong to the metadata sidecar, not the CSV,
 which must be byte-stable across reruns.
-
-Resolution rule: the full-grid resolution per epsilon is the smallest
-multiple of 1/eps giving at least 8 cells across the finest feature,
-capped at 2048 per axis (below 4 cells even at the cap the case is
-refused); solves run on the matched unit-pattern grid of ``n * eps``
-cells.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .bloch import _require_first_zone, bloch_reduced, fiber_lambda1_2d
 from .cell_problems import dispersion, homogenized, pw_constant
 from .grid import _reciprocal_int, make_grid
 from .microstructure import (
-    MIN_CELLS_ACROSS,
     CoefficientField,
     FiberLattice,
     TwoPhaseInclusion,
@@ -44,20 +40,13 @@ from .microstructure import (
     rasterize,
     unit_pattern,
 )
-
-_CAP = 2048
+from .plan import DEFAULT_GAMMA, GAP_MAP_EPS, THM22_EPS, THM31_EPS, plan_sweep
 
 #: contrast growth used by the fiber sweeps: beta = r^{-2} eps^{-5}.  The
 #: shared default_beta rule (r^{-2}/eps) grows too slowly for the spectral
 #: gap to open at desk-scale epsilon, so the harnesses use this stronger
 #: rate; it still satisfies beta -> infinity with vanishing inclusion area.
 FIBER_BETA_EXPONENT = 5
-
-
-#: default eps ladders of the shrinking-inclusion (thm22) and fiber (thm31)
-#: families; the config parser checks an ``n`` override against them
-THM22_EPS = (1 / 2, 1 / 4, 1 / 8)
-THM31_EPS = (1 / 3, 1 / 4, 1 / 5, 1 / 6)
 
 
 def fiber_beta(eps: float, r_eps: float) -> float:
@@ -100,28 +89,6 @@ def make_table(rows: list[dict], workers: int,
 def eta_cells(eta, prefix: str = "eta") -> dict:
     """``{prefix1: eta[0], ..., prefixd: eta[d-1]}`` as floats."""
     return {f"{prefix}{k + 1}": float(v) for k, v in enumerate(eta)}
-
-
-def resolve_resolution(eps: float, feature_extent: float) -> int:
-    """Full-grid cell count per axis for a physical feature size.
-
-    Smallest multiple of 1/eps with >= 8 cells across the feature, capped
-    at 2048; below 4 cells across even at the cap, the case is refused.
-    """
-    inv = _reciprocal_int(eps)
-    if feature_extent <= 0:
-        raise ValueError("feature extent must be positive")
-    need = 8 * 2.0 * math.pi / feature_extent
-    n = inv * math.ceil(need / inv)
-    if n > _CAP:
-        n = (_CAP // inv) * inv
-        have = n * feature_extent / (2.0 * math.pi)
-        if have < MIN_CELLS_ACROSS:
-            raise ValueError(
-                f"feature of extent {feature_extent:.3e} spans only "
-                f"{have:.2f} cells at the {_CAP} cap; case unresolvable"
-            )
-    return n
 
 
 def pool_size(threads: int, n_tasks: int) -> int:
@@ -170,19 +137,6 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     for i, result in zip(order, done):
         out[i] = result
     return out, n_workers
-
-
-def _grid_sizes(eps: float, extent: float, n: int | None = None):
-    """``(n, m)``: full-grid cells per axis and unit-pattern cells per axis.
-
-    An ``n`` override must be a multiple of ``1/eps``.
-    """
-    s = _reciprocal_int(eps)
-    n = n or resolve_resolution(eps, extent)
-    if n % s:
-        raise ValueError(f"resolution n = {n} is not a multiple of 1/eps = {s} "
-                         f"(eps = {eps})")
-    return n, n // s
 
 
 def check_eta(experiment: str, eta) -> np.ndarray:
@@ -257,7 +211,7 @@ def run_thm22(
     :func:`map_tasks`.
     """
     eta = check_eta("thm22", eta)
-    rungs = [(e, *_grid_sizes(e, 2.0 * math.pi * e * e, n)) for e in eps]
+    rungs = plan_sweep("thm22", eps, n=n)
     tasks = []
     for eps, _, m in rungs:
         tasks += [(eps, m, eta, True), (eps, m, eta, False), (eps, 2 * m, eta, False)]
@@ -306,10 +260,6 @@ def _fiber_section(eps: float, gamma: float, m: int) -> CoefficientField:
     return rasterize(FiberLattice(eps=1.0, r_eps=r_eps, beta=beta), make_grid(2, (m, m)))
 
 
-def _fiber_sizes(eps: float, gamma: float, n: int | None = None):
-    return _grid_sizes(eps, 2.0 * eps * radius_for_gamma(eps, gamma), n)
-
-
 def _fiber_task(
     eps: float, gamma: float, m: int, eta_p: np.ndarray, eta3: float
 ) -> tuple[float, int]:
@@ -320,7 +270,7 @@ def _fiber_task(
 
 def run_thm31(
     eps=THM31_EPS,
-    gamma: float = 2.0,
+    gamma: float = DEFAULT_GAMMA,
     eta=(0.2, 0.2, 0.3),
     *,
     n: int | None = None,
@@ -341,7 +291,7 @@ def run_thm31(
     eta = check_eta("thm31", eta)
     eta_sq = float(eta @ eta)
     eta_p = eta[:2]
-    rungs = [(e, *_fiber_sizes(e, gamma, n)) for e in eps]
+    rungs = plan_sweep("thm31", eps, gamma=gamma, n=n)
     tasks = []
     for eps, _, m in rungs:
         tasks += [(eps, gamma, m, eta_p, float(eta[2])), (eps, gamma, m, eta_p, 0.0),
@@ -393,8 +343,8 @@ def run_thm31(
 
 
 def run_gap_map(
-    eps=(1 / 3, 1 / 4, 1 / 5),
-    gamma: float = 2.0,
+    eps=GAP_MAP_EPS,
+    gamma: float = DEFAULT_GAMMA,
     eta=(0.2, 0.2, 0.3),
     t_list=(1.0, 1 / 4, 1 / 16, 1 / 64),
     *,
@@ -409,7 +359,7 @@ def run_gap_map(
     """
     eta = check_eta("gap_map", eta)
     t_list = check_t_list(t_list)
-    rungs = [(e, *_fiber_sizes(e, gamma)) for e in eps]
+    rungs = plan_sweep("gap_map", eps, gamma=gamma)
     cells = [(eps, n, m, t) for eps, n, m in rungs for t in t_list]
     tasks = [(eps, gamma, m, t * eta[:2], float(t * eta[2])) for eps, _, m, t in cells]
     done, workers = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
@@ -463,7 +413,7 @@ def run_pw(
     family: str = "thm22",
     eta=(0.25, 0.0),
     *,
-    gamma: float = 2.0,
+    gamma: float = DEFAULT_GAMMA,
     workers: int = 1,
 ) -> ExperimentTable:
     """Weighted Poincare constants along the two microstructure families.
@@ -476,17 +426,13 @@ def run_pw(
     eps = 1/3 .. 1/6, as the mass grows faster than the constant.
     Constants are computed on the unit cell of each family's pattern, one
     :func:`map_tasks` task per eps.  ``eta`` is the weight direction of
-    :func:`pw_constant` (``lambda`` in the metadata).
+    :func:`pw_constant` (``lambda`` in the metadata).  Without ``eps`` the
+    family's default ladder runs (``THM22_EPS`` or ``THM31_EPS``).
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
     eta = check_eta(f"pw_{family}", eta)
-    if family == "thm22":
-        eps = THM22_EPS if eps is None else eps
-        rungs = [(e, *_grid_sizes(e, 2.0 * math.pi * e * e)) for e in eps]
-    else:
-        eps = THM31_EPS if eps is None else eps
-        rungs = [(e, *_fiber_sizes(e, gamma)) for e in eps]
+    rungs = plan_sweep(f"pw_{family}", eps, gamma=gamma)
     tasks = [(family, eps, gamma, m, eta) for eps, _, m in rungs]
     done, workers = map_tasks(_pw_task, tasks, workers, [t[3] ** 2 for t in tasks])
     rows = []

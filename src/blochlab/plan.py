@@ -1,0 +1,169 @@
+"""Grid plans: the grids a sweep or the ``capacity`` command solves on.
+
+Each command family has one planner, which the harnesses, the ``capacity``
+command and the config parser all call, so a run is refused by the same
+rule, with the same message, at parse time and before its first solve.  A
+refusal is a :class:`PlanError` naming the inputs its rule reads, the one
+to blame first; the parser reports the first of them that the config sets,
+with its line.
+
+Resolution rule: the full-grid resolution per epsilon is the smallest
+multiple of 1/eps giving at least 8 cells across the finest feature,
+capped at 2048 per axis (below 4 cells even at the cap the case is
+refused); solves run on the matched unit-pattern grid of ``n * eps``
+cells.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+
+from .capacity import DEFAULT_R, CapacityProfile
+from .grid import _reciprocal_int, make_grid
+from .microstructure import (
+    MIN_CELLS_ACROSS,
+    FiberLattice,
+    TwoPhaseInclusion,
+    check_cells_across,
+    check_resolution,
+    radius_for_gamma,
+)
+
+_CAP = 2048
+
+#: default eps ladders of the shrinking-inclusion (thm22) and fiber (thm31)
+#: families and of the gap map, and the fiber sweeps' capacity density
+THM22_EPS = (1 / 2, 1 / 4, 1 / 8)
+THM31_EPS = (1 / 3, 1 / 4, 1 / 5, 1 / 6)
+GAP_MAP_EPS = (1 / 3, 1 / 4, 1 / 5)
+DEFAULT_GAMMA = 2.0
+
+#: experiment -> (its default eps ladder, whether its cell is a fiber section)
+_SWEEPS = {
+    "thm22": (THM22_EPS, False),
+    "pw_thm22": (THM22_EPS, False),
+    "thm31": (THM31_EPS, True),
+    "gap_map": (GAP_MAP_EPS, True),
+    "pw_fiber": (THM31_EPS, True),
+}
+
+#: cells per axis of the ``capacity`` annulus check when no ``n`` is given
+ANNULUS_N = 512
+
+
+class PlanError(ValueError):
+    """A run that no grid plan admits; ``keys`` are the inputs the failing
+    rule reads, the one to blame first."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+def resolve_resolution(eps: float, feature_extent: float) -> int:
+    """Full-grid cell count per axis for a physical feature size.
+
+    Smallest multiple of 1/eps with >= 8 cells across the feature, capped
+    at 2048; below 4 cells across even at the cap, the case is refused.
+    """
+    inv = _reciprocal_int(eps)
+    if feature_extent <= 0:
+        raise ValueError("feature extent must be positive")
+    need = 8 * 2.0 * math.pi / feature_extent
+    n = inv * math.ceil(need / inv)
+    if n > _CAP:
+        n = (_CAP // inv) * inv
+        have = n * feature_extent / (2.0 * math.pi)
+        if have < MIN_CELLS_ACROSS:
+            raise ValueError(
+                f"feature of extent {feature_extent:.3e} spans only "
+                f"{have:.2f} cells at the {_CAP} cap; case unresolvable"
+            )
+    return n
+
+
+def plan_sweep(experiment: str, eps=None, *, gamma=None,
+               n: int | None = None) -> list[tuple[float, int, int]]:
+    """``[(eps, n, m), ...]``, one per rung of ``experiment:<experiment>``:
+    full-grid and unit-pattern cells per axis.
+
+    ``eps`` and ``gamma`` default to the sweep's ladder and
+    ``DEFAULT_GAMMA``.  Every ``1/eps`` must be an integer; ``n``, when
+    given, overrides the resolution rule and must be a multiple of each.
+    Every rung's unit cell (the inclusion ``rho = eps`` or the fiber
+    section of radius ``radius_for_gamma(eps, gamma)``) must pass
+    :func:`check_resolution` on its ``m x m`` grid.
+    """
+    default_eps, fiber = _SWEEPS[experiment]
+    eps = [float(e) for e in (default_eps if eps is None else eps)]
+    gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
+    reads = ("eps", "gamma") if fiber else ("eps",)
+    with _blame("eps"):
+        inverses = [_reciprocal_int(e) for e in eps]
+    rungs = []
+    for e, s in zip(eps, inverses):
+        with _blame(*reads):
+            if fiber:
+                r = radius_for_gamma(e, gamma)
+                # the resolution rule does not read the conductivity
+                cell, extent = FiberLattice(eps=1.0, r_eps=r, beta=1.0), 2.0 * e * r
+            else:
+                cell = TwoPhaseInclusion(eps=1.0, beta=float(s * s), rho=e)
+                extent = 2.0 * math.pi * e * e
+            full = resolve_resolution(e, extent) if n is None else n
+        if full % s:
+            raise PlanError(f"n = {full} is not a multiple of 1/eps = {s} "
+                            f"(eps = {e})", "n")
+        m = full // s
+        with _blame("n", *reads, context=f"eps = {e}, unit-pattern grid of "
+                                         f"m = n * eps = {m} cells per axis: "):
+            check_resolution(cell, make_grid(2, m))
+        rungs.append((e, full, m))
+    return rungs
+
+
+def plan_capacity(eps=None, gamma=None, *, r=None, R=None, n: int | None = None):
+    """The grids of the ``capacity`` command.
+
+    With ``r``, the annulus check: ``[(r, R, n)]``, ``n`` defaulting to
+    ``ANNULUS_N``.  Otherwise the sweep: ``[(eps, r, R, n), ...]``, one per
+    ``eps``, with ``r = radius_for_gamma(eps, gamma)`` and, without ``n``,
+    the resolution rule's ``n`` (which needs every ``1/eps`` an integer).
+    ``R`` defaults to ``DEFAULT_R``.  Every profile needs
+    ``0 < r < R < pi`` and ``MIN_CELLS_ACROSS`` cells across its disc (the
+    rule of the capacity solves), and every sweep ``eps`` lies in
+    ``(0, 1]``.
+    """
+    R = DEFAULT_R if R is None else float(R)
+    if r is not None:
+        r, n = float(r), ANNULUS_N if n is None else n
+        with _blame(*(("R", "r") if R >= math.pi else ("r", "R"))):
+            CapacityProfile(r, R)
+        with _blame("n", "r"):
+            check_cells_across(2.0 * r, make_grid(2, n))
+        return [(r, R, n)]
+    gamma = float(gamma)
+    rows = []
+    for e in map(float, eps):
+        if not 0.0 < e <= 1.0:
+            raise PlanError(f"eps must lie in (0, 1], got {e}", "eps")
+        rad = radius_for_gamma(e, gamma)
+        with _blame("R", "eps", "gamma"):
+            CapacityProfile(rad, R)
+        with _blame("eps", "gamma"):
+            full = resolve_resolution(e, 2.0 * e * rad) if n is None else n
+        with _blame("n", "eps", "gamma"):
+            check_cells_across(2.0 * rad, make_grid(2, full))
+        rows.append((e, rad, R, full))
+    return rows
+
+
+@contextmanager
+def _blame(*keys: str, context: str = ""):
+    """Turn a rule's ``ValueError`` into a :class:`PlanError` blaming
+    ``keys``, its message after ``context``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise PlanError(context + str(exc), *keys) from None

@@ -231,7 +231,20 @@ import blochlab.cli as cli
 
 report = {"blochlab": [m for m in sys.modules if m.split(".")[0] == "blochlab"],
           "scipy_at_import": [m for m in sys.modules if m.startswith("scipy")]}
-cli.parse_config("command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n")
+report["parsed"] = [cli.parse_config(text).command for text in (
+    "command = homogenize\na = two_phase(eps=1/4, beta=16, rho=1/4)\nn = 128\n",
+    "command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n",
+    "command = dispersion\na = fiber(eps=1/3, gamma=2)\nn = 156\neta = (0.2, 0.2, 0.3)\n",
+    "command = pw\na = fiber_lattice(eps=1/3, r=0.1, beta=10)\nn = 378\neta = (1, 0)\n",
+    "command = capacity\neps = 1/3, 1/4\ngamma = 2\nn = 64\nR = 1.5\n",
+    "command = capacity\nr = 0.28\n",
+    "command = experiment:thm22\neps = 1/2, 1/4\nn = 128\n",
+    "command = experiment:thm31\neps = 1/3, 1/4\nn = 360\ngamma = 2\n",
+    "command = experiment:gap_map\neps = 1/3, 1/4\ngamma = 2\nt_list = 1, 1/4\n",
+    "command = experiment:pw_thm22\neps = 1/2, 1/4\n",
+    "command = experiment:pw_fiber\neps = 1/3\ngamma = 2\n",
+)]
+report["scipy_after_parse"] = [m for m in sys.modules if m.startswith("scipy")]
 code, _ = cli.run_and_emit(cli.parse_config("command = capacity\nr = 0.28\nn = 64\n"),
                            out_dir=sys.argv[1])
 report["capacity_code"] = code
@@ -242,8 +255,9 @@ print(json.dumps(report))
 
 def test_import_loads_every_module_and_no_scipy(tmp_path):
     # perfbench's tracer needs every module loaded by `import blochlab.cli`;
-    # scipy loads only at the first sparse assembly, so config parsing and
-    # the capacity command never pay for it
+    # scipy loads only at the first sparse assembly, so config parsing (grid
+    # planning included, for every command) and the capacity command never
+    # pay for it
     proc = _python(_IMPORT_PROBE, tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -252,6 +266,8 @@ def test_import_loads_every_module_and_no_scipy(tmp_path):
                                if p.stem != "__init__"}
     assert set(report["blochlab"]) == expected
     assert report["scipy_at_import"] == []
+    assert set(report["parsed"]) == set(_COMMANDS)
+    assert report["scipy_after_parse"] == []
     assert report["capacity_code"] == 0
     assert report["scipy_after_runs"] == []
 

@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blochlab.config import _CONSTRUCTORS, ConfigError, parse_config
+from blochlab import cli, experiments
+from blochlab.config import _COMMANDS, _CONSTRUCTORS, ConfigError, parse_config
 from blochlab.fieldio import write_field_dump
 from blochlab.grid import make_grid
 from blochlab.microstructure import Constant, FiberLattice, TwoPhaseInclusion, rasterize
@@ -258,6 +261,32 @@ def test_eps_ladder_checked_at_parse_time(text, key, line):
      "fiber lattice needs a 2-d cross-section"),
     ("command = dispersion\na = constant(2)\neta = (0.1)\nn = 1\n", "n", 4,
      "need at least 2 cells"),
+    # a sweep rung must resolve under the 2048-cell cap: the fiber radius
+    # exp(-1/(2 pi eps^2 gamma)) shrinks with eps and with gamma
+    ("command = experiment:thm31\neps = 1/3, 1/8\n", "eps", 2,
+     "spans only 0.50 cells at the 2048 cap"),
+    ("command = experiment:gap_map\neps = 1/3, 1/8\n", "eps", 2,
+     "spans only 0.50 cells at the 2048 cap"),
+    ("command = experiment:pw_fiber\neps = 1/8\n", "eps", 2,
+     "spans only 0.50 cells at the 2048 cap"),
+    ("command = experiment:thm22\neps = 1/64\n", "eps", 2,
+     "spans only 0.50 cells at the 2048 cap"),
+    ("command = experiment:thm31\ngamma = 0.5\n", "gamma", 2,
+     "spans only 1.00 cells at the 2048 cap"),
+    ("command = experiment:gap_map\ngamma = 1\n", "gamma", 2,
+     "spans only 2.44 cells at the 2048 cap"),
+    # an n override samples every rung's unit cell, not only the first
+    ("command = experiment:thm31\neps = 1/3, 1/4\nn = 96\n", "n", 3,
+     "eps = 0.25, unit-pattern grid of m = n [*] eps = 24 cells per axis: "
+     "feature of extent 0.5598 spans only 2.14 cells"),
+    # capacity: cells across the disc, the eps range, the cap
+    ("command = capacity\nr = 0.01\n", "r", 2, "spans only 1.63 cells"),
+    ("command = capacity\neps = 2\ngamma = 2\nn = 64\n", "eps", 2,
+     r"eps must lie in \(0, 1\], got 2.0"),
+    ("command = capacity\neps = 1/9\ngamma = 2\n", "eps", 2,
+     "spans only 0.11 cells at the 2048 cap"),
+    ("command = capacity\neps = 1/3\ngamma = 2\nn = 8\n", "n", 4,
+     "spans only 1.24 cells"),
 ])
 def test_run_time_failures_refused_at_parse_time(text, key, line, message):
     # each of these parsed, then exited 1 at run time without key or line
@@ -288,6 +317,69 @@ def test_parse_and_rasterize_share_the_resolution_rule():
         parse_config("command = homogenize\na = two_phase(eps=1/3, beta=4, rho=1/3)\n"
                      "n = 16\n")
     assert str(parse.value).endswith(str(raster.value))
+
+
+# ---------------------------------------------------------------------------
+# parse time and run time plan the same grids
+
+
+class _Planned(Exception):
+    """Raised in place of a run's first solve."""
+
+
+def _first_solve(*args, **kwargs):
+    raise _Planned
+
+
+@st.composite
+def _sweep_configs(draw):
+    """thm22, thm31, gap_map, pw_fiber and capacity configs: eps ladders of
+    1/2 .. 1/12, gamma in [0.5, 8], n (often a multiple of every 1/eps),
+    r and R."""
+    command = draw(st.sampled_from(["experiment:thm22", "experiment:thm31",
+                                    "experiment:gap_map", "experiment:pw_fiber",
+                                    "capacity"]))
+    keys = _COMMANDS[command][1]
+    capacity = command == "capacity"
+    annulus = capacity and draw(st.booleans())
+    lines = [f"command = {command}"]
+    dens = None
+    if not annulus and (capacity or draw(st.booleans())):
+        dens = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True))
+        lines.append("eps = " + ", ".join(f"1/{d}" for d in dens))
+    if "gamma" in keys and not annulus and (capacity or draw(st.booleans())):
+        lines.append(f"gamma = {draw(st.floats(0.5, 8.0))!r}")
+    if "n" in keys and draw(st.booleans()):
+        step = lcm(*(dens or (2, 3, 4, 5, 6, 8)))
+        n = draw(st.one_of(st.integers(2, 2048), st.integers(1, 64).map(lambda k: k * step)))
+        lines.append(f"n = {n}")
+    if annulus:
+        lines.append(f"r = {draw(st.floats(0.005, 3.0))!r}")
+    if capacity and draw(st.booleans()):
+        lines.append(f"R = {draw(st.floats(0.01, 3.2))!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_configs())
+@example("command = experiment:thm31\neps = 1/3, 1/4\nn = 360\ngamma = 2\n")
+@example("command = experiment:gap_map\neps = 1/3\ngamma = 3.5\n")
+@example("command = capacity\neps = 1/6\ngamma = 2\n")
+@example("command = capacity\nr = 0.05\nR = 3\n")
+def test_every_admitted_config_plans_at_run_time(text):
+    # a config that parse_config admits runs up to its first solve: the
+    # run's own planner and checks refuse nothing that parsing let through
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    with mock.patch.object(experiments, "map_tasks", _first_solve), \
+            mock.patch.object(cli, "_task_table", _first_solve), \
+            pytest.raises(_Planned):
+        if cfg.command == "capacity":
+            cli._single_command_table(cfg)
+        else:
+            cli._experiment_table(cfg)
 
 
 def test_capacity_with_n_takes_any_eps():

@@ -19,12 +19,12 @@ from blochlab.experiments import (
     make_table,
     map_tasks,
     pool_size,
-    resolve_resolution,
     run_gap_map,
     run_pw,
     run_thm22,
     run_thm31,
 )
+from blochlab.plan import resolve_resolution
 from blochlab.sparse_linalg import ConvergenceError
 
 
@@ -62,6 +62,17 @@ def test_resolution_override_must_be_a_multiple_of_inv_eps():
         run_thm22(eps=(1 / 4,), n=66)
     with pytest.raises(ValueError, match=r"n = 100 .* 1/eps = 3"):
         run_thm31(eps=(1 / 3,), n=100)
+
+
+def test_harness_plans_every_rung_before_its_first_solve(monkeypatch):
+    # the eps = 1/4 rung cannot be sampled at n = 96 (m = 24); the eps = 1/3
+    # rung's solves never start
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the plan was complete")
+
+    monkeypatch.setattr("blochlab.experiments.fiber_lambda1_2d", solve)
+    with pytest.raises(ValueError, match="m = n [*] eps = 24 cells per axis"):
+        run_thm31(eps=[1 / 3, 1 / 4], n=96)
 
 
 def test_make_table_columns_follow_row_order():
