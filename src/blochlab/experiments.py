@@ -8,9 +8,9 @@ replicated into columns (assertion outcomes are data, never silent, and
 never fatal).  Rows are computed independently — no state flows between
 them — so any single row is bitwise reproducible from the table metadata
 alone (solver start vectors come from a fixed internal seed).
-Every harness takes its rungs' grids from :func:`blochlab.plan.plan_sweep`,
-which applies the resolution rule and every grid check before the first
-solve.
+Every harness takes its rungs from :func:`blochlab.plan.plan_sweep`: each
+rung's grids and the unit cell every solve of the rung rasterizes, planned
+under the resolution rule and every grid check before the first solve.
 
 Every harness lists its independent solves as tasks and hands them to
 :func:`map_tasks`, which runs them in this process or on a fork pool and
@@ -31,26 +31,10 @@ import numpy as np
 
 from .bloch import _require_first_zone, bloch_reduced, fiber_lambda1_2d
 from .cell_problems import dispersion, homogenized, pw_constant
-from .grid import _reciprocal_int, make_grid
-from .microstructure import (
-    CoefficientField,
-    FiberLattice,
-    TwoPhaseInclusion,
-    radius_for_gamma,
-    rasterize,
-    unit_pattern,
-)
-from .plan import DEFAULT_GAMMA, GAP_MAP_EPS, THM22_EPS, THM31_EPS, plan_sweep
-
-#: contrast growth used by the fiber sweeps: beta = r^{-2} eps^{-5}.  The
-#: shared default_beta rule (r^{-2}/eps) grows too slowly for the spectral
-#: gap to open at desk-scale epsilon, so the harnesses use this stronger
-#: rate; it still satisfies beta -> infinity with vanishing inclusion area.
-FIBER_BETA_EXPONENT = 5
-
-
-def fiber_beta(eps: float, r_eps: float) -> float:
-    return r_eps**-2 * float(eps) ** -FIBER_BETA_EXPONENT
+from .grid import make_grid
+from .microstructure import rasterize
+from .plan import DEFAULT_GAMMA, FIBER_BETA_EXPONENT, GAP_MAP_EPS, THM22_EPS, THM31_EPS
+from .plan import fiber_beta, plan_sweep  # noqa: F401  (fiber_beta is re-exported)
 
 
 @dataclass
@@ -115,7 +99,7 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     Otherwise they run on a fork pool, one task at a time per worker,
     submitted in decreasing ``cost`` (grid cells) so that the largest
     solves start first.  ``fn`` must be a module-level function, and tasks
-    and results must pickle: tasks carry specs (eps, m, eta), never fields,
+    and results must pickle: tasks carry specs (eps, cell, m, eta), never fields,
     and return scalars.  An exception raised in a task re-raises here.
     """
     tasks = list(tasks)
@@ -179,16 +163,10 @@ def _nondecreasing(seq) -> bool:
     return all(b >= a for a, b in zip(seq, seq[1:]))
 
 
-def _unit_inclusion(eps: float, m: int) -> CoefficientField:
-    # shrinking-inclusion family: rho = eps, beta = eps^-2, on the unit pattern
-    spec = TwoPhaseInclusion(eps=eps, beta=float(_reciprocal_int(eps)) ** 2, rho=eps)
-    return rasterize(unit_pattern(spec), make_grid(2, (m, m)))
-
-
-def _thm22_task(eps: float, m: int, eta: np.ndarray, forms: bool) -> tuple:
+def _thm22_task(eps: float, cell, m: int, eta: np.ndarray, forms: bool) -> tuple:
     """``(q_eta_eta, eps^2 dispersion)`` when ``forms``, else
-    ``(lambda1, iterations)`` of the reduced solve."""
-    unit = _unit_inclusion(eps, m)
+    ``(lambda1, iterations)`` of the reduced solve, on ``cell`` at ``m x m``."""
+    unit = rasterize(cell, make_grid(2, m))
     if forms:
         q_eta_eta = float(eta @ homogenized(unit).q @ eta)
         return q_eta_eta, eps * eps * dispersion(unit, eta).value
@@ -213,12 +191,13 @@ def run_thm22(
     eta = check_eta("thm22", eta)
     rungs = plan_sweep("thm22", eps, n=n)
     tasks = []
-    for eps, _, m in rungs:
-        tasks += [(eps, m, eta, True), (eps, m, eta, False), (eps, 2 * m, eta, False)]
-    done, workers = map_tasks(_thm22_task, tasks, workers, [t[1] ** 2 for t in tasks])
+    for eps, _, m, cell in rungs:
+        tasks += [(eps, cell, m, eta, True), (eps, cell, m, eta, False),
+                  (eps, cell, 2 * m, eta, False)]
+    done, workers = map_tasks(_thm22_task, tasks, workers, [t[2] ** 2 for t in tasks])
     done = iter(done)
     rows = []
-    for eps, n, m in rungs:
+    for eps, n, m, _ in rungs:
         (q_eta_eta, disp_eps), t_forms = next(done)
         (lam, iters), t_lam = next(done)
         (lam2, _), t_lam2 = next(done)
@@ -250,21 +229,9 @@ def run_thm22(
     return make_table(rows, workers, checks, meta)
 
 
-def _fiber_params(eps: float, gamma: float) -> tuple[float, float]:
-    r_eps = radius_for_gamma(eps, gamma)
-    return r_eps, fiber_beta(eps, r_eps)
-
-
-def _fiber_section(eps: float, gamma: float, m: int) -> CoefficientField:
-    r_eps, beta = _fiber_params(eps, gamma)
-    return rasterize(FiberLattice(eps=1.0, r_eps=r_eps, beta=beta), make_grid(2, (m, m)))
-
-
-def _fiber_task(
-    eps: float, gamma: float, m: int, eta_p: np.ndarray, eta3: float
-) -> tuple[float, int]:
-    """``(lambda1, iterations)`` of one fiber cross-section solve."""
-    res = fiber_lambda1_2d(_fiber_section(eps, gamma, m), eps, eta_p, eta3, tol=1e-9)
+def _fiber_task(eps: float, cell, m: int, eta_p, eta3: float) -> tuple[float, int]:
+    """``(lambda1, iterations)`` of one solve on fiber section ``cell`` at ``m x m``."""
+    res = fiber_lambda1_2d(rasterize(cell, make_grid(2, m)), eps, eta_p, eta3, tol=1e-9)
     return res.lambda1, res.iterations
 
 
@@ -293,22 +260,21 @@ def run_thm31(
     eta_p = eta[:2]
     rungs = plan_sweep("thm31", eps, gamma=gamma, n=n)
     tasks = []
-    for eps, _, m in rungs:
-        tasks += [(eps, gamma, m, eta_p, float(eta[2])), (eps, gamma, m, eta_p, 0.0),
-                  (eps, gamma, 2 * m, eta_p, float(eta[2]))]
+    for eps, _, m, cell in rungs:
+        tasks += [(eps, cell, m, eta_p, float(eta[2])), (eps, cell, m, eta_p, 0.0),
+                  (eps, cell, 2 * m, eta_p, float(eta[2]))]
     done, workers = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
     done = iter(done)
     rows = []
-    for eps, n, m in rungs:
+    for eps, n, m, cell in rungs:
         (lam, iters), seconds = next(done)
         (ctrl_lam, _), ctrl_seconds = next(done)
         (lam2, _), mesh_seconds = next(done)
         mesh_rel = abs(lam2 - lam) / lam
-        r_eps, beta = _fiber_params(eps, gamma)
         excess = lam - eta_sq
         ctrl_excess = ctrl_lam - float(eta_p @ eta_p)
         rows.append({
-            "eps": float(eps), "n": n, "m": m, "r_eps": r_eps, "beta": beta,
+            "eps": float(eps), "n": n, "m": m, "r_eps": cell.r_eps, "beta": cell.beta,
             **eta_cells(eta),
             "lambda1": lam,
             "q_eta_eta": None,
@@ -360,17 +326,18 @@ def run_gap_map(
     eta = check_eta("gap_map", eta)
     t_list = check_t_list(t_list)
     rungs = plan_sweep("gap_map", eps, gamma=gamma)
-    cells = [(eps, n, m, t) for eps, n, m in rungs for t in t_list]
-    tasks = [(eps, gamma, m, t * eta[:2], float(t * eta[2])) for eps, _, m, t in cells]
+    points = [(*rung, t) for rung in rungs for t in t_list]
+    tasks = [(eps, cell, m, t * eta[:2], float(t * eta[2]))
+             for eps, _, m, cell, t in points]
     done, workers = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
     rows = []
     lam_at_1: dict[float, float] = {}
-    for (eps, n, m, t), ((lam, iters), seconds) in zip(cells, done):
+    for (eps, n, m, cell, t), ((lam, iters), seconds) in zip(points, done):
         if t == 1.0:
             lam_at_1[eps] = lam
-        r_eps, beta = _fiber_params(eps, gamma)
         rows.append({
-            "eps": float(eps), "t": t, "n": n, "m": m, "r_eps": r_eps, "beta": beta,
+            "eps": float(eps), "t": t, "n": n, "m": m,
+            "r_eps": cell.r_eps, "beta": cell.beta,
             **eta_cells(t * eta),
             "lambda1": lam,
             "lambda1_over_t1": lam / lam_at_1[eps],
@@ -399,13 +366,10 @@ def run_gap_map(
     return make_table(rows, workers, checks, meta)
 
 
-def _pw_task(family: str, eps: float, gamma: float, m: int, lam: np.ndarray):
-    """``(C, mean_a)`` on the family's unit cell; ``mean_a`` is ``None``
-    for the inclusion family."""
-    if family == "thm22":
-        return pw_constant(_unit_inclusion(eps, m), lam), None
-    section = _fiber_section(eps, gamma, m)
-    return pw_constant(section, lam), float(section.a.mean())
+def _pw_task(cell, m: int, lam: np.ndarray) -> tuple[float, float]:
+    """``(C, mean(a))`` on ``cell`` at ``m x m``."""
+    unit = rasterize(cell, make_grid(2, m))
+    return pw_constant(unit, lam), float(unit.a.mean())
 
 
 def run_pw(
@@ -424,26 +388,26 @@ def run_pw(
     the fiber's log factor, and its check only asks ``ratio <= 10``.  The
     column is not order one: it falls from 0.035 to 0.0008 over
     eps = 1/3 .. 1/6, as the mass grows faster than the constant.
-    Constants are computed on the unit cell of each family's pattern, one
-    :func:`map_tasks` task per eps.  ``eta`` is the weight direction of
-    :func:`pw_constant` (``lambda`` in the metadata).  Without ``eps`` the
-    family's default ladder runs (``THM22_EPS`` or ``THM31_EPS``).
+    Constants are computed on each rung's unit cell from
+    :func:`blochlab.plan.plan_sweep`, one :func:`map_tasks` task per eps.
+    ``eta`` is the weight direction of :func:`pw_constant` (``lambda`` in
+    the metadata).  Without ``eps`` the family's default ladder runs
+    (``THM22_EPS`` or ``THM31_EPS``).
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
     eta = check_eta(f"pw_{family}", eta)
     rungs = plan_sweep(f"pw_{family}", eps, gamma=gamma)
-    tasks = [(family, eps, gamma, m, eta) for eps, _, m in rungs]
-    done, workers = map_tasks(_pw_task, tasks, workers, [t[3] ** 2 for t in tasks])
+    tasks = [(cell, m, eta) for _, _, m, cell in rungs]
+    done, workers = map_tasks(_pw_task, tasks, workers, [t[1] ** 2 for t in tasks])
     rows = []
-    for (eps, n, m), ((C, mean_a), seconds) in zip(rungs, done):
+    for (eps, n, m, cell), ((C, mean_a), seconds) in zip(rungs, done):
         row = {"eps": float(eps), "n": n, "m": m, **eta_cells(eta)}
         if family == "thm22":
             row.update(pw_constant=C, eps2_C=eps * eps * C)
         else:
-            r_eps, beta = _fiber_params(eps, gamma)
-            row.update(r_eps=r_eps, beta=beta, pw_constant=C, mean_a=mean_a,
-                       ratio=C / (abs(math.log(r_eps)) * mean_a))
+            row.update(r_eps=cell.r_eps, beta=cell.beta, pw_constant=C, mean_a=mean_a,
+                       ratio=C / (abs(math.log(cell.r_eps)) * mean_a))
         row["runtime_seconds"] = seconds
         rows.append(row)
     if family == "thm22":

@@ -188,17 +188,23 @@ def check_resolution(spec: MicrostructureSpec, grid: PeriodicGrid) -> None:
         check_cells_across(2.0 * spec.r_eps / s, grid)
 
 
+class TooFewCells(ValueError):
+    """A grid too coarse for a feature; ``need`` cells per axis resolve it."""
+
+    def __init__(self, fact: str, need: int):
+        super().__init__(f"{fact}; need n >= {need} (at least {MIN_CELLS_ACROSS} across)")
+        self.fact, self.need = fact, need
+
+
 def check_cells_across(diameter: float, grid: PeriodicGrid, axes=(0, 1)) -> None:
     """Require at least ``MIN_CELLS_ACROSS`` cells across a feature of
-    ``diameter`` (x units) along each of ``axes``."""
+    ``diameter`` (x units) along each of ``axes``, else raise TooFewCells."""
     for k in axes:
         across = diameter / grid.h[k]
         if across < MIN_CELLS_ACROSS:
-            need = math.ceil(MIN_CELLS_ACROSS * 2.0 * _PI / diameter)
-            raise ValueError(
+            raise TooFewCells(
                 f"feature of extent {diameter:.4g} spans only {across:.2f} cells "
-                f"along axis {k}; need n >= {need} (at least {MIN_CELLS_ACROSS} across)"
-            )
+                f"along axis {k}", math.ceil(MIN_CELLS_ACROSS * 2.0 * _PI / diameter))
 
 
 def radius_for_gamma(eps: float, gamma: float) -> float:

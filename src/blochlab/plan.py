@@ -1,4 +1,4 @@
-"""Grid plans: the grids a sweep or the ``capacity`` command solves on.
+"""Grid plans: a sweep's grids and unit cells, and the ``capacity`` command's grids.
 
 Each command family has one planner, which the harnesses, the ``capacity``
 command and the config parser all call, so a run is refused by the same
@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 from .capacity import DEFAULT_R, CapacityProfile
 from .grid import _reciprocal_int, make_grid
 from .microstructure import (
     MIN_CELLS_ACROSS,
     FiberLattice,
+    TooFewCells,
     TwoPhaseInclusion,
     check_cells_across,
     check_resolution,
@@ -38,6 +40,17 @@ THM22_EPS = (1 / 2, 1 / 4, 1 / 8)
 THM31_EPS = (1 / 3, 1 / 4, 1 / 5, 1 / 6)
 GAP_MAP_EPS = (1 / 3, 1 / 4, 1 / 5)
 DEFAULT_GAMMA = 2.0
+
+#: contrast growth used by the fiber sweeps: beta = r^{-2} eps^{-5}.  The
+#: shared default_beta rule (r^{-2}/eps) grows too slowly for the spectral
+#: gap to open at desk-scale epsilon, so the harnesses use this stronger
+#: rate; it still satisfies beta -> infinity with vanishing inclusion area.
+FIBER_BETA_EXPONENT = 5
+
+
+def fiber_beta(eps: float, r_eps: float) -> float:
+    return r_eps**-2 * float(eps) ** -FIBER_BETA_EXPONENT
+
 
 #: experiment -> (its default eps ladder, whether its cell is a fiber section)
 _SWEEPS = {
@@ -83,17 +96,19 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
     return n
 
 
-def plan_sweep(experiment: str, eps=None, *, gamma=None,
-               n: int | None = None) -> list[tuple[float, int, int]]:
-    """``[(eps, n, m), ...]``, one per rung of ``experiment:<experiment>``:
-    full-grid and unit-pattern cells per axis.
+def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
+               ) -> list[tuple[float, int, int, TwoPhaseInclusion | FiberLattice]]:
+    """``[(eps, n, m, cell), ...]``, one per rung of ``experiment:<experiment>``:
+    full-grid and unit-pattern cells per axis, and the unit-pattern spec that
+    every solve of the rung rasterizes on its ``m x m`` (or doubled) grid: the
+    inclusion ``rho = eps, beta = eps^-2`` or the fiber section of radius
+    ``r = radius_for_gamma(eps, gamma)`` and conductivity ``fiber_beta(eps, r)``.
 
     ``eps`` and ``gamma`` default to the sweep's ladder and
-    ``DEFAULT_GAMMA``.  Every ``1/eps`` must be an integer; ``n``, when
-    given, overrides the resolution rule and must be a multiple of each.
-    Every rung's unit cell (the inclusion ``rho = eps`` or the fiber
-    section of radius ``radius_for_gamma(eps, gamma)``) must pass
-    :func:`check_resolution` on its ``m x m`` grid.
+    ``DEFAULT_GAMMA``.  Every ``1/eps`` must be an integer (above 1 for the
+    inclusions); ``n``, when given, overrides the resolution rule and must be
+    a multiple of each.  Every cell must pass :func:`check_resolution` on its
+    ``m x m`` grid; a refusal names the least ``n`` that would pass.
     """
     default_eps, fiber = _SWEEPS[experiment]
     eps = [float(e) for e in (default_eps if eps is None else eps)]
@@ -101,13 +116,18 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None,
     reads = ("eps", "gamma") if fiber else ("eps",)
     with _blame("eps"):
         inverses = [_reciprocal_int(e) for e in eps]
+    step = math.lcm(*inverses)
     rungs = []
     for e, s in zip(eps, inverses):
         with _blame(*reads):
             if fiber:
                 r = radius_for_gamma(e, gamma)
-                # the resolution rule does not read the conductivity
+                # the grid checks do not read the conductivity, and r^-2
+                # overflows on rungs they refuse: the real beta comes last
                 cell, extent = FiberLattice(eps=1.0, r_eps=r, beta=1.0), 2.0 * e * r
+            elif s == 1:
+                raise ValueError("the inclusion family needs eps < 1: its "
+                                 "inclusion rho = eps would fill the cell")
             else:
                 cell = TwoPhaseInclusion(eps=1.0, beta=float(s * s), rho=e)
                 extent = 2.0 * math.pi * e * e
@@ -118,8 +138,16 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None,
         m = full // s
         with _blame("n", *reads, context=f"eps = {e}, unit-pattern grid of "
                                          f"m = n * eps = {m} cells per axis: "):
-            check_resolution(cell, make_grid(2, m))
-        rungs.append((e, full, m))
+            try:
+                check_resolution(cell, make_grid(2, m))
+            except TooFewCells as exc:  # least n, divisible by every 1/eps, with m >= need
+                least = -(-exc.need * s // step) * step
+                hint = (f"need n >= {least}, a multiple of {step}" if least <= _CAP
+                        else f"no multiple of {step} up to the {_CAP} cap resolves it")
+                raise ValueError(f"{exc.fact}; {hint}") from None
+        if fiber:
+            cell = replace(cell, beta=fiber_beta(e, cell.r_eps))
+        rungs.append((e, full, m, cell))
     return rungs
 
 

@@ -271,14 +271,26 @@ def test_eps_ladder_checked_at_parse_time(text, key, line):
      "spans only 0.50 cells at the 2048 cap"),
     ("command = experiment:thm22\neps = 1/64\n", "eps", 2,
      "spans only 0.50 cells at the 2048 cap"),
+    ("command = experiment:thm31\neps = 1/3\ngamma = 0.003\n", "eps", 2,
+     "spans only 0.00 cells at the 2048 cap"),
     ("command = experiment:thm31\ngamma = 0.5\n", "gamma", 2,
      "spans only 1.00 cells at the 2048 cap"),
     ("command = experiment:gap_map\ngamma = 1\n", "gamma", 2,
      "spans only 2.44 cells at the 2048 cap"),
-    # an n override samples every rung's unit cell, not only the first
+    # an n override samples every rung's unit cell, not only the first; the
+    # hint is the least n, a multiple of every 1/eps, that resolves the rung
     ("command = experiment:thm31\neps = 1/3, 1/4\nn = 96\n", "n", 3,
      "eps = 0.25, unit-pattern grid of m = n [*] eps = 24 cells per axis: "
-     "feature of extent 0.5598 spans only 2.14 cells"),
+     "feature of extent 0.5598 spans only 2.14 cells along axis 0; "
+     "need n >= 180, a multiple of 12"),
+    # the fiber conductivity r^-2 eps^-5 would overflow: no n resolves the rung
+    ("command = experiment:thm31\neps = 1/3\ngamma = 0.003\nn = 2046\n", "n", 4,
+     "no multiple of 3 up to the 2048 cap resolves it"),
+    # the inclusion family's rho = eps
+    ("command = experiment:thm22\neps = 1\n", "eps", 2,
+     "the inclusion family needs eps < 1"),
+    ("command = experiment:pw_thm22\neps = 1\n", "eps", 2,
+     "the inclusion family needs eps < 1"),
     # capacity: cells across the disc, the eps range, the cap
     ("command = capacity\nr = 0.01\n", "r", 2, "spans only 1.63 cells"),
     ("command = capacity\neps = 2\ngamma = 2\nn = 64\n", "eps", 2,
@@ -293,6 +305,7 @@ def test_run_time_failures_refused_at_parse_time(text, key, line, message):
     with pytest.raises(ConfigError, match=message) as exc:
         parse_config(text)
     assert exc.value.key == key and exc.value.line == line
+    assert len(str(exc.value)) < 300
 
 
 @pytest.mark.parametrize("text", [
@@ -302,6 +315,7 @@ def test_run_time_failures_refused_at_parse_time(text, key, line, message):
     "eta = (0.1, 0.1)\n",
     "command = homogenize\na = two_phase(eps=1/3, beta=4, rho=1/3)\nn = 36\n",
     "command = bloch\na = from_file(path=missing.bin)\nn = 7\neta = (0.1, 0.1)\n",
+    "command = experiment:thm31\neps = 1/3, 1/4\nn = 180\n",
 ])
 def test_parse_time_checks_admit_valid_runs(text):
     # the boundary cases pass, and a dump is not read while parsing
@@ -364,6 +378,7 @@ def _sweep_configs(draw):
 @given(_sweep_configs())
 @example("command = experiment:thm31\neps = 1/3, 1/4\nn = 360\ngamma = 2\n")
 @example("command = experiment:gap_map\neps = 1/3\ngamma = 3.5\n")
+@example("command = experiment:thm31\neps = 1/3\ngamma = 0.003\nn = 2046\n")
 @example("command = capacity\neps = 1/6\ngamma = 2\n")
 @example("command = capacity\nr = 0.05\nR = 3\n")
 def test_every_admitted_config_plans_at_run_time(text):

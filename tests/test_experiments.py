@@ -7,11 +7,13 @@ to pin down row/column contracts, validation, and reproducibility.
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from blochlab import experiments
 from blochlab.experiments import (
     ExperimentTable,
     eta_cells,
@@ -24,7 +26,7 @@ from blochlab.experiments import (
     run_thm22,
     run_thm31,
 )
-from blochlab.plan import resolve_resolution
+from blochlab.plan import plan_sweep, resolve_resolution
 from blochlab.sparse_linalg import ConvergenceError
 
 
@@ -73,6 +75,29 @@ def test_harness_plans_every_rung_before_its_first_solve(monkeypatch):
     monkeypatch.setattr("blochlab.experiments.fiber_lambda1_2d", solve)
     with pytest.raises(ValueError, match="m = n [*] eps = 24 cells per axis"):
         run_thm31(eps=[1 / 3, 1 / 4], n=96)
+
+
+def test_every_solve_rasterizes_the_planned_cell(monkeypatch):
+    # the plan builds each rung's unit cell once; every solve samples it, and
+    # the fiber rows report its radius and conductivity
+    specs = []
+    rasterize = experiments.rasterize
+
+    def recording(spec, grid):
+        specs.append(spec)
+        return rasterize(spec, grid)
+
+    monkeypatch.setattr(experiments, "rasterize", recording)
+    runs = [("thm22", run_thm22, {"eps": (1 / 2,), "n": 32}),
+            ("thm31", run_thm31, {"eps": (1 / 3,), "n": 78}),
+            ("pw_fiber", partial(run_pw, family="fiber"), {"eps": (1 / 3,)})]
+    for experiment, run, kwargs in runs:
+        specs.clear()
+        table = run(**kwargs)
+        cells = [cell for *_, cell in plan_sweep(experiment, **kwargs)]
+        assert specs and set(specs) == set(cells)
+        for row in table.rows if experiment != "thm22" else ():
+            assert row["beta"] == fiber_beta(row["eps"], row["r_eps"])
 
 
 def test_make_table_columns_follow_row_order():
