@@ -13,10 +13,8 @@ from .microstructure import (
     FiberLattice,
     FromFile,
     TwoPhaseInclusion,
-    default_beta,
     radius_for_gamma,
     rasterize,
-    unit_pattern,
 )
 from .sparse_linalg import (
     ConvergenceError,
@@ -61,10 +59,8 @@ __all__ = [
     "TwoPhaseInclusion",
     "FiberLattice",
     "FromFile",
-    "default_beta",
     "radius_for_gamma",
     "rasterize",
-    "unit_pattern",
     "ConvergenceError",
     "EigSolveReport",
     "cg_solve",

@@ -213,16 +213,17 @@ def _peak_rss_mb(workers: int) -> dict:
 
 
 def run_and_emit(
-    cfg: RunConfig, out_dir: str | Path | None = None, threads: int = 1
+    cfg: RunConfig, out_dir: str | Path = ".", threads: int = 1
 ) -> tuple[int, list[Path]]:
-    """Execute the config; write ``<command>.csv`` and ``<command>.json``.
+    """Execute the config; write ``<command>.csv`` and ``<command>.json``
+    into ``out_dir``.
 
     ``threads`` is the requested worker count for the independent solves;
     the CSV bytes do not depend on it.  Returns (exit code, written paths).
     Assertion-column failures give exit 2; the files are written either way.
     """
     t0 = time.perf_counter()
-    out = Path(out_dir if out_dir is not None else cfg.out)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.command.startswith("experiment:"):
         table = _experiment_table(cfg, threads)
@@ -235,7 +236,7 @@ def run_and_emit(
     write_csv(csv_path, table.columns, table.rows)
 
     sidecar = {
-        "config": cfg.serialize(),
+        "config": cfg.text,
         "command": cfg.command,
         "threads": threads,
         "workers": table.workers,
@@ -268,8 +269,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, metavar="PATH",
                         help="run configuration file")
-    parser.add_argument("--out", metavar="DIR", default=None,
-                        help="output directory (default: from config)")
+    parser.add_argument("--out", metavar="DIR", default=".",
+                        help="output directory (default: the current directory)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
                         help="worker processes for the independent solves, "
                              "clamped to the usable cores and to the number "
@@ -277,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_bytes().decode("utf-8")  # line ends kept
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1

@@ -20,13 +20,12 @@ harnesses' ``eta`` and ``t_list`` checks, and every rule of the grid plan
 that an experiment or ``capacity`` run makes with :mod:`blochlab.plan`
 included) are all rejected here, with the key and line number.
 
-Only ``out`` has its default recorded.  Every other key left out stays
-``None``, and the run fills its default: an experiment's eps ladder,
-``gamma``, ``eta`` and ``t_list`` come from its harness, and ``capacity``'s
-``R`` and annulus ``n`` from :func:`blochlab.plan.plan_capacity`.
-``serialize`` emits the canonical form (``_KINDS`` order, ``out``
-included, shortest float representation, fractions kept exact), and
-parse -> serialize -> parse is the identity.
+A key left out stays ``None``, and the run fills its default: an
+experiment's eps ladder, ``gamma``, ``eta`` and ``t_list`` come from its
+harness, and ``capacity``'s ``R`` and annulus ``n`` from
+:func:`blochlab.plan.plan_capacity`.  Parsing is deterministic, so the
+text parsed, which :class:`RunConfig` keeps and the run's sidecar records,
+is all a rerun needs.
 """
 
 from __future__ import annotations
@@ -44,27 +43,25 @@ from .microstructure import (
     FromFile,
     TwoPhaseInclusion,
     check_resolution,
-    default_beta,
     radius_for_gamma,
 )
-from .plan import PlanError, plan_capacity, plan_sweep
+from .plan import PlanError, fiber_beta, plan_capacity, plan_sweep
 
-#: key -> value kind, in canonical (serialization) order
+#: key -> value kind
 _KINDS = {
     "command": "command",
     "a": "microstructure",
     "eta": "vector_list",
     "eps": "fraction_list",
     "n": "positive_int",
-    "out": "string",
     "gamma": "positive",
     "t_list": "number_list",
     "r": "positive",
     "R": "positive",
 }
 
-#: command -> (required keys, optional keys); ``command`` and ``out`` apply
-#: to every command.  ``capacity`` also needs ``r`` (annulus check) or both
+#: command -> (required keys, optional keys); ``command`` applies to every
+#: command.  ``capacity`` also needs ``r`` (annulus check) or both
 #: ``eps`` and ``gamma`` (scaled-energy sweep), never both modes.
 _COMMANDS = {
     "homogenize": (("a", "n"), ()),
@@ -101,62 +98,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A validated run request: the keys the config sets, and ``out``.
-    A key left out is ``None``; the run fills its default."""
+    """A validated run request: the keys the config sets, and ``text``, the
+    document they were parsed from, which no key sets.  A key left out is
+    ``None``; the run fills its default."""
 
     command: str
     a: object | None = None           # microstructure spec
-    a_form: tuple | None = None       # (constructor name, arguments) for a
     eta: list | None = None           # list of momentum tuples
     eps: list | None = None           # list of Fractions
     n: int | None = None
-    out: str = "."
     gamma: object | None = None
     t_list: list | None = None
     r: object | None = None
     R: object | None = None
-
-    def serialize(self) -> str:
-        lines = []
-        for key in _KINDS:
-            value = self.a_form if key == "a" else getattr(self, key)
-            if value is not None:
-                lines.append(f"{key} = {_format_value(key, value)}")
-        return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# value formatting (canonical forms)
-
-
-def _fmt_number(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, bool):
-        raise TypeError("booleans have no config syntax")
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
-
-
-def _fmt_tuple(t) -> str:
-    return "(" + ", ".join(_fmt_number(v) for v in t) + ")"
-
-
-def _format_value(key: str, value) -> str:
-    kind = _KINDS[key]
-    if kind == "microstructure":
-        name, args = value
-        return name + "(" + ", ".join(
-            f"{arg}={v if isinstance(v, str) else _fmt_number(v)}"
-            for arg, v in args.items()) + ")"
-    if kind == "vector_list":
-        return "; ".join(_fmt_tuple(t) for t in value)
-    if kind in ("fraction_list", "number_list"):
-        return ", ".join(_fmt_number(v) for v in value)
-    if kind == "positive":
-        return _fmt_number(value)
-    return str(value)
+    text: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +209,20 @@ def _positive(value, what, line, key):
 
 
 def _fiber(eps: float, gamma: float, beta: float | None = None) -> FiberLattice:
-    """Fiber lattice whose radius gives capacity density ``gamma``."""
+    """Fiber lattice whose radius gives capacity density ``gamma``, with the
+    fiber sweeps' conductivity unless ``beta`` is given."""
     r = radius_for_gamma(eps, gamma)
-    return FiberLattice(eps=eps, r_eps=r,
-                        beta=default_beta(eps, r) if beta is None else beta)
+    return FiberLattice(eps=eps, r_eps=r, beta=fiber_beta(eps, r) if beta is None else beta)
 
 
 _NEEDED = object()
 
-#: constructor -> ({argument: default}, spec builder).  The arguments are in
-#: canonical order; ``_NEEDED`` marks a required one and ``None`` an
-#: optional one with no default.  The builder gets every argument given or
-#: defaulted by name, ``shape`` and ``path`` as words and the rest as floats.
+#: constructor -> ({argument: default}, spec builder).  ``_NEEDED`` marks a
+#: required argument and ``None`` an optional one with no default.  The
+#: builder gets every argument given or defaulted by name, ``shape`` and
+#: ``path`` as words and the rest as floats.
 _CONSTRUCTORS = {
-    "constant": ({"value": 1}, lambda value: Constant(value)),
+    "constant": ({"value": 1.0}, lambda value: Constant(value)),
     "two_phase": ({"eps": _NEEDED, "beta": _NEEDED, "rho": _NEEDED,
                    "shape": "square"}, TwoPhaseInclusion),
     "fiber": ({"eps": _NEEDED, "gamma": _NEEDED, "beta": None}, _fiber),
@@ -279,8 +234,8 @@ _WORD_ARGS = ("shape", "path")
 
 
 def _build_microstructure(text: str, line: int, key: str):
-    """``(spec, (name, arguments))`` of a constructor call; every failure,
-    the spec's own checks included, is a :class:`ConfigError`."""
+    """The spec of a constructor call; every failure, the spec's own checks
+    included, is a :class:`ConfigError`."""
     name, given = _parse_call(text, line, key)
     if name not in _CONSTRUCTORS:
         raise ConfigError(f"unknown microstructure {name!r}; known: "
@@ -299,21 +254,19 @@ def _build_microstructure(text: str, line: int, key: str):
         if arg not in params:
             raise ConfigError(f"unknown argument {arg!r} for {name}(); "
                               f"allowed: {', '.join(params)}", line=line, key=key)
-    form = {}
+    args = {}
     for arg, default in params.items():
         if arg in given:
             raw = given[arg]
-            form[arg] = raw if arg in _WORD_ARGS else _parse_number(raw, line, key)
+            args[arg] = raw if arg in _WORD_ARGS else float(_parse_number(raw, line, key))
         elif default is _NEEDED:
             raise ConfigError(f"{name}() needs argument {arg!r}", line=line, key=key)
         elif default is not None:
-            form[arg] = default
+            args[arg] = default
     try:
-        spec = build(**{arg: v if arg in _WORD_ARGS else float(v)
-                        for arg, v in form.items()})
+        return build(**args)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc), line=line, key=key) from None
-    return spec, (name, form)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +309,14 @@ def parse_config(text: str) -> RunConfig:
             f"or experiment:<name>", line=cmd_line, key="command")
     required, optional = _COMMANDS[command]
 
-    cfg = RunConfig(command=command)
+    cfg = RunConfig(command=command, text=text)
     for key, (value, lineno) in entries.items():
-        if key != "out" and key not in required + optional:
+        if key not in required + optional:
             raise ConfigError(
                 f"key not valid for command {command!r}", line=lineno, key=key)
         kind = _KINDS[key]
         if kind == "microstructure":
-            parsed, cfg.a_form = _build_microstructure(value, lineno, key)
+            parsed = _build_microstructure(value, lineno, key)
         elif kind == "vector_list":
             parts = [p for p in value.split(";") if p.strip()]
             parsed = [_parse_tuple(p, lineno, key) for p in parts]
@@ -387,11 +340,9 @@ def parse_config(text: str) -> RunConfig:
             if not isinstance(parsed, int) or parsed < 1:
                 raise ConfigError(f"expected a positive integer, got {value!r}",
                                   line=lineno, key=key)
-        elif kind == "positive":
+        else:  # "positive"
             parsed = _positive(_parse_number(value, lineno, key),
                                key, lineno, key)
-        else:  # "string"
-            parsed = value
         if kind.endswith("_list") and not parsed:
             raise ConfigError("empty list", line=lineno, key=key)
         setattr(cfg, key, parsed)

@@ -10,7 +10,8 @@ them — so any single row is bitwise reproducible from the table metadata
 alone (solver start vectors come from a fixed internal seed).
 Every harness takes its rungs from :func:`blochlab.plan.plan_sweep`: each
 rung's grids and the unit cell every solve of the rung rasterizes, planned
-under the resolution rule and every grid check before the first solve.
+under the resolution rule and every grid check before the first solve, on
+the sweep's default eps ladder when ``eps`` is ``None``.
 
 Every harness lists its independent solves as tasks and hands them to
 :func:`map_tasks`, which runs them in this process or on a fork pool and
@@ -33,7 +34,7 @@ from .bloch import _require_first_zone, bloch_reduced, fiber_lambda1_2d
 from .cell_problems import dispersion, homogenized, pw_constant
 from .grid import make_grid
 from .microstructure import rasterize
-from .plan import DEFAULT_GAMMA, FIBER_BETA_EXPONENT, GAP_MAP_EPS, THM22_EPS, THM31_EPS
+from .plan import DEFAULT_GAMMA, FIBER_BETA_EXPONENT
 from .plan import fiber_beta, plan_sweep  # noqa: F401  (fiber_beta is re-exported)
 
 
@@ -163,6 +164,19 @@ def _nondecreasing(seq) -> bool:
     return all(b >= a for a, b in zip(seq, seq[1:]))
 
 
+def _mesh_cells(lam: float, lam2: float) -> dict:
+    """The doubled-mesh cells of a row: ``lambda1`` on the ``2m x 2m`` grid,
+    its relative change from ``lam``, and whether that is within 1%."""
+    mesh_rel = abs(lam2 - lam) / max(abs(lam), 1e-300)
+    return {"lambda1_doubled": lam2, "mesh_rel_change": mesh_rel,
+            "mesh_pass": mesh_rel <= 0.01}
+
+
+#: the fiber sweeps' medium, as their sidecars describe it
+_FIBER_MEDIUM = (f"fiber_lattice(r=radius_for_gamma, "
+                 f"beta=r^-2*eps^-{FIBER_BETA_EXPONENT})")
+
+
 def _thm22_task(eps: float, cell, m: int, eta: np.ndarray, forms: bool) -> tuple:
     """``(q_eta_eta, eps^2 dispersion)`` when ``forms``, else
     ``(lambda1, iterations)`` of the reduced solve, on ``cell`` at ``m x m``."""
@@ -175,7 +189,7 @@ def _thm22_task(eps: float, cell, m: int, eta: np.ndarray, forms: bool) -> tuple
 
 
 def run_thm22(
-    eps=THM22_EPS,
+    eps=None,
     eta=(0.25, 0.0),
     *,
     n: int | None = None,
@@ -201,16 +215,13 @@ def run_thm22(
         (q_eta_eta, disp_eps), t_forms = next(done)
         (lam, iters), t_lam = next(done)
         (lam2, _), t_lam2 = next(done)
-        mesh_rel = abs(lam2 - lam) / max(abs(lam), 1e-300)
         rows.append({
             "eps": float(eps), "n": n, "m": m, **eta_cells(eta),
             "lambda1": lam,
             "q_eta_eta": q_eta_eta,
             "gap": abs(lam - q_eta_eta),
             "dispersion_value": disp_eps,
-            "lambda1_doubled": lam2,
-            "mesh_rel_change": mesh_rel,
-            "mesh_pass": mesh_rel <= 0.01,
+            **_mesh_cells(lam, lam2),
             "iterations": iters,
             "runtime_seconds": t_forms + t_lam + t_lam2,
         })
@@ -236,7 +247,7 @@ def _fiber_task(eps: float, cell, m: int, eta_p, eta3: float) -> tuple[float, in
 
 
 def run_thm31(
-    eps=THM31_EPS,
+    eps=None,
     gamma: float = DEFAULT_GAMMA,
     eta=(0.2, 0.2, 0.3),
     *,
@@ -270,7 +281,6 @@ def run_thm31(
         (lam, iters), seconds = next(done)
         (ctrl_lam, _), ctrl_seconds = next(done)
         (lam2, _), mesh_seconds = next(done)
-        mesh_rel = abs(lam2 - lam) / lam
         excess = lam - eta_sq
         ctrl_excess = ctrl_lam - float(eta_p @ eta_p)
         rows.append({
@@ -284,9 +294,7 @@ def run_thm31(
             "control_excess": ctrl_excess,
             "excess_ratio": excess / max(abs(ctrl_excess), 1e-300),
             "iterations": iters,
-            "lambda1_doubled": lam2,
-            "mesh_rel_change": mesh_rel,
-            "mesh_pass": mesh_rel <= 0.01,
+            **_mesh_cells(lam, lam2),
             "runtime_seconds": seconds + ctrl_seconds + mesh_seconds,
         })
 
@@ -300,16 +308,15 @@ def run_thm31(
     }
     meta = {
         "experiment": "thm31",
-        "microstructure": "fiber_lattice(r=radius_for_gamma, beta=r^-2*eps^-5)",
+        "microstructure": _FIBER_MEDIUM,
         "gamma": gamma,
         "eta": [float(v) for v in eta],
-        "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
     }
     return make_table(rows, workers, checks, meta)
 
 
 def run_gap_map(
-    eps=GAP_MAP_EPS,
+    eps=None,
     gamma: float = DEFAULT_GAMMA,
     eta=(0.2, 0.2, 0.3),
     t_list=(1.0, 1 / 4, 1 / 16, 1 / 64),
@@ -357,11 +364,10 @@ def run_gap_map(
     checks = {"vanishing_at_small_t_pass": vanishing, "t1_floor_pass": floor}
     meta = {
         "experiment": "gap_map",
-        "microstructure": "fiber_lattice(r=radius_for_gamma, beta=r^-2*eps^-5)",
+        "microstructure": _FIBER_MEDIUM,
         "gamma": gamma,
         "eta": [float(v) for v in eta],
         "t_list": t_list,
-        "beta_rule": f"r^-2 * eps^-{FIBER_BETA_EXPONENT}",
     }
     return make_table(rows, workers, checks, meta)
 
@@ -391,8 +397,7 @@ def run_pw(
     Constants are computed on each rung's unit cell from
     :func:`blochlab.plan.plan_sweep`, one :func:`map_tasks` task per eps.
     ``eta`` is the weight direction of :func:`pw_constant` (``lambda`` in
-    the metadata).  Without ``eps`` the family's default ladder runs
-    (``THM22_EPS`` or ``THM31_EPS``).
+    the metadata).
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")

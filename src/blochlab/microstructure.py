@@ -10,7 +10,7 @@ is exactly ``eps Y``-periodic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,13 +112,6 @@ class CoefficientField:
             raise ValueError("coefficients must be finite and positive")
 
 
-def unit_pattern(spec: MicrostructureSpec) -> MicrostructureSpec:
-    """The same inclusion pattern at pattern scale eps = 1 (one sub-cell)."""
-    if isinstance(spec, (TwoPhaseInclusion, FiberLattice)):
-        return replace(spec, eps=1.0)
-    return spec
-
-
 def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
     """Sample a microstructure at cell centers.
 
@@ -189,10 +182,12 @@ def check_resolution(spec: MicrostructureSpec, grid: PeriodicGrid) -> None:
 
 
 class TooFewCells(ValueError):
-    """A grid too coarse for a feature; ``need`` cells per axis resolve it."""
+    """A grid too coarse for a feature; ``need`` cells per axis resolve it
+    (``inf`` when no grid does)."""
 
-    def __init__(self, fact: str, need: int):
-        super().__init__(f"{fact}; need n >= {need} (at least {MIN_CELLS_ACROSS} across)")
+    def __init__(self, fact: str, need: float):
+        hint = f"need n >= {need}" if need < math.inf else "no grid resolves it"
+        super().__init__(f"{fact}; {hint} (at least {MIN_CELLS_ACROSS} across)")
         self.fact, self.need = fact, need
 
 
@@ -202,9 +197,12 @@ def check_cells_across(diameter: float, grid: PeriodicGrid, axes=(0, 1)) -> None
     for k in axes:
         across = diameter / grid.h[k]
         if across < MIN_CELLS_ACROSS:
+            # inf for a subnormal diameter; from 2**53 on a float is whole,
+            # and it prints in a few digits where its int would print hundreds
+            need = MIN_CELLS_ACROSS * 2.0 * _PI / diameter
             raise TooFewCells(
                 f"feature of extent {diameter:.4g} spans only {across:.2f} cells "
-                f"along axis {k}", math.ceil(MIN_CELLS_ACROSS * 2.0 * _PI / diameter))
+                f"along axis {k}", math.ceil(need) if need < 2**53 else need)
 
 
 def radius_for_gamma(eps: float, gamma: float) -> float:
@@ -222,11 +220,3 @@ def radius_for_gamma(eps: float, gamma: float) -> float:
         raise ValueError(f"unphysical fiber radius {r} >= pi")
     return r
 
-
-def default_beta(eps: float, r_eps: float) -> float:
-    """Fiber conductivity ``r_eps**-2 / eps``, so beta * r_eps**2 = 1/eps."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if not 0.0 < r_eps < _PI:
-        raise ValueError(f"r_eps must lie in (0, pi), got {r_eps}")
-    return r_eps**-2 / eps

@@ -41,15 +41,25 @@ THM31_EPS = (1 / 3, 1 / 4, 1 / 5, 1 / 6)
 GAP_MAP_EPS = (1 / 3, 1 / 4, 1 / 5)
 DEFAULT_GAMMA = 2.0
 
-#: contrast growth used by the fiber sweeps: beta = r^{-2} eps^{-5}.  The
-#: shared default_beta rule (r^{-2}/eps) grows too slowly for the spectral
-#: gap to open at desk-scale epsilon, so the harnesses use this stronger
-#: rate; it still satisfies beta -> infinity with vanishing inclusion area.
+#: contrast growth of the fiber medium: beta = r^{-2} eps^{-5}.  The rate
+#: r^{-2}/eps, whose beta r^2 = 1/eps, grows too slowly for the spectral gap
+#: to open at desk-scale epsilon; this stronger one still satisfies
+#: beta -> infinity with vanishing inclusion area.
 FIBER_BETA_EXPONENT = 5
 
 
 def fiber_beta(eps: float, r_eps: float) -> float:
-    return r_eps**-2 * float(eps) ** -FIBER_BETA_EXPONENT
+    """The fiber conductivity ``r_eps^-2 eps^-5`` of every fiber sweep and
+    of ``fiber()`` without ``beta``; ``OverflowError``, naming it, when it
+    is not a finite float."""
+    try:
+        beta = r_eps**-2 * float(eps) ** -FIBER_BETA_EXPONENT
+    except ArithmeticError:  # r_eps^-2 alone overflows, or r_eps = 0
+        beta = math.inf
+    if not math.isfinite(beta):
+        raise OverflowError(f"the fiber conductivity r^-2 eps^-{FIBER_BETA_EXPONENT} "
+                            f"overflows at eps = {float(eps):.4g}, r = {r_eps:.4g}")
+    return beta
 
 
 #: experiment -> (its default eps ladder, whether its cell is a fiber section)
@@ -83,17 +93,17 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
     inv = _reciprocal_int(eps)
     if feature_extent <= 0:
         raise ValueError("feature extent must be positive")
-    need = 8 * 2.0 * math.pi / feature_extent
-    n = inv * math.ceil(need / inv)
-    if n > _CAP:
-        n = (_CAP // inv) * inv
-        have = n * feature_extent / (2.0 * math.pi)
-        if have < MIN_CELLS_ACROSS:
-            raise ValueError(
-                f"feature of extent {feature_extent:.3e} spans only "
-                f"{have:.2f} cells at the {_CAP} cap; case unresolvable"
-            )
-    return n
+    need = 8 * 2.0 * math.pi / feature_extent  # inf for a subnormal extent
+    cap = (_CAP // inv) * inv
+    if need <= cap:
+        return inv * math.ceil(need / inv)
+    have = cap * feature_extent / (2.0 * math.pi)
+    if have < MIN_CELLS_ACROSS:
+        raise ValueError(
+            f"feature of extent {feature_extent:.3e} spans only "
+            f"{have:.2f} cells at the {_CAP} cap; case unresolvable"
+        )
+    return cap
 
 
 def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
@@ -141,7 +151,7 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
             try:
                 check_resolution(cell, make_grid(2, m))
             except TooFewCells as exc:  # least n, divisible by every 1/eps, with m >= need
-                least = -(-exc.need * s // step) * step
+                least = -(-min(exc.need * s, _CAP + 1) // step) * step
                 hint = (f"need n >= {least}, a multiple of {step}" if least <= _CAP
                         else f"no multiple of {step} up to the {_CAP} cap resolves it")
                 raise ValueError(f"{exc.fact}; {hint}") from None

@@ -3,6 +3,7 @@ symbol and the exact gauge/conjugation symmetries of the discretization."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from blochlab.microstructure import (
     TwoPhaseInclusion,
     radius_for_gamma,
     rasterize,
-    unit_pattern,
 )
 from blochlab.sparse_linalg import dense_oracle
 
@@ -210,7 +210,7 @@ def test_eigvector_normalization():
 
 def test_reduced_equals_full_cell():
     spec = TwoPhaseInclusion(eps=1 / 2, beta=4.0, rho=1 / 2)
-    unit = rasterize(unit_pattern(spec), make_grid(2, (16, 16)))
+    unit = rasterize(replace(spec, eps=1.0), make_grid(2, (16, 16)))
     full = rasterize(spec, make_grid(2, (32, 32)))
     eta = np.array([0.2, -0.1])
     lam_red = bloch_reduced(unit, 1 / 2, eta, tol=1e-12).lambda1
@@ -220,7 +220,7 @@ def test_reduced_equals_full_cell():
 
 def test_reduced_validation():
     spec = TwoPhaseInclusion(eps=1 / 2, beta=4.0, rho=1 / 2)
-    unit = rasterize(unit_pattern(spec), make_grid(2, (8, 8)))
+    unit = rasterize(replace(spec, eps=1.0), make_grid(2, (8, 8)))
     scaled = rasterize(spec, make_grid(2, (16, 16)))
     with pytest.raises(ValueError, match="unit-pattern"):
         bloch_reduced(scaled, 1 / 2, np.array([0.1, 0.1]))
@@ -255,7 +255,7 @@ def test_fiber_validation():
 def test_fiber_section_scaling_consistency():
     # at eta3 = 0 the reduction is a plain 2-d reduced solve
     spec = FiberLattice(eps=1 / 2, r_eps=0.8, beta=5.0)
-    unit = rasterize(unit_pattern(spec), make_grid(2, (16, 16)))
+    unit = rasterize(replace(spec, eps=1.0), make_grid(2, (16, 16)))
     eta_p = np.array([0.15, 0.1])
     lam_fiber = fiber_lambda1_2d(unit, 1 / 2, eta_p, 0.0, tol=1e-12).lambda1
     lam_red = bloch_reduced(unit, 1 / 2, eta_p, tol=1e-12).lambda1
@@ -356,7 +356,7 @@ def test_results_carry_solver_meta():
     # the eigensolver's error estimate and inner-CG work reach every result
     tol = 1e-10
     spec = TwoPhaseInclusion(eps=1 / 2, beta=16.0, rho=1 / 2)
-    unit = rasterize(unit_pattern(spec), make_grid(2, (16, 16)))
+    unit = rasterize(replace(spec, eps=1.0), make_grid(2, (16, 16)))
     section = rasterize(FiberLattice(eps=1.0, r_eps=0.8, beta=50.0), make_grid(2, (16, 16)))
     eta = np.array([0.2, -0.1])
     results = [

@@ -145,7 +145,8 @@ def test_capacity_and_homogenize_rows_are_tasks(tmp_path):
 
 
 def test_sidecar_contents(tmp_path):
-    cfg = parse_config("command = experiment:thm22\neps = 1/2\nn = 32\n")
+    text = "# one rung\ncommand = experiment:thm22\neps = 1/2\nn = 32\n"
+    cfg = parse_config(text)
     _, paths = run_and_emit(cfg, out_dir=tmp_path, threads=3)
     meta = json.loads(paths[1].read_text())
     assert meta["command"] == "experiment:thm22"
@@ -161,7 +162,7 @@ def test_sidecar_contents(tmp_path):
         assert rss["workers"] > 0
     else:
         assert rss["workers"] is None
-    assert "command = experiment:thm22" in meta["config"]
+    assert meta["config"] == text  # the text as read, comment included
     assert "package_version" in meta and "git_describe" in meta
 
 
@@ -195,13 +196,16 @@ def test_from_file_field(tmp_path):
 
 
 def test_main_success_prints_paths(tmp_path, capsys):
-    p = write_cfg(tmp_path, "command = homogenize\na = constant(1)\nn = 8\n")
+    text = "command = homogenize\r\na = constant(1)\r\nn = 8\r\n"
+    p = write_cfg(tmp_path, text)
     rc = run_main(["--config", p, "--out", tmp_path / "out"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].endswith("homogenize.csv")
     assert lines[1].endswith("homogenize.json")
+    # the sidecar records the file's text, line ends included
+    assert json.loads(Path(lines[1]).read_text())["config"] == text
 
 
 def test_main_pw_experiment_rejects_third_eta_component(tmp_path, capsys):
@@ -402,9 +406,9 @@ def test_experiment_keys_are_harness_parameters():
     # harness, under the same name, and every keyword of a harness function
     # but workers and the family _harness binds is reached by the keys of
     # the experiments it runs (gamma of run_pw only by pw_fiber); only
-    # command and out apply to every command
+    # command applies to every command
     command_keys = {key for keys in _COMMANDS.values() for key in keys[0] + keys[1]}
-    assert set(_KINDS) - command_keys == {"command", "out"}
+    assert set(_KINDS) - command_keys == {"command"}
     reached = {}
     for name in EXPERIMENTS:
         harness = _harness(name)

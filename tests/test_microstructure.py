@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,8 @@ from blochlab.microstructure import (
     FiberLattice,
     FromFile,
     TwoPhaseInclusion,
-    default_beta,
     radius_for_gamma,
     rasterize,
-    unit_pattern,
 )
 
 
@@ -61,7 +60,7 @@ def test_rasterize_resolution_error():
 
 def test_tiling_reproduces_unit_pattern():
     spec = TwoPhaseInclusion(eps=1 / 4, beta=9.0, rho=0.5)
-    unit = rasterize(unit_pattern(spec), make_grid(2, (8, 8)))
+    unit = rasterize(replace(spec, eps=1.0), make_grid(2, (8, 8)))
     full = rasterize(spec, make_grid(2, (32, 32)))
     tiled = np.tile(unit.a.reshape(8, 8), (4, 4))
     assert_allclose(full.a.reshape(32, 32), tiled)
@@ -115,12 +114,6 @@ def test_radius_for_gamma_rejects():
         radius_for_gamma(1 / 3, -1.0)
     with pytest.raises(ValueError):
         radius_for_gamma(0.0, 1.0)
-
-
-def test_default_beta():
-    assert_allclose(default_beta(1 / 4, 0.1), 0.1**-2 * 4)
-    with pytest.raises(ValueError):
-        default_beta(2.0, 0.1)
 
 
 def test_coefficient_field_validation():
