@@ -306,14 +306,15 @@ def bloch_reduced(
     *,
     tol: float = 1e-10,
 ) -> EigSolveReport:
-    """First eigenvalue of the oscillating problem via the unit-pattern cell.
+    """Lowest eigenpair of the oscillating problem via the unit-pattern cell.
 
     For a coefficient ``a(x / eps)`` the spectrum satisfies
     ``lam_eps(eta) = eps^{-2} lam_unit(eps eta)``, so one solve on the unit
     pattern replaces the full fine-grid solve.  On matched grids (unit grid
     of ``m`` cells per axis versus full grid of ``m / eps``) the two routes
     agree to rounding, not merely asymptotically: the link phases and
-    dimensionless stencils coincide.
+    dimensionless stencils coincide.  The report is the unit-pattern solve
+    with ``lambda1`` rescaled; its vector lives on the unit grid.
     """
     if unit_field.inv_eps != 1:
         raise ValueError("bloch_reduced expects a unit-pattern field (inv_eps == 1)")
@@ -324,7 +325,7 @@ def bloch_reduced(
     _require_first_zone(eta)
     report = bloch_lambda1(unit_field, eps * eta, tol=tol)
     # the error estimate is relative, so it survives the eps^-2 rescaling
-    return replace(report, eigenvalues=report.eigenvalues / eps**2)
+    return replace(report, lambda1=report.lambda1 / eps**2)
 
 
 def fiber_lambda1_2d(

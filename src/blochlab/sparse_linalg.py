@@ -46,21 +46,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class EigSolveReport:
-    """Result of a (generalized) Hermitian eigenvalue solve."""
+    """The lowest eigenpair of a (generalized) Hermitian pencil."""
 
-    eigenvalues: np.ndarray      # ascending, shape (k,)
-    vectors: np.ndarray          # M-orthonormal columns, shape (n, k)
-    residuals: np.ndarray        # ||B x - lam M x||_2 / ||M x||_2 per vector
+    lambda1: float
+    vector: np.ndarray           # M-normalized, shape (n,)
+    residual: float              # ||B x - lam M x||_2 / ||M x||_2
     iterations: int
     meta: dict = field(default_factory=dict)
-
-    @property
-    def lambda1(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def residual(self) -> float:
-        return float(self.residuals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +180,7 @@ def _pcg(
 
 
 # ---------------------------------------------------------------------------
-# smallest eigenpairs: LOBPCG-type block iteration, inner-CG preconditioned
+# lowest eigenpair: LOBPCG-type block iteration, inner-CG preconditioned
 
 
 def _adjoint_product(V: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -253,30 +245,31 @@ def _error_estimates(
 def smallest_eigpair(
     B: sp.spmatrix,
     M_diag: np.ndarray,
-    k: int = 1,
     *,
     tol: float = 1e-10,
     precond: Preconditioner,
 ) -> EigSolveReport:
-    """Smallest ``k`` eigenpairs of ``B x = lam M x`` with diagonal ``M``.
+    """Lowest eigenpair of ``B x = lam M x`` with diagonal ``M``.
 
     Block iteration of LOBPCG type over span([X, preconditioned residuals,
-    previous directions]).  Each residual is preconditioned by a capped CG
-    solve with ``B`` itself (an approximate inverse; essential once the
-    coefficient contrast is large), and that inner CG is in turn
-    preconditioned by ``precond``.  The start block is the constant vector
+    previous directions]), with a block of three columns: the sought pair
+    and two guard columns (fewer when ``n < 3``).  Each residual is
+    preconditioned by a capped CG solve with ``B`` itself (an approximate
+    inverse; essential once the coefficient contrast is large), and that
+    inner CG is in turn preconditioned by ``precond``.  The start block is the constant vector
     plus fixed-seed Gaussian columns, so runs are reproducible.
 
-    Convergence is declared when every requested vector satisfies
+    Convergence is declared when the lowest vector satisfies
     ``||B x - lam M x||_2 <= tol * scale * ||x||_2`` where ``scale`` bounds
-    the pencil norm.  At high contrast ``scale`` is huge and that rule
-    alone admits inaccurate eigenvalues, so every vector must also satisfy
+    the pencil norm, and the next one satisfies it at ``sqrt(tol)``.  At
+    high contrast ``scale`` is huge and that rule alone admits inaccurate
+    eigenvalues, so the lowest vector must also satisfy
     ``est = r^H P^{-1} r / (|lam| x^H M x) <= tol``.  ``precond`` must
     satisfy ``P <= B``, which makes ``est`` a bound on the relative
     eigenvalue error.  The report carries the mass-normalized residual
     ``||B x - lam M x|| / ||M x||`` used by distributional-form checks, and
-    ``meta`` holds the final ``error_estimate`` (largest ``est``) and the
-    total ``inner_cg_steps``.
+    ``meta`` holds the final ``error_estimate`` (``est``) and the total
+    ``inner_cg_steps``.
 
     The working set is a few blocks: each length-``n`` block is released
     as soon as the iteration no longer reads it, and no conjugated copy of
@@ -285,13 +278,11 @@ def smallest_eigpair(
     of the plain out-of-place form.
     """
     n = B.shape[0]
-    if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     M = np.asarray(M_diag, dtype=np.float64)
     if M.shape != (n,) or M.min() <= 0:
         raise ValueError("M_diag must be a positive vector matching B")
 
-    block = min(k + 2, n)
+    block = min(3, n)
 
     dtype = np.complex128 if np.iscomplexobj(B.data) else np.float64
     rng = np.random.default_rng(_DEFAULT_SEED)
@@ -301,6 +292,7 @@ def smallest_eigpair(
     if dtype == np.complex128:
         rand_cols = rand_cols + 1j * rng.standard_normal((n, block - 1))
     X[:, 1:] = rand_cols
+    del rand_cols
 
     scale = _pencil_scale(B, M)
     lam_floor = _MACHEPS * scale
@@ -340,18 +332,15 @@ def smallest_eigpair(
         resnorms = np.linalg.norm(R, axis=0)
         xnorms = np.linalg.norm(X, axis=0)
         rel = resnorms / (scale * M.mean() * xnorms + np.abs(lam) * xnorms)
-        history.append(float(rel[:k].max()))
-        # insist on a settled k+1-st pair as well: a start vector that is an
+        history.append(float(rel[0]))
+        # insist on a settled second pair as well: a start vector that is an
         # exact eigenvector of a higher band must not end the search early.
         # The guard only locks the subspace, so sqrt(tol) is enough for it.
         floor = scale * M.mean() * xnorms
-        settled = resnorms[:k] <= tol * floor[:k]
-        if k < X.shape[1]:
-            guard_ok = resnorms[k] <= np.sqrt(tol) * floor[k]
-        else:
-            guard_ok = True
-        if np.all(settled) and guard_ok and (
-            _error_estimates(R[:, :k], X[:, :k], lam[:k], M, precond, lam_floor).max()
+        settled = resnorms[0] <= tol * floor[0]
+        guard_ok = X.shape[1] < 2 or resnorms[1] <= np.sqrt(tol) * floor[1]
+        if settled and guard_ok and (
+            _error_estimates(R[:, :1], X[:, :1], lam[:1], M, precond, lam_floor)[0]
             <= tol
         ):
             break
@@ -381,34 +370,31 @@ def smallest_eigpair(
         del S
         X = _m_orthonormalize(Xnew, M)
         del Xnew
-        if X.shape[1] < block:
-            block = X.shape[1]
-            if block < k:
-                raise ConvergenceError("eigenbasis collapsed below k", history)
+        block = X.shape[1]
 
-    # final polish: exact Rayleigh quotients on the returned columns
-    Xk = X[:, :k]
-    BXk = B @ Xk
-    MXk = M[:, None] * Xk
-    lam_k = np.einsum("ij,ij->j", Xk.conj(), BXk).real / np.einsum(
-        "ij,ij->j", Xk.conj(), MXk
+    # final polish: exact Rayleigh quotient on the first column, kept a 2-D
+    # slice so that it rounds as the block operations above do
+    X1 = X[:, :1]
+    BX1 = B @ X1
+    MX1 = M[:, None] * X1
+    lam1 = np.einsum("ij,ij->j", X1.conj(), BX1).real / np.einsum(
+        "ij,ij->j", X1.conj(), MX1
     ).real
-    R = BXk - MXk * lam_k
+    R = BX1 - MX1 * lam1
     rnorm = np.linalg.norm(R, axis=0)
-    resid = rnorm / np.linalg.norm(MXk, axis=0)
-    rel = rnorm / (scale * M.mean() * np.linalg.norm(Xk, axis=0))
-    est = float(_error_estimates(R, Xk, lam_k, M, precond, lam_floor).max())
-    if not (np.all(rel <= tol) and est <= tol):
+    resid = rnorm / np.linalg.norm(MX1, axis=0)
+    rel = float((rnorm / (scale * M.mean() * np.linalg.norm(X1, axis=0)))[0])
+    est = float(_error_estimates(R, X1, lam1, M, precond, lam_floor)[0])
+    if not (rel <= tol and est <= tol):
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "
-            f"(relative residuals {rel}, error estimate {est})",
+            f"(relative residual {rel}, error estimate {est})",
             history,
         )
-    order = np.argsort(lam_k)
     return EigSolveReport(
-        eigenvalues=lam_k[order],
-        vectors=Xk[:, order],
-        residuals=resid[order],
+        lambda1=float(lam1[0]),
+        vector=X1[:, 0].copy(),  # not a view, so the block is released
+        residual=float(resid[0]),
         iterations=it,
         meta={"error_estimate": est, "inner_cg_steps": inner_steps},
     )

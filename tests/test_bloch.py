@@ -205,7 +205,7 @@ def test_eigvector_normalization():
     f = rasterize(TwoPhaseInclusion(eps=1.0, beta=3.0, rho=0.5), make_grid(2, (8, 8)))
     res = bloch_lambda1(f, np.array([0.2, 0.1]), tol=1e-12)
     w = f.grid.cell_volume
-    assert_allclose(w * np.sum(np.abs(res.vectors[:, 0]) ** 2), 1.0, rtol=1e-10)
+    assert_allclose(w * np.sum(np.abs(res.vector) ** 2), 1.0, rtol=1e-10)
 
 
 def test_reduced_equals_full_cell():
@@ -373,7 +373,7 @@ def test_results_carry_solver_meta():
 def test_fiber_solve_working_set():
     # the block eigensolver keeps a few length-N blocks alive, not dozens of
     # vectors: traced peak of the whole solve, assembly included, in complex
-    # N-vectors (about 28 here; 63 before blocks were released early)
+    # N-vectors (about 26 here; 63 before blocks were released early)
     eps, m = 1 / 4, 90
     r = radius_for_gamma(eps, 2.0)
     spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))

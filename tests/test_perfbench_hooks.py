@@ -5,7 +5,8 @@ argument position the tracer wraps.  Every ``from blochlab.X import Y`` in
 ``perfbench/*.py`` (oracle, probe, tracer) must resolve too.  A rename then
 fails here instead of crashing a benchmark pass, and an assembly that
 escapes the patched name fails here instead of reading 0 in the per-layer
-counters."""
+counters.  So does a rename of a result attribute that the tracer's
+counters read."""
 
 import ast
 import importlib
@@ -14,12 +15,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import blochlab.cli  # noqa: F401  (loads every module, as the tracer does)
-from blochlab.bloch import assemble_shifted, bloch_lambda1, fiber_lambda1_2d
+from blochlab.bloch import (assemble_shifted, bloch_lambda1, fiber_lambda1_2d,
+                            shifted_pencil)
 from blochlab.cell_problems import homogenized, pw_constant
 from blochlab.grid import make_grid
-from blochlab.microstructure import FiberLattice, TwoPhaseInclusion, rasterize
+from blochlab.microstructure import (CoefficientField, FiberLattice,
+                                     TwoPhaseInclusion, rasterize)
+from blochlab.sparse_linalg import ConvergenceError, smallest_eigpair
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -110,3 +115,18 @@ def test_each_solve_records_one_assembly(monkeypatch):
         calls.clear()
         solve()
         assert len(calls) == 1, name
+
+
+def test_result_attributes_the_tracer_reads():
+    # eig_finish reads a report's iterations, or a failed solve's
+    # residual_history; count_nnz reads the assembled matrix's nnz
+    rng = np.random.default_rng(3)
+    field = CoefficientField(grid=make_grid(1, (16,)), a=np.exp(rng.standard_normal(16)))
+    B, M, bound = shifted_pencil(field, np.array([0.3]))
+    report = smallest_eigpair(B, M, precond=bound)
+    assert isinstance(report.iterations, int) and report.iterations >= 1
+    with pytest.raises(ConvergenceError) as failed:
+        smallest_eigpair(B, M, tol=1e-30, precond=bound)
+    assert len(failed.value.residual_history) >= 1
+    nnz = assemble_shifted(field, np.array([0.3]))[0].nnz
+    assert isinstance(nnz, int) and nnz > 0

@@ -122,92 +122,86 @@ def test_cg_random_spd_property(n, seed):
 
 def test_smallest_eigpair_diagonal():
     B = sp.diags([3.0, 1.0, 2.0]).tocsr()
-    rep = smallest_eigpair(B, np.ones(3), k=2, tol=1e-12, precond=scalar_bound(1.0))
-    assert_allclose(rep.eigenvalues, [1.0, 2.0], atol=1e-10)
-    # M-orthonormal columns
-    assert_allclose(rep.vectors.T @ rep.vectors, np.eye(2), atol=1e-10)
+    rep = smallest_eigpair(B, np.ones(3), tol=1e-12, precond=scalar_bound(1.0))
+    assert_allclose(rep.lambda1, 1.0, atol=1e-10)
+    # M-normalized vector
+    assert_allclose(rep.vector @ rep.vector, 1.0, atol=1e-10)
 
 
 def test_smallest_eigpair_mass_identity():
     """B == diag(M) makes every eigenvalue exactly 1."""
     m = np.array([0.5, 1.5, 2.0, 4.0])
     B = sp.diags(m).tocsr()
-    rep = smallest_eigpair(B, m, k=2, tol=1e-12, precond=scalar_bound(m.min()))
-    assert_allclose(rep.eigenvalues, 1.0, atol=1e-10)
+    rep = smallest_eigpair(B, m, tol=1e-12, precond=scalar_bound(m.min()))
+    assert_allclose(rep.lambda1, 1.0, atol=1e-10)
 
 
 def test_smallest_eigpair_vs_dense_oracle():
     A = random_spd(24, seed=17)
     rng = np.random.default_rng(18)
     m = np.exp(rng.standard_normal(24))
-    rep = smallest_eigpair(A, m, k=3, tol=1e-11, precond=scalar_bound(24))
-    spectrum = dense_oracle(A, m)
-    assert_allclose(rep.eigenvalues, spectrum[:3], rtol=1e-8)
+    rep = smallest_eigpair(A, m, tol=1e-11, precond=scalar_bound(24))
+    assert_allclose(rep.lambda1, dense_oracle(A, m)[0], rtol=1e-8)
 
 
 def test_smallest_eigpair_deterministic():
     A = random_spd(16, seed=23)
     m = np.ones(16)
-    r1 = smallest_eigpair(A, m, k=2, tol=1e-11, precond=scalar_bound(16))
-    r2 = smallest_eigpair(A, m, k=2, tol=1e-11, precond=scalar_bound(16))
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert np.array_equal(r1.vectors, r2.vectors)
+    r1 = smallest_eigpair(A, m, tol=1e-11, precond=scalar_bound(16))
+    r2 = smallest_eigpair(A, m, tol=1e-11, precond=scalar_bound(16))
+    assert r1.lambda1 == r2.lambda1
+    assert np.array_equal(r1.vector, r2.vector)
     assert r1.iterations == r2.iterations
 
 
 def test_smallest_eigpair_bad_start_recovers():
     # the built-in constant start column is an exact excited eigenvector
-    # (lam = 1), so only the settled k+1-st pair keeps the iteration going
+    # (lam = 1), so only the settled second pair keeps the iteration going
     # down to lam_1 = 1/2 along v = (e_0 - e_1) / sqrt(2)
     n = 12
     v = np.zeros(n)
     v[:2] = [1.0, -1.0]
     v /= math.sqrt(2.0)
     B = 10.0 * np.eye(n) - 9.0 * np.ones((n, n)) / n - 9.5 * np.outer(v, v)
-    rep = smallest_eigpair(sp.csr_matrix(B), np.ones(n), k=1, tol=1e-12,
+    rep = smallest_eigpair(sp.csr_matrix(B), np.ones(n), tol=1e-12,
                            precond=scalar_bound(0.5))
-    assert_allclose(rep.eigenvalues[0], 0.5, atol=1e-10)
+    assert_allclose(rep.lambda1, 0.5, atol=1e-10)
 
 
 @pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (1, 9), (2, 2), (2, 3)])
-@pytest.mark.parametrize("k", [1, 2])
-def test_smallest_eigpair_tiny_pencils(d, n, k):
-    # N <= 9 cells: the block of k + 2 columns and its search directions
+def test_smallest_eigpair_tiny_pencils(d, n):
+    # N <= 9 cells: the block of 3 columns and its search directions
     # span the whole space, and dependent columns are dropped
     g = make_grid(d, (n,) * d)
     rng = np.random.default_rng(31)
     f = CoefficientField(grid=g, a=np.exp(rng.standard_normal(g.num_cells)))
     B, M, bound = shifted_pencil(f, np.array([0.3, -0.2][:d]))
-    rep = smallest_eigpair(B, M, k=k, precond=bound)
-    spectrum = dense_oracle(B, M)
-    assert_allclose(rep.eigenvalues, spectrum[:k], rtol=1e-12)
+    rep = smallest_eigpair(B, M, precond=bound)
+    assert_allclose(rep.lambda1, dense_oracle(B, M)[0], rtol=1e-12)
 
 
 def test_smallest_eigpair_validation():
     B = sp.eye(4, format="csr")
-    with pytest.raises(ValueError, match="need 1 <= k"):
-        smallest_eigpair(B, np.ones(4), k=0, precond=scalar_bound(1.0))
     with pytest.raises(ValueError, match="positive"):
-        smallest_eigpair(B, np.zeros(4), k=1, precond=scalar_bound(1.0))
+        smallest_eigpair(B, np.zeros(4), precond=scalar_bound(1.0))
 
 
 def test_smallest_eigpair_singular_pencil():
     # graph Laplacian: lambda_1 = 0 with the constant vector
     A = periodic_laplacian(12)
-    rep = smallest_eigpair(A, np.ones(12), k=2, tol=1e-10,
+    rep = smallest_eigpair(A, np.ones(12), tol=1e-10,
                            precond=mean_free_bound(laplacian_lam2(12)))
-    assert abs(rep.eigenvalues[0]) < 1e-10
-    assert_allclose(rep.eigenvalues[1], 4 * math.sin(math.pi / 12) ** 2, rtol=1e-8)
+    assert abs(rep.lambda1) < 1e-10
 
 
 def test_smallest_eigpair_residual_report():
     # A = Q Q^T + 12 I, so P = 12 I satisfies P <= A
     A = random_spd(12, seed=29)
-    rep = smallest_eigpair(A, np.ones(12), k=1, tol=1e-12, precond=scalar_bound(12.0))
-    x = rep.vectors[:, 0]
-    lam = rep.eigenvalues[0]
+    rep = smallest_eigpair(A, np.ones(12), tol=1e-12, precond=scalar_bound(12.0))
+    x = rep.vector
+    lam = rep.lambda1
     res = A @ x - lam * x
-    assert_allclose(rep.residuals[0], np.linalg.norm(res), rtol=1e-6, atol=1e-12)
+    assert_allclose(rep.residual, np.linalg.norm(res), rtol=1e-6, atol=1e-12)
     est = np.vdot(res, res).real / 12.0 / (abs(lam) * np.vdot(x, x).real)
     assert_allclose(rep.meta["error_estimate"], est, rtol=1e-6, atol=1e-30)
     assert rep.meta["error_estimate"] <= 1e-12
@@ -309,7 +303,7 @@ def test_largest_geneig_matches_pencil_route():
     # the ring of conductances d lies above min(d) times the unit ring
     bound = mean_free_bound(d.min() * laplacian_lam2(n))
     val = largest_geneig(w, K, tol=1e-10, cg_tol=1e-13, precond=bound)
-    mu = smallest_eigpair(K, w, k=2, tol=1e-12, precond=bound).eigenvalues[1]
+    mu = dense_oracle(K, w)[1]
     assert_allclose(val, 1.0 / mu, rtol=1e-7)
 
 
