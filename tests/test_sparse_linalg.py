@@ -169,15 +169,23 @@ def test_smallest_eigpair_bad_start_recovers():
 
 
 @pytest.mark.parametrize("d, n", [(1, 2), (1, 3), (1, 9), (2, 2), (2, 3)])
-def test_smallest_eigpair_tiny_pencils(d, n):
+@pytest.mark.parametrize("periodic", [False, True], ids=["bloch", "periodic"])
+def test_smallest_eigpair_tiny_pencils(d, n, periodic):
     # N <= 9 cells: the block of 3 columns and its search directions
-    # span the whole space, and dependent columns are dropped
+    # span the whole space, and dependent columns are dropped.  At zero
+    # momentum the pencil is singular and the constant start column is
+    # already the lowest eigenvector (lam_1 = 0)
     g = make_grid(d, (n,) * d)
     rng = np.random.default_rng(31)
     f = CoefficientField(grid=g, a=np.exp(rng.standard_normal(g.num_cells)))
-    B, M, bound = shifted_pencil(f, np.array([0.3, -0.2][:d]))
+    B, M, bound = shifted_pencil(f, None if periodic else np.array([0.3, -0.2][:d]))
     rep = smallest_eigpair(B, M, precond=bound)
-    assert_allclose(rep.lambda1, dense_oracle(B, M)[0], rtol=1e-12)
+    spectrum = dense_oracle(B, M)
+    if periodic:
+        assert abs(rep.lambda1) <= 1e-12 * spectrum[1]
+        assert_allclose(rep.vector, rep.vector[0], rtol=1e-12)
+    else:
+        assert_allclose(rep.lambda1, spectrum[0], rtol=1e-12)
 
 
 def test_smallest_eigpair_validation():
