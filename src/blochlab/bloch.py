@@ -13,6 +13,8 @@ constant medium reproduces the discrete symbol
 
 Assembly and every cell problem share one face stencil, defined here: the
 face coefficient ``a_f``, the difference ``D_k`` and their adjoint scatters.
+Every pencil, the zero-momentum stiffness of the cell problems included,
+comes from :func:`shifted_pencil` with the inverse its solves use.
 
 Eigenvalues are reported for the pencil ``B(eta) x = lam M x`` with
 ``M = w I``, i.e. in mean-per-volume normalization: for ``a = I`` the first
@@ -149,28 +151,46 @@ def shifted_pencil(
     scale: float = 1.0,
     shift: float = 0.0,
 ) -> tuple[sp.csr_matrix, np.ndarray, Preconditioner]:
-    """The pencil ``(B, M_diag)`` of every library solve, with its bound
-    ``P^{-1}``: ``B = scale * B(eta) + shift * diag(w a)`` for the stencil
-    of :func:`assemble_shifted`.
+    """The pencil ``(B, M_diag)`` of every library solve, with the inverse
+    its solves use: ``B = scale * B(eta) + shift * diag(w a)`` for the
+    stencil of :func:`assemble_shifted`.
 
-    ``P`` is the same pencil with every face coefficient and every ``a`` on
-    the diagonal replaced by ``a_ref``, the smallest cell value.  A
-    harmonic face mean is never below the cell minimum, so
-    ``P <= B`` in the Loewner order: the solvers' error estimate
-    ``r^H P^{-1} r`` then bounds the ``B^{-1}``-norm of the residual.  The
-    constant-coefficient stencil is diagonalized by the DFT, with symbol
+    The inverse starts from the bound ``P^{-1}``.  ``P`` is the same pencil
+    with every face coefficient and every ``a`` on the diagonal replaced by
+    ``a_ref``, the smallest cell value.  A harmonic face mean is never
+    below the cell minimum, so ``P <= B`` in the Loewner order: the
+    solvers' error estimate ``r^H P^{-1} r`` then bounds the
+    ``B^{-1}``-norm of the residual.  The constant-coefficient stencil is
+    diagonalized by the DFT, with symbol
 
         sigma(xi) = w sum_k a_ref 4 sin^2((eta_k h_k + xi_k) / 2) / h_k^2
                     * scale + shift * w * a_ref,   xi_k = 2 pi fftfreq(n_k),
 
     so ``P^{-1} r = ifftn(fftn(r) / sigma)``.  Modes where ``sigma``
     vanishes (the constants at zero momentum and zero shift) are the
-    kernel of ``B`` and are projected out.  The bound accepts a vector of
-    length ``N`` or an ``(N, cols)`` block.
+    kernel of ``B`` and are projected out.
+
+    At zero momentum and zero shift ``B`` is the periodic stiffness ``K``
+    of the cell problems.  It differs from ``P`` only on the ``F`` faces
+    ``f = (i -> j)`` along axis ``k`` whose coefficient exceeds ``a_ref``
+    (by more than rounding): ``K = P + U D U^T`` with columns
+    ``u_f = e_j - e_i`` and ``d_f = scale * w (a_f - a_ref) / h_k^2``.
+    When ``F^2 <= N``, so that the capacitance matrix is no larger than one
+    grid vector, the inverse is the capacitance-matrix form of ``K^+`` on
+    mean-zero vectors (Buzbee, Dorr, George & Golub 1971; Proskurowski &
+    Widlund 1976),
+
+        K^+ = P^+ - P^+ U C^{-1} U^T P^+,   C = D^{-1} + U^T P^+ U,
+
+    at two applies of ``P^+`` each.  ``P^+`` is a periodic convolution, so
+    ``C`` is read off its Green's function ``P^+ e_0`` at the differences
+    of the ``2F`` face endpoints.  Every other pencil gets the plain bound.
+    Either way ``P <= B``, with equality for the corrected inverse, and the
+    inverse accepts a vector of length ``N`` or an ``(N, cols)`` block.
     """
     B, M = assemble_shifted(field, eta)
     grid = field.grid
-    d, h, w, shape = grid.d, grid.h, grid.cell_volume, grid.shape
+    d, h, w, N, shape = grid.d, grid.h, grid.cell_volume, grid.num_cells, grid.shape
     # in place, for the fiber section: no second CSR copy lives through the
     # solve, and every entry rounds as in ``B(eta) * scale + diags(shift)``
     if scale != 1.0 or shift != 0.0:
@@ -192,7 +212,7 @@ def shifted_pencil(
     inv_half = inv_sigma[..., : shape[-1] // 2 + 1]
     axes = tuple(range(d))
 
-    def apply(r: np.ndarray) -> np.ndarray:
+    def bound(r: np.ndarray) -> np.ndarray:
         # one spectrum buffer, scaled and transformed back in place
         v = r.reshape(shape + r.shape[1:])
         pad = (1,) * (r.ndim - 1)
@@ -206,46 +226,20 @@ def shifted_pencil(
             np.fft.ifftn(z, axes=axes, out=z)
         return z.reshape(r.shape)
 
-    return B, M, apply
-
-
-def periodic_stiffness(field: CoefficientField) -> tuple[sp.csr_matrix, Preconditioner]:
-    """The periodic stiffness ``K`` of every cell problem (the pencil of
-    :func:`shifted_pencil` at zero momentum) and the inverse its solves use.
-
-    ``K`` differs from the FFT reference medium ``P`` only on the ``F``
-    faces ``f = (i -> j)`` along axis ``k`` whose coefficient exceeds
-    ``a_ref`` (by more than rounding): ``K = P + U D U^T`` with columns
-    ``u_f = e_j - e_i`` and ``d_f = w (a_f - a_ref) / h_k^2``.  When
-    ``F^2 <= N``, so that the capacitance matrix is no larger than one grid
-    vector, the inverse is the capacitance-matrix form of ``K^+`` on
-    mean-zero vectors (Buzbee, Dorr, George & Golub 1971; Proskurowski &
-    Widlund 1976),
-
-        K^+ = P^+ - P^+ U C^{-1} U^T P^+,   C = D^{-1} + U^T P^+ U,
-
-    at two applies of the FFT bound ``P^+`` each.  ``P^+`` is a periodic
-    convolution, so ``C`` is read off its Green's function ``P^+ e_0`` at
-    the differences of the ``2F`` face endpoints.  Otherwise the inverse is
-    the plain bound.  Either way ``P <= K``, with equality for the
-    corrected one, and it accepts a vector or an ``(N, cols)`` block.
-    """
-    K, _, bound = shifted_pencil(field)
-    grid = field.grid
-    shape, h, w, N = grid.shape, grid.h, grid.cell_volume, grid.num_cells
-    a_ref = float(field.a.min())
+    if not real_symbol or shift != 0.0:
+        return B, M, bound
     faces, d_f = [], []
-    for k in range(grid.d):
+    for k in range(d):
         a_f = face_arrays(field, k)
         faces.append(np.flatnonzero(a_f > a_ref * (1.0 + 1e-12)))
-        d_f.append(w * (a_f[faces[k]] - a_ref) / h[k] ** 2)
+        d_f.append(scale * w * (a_f[faces[k]] - a_ref) / h[k] ** 2)
     d_f = np.concatenate(d_f)
     F = d_f.size
     if F == 0 or F * F > N:
-        return K, bound
+        return B, M, bound
     # grid coordinates of the 2F endpoints only, shape (d, F)
     tails, heads = [], []
-    for k in range(grid.d):
+    for k in range(d):
         tail = np.array(np.unravel_index(faces[k], shape))
         head = tail.copy()
         head[k] = (head[k] + 1) % shape[k]
@@ -260,7 +254,7 @@ def periodic_stiffness(field: CoefficientField) -> tuple[sp.csr_matrix, Precondi
 
     def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # entry (f, g) = G(x_f - y_g), G read at the periodic difference
-        return green[tuple((x[k][:, None] - y[k]) % shape[k] for k in range(grid.d))]
+        return green[tuple((x[k][:, None] - y[k]) % shape[k] for k in range(d))]
 
     C = gram(heads, heads) - gram(heads, tails) - gram(tails, heads) + gram(tails, tails)
     del green
@@ -271,7 +265,7 @@ def periodic_stiffness(field: CoefficientField) -> tuple[sp.csr_matrix, Precondi
     tails = np.ravel_multi_index(tuple(tails), shape)
     heads = np.ravel_multi_index(tuple(heads), shape)
 
-    def apply(r: np.ndarray) -> np.ndarray:
+    def corrected(r: np.ndarray) -> np.ndarray:
         # K^+ r = P^+ (r - U s): the buffer of P^+ r takes r - U s in turn
         z = bound(r)
         s = L_inv.T @ (L_inv @ (z[heads] - z[tails]))
@@ -280,7 +274,7 @@ def periodic_stiffness(field: CoefficientField) -> tuple[sp.csr_matrix, Precondi
         np.add.at(z, tails, s)
         return bound(z)
 
-    return K, apply
+    return B, M, corrected
 
 
 def bloch_lambda1(

@@ -11,9 +11,10 @@ one that assembles the stiffness: harmonic-mean coefficients, plain
 differences ``D_k u = (u_j - u_i)/h_k``, face averages
 ``S_k u = (u_i + u_j)/2`` and their adjoint scatters along each axis.  Each
 public call builds one stiffness and the inverse its CG solves use with
-:func:`~blochlab.bloch.periodic_stiffness` and shares them across its
-solves: on a medium with few faces above its smallest value (a thin fiber
-section) that inverse is exact, and each solve ends in a few steps.
+:func:`~blochlab.bloch.shifted_pencil` at zero momentum and shares them
+across its solves: on a medium with few faces above its smallest value (a
+thin fiber section) that inverse is exact, and each solve ends in a few
+steps.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 from .bloch import (
     face_arrays,
     face_difference,
-    periodic_stiffness,
     scatter_difference,
     scatter_sum,
+    shifted_pencil,
 )
 from .microstructure import CoefficientField
 from .sparse_linalg import cg_solve, largest_geneig
@@ -41,7 +42,7 @@ Q_NORMALIZATION = "cell-average"
 def _cell_solver(field: CoefficientField, tol: float):
     """``b -> x``, the mean-zero solve of ``K x = b`` on the periodic
     stiffness: one ``K`` and one inverse serve every source of a call."""
-    K, inverse = periodic_stiffness(field)
+    K, _, inverse = shifted_pencil(field)
     return partial(
         cg_solve, K, tol=tol, maxit=50 * max(field.grid.n),
         deflate_constants=True, precond=inverse,
@@ -234,6 +235,8 @@ def pw_constant(
         raise ValueError(f"lam must have shape ({grid.d},)")
     if not np.any(lam):
         return 0.0
-    K, inverse = periodic_stiffness(field)
-    weight = grid.cell_volume * (field.a * float(lam @ lam))
+    # the mass diagonal w becomes the weight w a |lam|^2 in place: no
+    # second length-N vector lives through the power iteration
+    K, weight, inverse = shifted_pencil(field)
+    weight *= field.a * float(lam @ lam)
     return largest_geneig(weight, K, tol=tol, cg_tol=cg_tol, precond=inverse)

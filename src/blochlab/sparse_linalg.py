@@ -339,10 +339,12 @@ def smallest_eigpair(
         floor = scale * M.mean() * xnorms
         settled = resnorms[0] <= tol * floor[0]
         guard_ok = X.shape[1] < 2 or resnorms[1] <= np.sqrt(tol) * floor[1]
+        # the budget's last step ends here too: after an update, SVQB
+        # rotates the columns, and the polish would read a mixed one
         if settled and guard_ok and (
             _error_estimates(R[:, :1], X[:, :1], lam[:1], M, precond, lam_floor)[0]
             <= tol
-        ):
+        ) or it == _EIG_MAXIT:
             break
 
         W = _project_out(X, _precondition(R), M)

@@ -107,7 +107,8 @@ def test_criterion_05_shrinking_inclusion_trend():
 
 
 def test_criterion_06_fiber_gap_emerges():
-    table = run_thm31()
+    # two pool workers for speed; the rows do not depend on the pool size
+    table = run_thm31(workers=2)
     excess = [r["excess"] for r in table.rows]
     control = [r["control_excess"] for r in table.rows]
     gamma = 2.0
@@ -119,7 +120,7 @@ def test_criterion_06_fiber_gap_emerges():
 
 
 def test_criterion_07_discontinuity_at_zero_momentum():
-    table = run_gap_map()
+    table = run_gap_map(workers=2)
     by_eps = {}
     for row in table.rows:
         by_eps.setdefault(row["eps"], {})[row["t"]] = row["lambda1"]

@@ -18,7 +18,6 @@ from blochlab.bloch import (
     bloch_reduced,
     canonical_momentum,
     fiber_lambda1_2d,
-    periodic_stiffness,
     shifted_pencil,
 )
 from blochlab.experiments import fiber_beta
@@ -339,10 +338,7 @@ def test_periodic_stiffness_inverse_is_exact_on_fiber_section():
     # eps = 1/5 section: 120 faces above a_ref on 184^2 cells, so the
     # capacitance correction applies and the inverse is K's own
     f = _fiber_section(1 / 5, 184)
-    K, inverse = periodic_stiffness(f)
-    B, _, _ = shifted_pencil(f)
-    for attr in ("data", "indices", "indptr"):
-        assert getattr(K, attr).tobytes() == getattr(B, attr).tobytes(), attr
+    K, _, inverse = shifted_pencil(f)
     rng = np.random.default_rng(19)
     x = rng.standard_normal(K.shape[0])
     x -= x.mean()
@@ -350,6 +346,38 @@ def test_periodic_stiffness_inverse_is_exact_on_fiber_section():
     X = rng.standard_normal((K.shape[0], 3))
     columns = np.column_stack([inverse(X[:, j].copy()) for j in range(3)])
     assert_allclose(inverse(X), columns, rtol=0, atol=1e-13 * np.abs(columns).max())
+
+
+def test_zero_momentum_fiber_solve_takes_the_exact_inverse():
+    # the same section at eta = 0: the pencil is K, so the inner CG runs on
+    # its exact inverse (27 steps on the plain bound)
+    res = bloch_lambda1(_fiber_section(1 / 5, 184), np.zeros(2), tol=1e-9)
+    assert res.meta["inner_cg_steps"] <= 5
+    assert abs(res.lambda1) <= 1e-10
+
+
+def _plain_fft_bound(field, r):
+    # P^+ r for the reference medium a_ref = min a at zero momentum, written
+    # out from its symbol, independent of the library's transforms
+    g = field.grid
+    xi = np.meshgrid(*(2 * np.pi * np.fft.fftfreq(n) for n in g.shape), indexing="ij")
+    sigma = sum(4 * np.sin(x / 2) ** 2 / h**2 for x, h in zip(xi, g.h))
+    sigma *= g.cell_volume * field.a.min()
+    sigma[(0,) * g.d] = np.inf
+    return np.fft.ifftn(np.fft.fftn(r.reshape(g.shape)) / sigma).real.ravel()
+
+
+@pytest.mark.parametrize("make_field", [
+    lambda: _fiber_section(1 / 3, 52),
+    lambda: rasterize(TwoPhaseInclusion(eps=1.0, beta=4.0, rho=0.5), make_grid(2, (32, 32))),
+], ids=["fiber_third_52", "two_phase_32"])
+def test_zero_momentum_many_faces_keep_the_plain_bound(make_field):
+    # F^2 > N: the inverse bloch_lambda1 takes at eta = 0 is the FFT bound
+    f = make_field()
+    _, _, inverse = shifted_pencil(f, np.zeros(2))
+    r = np.random.default_rng(23).standard_normal(f.grid.num_cells)
+    ref = _plain_fft_bound(f, r)
+    assert_allclose(inverse(r), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_results_carry_solver_meta():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blochlab import sparse_linalg
-from blochlab.bloch import periodic_stiffness, shifted_pencil
+from blochlab.bloch import shifted_pencil
 from blochlab.cell_problems import dispersion, homogenized, pw_constant
 from blochlab.experiments import fiber_beta
 from blochlab.grid import make_grid
@@ -214,6 +214,11 @@ def test_pw_many_faces_keep_the_plain_bound(make_field):
     f = make_field()
     lam = np.array([0.25, 0.0])
     K, _, bound = shifted_pencil(f)
+    # the corrected inverse undoes K to 1e-12; the plain bound misses by far
+    # more, so the comparison below is with the plain bound
+    x = np.random.default_rng(5).standard_normal(f.grid.num_cells)
+    x -= x.mean()
+    assert np.abs(bound(K @ x) - x).max() > 1e-3 * np.abs(x).max()
     weight = f.grid.cell_volume * (f.a * float(lam @ lam))
     plain = largest_geneig(weight, K, tol=1e-8, cg_tol=1e-11, precond=bound)
     assert pw_constant(f, lam) == plain
@@ -225,10 +230,14 @@ def test_pw_corrected_inverse_matches_dense_oracle():
     a = np.ones(g.shape)
     a[5:7, 6:8] = 50.0
     f = CoefficientField(grid=g, a=a.ravel())
-    K, inverse = periodic_stiffness(f)
     x = np.random.default_rng(67).standard_normal(g.num_cells)
     x -= x.mean()
-    assert np.abs(inverse(K @ x) - x).max() <= 1e-12 * np.abs(x).max()
+    # scale 9 is a fiber section's pencil eps^-2 K at eta' = 0, eta3 = 0:
+    # the correction's weights carry the scale, so the inverse stays exact
+    for scale in (1.0, 9.0):
+        B, _, inverse = shifted_pencil(f, np.zeros(2), scale=scale)
+        assert np.abs(inverse(B @ x) - x).max() <= 1e-12 * np.abs(x).max()
+    K, _, _ = shifted_pencil(f)
     lam = np.array([0.3, 0.1])
     mu = dense_oracle(K, g.cell_volume * f.a * float(lam @ lam))
     assert_allclose(pw_constant(f, lam), 1.0 / mu[1], rtol=1e-9)

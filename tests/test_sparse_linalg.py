@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ def test_smallest_eigpair_singular_pencil():
     rep = smallest_eigpair(A, np.ones(12), tol=1e-10,
                            precond=mean_free_bound(laplacian_lam2(12)))
     assert abs(rep.lambda1) < 1e-10
+
+
+def test_smallest_eigpair_budget_error_reports_lowest_ritz_pair():
+    # tol=1e-18 is out of reach, so all 500 iterations run; the in-loop
+    # residual of the lowest Ritz pair stays at 2e-17 to 4e-17, and the
+    # error must report that pair, not a column rotated after the last step
+    g = make_grid(1, (16,))
+    f = CoefficientField(grid=g, a=np.exp(np.random.default_rng(3).standard_normal(16)))
+    B, M, bound = shifted_pencil(f, np.array([0.3]))
+    with pytest.raises(ConvergenceError) as exc:
+        smallest_eigpair(B, M, tol=1e-18, precond=bound)
+    found = re.search(r"relative residual (\S+), error estimate (\S+)\)", str(exc.value))
+    rel, est = float(found[1]), float(found[2])
+    last = exc.value.residual_history[-1]
+    assert last / 10 <= rel <= 10 * last
+    assert est < 1e-20
 
 
 def test_smallest_eigpair_residual_report():
