@@ -190,7 +190,7 @@ def shifted_pencil(
     """
     B, M = assemble_shifted(field, eta)
     grid = field.grid
-    d, h, w, N, shape = grid.d, grid.h, grid.cell_volume, grid.num_cells, grid.shape
+    d, h, w, N, shape = grid.d, grid.h, grid.cell_volume, grid.num_cells, grid.n
     # in place, for the fiber section: no second CSR copy lives through the
     # solve, and every entry rounds as in ``B(eta) * scale + diags(shift)``
     if scale != 1.0 or shift != 0.0:

@@ -74,7 +74,7 @@ def _profile_rows(
 
 
 def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = DEFAULT_R) -> np.ndarray:
-    """Cell-center samples of the radial profile, shape ``grid2d.shape``.
+    """Cell-center samples of the radial profile, shape ``grid2d.n``.
 
     0 inside ``r_eps``, ``ln(rho / r_eps) / ln(R / r_eps)`` on the annulus,
     1 outside ``R``; in particular exactly zero on every cell inside the

@@ -153,10 +153,10 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
         (r, R, n), = plan_capacity(r=cfg.r, R=cfg.R, n=cfg.n)
         return _task_table(_annulus_task, [{"r": r, "R": R, "n": n}], [(r, R, n)],
                            workers)
-    gamma = float(cfg.gamma)
-    rows = plan_capacity(cfg.eps, gamma, R=cfg.R, n=cfg.n)
-    keys = [{"eps": eps, "gamma": gamma, "r": r, "R": R, "n": n} for eps, r, R, n in rows]
-    tasks = [(eps, gamma, r, R, n) for eps, r, R, n in rows]
+    rows = plan_capacity(cfg.eps, cfg.gamma, R=cfg.R, n=cfg.n)
+    keys = [{"eps": eps, "gamma": cfg.gamma, "r": r, "R": R, "n": n}
+            for eps, r, R, n in rows]
+    tasks = [(eps, cfg.gamma, r, R, n) for eps, r, R, n in rows]
     return _task_table(_scaled_energy_task, keys, tasks, workers,
                        [t[-1] ** 2 for t in tasks])
 
@@ -175,15 +175,10 @@ def _harness(name: str):
 
 
 def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
-    kw = {}
-    for key in _COMMANDS[cfg.command][1]:
-        value = getattr(cfg, key)
-        if key == "eta" and value is not None:
-            (value,) = value  # an experiment takes one momentum
-        if isinstance(value, (list, tuple)):
-            kw[key] = [float(v) for v in value]
-        elif value is not None:
-            kw[key] = value if key == "n" else float(value)
+    kw = {key: value for key in _COMMANDS[cfg.command][1]
+          if (value := getattr(cfg, key)) is not None}
+    if "eta" in kw:
+        (kw["eta"],) = kw["eta"]  # an experiment takes one momentum
     return _harness(cfg.command.split(":", 1)[1])(workers=workers, **kw)
 
 

@@ -2,8 +2,8 @@
 
 Grammar (UTF-8, ``#`` comments):
 
-* scalars — finite decimal integers and floats, exact fractions (``1/6``),
-  bare words;
+* scalars — finite decimal integers and floats, fractions (``1/6``, read
+  as the nearest float), bare words;
 * tuples — ``(0.3, 0.2)``;
 * constructor calls — ``two_phase(eps=1/6, beta=36, rho=1/6, shape=square)``
   (the nested section of the document: named arguments under one key);
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .experiments import check_eta, check_t_list
 from .grid import make_grid
@@ -52,7 +51,7 @@ _KINDS = {
     "command": "command",
     "a": "microstructure",
     "eta": "vector_list",
-    "eps": "fraction_list",
+    "eps": "number_list",
     "n": "positive_int",
     "gamma": "positive",
     "t_list": "number_list",
@@ -98,19 +97,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A validated run request: the keys the config sets, and ``text``, the
-    document they were parsed from, which no key sets.  A key left out is
-    ``None``; the run fills its default."""
+    """A validated run request: the keys the config sets, in the types the
+    run takes, and ``text``, the document they were parsed from, which no
+    key sets.  A key left out is ``None``; the run fills its default."""
 
     command: str
-    a: object | None = None           # microstructure spec
-    eta: list | None = None           # list of momentum tuples
-    eps: list | None = None           # list of Fractions
+    a: object | None = None                 # microstructure spec
+    eta: list[tuple[float, ...]] | None = None  # momentum tuples
+    eps: list[float] | None = None          # the eps ladder
     n: int | None = None
-    gamma: object | None = None
-    t_list: list | None = None
-    r: object | None = None
-    R: object | None = None
+    gamma: float | None = None
+    t_list: list[float] | None = None
+    r: float | None = None
+    R: float | None = None
     text: str = ""
 
 
@@ -122,22 +121,21 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _NUMBER_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?")
 
 
-def _parse_number(text: str, line: int, key: str):
-    """int, float, or exact Fraction from a finite decimal scalar token."""
+def _parse_number(text: str, line: int, key: str) -> float:
+    """The float of a finite decimal scalar token; a fraction ``p/q`` is
+    ``int(p) / int(q)``, the float nearest to it."""
     text = text.strip()
     num, slash, den = (part.strip() for part in text.partition("/"))
     try:
         if slash:
             if not (_INT_RE.fullmatch(num) and _INT_RE.fullmatch(den)):
                 raise ValueError
-            value = Fraction(int(num), int(den))
-        elif _INT_RE.fullmatch(text):
-            value = int(text)
+            value = int(num) / int(den)
         elif _NUMBER_RE.fullmatch(text):
             value = float(text)
         else:
             raise ValueError
-        if not math.isfinite(float(value)):  # float() of a huge int overflows
+        if not math.isfinite(value):
             raise ValueError
     except (ValueError, ArithmeticError):
         raise ConfigError(
@@ -198,16 +196,6 @@ def _parse_call(text: str, line: int, key: str):
 # microstructure constructors
 
 
-def _positive(value, what, line, key):
-    if not (float(value) > 0):
-        raise ConfigError(
-            f"{what} must be strictly positive "
-            f"(the critical-radius scaling exp(-1/(2*pi*eps^2*gamma)) and "
-            f"the coefficient bounds are defined only for positive values); "
-            f"got {value}", line=line, key=key)
-    return value
-
-
 def _fiber(eps: float, gamma: float, beta: float | None = None) -> FiberLattice:
     """Fiber lattice whose radius gives capacity density ``gamma``, with the
     fiber sweeps' conductivity unless ``beta`` is given."""
@@ -258,7 +246,7 @@ def _build_microstructure(text: str, line: int, key: str):
     for arg, default in params.items():
         if arg in given:
             raw = given[arg]
-            args[arg] = raw if arg in _WORD_ARGS else float(_parse_number(raw, line, key))
+            args[arg] = raw if arg in _WORD_ARGS else _parse_number(raw, line, key)
         elif default is _NEEDED:
             raise ConfigError(f"{name}() needs argument {arg!r}", line=line, key=key)
         elif default is not None:
@@ -329,20 +317,22 @@ def parse_config(text: str) -> RunConfig:
             if len(parsed) > 1 and command.startswith("experiment:"):
                 raise ConfigError("an experiment takes one momentum tuple",
                                   line=lineno, key=key)
-        elif kind in ("fraction_list", "number_list"):
+        elif kind == "number_list":
             parsed = [_parse_number(p, lineno, key)
                       for p in _split_top(value, ",") if p.strip()]
-            if kind == "fraction_list":
-                for v in parsed:
-                    _positive(v, "eps", lineno, key)
         elif kind == "positive_int":
-            parsed = _parse_number(value, lineno, key)
-            if not isinstance(parsed, int) or parsed < 1:
+            if not (_parse_number(value, lineno, key) >= 1 and _INT_RE.fullmatch(value)):
                 raise ConfigError(f"expected a positive integer, got {value!r}",
                                   line=lineno, key=key)
+            parsed = int(value)
         else:  # "positive"
-            parsed = _positive(_parse_number(value, lineno, key),
-                               key, lineno, key)
+            parsed = _parse_number(value, lineno, key)
+            if not parsed > 0:
+                raise ConfigError(
+                    f"{key} must be strictly positive (the critical-radius "
+                    f"scaling exp(-1/(2*pi*eps^2*gamma)) and the coefficient "
+                    f"bounds are defined only for positive values); got {parsed}",
+                    line=lineno, key=key)
         if kind.endswith("_list") and not parsed:
             raise ConfigError("empty list", line=lineno, key=key)
         setattr(cfg, key, parsed)

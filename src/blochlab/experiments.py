@@ -216,7 +216,7 @@ def run_thm22(
         (lam, iters), t_lam = next(done)
         (lam2, _), t_lam2 = next(done)
         rows.append({
-            "eps": float(eps), "n": n, "m": m, **eta_cells(eta),
+            "eps": eps, "n": n, "m": m, **eta_cells(eta),
             "lambda1": lam,
             "q_eta_eta": q_eta_eta,
             "gap": abs(lam - q_eta_eta),
@@ -284,7 +284,7 @@ def run_thm31(
         excess = lam - eta_sq
         ctrl_excess = ctrl_lam - float(eta_p @ eta_p)
         rows.append({
-            "eps": float(eps), "n": n, "m": m, "r_eps": cell.r_eps, "beta": cell.beta,
+            "eps": eps, "n": n, "m": m, "r_eps": cell.r_eps, "beta": cell.beta,
             **eta_cells(eta),
             "lambda1": lam,
             "q_eta_eta": None,
@@ -343,7 +343,7 @@ def run_gap_map(
         if t == 1.0:
             lam_at_1[eps] = lam
         rows.append({
-            "eps": float(eps), "t": t, "n": n, "m": m,
+            "eps": eps, "t": t, "n": n, "m": m,
             "r_eps": cell.r_eps, "beta": cell.beta,
             **eta_cells(t * eta),
             "lambda1": lam,
@@ -407,7 +407,7 @@ def run_pw(
     done, workers = map_tasks(_pw_task, tasks, workers, [t[1] ** 2 for t in tasks])
     rows = []
     for (eps, n, m, cell), ((C, mean_a), seconds) in zip(rungs, done):
-        row = {"eps": float(eps), "n": n, "m": m, **eta_cells(eta)}
+        row = {"eps": eps, "n": n, "m": m, **eta_cells(eta)}
         if family == "thm22":
             row.update(pw_constant=C, eps2_C=eps * eps * C)
         else:

@@ -29,10 +29,6 @@ class PeriodicGrid:
         return tuple(TWO_PI / nk for nk in self.n)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.n
-
-    @property
     def num_cells(self) -> int:
         return int(np.prod(self.n))
 
@@ -66,7 +62,7 @@ class PeriodicGrid:
         """
         if axis < 0 or axis >= self.d:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
-        v = u.reshape(self.shape + u.shape[1:])
+        v = u.reshape(self.n + u.shape[1:])
         return np.roll(v, -step, axis=axis).reshape(u.shape)
 
 

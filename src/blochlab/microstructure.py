@@ -154,7 +154,7 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
         r2 = (pattern[0] - _PI) ** 2 + (pattern[1] - _PI) ** 2
         inside = r2 < spec.r_eps**2
 
-    values = np.where(np.broadcast_to(inside, grid.shape).ravel(), float(spec.beta), 1.0)
+    values = np.where(np.broadcast_to(inside, grid.n).ravel(), float(spec.beta), 1.0)
     return CoefficientField(grid=grid, a=values, inv_eps=s)
 
 

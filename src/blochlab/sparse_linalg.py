@@ -37,11 +37,18 @@ Preconditioner = Callable[[np.ndarray], np.ndarray]
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the residual history."""
+    """Iteration budget exhausted; carries the residual history and, from
+    :func:`smallest_eigpair`, the final ``relative_residual`` and
+    ``error_estimate`` of the lowest pair (``None`` from CG and the power
+    iteration)."""
 
-    def __init__(self, message: str, history: list[float] | None = None):
+    def __init__(self, message: str, history: list[float] | None = None, *,
+                 relative_residual: float | None = None,
+                 error_estimate: float | None = None):
         super().__init__(message)
         self.residual_history = list(history) if history is not None else []
+        self.relative_residual = relative_residual
+        self.error_estimate = error_estimate
 
 
 @dataclass
@@ -269,7 +276,10 @@ def smallest_eigpair(
     eigenvalue error.  The report carries the mass-normalized residual
     ``||B x - lam M x|| / ||M x||`` used by distributional-form checks, and
     ``meta`` holds the final ``error_estimate`` (``est``) and the total
-    ``inner_cg_steps``.
+    ``inner_cg_steps``.  When the budget runs out, :class:`ConvergenceError`
+    carries the lowest pair's ``||B x - lam M x||_2 / (scale ||x||_2)`` of
+    every iteration as its history, and that relative residual and ``est``
+    of the final pair.
 
     The working set is a few blocks: each length-``n`` block is released
     as soon as the iteration no longer reads it, and no conjugated copy of
@@ -330,13 +340,11 @@ def smallest_eigpair(
         R = BX - (M[:, None] * X) * lam
         del BX
         resnorms = np.linalg.norm(R, axis=0)
-        xnorms = np.linalg.norm(X, axis=0)
-        rel = resnorms / (scale * M.mean() * xnorms + np.abs(lam) * xnorms)
-        history.append(float(rel[0]))
+        floor = scale * M.mean() * np.linalg.norm(X, axis=0)
+        history.append(float(resnorms[0] / floor[0]))
         # insist on a settled second pair as well: a start vector that is an
         # exact eigenvector of a higher band must not end the search early.
         # The guard only locks the subspace, so sqrt(tol) is enough for it.
-        floor = scale * M.mean() * xnorms
         settled = resnorms[0] <= tol * floor[0]
         guard_ok = X.shape[1] < 2 or resnorms[1] <= np.sqrt(tol) * floor[1]
         # the budget's last step ends here too: after an update, SVQB
@@ -391,7 +399,7 @@ def smallest_eigpair(
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "
             f"(relative residual {rel}, error estimate {est})",
-            history,
+            history, relative_residual=rel, error_estimate=est,
         )
     return EigSolveReport(
         lambda1=float(lam1[0]),

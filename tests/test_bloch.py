@@ -89,7 +89,7 @@ def _coo_stiffness(field, eta):
     rows, cols, vals = [], [], []
     a = field.a
     for k in range(d):
-        jdx = np.roll(idx.reshape(g.shape), -1, axis=k).ravel()
+        jdx = np.roll(idx.reshape(g.n), -1, axis=k).ravel()
         coeff = w * (2.0 * a[idx] * a[jdx] / (a[idx] + a[jdx])) / h[k] ** 2
         diag[idx] += coeff
         diag[jdx] += coeff
@@ -360,11 +360,11 @@ def _plain_fft_bound(field, r):
     # P^+ r for the reference medium a_ref = min a at zero momentum, written
     # out from its symbol, independent of the library's transforms
     g = field.grid
-    xi = np.meshgrid(*(2 * np.pi * np.fft.fftfreq(n) for n in g.shape), indexing="ij")
+    xi = np.meshgrid(*(2 * np.pi * np.fft.fftfreq(n) for n in g.n), indexing="ij")
     sigma = sum(4 * np.sin(x / 2) ** 2 / h**2 for x, h in zip(xi, g.h))
     sigma *= g.cell_volume * field.a.min()
     sigma[(0,) * g.d] = np.inf
-    return np.fft.ifftn(np.fft.fftn(r.reshape(g.shape)) / sigma).real.ravel()
+    return np.fft.ifftn(np.fft.fftn(r.reshape(g.n)) / sigma).real.ravel()
 
 
 @pytest.mark.parametrize("make_field", [

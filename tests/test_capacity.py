@@ -33,7 +33,7 @@ def test_vhat_profile_values():
     v = vhat(g, r, R)
     mesh = g.center_mesh()
     rho = np.sqrt((mesh[0] - math.pi) ** 2 + (mesh[1] - math.pi) ** 2)
-    rho = np.broadcast_to(rho, g.shape)
+    rho = np.broadcast_to(rho, g.n)
     assert np.all(v[rho < r] == 0.0)
     assert np.all(v[rho > R] == 1.0)
     assert np.all((v >= 0.0) & (v <= 1.0))

@@ -227,7 +227,7 @@ def test_pw_many_faces_keep_the_plain_bound(make_field):
 def test_pw_corrected_inverse_matches_dense_oracle():
     # a 2x2 inclusion has 12 faces above a_ref; 12^2 <= 12 * 14 cells
     g = make_grid(2, (12, 14))
-    a = np.ones(g.shape)
+    a = np.ones(g.n)
     a[5:7, 6:8] = 50.0
     f = CoefficientField(grid=g, a=a.ravel())
     x = np.random.default_rng(67).standard_normal(g.num_cells)

@@ -179,6 +179,27 @@ def test_sidecar_contents(tmp_path):
     assert "package_version" in meta and "git_describe" in meta
 
 
+def test_experiment_keys_reach_the_harness(tmp_path):
+    # an experiment's one eta tuple, eps ladder and t_list reach its harness
+    # as the floats the config wrote; the gap map's t = 1/4 check fails by
+    # design, and the files are written either way
+    def run(text, expect_code):
+        code, (csv_path, json_path) = run_and_emit(parse_config(text), out_dir=tmp_path)
+        assert code == expect_code
+        header, *rows = csv_path.read_text().splitlines()
+        rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        return rows, json.loads(json_path.read_text())["table_meta"]
+
+    rows, meta = run("command = experiment:thm22\neps = 1/2\neta = (0.2, 0.1)\n", 0)
+    assert [(r["eps"], r["eta1"], r["eta2"]) for r in rows] == [
+        ("0.5", "0.20000000000000001", "0.10000000000000001")]
+    assert meta["eta"] == [0.2, 0.1]
+    rows, meta = run("command = experiment:gap_map\neps = 1/3\neta = (0.1, 0.2, 0.25)\n"
+                     "t_list = 1, 1/4\n", 2)
+    assert [(float(r["eps"]), float(r["t"])) for r in rows] == [(1 / 3, 1.0), (1 / 3, 0.25)]
+    assert meta["eta"] == [0.1, 0.2, 0.25] and meta["t_list"] == [1.0, 0.25]
+
+
 def test_capacity_annulus_mode(tmp_path):
     cfg = parse_config("command = capacity\nr = 0.28\nn = 256\n")
     code, paths = run_and_emit(cfg, out_dir=tmp_path)
@@ -206,6 +227,20 @@ def test_from_file_field(tmp_path):
     header, row = paths[0].read_text().splitlines()
     q11 = float(dict(zip(header.split(","), row.split(",")))["q11"])
     assert 1.0 / np.mean(1.0 / vals) - 1e-9 <= q11 <= vals.mean() + 1e-9
+
+
+def test_from_file_path_with_parenthesized_commas(tmp_path):
+    # a comma inside parentheses does not split the constructor's arguments
+    dump = tmp_path / "p(1,2)" / "dump(3,4).bin"
+    dump.parent.mkdir()
+    write_field_dump(dump, np.full(64, 2.0), (8, 8))
+    p = write_cfg(tmp_path, f"command = bloch\na = from_file(path={dump})\nn = 8\n"
+                            "eta = (0.3, 0.2)\n")
+    assert run_main(["--config", p, "--out", tmp_path / "out"]) == 0
+    header, row = (tmp_path / "out" / "bloch.csv").read_text().splitlines()
+    h = 2 * math.pi / 8
+    expect = 2 * sum(4 * math.sin(e * h / 2) ** 2 / h**2 for e in (0.3, 0.2))
+    assert abs(float(row.split(",")[2]) - expect) <= 1e-9 * expect
 
 
 def test_main_success_prints_paths(tmp_path, capsys):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import lcm
 from unittest import mock
 
@@ -44,9 +43,14 @@ def test_eta_semicolon_list():
     assert cfg.eta == [(0.3, 0.2), (0.0, 0.0), (0.1, -0.4)]
 
 
-def test_fractions_stay_exact():
-    cfg = parse_config("command = experiment:thm22\neps = 1/2, 1/4, 1/8\n")
-    assert cfg.eps == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+def test_numbers_parse_to_the_floats_the_run_takes():
+    # a fraction is the float nearest to it, not only when it is dyadic, and
+    # an integer written for a float-valued key is a float; only n is an int
+    cfg = parse_config("command = experiment:thm31\neps = 1/3, 1/6\ngamma = 2\n"
+                       "eta = (0, 1/4, 1/4)\n")
+    assert cfg.eps == [1 / 3, 1 / 6]
+    assert cfg.gamma == 2.0 and cfg.eta == [(0.0, 0.25, 0.25)]
+    assert all(type(v) is float for v in [*cfg.eps, cfg.gamma, *cfg.eta[0]])
 
 
 def test_two_phase_constructor():
@@ -199,6 +203,10 @@ def test_numbers_are_finite_decimals(text, key, line):
     ("command = experiment:gap_map\neps = 1/3\nt_list = 1, 1\n", "t_list", 3),
     ("command = experiment:gap_map\nt_list = 1\n", "t_list", 2),
     ("command = experiment:thm31\neps = 1/3\neta = (0.2, 0.2, 0.0)\n", "eta", 3),
+    # every eps lies in (0, 1], by the planner's rule
+    ("command = experiment:thm31\neps = -1/3\n", "eps", 2),
+    ("command = experiment:thm22\neps = 0\n", "eps", 2),
+    ("command = capacity\neps = -0.3\ngamma = 2\nn = 64\n", "eps", 2),
 ])
 def test_eps_ladder_checked_at_parse_time(text, key, line):
     # every 1/eps a run resolves a grid for is an integer, and an
@@ -421,6 +429,28 @@ def test_mixed_tuple_lengths():
         "eta = (0.1, 0.2); (0.1, 0.2, 0.3)\n"
     )
     assert "mixed tuple lengths" in msg
+
+
+@pytest.mark.parametrize("text, key, line, message", [
+    ("command = bloch\na = constant(1)\nn = 8\neta = 0.3, 0.2\n", "eta", 4,
+     "parenthesized tuple"),
+    ("command = bloch\na = constant(1)\nn = 8\neta = ()\n", "eta", 4, "empty tuple"),
+    ("command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2, 0.3, 0.4)\n", "eta", 4,
+     "1-3 components"),
+    ("command = homogenize\nn = 8\na = constant\n", "a", 3, "constructor call"),
+    ("command = homogenize\nn = 8\na = two_phase(eps=1/2, eps=1/2, beta=4, rho=1/2)\n",
+     "a", 3, "argument given twice"),
+    ("command = homogenize\nn = 8\na = marble(eps=1/2)\n", "a", 3,
+     "unknown microstructure 'marble'"),
+    ("command = homogenize\nn = 8\na = two_phase(1/2)\n", "a", 3, "named arguments only"),
+    ("command = homogenize\nn = 8\na = constant(2, value=3)\n", "a", 3,
+     "argument 'value' given twice"),
+    ("command = homogenize\na = constant(1)\nn = 8.5\n", "n", 3, "positive integer"),
+])
+def test_parser_refusals_name_key_and_line(text, key, line, message):
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(text)
+    assert exc.value.key == key and exc.value.line == line
 
 
 def test_bad_fraction():
