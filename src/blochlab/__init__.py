@@ -39,7 +39,7 @@ from .cell_problems import (
     homogenized,
     pw_constant,
 )
-from .capacity import CapacityProfile, annulus_energy, scaled_energy, vhat
+from .capacity import CapacityProfile, annulus_energy, scaled_energy
 from .experiments import (
     ExperimentTable,
     run_gap_map,
@@ -81,7 +81,6 @@ __all__ = [
     "CapacityProfile",
     "annulus_energy",
     "scaled_energy",
-    "vhat",
     "ExperimentTable",
     "resolve_resolution",
     "run_gap_map",

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, check_eps
 from .microstructure import CoefficientField
 from .sparse_linalg import EigSolveReport, Preconditioner, smallest_eigpair
 
@@ -312,9 +312,7 @@ def bloch_reduced(
     """
     if unit_field.inv_eps != 1:
         raise ValueError("bloch_reduced expects a unit-pattern field (inv_eps == 1)")
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    eps = check_eps(eps)
     eta = np.asarray(eta, dtype=np.float64)
     _require_first_zone(eta)
     report = bloch_lambda1(unit_field, eps * eta, tol=tol)
@@ -344,9 +342,7 @@ def fiber_lambda1_2d(
         raise ValueError("cross-section field must be 2-dimensional")
     if section_field.inv_eps != 1:
         raise ValueError("cross-section must be a unit pattern (inv_eps == 1)")
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    eps = check_eps(eps)
     eta_prime = np.asarray(eta_prime, dtype=np.float64)
     if eta_prime.shape != (2,):
         raise ValueError("eta_prime must have two components")

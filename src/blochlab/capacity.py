@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, check_eps
 from .microstructure import check_cells_across
 
 _CENTER = math.pi  # the disc sits at the cell midpoint (pi, pi)
@@ -73,26 +73,15 @@ def _profile_rows(
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def vhat(grid2d: PeriodicGrid, r_eps: float, R: float = DEFAULT_R) -> np.ndarray:
-    """Cell-center samples of the radial profile, shape ``grid2d.n``.
-
-    0 inside ``r_eps``, ``ln(rho / r_eps) / ln(R / r_eps)`` on the annulus,
-    1 outside ``R``; in particular exactly zero on every cell inside the
-    disc, and the value 1/2 on the logarithmic midpoint circle.
-    """
-    prof = _checked_profile(grid2d, r_eps, R)
-    return _profile_rows(grid2d, prof, 0, grid2d.n[0])
-
-
 def annulus_energy(
     r_eps: float, R: float = DEFAULT_R, grid2d: PeriodicGrid | None = None
 ) -> tuple[float, float | None]:
     """Analytic and (optionally) discrete Dirichlet energy of the profile.
 
-    The discrete value is the plain face-difference energy of :func:`vhat`
-    on ``grid2d`` (unnormalized integral, matching the analytic form),
-    summed over blocks of rows of about ``_BLOCK_CELLS`` cells, so that its
-    working set does not grow with the grid.
+    The discrete value is the plain face-difference energy of the profile's
+    cell-center samples on ``grid2d`` (unnormalized integral, matching the
+    analytic form), summed over blocks of rows of about ``_BLOCK_CELLS``
+    cells, so that its working set does not grow with the grid.
     """
     if grid2d is None:
         return CapacityProfile(r_eps, R).analytic_energy, None
@@ -118,16 +107,14 @@ def scaled_energy(
     eps: float, r_eps: float, R: float = DEFAULT_R,
     grid2d: PeriodicGrid | None = None,
 ) -> float:
-    """Thin-structure energy density ``eps^{-2} . mean |grad vhat|^2``.
+    """Thin-structure energy density ``eps^{-2} . mean |grad v|^2`` of the profile.
 
     With ``r_eps = radius_for_gamma(eps, gamma)`` this converges to
     ``gamma`` from below as ``eps`` decreases (the outer cutoff ``R``
     contributes the deficit ``ln R / (ln R + |ln r_eps|)``).  Without a
     grid the analytic annulus energy is used.
     """
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    eps = check_eps(eps)
     analytic, discrete = annulus_energy(r_eps, R, grid2d)
     energy = analytic if discrete is None else discrete
     cell_area = (2.0 * math.pi) ** 2

@@ -13,12 +13,16 @@ Grammar (UTF-8, ``#`` comments):
 Two tables hold the schema: ``_KINDS`` gives every key its value kind, and
 ``_COMMANDS`` gives every command the keys it requires and the keys it may
 take; ``_CONSTRUCTORS`` does the same for the arguments of each
-microstructure constructor.  Unknown keys, keys the command does not read,
-missing keys, wrong types and constraint violations (the microstructure
-specs' own checks, a single command's ``n`` against its medium, the
-harnesses' ``eta`` and ``t_list`` checks, and every rule of the grid plan
-that an experiment or ``capacity`` run makes with :mod:`blochlab.plan`
-included) are all rejected here, with the key and line number.
+microstructure constructor.  A kind is syntax only (a number, an integer,
+a list or tuple of numbers, a call): no kind bounds a value.  Each value
+rule has one home, the medium or planner that owns it, which the parser
+runs: the microstructure specs' own checks, a single command's ``n``
+against its medium, the harnesses' ``eta`` and ``t_list`` checks, and every
+rule of the grid plan that an experiment or ``capacity`` run makes with
+:mod:`blochlab.plan` (the eps range, ``gamma > 0``, ``0 < r < R < pi``, at
+least 2 cells per axis).  Unknown keys, keys the command does not read,
+missing keys, wrong types and every refusal of those rules are all
+rejected here, with the key and line number.
 
 A key left out stays ``None``, and the run fills its default: an
 experiment's eps ladder, ``gamma``, ``eta`` and ``t_list`` come from its
@@ -52,11 +56,11 @@ _KINDS = {
     "a": "microstructure",
     "eta": "vector_list",
     "eps": "number_list",
-    "n": "positive_int",
-    "gamma": "positive",
+    "n": "int",
+    "gamma": "number",
     "t_list": "number_list",
-    "r": "positive",
-    "R": "positive",
+    "r": "number",
+    "R": "number",
 }
 
 #: command -> (required keys, optional keys); ``command`` applies to every
@@ -320,19 +324,14 @@ def parse_config(text: str) -> RunConfig:
         elif kind == "number_list":
             parsed = [_parse_number(p, lineno, key)
                       for p in _split_top(value, ",") if p.strip()]
-        elif kind == "positive_int":
-            if not (_parse_number(value, lineno, key) >= 1 and _INT_RE.fullmatch(value)):
-                raise ConfigError(f"expected a positive integer, got {value!r}",
+        elif kind == "int":
+            _parse_number(value, lineno, key)  # finite, so int() reads every digit
+            if not _INT_RE.fullmatch(value):
+                raise ConfigError(f"expected an integer, got {value!r}",
                                   line=lineno, key=key)
             parsed = int(value)
-        else:  # "positive"
+        else:  # "number"
             parsed = _parse_number(value, lineno, key)
-            if not parsed > 0:
-                raise ConfigError(
-                    f"{key} must be strictly positive (the critical-radius "
-                    f"scaling exp(-1/(2*pi*eps^2*gamma)) and the coefficient "
-                    f"bounds are defined only for positive values); got {parsed}",
-                    line=lineno, key=key)
         if kind.endswith("_list") and not parsed:
             raise ConfigError("empty list", line=lineno, key=key)
         setattr(cfg, key, parsed)

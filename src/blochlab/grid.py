@@ -82,11 +82,19 @@ def make_grid(d: int, n: int | tuple[int, ...]) -> PeriodicGrid:
     return PeriodicGrid(d=d, n=counts)
 
 
+def check_eps(eps: float) -> float:
+    """``float(eps)``, once it lies in (0, 1]: the one range rule of every
+    period eps."""
+    eps = float(eps)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    return eps
+
+
 def _reciprocal_int(eps: float) -> int:
     """Validate that eps is the reciprocal of a positive integer, return it."""
-    if eps <= 0 or eps > 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    s = round(1.0 / eps)
-    if s < 1 or abs(1.0 / eps - s) > 1e-9 * s:
-        raise ValueError(f"1/eps must be an integer, got 1/eps = {1.0 / eps}")
+    inv = 1.0 / check_eps(eps)
+    s = round(inv) if np.isfinite(inv) else 0  # inf for a subnormal eps
+    if s < 1 or abs(inv - s) > 1e-9 * s:
+        raise ValueError(f"1/eps must be an integer, got 1/eps = {inv}")
     return s

@@ -209,14 +209,14 @@ def radius_for_gamma(eps: float, gamma: float) -> float:
     """Fiber radius at the critical scaling, exp(-1 / (2*pi*eps**2*gamma)).
 
     With this radius the quantity ``1 / (2*pi*eps**2*|ln r|)`` equals
-    ``gamma`` exactly for every ``eps``.
+    ``gamma`` exactly for every ``eps``.  It lies in [0, 1], so below pi;
+    where ``2*pi*eps**2*gamma`` underflows (eps below about 1.5e-162) it is
+    0.0, the limit, which the radius rules of the media then refuse.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    r = math.exp(-1.0 / (2.0 * _PI * eps * eps * gamma))
-    if r >= _PI:
-        raise ValueError(f"unphysical fiber radius {r} >= pi")
-    return r
+    x = 2.0 * _PI * eps * eps * gamma
+    return math.exp(-1.0 / x) if x else 0.0
 

@@ -2,10 +2,12 @@
 
 Each command family has one planner, which the harnesses, the ``capacity``
 command and the config parser all call, so a run is refused by the same
-rule, with the same message, at parse time and before its first solve.  A
-refusal is a :class:`PlanError` naming the inputs its rule reads, the one
-to blame first; the parser reports the first of them that the config sets,
-with its line.
+rule, with the same message, at parse time and before its first solve.
+The parser checks only syntax: the value rules of ``eps``, ``gamma``,
+``n``, ``r`` and ``R`` are the rules the planners run here.  A refusal is a
+:class:`PlanError` naming the inputs its rule reads, the one to blame
+first; the parser reports the first of them that the config sets, with
+its line.
 
 Resolution rule: the full-grid resolution per epsilon is the smallest
 multiple of 1/eps giving at least 8 cells across the finest feature,
@@ -21,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .capacity import DEFAULT_R, CapacityProfile
-from .grid import _reciprocal_int, make_grid
+from .grid import _reciprocal_int, check_eps, make_grid
 from .microstructure import (
     MIN_CELLS_ACROSS,
     FiberLattice,
@@ -129,17 +131,19 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     step = math.lcm(*inverses)
     rungs = []
     for e, s in zip(eps, inverses):
+        if fiber:
+            with _blame("gamma"):  # e lies in (0, 1]: only gamma can be refused
+                r = radius_for_gamma(e, gamma)
+        # the grid checks do not read the conductivity, and r^-2 or eps^-2
+        # overflows on rungs they refuse: the real beta comes last
         with _blame(*reads):
             if fiber:
-                r = radius_for_gamma(e, gamma)
-                # the grid checks do not read the conductivity, and r^-2
-                # overflows on rungs they refuse: the real beta comes last
                 cell, extent = FiberLattice(eps=1.0, r_eps=r, beta=1.0), 2.0 * e * r
             elif s == 1:
                 raise ValueError("the inclusion family needs eps < 1: its "
                                  "inclusion rho = eps would fill the cell")
             else:
-                cell = TwoPhaseInclusion(eps=1.0, beta=float(s * s), rho=e)
+                cell = TwoPhaseInclusion(eps=1.0, beta=1.0, rho=e)
                 extent = 2.0 * math.pi * e * e
             full = resolve_resolution(e, extent) if n is None else n
         if full % s:
@@ -155,8 +159,7 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
                 hint = (f"need n >= {least}, a multiple of {step}" if least <= _CAP
                         else f"no multiple of {step} up to the {_CAP} cap resolves it")
                 raise ValueError(f"{exc.fact}; {hint}") from None
-        if fiber:
-            cell = replace(cell, beta=fiber_beta(e, cell.r_eps))
+        cell = replace(cell, beta=fiber_beta(e, r) if fiber else float(s * s))
         rungs.append((e, full, m, cell))
     return rungs
 
@@ -170,25 +173,26 @@ def plan_capacity(eps=None, gamma=None, *, r=None, R=None, n: int | None = None)
     the resolution rule's ``n`` (which needs every ``1/eps`` an integer).
     ``R`` defaults to ``DEFAULT_R``.  Every profile needs
     ``0 < r < R < pi`` and ``MIN_CELLS_ACROSS`` cells across its disc (the
-    rule of the capacity solves), and every sweep ``eps`` lies in
-    ``(0, 1]``.
+    rule of the capacity solves); every sweep ``eps`` lies in ``(0, 1]``
+    and ``gamma`` is positive.
     """
     R = DEFAULT_R if R is None else float(R)
     if r is not None:
         r, n = float(r), ANNULUS_N if n is None else n
-        with _blame(*(("R", "r") if R >= math.pi else ("r", "R"))):
+        with _blame(*(("r", "R") if 0.0 < R < math.pi else ("R", "r"))):
             CapacityProfile(r, R)
         with _blame("n", "r"):
             check_cells_across(2.0 * r, make_grid(2, n))
         return [(r, R, n)]
     gamma = float(gamma)
     rows = []
-    for e in map(float, eps):
-        if not 0.0 < e <= 1.0:
-            raise PlanError(f"eps must lie in (0, 1], got {e}", "eps")
-        rad = radius_for_gamma(e, gamma)
-        with _blame("R", "eps", "gamma"):
-            CapacityProfile(rad, R)
+    for e in eps:
+        with _blame("eps"):
+            e = check_eps(e)
+        with _blame("gamma"):
+            rad = radius_for_gamma(e, gamma)
+        with _blame(*(("R", "eps", "gamma") if rad > 0 else ("eps", "gamma", "R"))):
+            CapacityProfile(rad, R)  # rad is 0 where 2 pi eps^2 gamma underflows
         with _blame("eps", "gamma"):
             full = resolve_resolution(e, 2.0 * e * rad) if n is None else n
         with _blame("n", "eps", "gamma"):

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blochlab import capacity
-from blochlab.capacity import CapacityProfile, annulus_energy, scaled_energy, vhat
+from blochlab.capacity import CapacityProfile, _profile_rows, annulus_energy, scaled_energy
 from blochlab.grid import make_grid
 from blochlab.microstructure import radius_for_gamma
 
@@ -27,10 +27,15 @@ def test_analytic_energy_closed_forms():
     assert_allclose(CapacityProfile(R / math.e**2, R).analytic_energy, math.pi)
 
 
-def test_vhat_profile_values():
+def _profile(g, r, R):
+    # the profile's cell-center samples on the whole grid
+    return _profile_rows(g, CapacityProfile(r, R), 0, g.n[0])
+
+
+def test_profile_values():
     g = make_grid(2, (256, 256))
     r, R = 0.3, math.pi / 2
-    v = vhat(g, r, R)
+    v = _profile(g, r, R)
     mesh = g.center_mesh()
     rho = np.sqrt((mesh[0] - math.pi) ** 2 + (mesh[1] - math.pi) ** 2)
     rho = np.broadcast_to(rho, g.n)
@@ -43,14 +48,14 @@ def test_vhat_profile_values():
     assert np.allclose(v[sel], 0.5, atol=0.02)
 
 
-def test_vhat_resolution_guard():
+def test_profile_resolution_guard():
     with pytest.raises(ValueError, match="need n >="):
-        vhat(make_grid(2, (16, 16)), 0.05)
+        annulus_energy(0.05, grid2d=make_grid(2, (16, 16)))
 
 
-def test_vhat_needs_two_dimensions():
+def test_profile_needs_two_dimensions():
     with pytest.raises(ValueError, match="two-dimensional"):
-        vhat(make_grid(3, (64, 64, 4)), 0.3)
+        annulus_energy(0.3, grid2d=make_grid(3, (64, 64, 4)))
 
 
 def test_annulus_energy_analytic_only():
@@ -70,8 +75,8 @@ def test_annulus_energy_discrete_converges():
 
 
 def _full_grid_energy(g, r, R):
-    # reference: both face-difference grids of the whole vhat field at once
-    v = vhat(g, r, R)
+    # reference: both face-difference grids of the whole profile at once
+    v = _profile(g, r, R)
     energy = 0.0
     for k in range(2):
         dv = (np.roll(v, -1, axis=k) - v) / g.h[k]

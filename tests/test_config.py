@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blochlab import cli, experiments
-from blochlab.config import _COMMANDS, _CONSTRUCTORS, ConfigError, parse_config
+from blochlab.config import _COMMANDS, _CONSTRUCTORS, EXPERIMENTS, ConfigError, parse_config
 from blochlab.fieldio import write_field_dump
 from blochlab.grid import make_grid
 from blochlab.microstructure import Constant, FiberLattice, TwoPhaseInclusion, rasterize
-from blochlab.plan import fiber_beta
+from blochlab.plan import DEFAULT_GAMMA, PlanError, fiber_beta, plan_capacity, plan_sweep
 
 
 def test_minimal_config_defaults():
@@ -160,8 +160,9 @@ def test_empty_list_rejected(text, key):
 
 
 def test_negative_gamma_rejected():
-    msg = err("command = capacity\ngamma = -1\n")
-    assert "strictly positive" in msg
+    with pytest.raises(ConfigError, match="gamma must be positive") as exc:
+        parse_config("command = capacity\neps = 1/3\ngamma = -1\n")
+    assert exc.value.key == "gamma" and exc.value.line == 3
 
 
 def test_q_normalization_is_not_a_key():
@@ -314,6 +315,57 @@ def test_run_time_failures_refused_at_parse_time(text, key, line, message):
     assert len(str(exc.value)) < 300
 
 
+@pytest.mark.parametrize("text, key, line, message", [
+    # the radii: the annulus rule 0 < r < R < pi, blaming R when R alone breaks it
+    ("command = capacity\nr = -1\n", "r", 2,
+     r"need 0 < r_eps < R < pi, got r_eps=-1\.0, R=1\.57"),
+    ("command = capacity\nr = 0.3\nR = -2\n", "R", 3,
+     r"need 0 < r_eps < R < pi, got r_eps=0\.3, R=-2\.0"),
+    ("command = capacity\neps = 1/3\ngamma = 2\nR = -2\n", "R", 4,
+     r"need 0 < r_eps < R < pi, got r_eps=0\.488\d*, R=-2\.0"),
+    # gamma: the critical radius's own rule
+    ("command = experiment:thm31\ngamma = -2\n", "gamma", 2,
+     r"gamma must be positive, got -2\.0"),
+    ("command = experiment:gap_map\neps = 1/3\ngamma = 0\n", "gamma", 3,
+     r"gamma must be positive, got 0\.0"),
+    ("command = experiment:pw_fiber\ngamma = -1\n", "gamma", 2,
+     r"gamma must be positive, got -1\.0"),
+    ("command = capacity\neps = 1/3\ngamma = -2\nn = 64\n", "gamma", 3,
+     r"gamma must be positive, got -2\.0"),
+    # n: the grids' own rule, at least 2 cells per axis
+    ("command = bloch\na = constant(1)\neta = (0.1, 0.1)\nn = 0\n", "n", 4,
+     "need at least 2 cells, got 0"),
+    ("command = experiment:thm22\nn = -4\n", "n", 2,
+     r"m = n \* eps = -2 cells per axis: degenerate axis 0: need at least 2 cells"),
+    ("command = experiment:thm31\neps = 1/3\nn = -6\n", "n", 3,
+     r"m = n \* eps = -2 cells per axis: degenerate axis 0: need at least 2 cells"),
+    ("command = capacity\neps = 1/3\ngamma = 2\nn = 0\n", "n", 4,
+     "need at least 2 cells, got 0"),
+    # 2 pi eps^2 gamma underflows: the radius is 0.0, refused by the media
+    ("command = experiment:thm31\neps = 1e-300\n", "eps", 2,
+     r"r_eps must lie in \(0, pi\), got 0\.0"),
+    ("command = experiment:thm31\neps = 1e-200\n", "eps", 2,
+     r"r_eps must lie in \(0, pi\), got 0\.0"),
+    ("command = capacity\neps = 1e-170\ngamma = 2\nn = 64\n", "eps", 2,
+     r"need 0 < r_eps < R < pi, got r_eps=0\.0"),
+    ("command = capacity\neps = 1e-170\ngamma = 2\nR = 1\nn = 64\n", "eps", 2,
+     r"need 0 < r_eps < R < pi, got r_eps=0\.0, R=1\.0"),
+    ("command = homogenize\nn = 48\na = fiber(eps=1e-300, gamma=2)\n", "a", 3,
+     r"the fiber conductivity r\^-2 eps\^-5 overflows at eps = 1e-300, r = 0"),
+    # an inclusion rung this thin: its eps^-2 and 1/eps overflow
+    ("command = experiment:thm22\neps = 1e-300\n", "eps", 2,
+     "feature extent must be positive"),
+    ("command = experiment:pw_thm22\neps = 5e-324\n", "eps", 2,
+     "1/eps must be an integer, got 1/eps = inf"),
+])
+def test_value_rules_refuse_with_key_and_line(text, key, line, message):
+    # the parser checks syntax only; each value is refused by the rule that
+    # owns it, named by the key and line the config sets it on
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(text)
+    assert exc.value.key == key and exc.value.line == line
+
+
 @pytest.mark.parametrize("text", [
     "command = capacity\nr = 0.3\nR = 3.1\n",
     "command = capacity\neps = 1/3, 1/4\ngamma = 2\nR = 0.5\n",
@@ -403,6 +455,82 @@ def test_every_admitted_config_plans_at_run_time(text):
             cli._experiment_table(cfg)
 
 
+#: a planner's inputs: eps ladders of reciprocals and of floats in [-1, 2]
+#: down to 1e-300 and 5e-324; gamma, r and R nonpositive, subnormal,
+#: ordinary or huge
+_VALUE = st.one_of(st.floats(-4.0, 4.0), st.floats(0.0, 1e-300),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_INPUTS = {
+    "eps": st.lists(st.one_of(st.integers(1, 12).map(lambda k: 1 / k),
+                              st.floats(-1.0, 2.0), st.sampled_from([1e-300, 5e-324])),
+                    min_size=1, max_size=3),
+    "gamma": _VALUE, "r": _VALUE, "R": _VALUE, "n": st.integers(-8, 4096),
+}
+
+
+@st.composite
+def _planned_runs(draw):
+    """``(command, {key: value})`` for every experiment and both modes of
+    ``capacity``; a key left out takes the planner's default."""
+    command = draw(st.sampled_from(["capacity", *(f"experiment:{e}" for e in EXPERIMENTS)]))
+    optional = [k for k in _COMMANDS[command][1] if k in _INPUTS]
+    required = []
+    if command == "capacity":
+        required = ["r"] if draw(st.booleans()) else ["eps", "gamma"]
+        optional = ["R", "n"]
+    keys = required + [k for k in optional if draw(st.booleans())]
+    return command, {k: draw(_INPUTS[k]) for k in keys}
+
+
+def _plan(command, values):
+    if command == "capacity":
+        return plan_capacity(**values)
+    return plan_sweep(command.split(":", 1)[1], **values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_planned_runs())
+@example(("capacity", {"eps": [1 / 3], "gamma": -1.0}))
+@example(("experiment:thm31", {"eps": [1 / 3], "gamma": -1.0}))
+@example(("capacity", {"r": 0.3, "R": -2.0}))
+@example(("experiment:thm31", {"eps": [1e-300]}))
+@example(("capacity", {"eps": [1e-170], "gamma": 2.0, "n": 64}))
+@example(("experiment:thm22", {"eps": [1e-300]}))
+@example(("experiment:thm22", {"eps": [5e-324]}))
+def test_planners_refuse_only_with_their_own_error(run):
+    # a planner returns or raises PlanError blaming first a key its rule
+    # reads; parsing the same values refuses with that key, or admits
+    command, values = run
+    annulus = "r" in values
+    optional = _COMMANDS[command][1]
+    reads = ({"r", "R", "n"} if annulus
+             else {"eps", "n"} | {k for k in ("gamma", "R") if k in optional})
+    try:
+        _plan(command, values)
+        keys = None
+    except PlanError as exc:
+        keys = exc.keys
+        assert set(keys) <= reads, keys
+        gamma = values.get("gamma", DEFAULT_GAMMA)
+        assert keys[0] != "gamma" or not gamma > 0
+        if not gamma > 0 and keys != ("gamma",):  # an eps rule spoke first
+            with pytest.raises(PlanError) as valid_gamma:
+                _plan(command, {**values, "gamma": DEFAULT_GAMMA})
+            assert valid_gamma.value.keys == ("eps",)
+        if annulus:
+            assert (keys[0] == "R") == (not 0.0 < values.get("R", 1.0) < np.pi)
+    text = f"command = {command}\n" + "".join(
+        f"{k} = {', '.join(map(repr, v)) if k == 'eps' else repr(v)}\n"
+        for k, v in values.items())
+    try:
+        parse_config(text)
+    except ConfigError as exc:
+        assert keys is not None, text
+        assert exc.key == next((k for k in keys if k in values), "command"), text
+    else:
+        assert keys is None, text
+
+
 def test_capacity_with_n_takes_any_eps():
     cfg = parse_config("command = capacity\neps = 0.3\ngamma = 2\nn = 64\n")
     assert cfg.eps == [0.3] and cfg.n == 64
@@ -445,7 +573,7 @@ def test_mixed_tuple_lengths():
     ("command = homogenize\nn = 8\na = two_phase(1/2)\n", "a", 3, "named arguments only"),
     ("command = homogenize\nn = 8\na = constant(2, value=3)\n", "a", 3,
      "argument 'value' given twice"),
-    ("command = homogenize\na = constant(1)\nn = 8.5\n", "n", 3, "positive integer"),
+    ("command = homogenize\na = constant(1)\nn = 8.5\n", "n", 3, "expected an integer"),
 ])
 def test_parser_refusals_name_key_and_line(text, key, line, message):
     with pytest.raises(ConfigError, match=message) as exc:

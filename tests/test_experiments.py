@@ -26,7 +26,7 @@ from blochlab.experiments import (
     run_thm22,
     run_thm31,
 )
-from blochlab.plan import plan_sweep, resolve_resolution
+from blochlab.plan import PlanError, plan_capacity, plan_sweep, resolve_resolution
 from blochlab.sparse_linalg import ConvergenceError
 
 
@@ -75,6 +75,19 @@ def test_harness_plans_every_rung_before_its_first_solve(monkeypatch):
     monkeypatch.setattr("blochlab.experiments.fiber_lambda1_2d", solve)
     with pytest.raises(ValueError, match="m = n [*] eps = 24 cells per axis"):
         run_thm31(eps=[1 / 3, 1 / 4], n=96)
+
+
+@pytest.mark.parametrize("plan, key, message", [
+    (partial(plan_capacity, [1 / 3], -1.0), "gamma", "gamma must be positive"),
+    (partial(plan_sweep, "thm31", [1 / 3], gamma=-1.0), "gamma", "gamma must be positive"),
+    (partial(plan_capacity, r=0.3, R=-2.0), "R", "need 0 < r_eps < R < pi"),
+])
+def test_planner_blames_the_key_its_rule_reads(plan, key, message):
+    # the eps of these calls is valid, and the annulus radius r: the rule
+    # that refuses gamma or R alone blames it first
+    with pytest.raises(PlanError, match=message) as exc:
+        plan()
+    assert exc.value.keys[0] == key
 
 
 def test_every_solve_rasterizes_the_planned_cell(monkeypatch):
