@@ -96,8 +96,9 @@ def assemble_shifted(
     forward and backward neighbor along each axis, with the two faces of a
     2-cell axis summed into one entry; each row is then sorted by column.
     """
-    # the package's one sparse constructor: scipy loads at the first
-    # assembly, so config parsing, capacity and pool parents never import it
+    # the package's one sparse constructor: scipy loads at an unpooled run's
+    # first assembly (a pool's parent loads it before forking, see
+    # experiments.map_tasks), so config parsing and capacity never import it
     import scipy.sparse as sp
 
     grid = field.grid
@@ -108,6 +109,8 @@ def assemble_shifted(
     is_complex = bool(np.any(eta_arr != 0.0))
 
     width = 1 + sum(1 if nk == 2 else 2 for nk in grid.n)
+    # int32 indices and indptr: make_grid admits no grid with N * (2d + 1)
+    # entries past their range
     indices = np.empty((N, width), dtype=np.int32)
     data = np.empty((N, width), dtype=np.complex128 if is_complex else np.float64)
     indices[:, 0] = np.arange(N)

@@ -120,11 +120,11 @@ def _scaled_energy_task(eps: float, gamma: float, r: float, R: float, n: int) ->
     return {"scaled_energy": energy, "gamma_deviation": abs(energy - gamma) / gamma}
 
 
-def _task_table(fn, keys: list[dict], tasks: list[tuple], workers: int,
-                cost=None) -> ExperimentTable:
+def _task_table(fn, keys: list[dict], tasks: list[tuple],
+                workers: int) -> ExperimentTable:
     """One row per task, in input order: the row's key cells, then the value
     cells ``fn(*task)`` returns, then its ``runtime_seconds``."""
-    done, workers = map_tasks(fn, tasks, workers, cost)
+    done, workers = map_tasks(fn, tasks, workers)
     rows = [{**key, **values, "runtime_seconds": seconds}
             for key, (values, seconds) in zip(keys, done)]
     return make_table(rows, workers)
@@ -133,10 +133,12 @@ def _task_table(fn, keys: list[dict], tasks: list[tuple], workers: int,
 def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     """Tables for the non-experiment commands; no assertion columns.
 
-    Every row is one :func:`map_tasks` task on ``workers`` requested
-    processes: one per momentum for ``bloch``, ``dispersion`` and ``pw``,
-    one per eps for the ``capacity`` sweep, and a single task for
-    ``homogenize`` and the ``capacity`` annulus check.
+    Every row is one :func:`map_tasks` task: one per momentum for
+    ``bloch``, ``dispersion`` and ``pw`` on ``workers`` requested
+    processes, and a single task for ``homogenize``.  ``capacity`` rows
+    (one per eps of the sweep, or the annulus check) are closed-form profile
+    sums that never assemble; they run in this process, which saves a pool
+    its scipy import and keeps ``capacity`` free of scipy.
     """
     name = cfg.command
     if name == "homogenize":
@@ -151,14 +153,12 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     # capacity: the config holds r (annulus check) or eps and gamma (sweep)
     if cfg.r is not None:
         (r, R, n), = plan_capacity(r=cfg.r, R=cfg.R, n=cfg.n)
-        return _task_table(_annulus_task, [{"r": r, "R": R, "n": n}], [(r, R, n)],
-                           workers)
+        return _task_table(_annulus_task, [{"r": r, "R": R, "n": n}], [(r, R, n)], 1)
     rows = plan_capacity(cfg.eps, cfg.gamma, R=cfg.R, n=cfg.n)
     keys = [{"eps": eps, "gamma": cfg.gamma, "r": r, "R": R, "n": n}
             for eps, r, R, n in rows]
     tasks = [(eps, cfg.gamma, r, R, n) for eps, r, R, n in rows]
-    return _task_table(_scaled_energy_task, keys, tasks, workers,
-                       [t[-1] ** 2 for t in tasks])
+    return _task_table(_scaled_energy_task, keys, tasks, 1)
 
 
 def _harness(name: str):

@@ -20,9 +20,10 @@ runs: the microstructure specs' own checks, a single command's ``n``
 against its medium, the harnesses' ``eta`` and ``t_list`` checks, and every
 rule of the grid plan that an experiment or ``capacity`` run makes with
 :mod:`blochlab.plan` (the eps range, ``gamma > 0``, ``0 < r < R < pi``, at
-least 2 cells per axis).  Unknown keys, keys the command does not read,
-missing keys, wrong types and every refusal of those rules are all
-rejected here, with the key and line number.
+least 2 cells per axis and no more cells than int32 indices address).
+Unknown keys, keys the command does not read, missing keys, wrong types
+and every refusal of those rules are all rejected here, with the key and
+line number.
 
 A key left out stays ``None``, and the run fills its default: an
 experiment's eps ladder, ``gamma``, ``eta`` and ``t_list`` come from its

@@ -16,9 +16,10 @@ the sweep's default eps ladder when ``eps`` is ``None``.
 Every harness lists its independent solves as tasks and hands them to
 :func:`map_tasks`, which runs them in this process or on a fork pool and
 returns the results in input order; rows are then built in order, so the
-table does not depend on the worker count.  A row's wall time is the sum of
-its tasks' times; wall times belong to the metadata sidecar, not the CSV,
-which must be byte-stable across reruns.
+table does not depend on the worker count.  A pool's parent imports scipy
+before it forks, so the workers share one sparse carrier.  A row's wall
+time is the sum of its tasks' times; wall times belong to the metadata
+sidecar, not the CSV, which must be byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -96,12 +97,14 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     """``([(fn(*task), wall seconds), ...], pool)`` for independent tasks,
     in input order, run on ``pool = pool_size(workers, len(tasks))`` processes.
 
-    With a pool of one the tasks run in this process.
-    Otherwise they run on a fork pool, one task at a time per worker,
-    submitted in decreasing ``cost`` (grid cells) so that the largest
-    solves start first.  ``fn`` must be a module-level function, and tasks
-    and results must pickle: tasks carry specs (eps, cell, m, eta), never fields,
-    and return scalars.  An exception raised in a task re-raises here.
+    With a pool of one the tasks run in this process.  Otherwise this
+    process imports ``scipy.sparse``, which every pooled task's assembly
+    needs, and forks a pool that inherits it; the tasks run one at a time
+    per worker, submitted in decreasing ``cost`` (grid cells) so that the
+    largest solves start first, and a task's time holds no import.
+    ``fn`` must be a module-level function, and tasks and results must
+    pickle: tasks carry specs (eps, cell, m, eta), never fields, and return
+    scalars.  An exception raised in a task re-raises here.
     """
     tasks = list(tasks)
     n_workers = pool_size(workers, len(tasks))
@@ -109,13 +112,17 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
         return [_timed(fn, task) for task in tasks], 1
     import multiprocessing  # only pooled runs pay for the import
 
+    # loaded once, here, so its pages are shared with every worker, which
+    # does not count them until it touches them
+    import scipy.sparse  # noqa: F401
+
     order = list(range(len(tasks)))
     if cost is not None:
         order.sort(key=lambda i: -cost[i])
-    # fork, not spawn: workers inherit numpy and blochlab already imported
-    # (tens of ms per worker instead of a fresh interpreter), and this
-    # process starts no threads of its own; scipy is not among them, so each
-    # worker imports it at its first assembly
+    # fork, not spawn: workers inherit numpy, scipy and blochlab already
+    # imported (tens of ms per worker instead of a fresh interpreter), and
+    # this process starts no threads of its own (importing scipy.sparse
+    # starts none either)
     with multiprocessing.get_context("fork").Pool(n_workers) as pool:
         done = pool.starmap(_timed, [(fn, tasks[i]) for i in order], chunksize=1)
     out: list = [None] * len(tasks)

@@ -8,6 +8,7 @@ exist anywhere downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,11 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 _MAX_DIM = 3
+
+#: the largest int32, the range of the CSR indices and row pointers that
+#: ``bloch.assemble_shifted`` writes for a grid's ``N`` rows of at most
+#: ``2 d + 1`` entries
+_INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,9 @@ class PeriodicGrid:
 
 
 def make_grid(d: int, n: int | tuple[int, ...]) -> PeriodicGrid:
-    """Build a validated grid with ``n`` cells per axis (scalar or per-axis)."""
+    """Build a validated grid with ``n`` cells per axis (scalar or per-axis):
+    at least 2 per axis, and few enough in all that the operator's
+    ``N (2d + 1)`` entries stay within int32 indices."""
     if d < 1 or d > _MAX_DIM:
         raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
     if np.isscalar(n):
@@ -79,7 +87,21 @@ def make_grid(d: int, n: int | tuple[int, ...]) -> PeriodicGrid:
     for k, nk in enumerate(counts):
         if nk < 2:
             raise ValueError(f"degenerate axis {k}: need at least 2 cells, got {nk}")
+    cells, limit = math.prod(counts), _INT32_MAX // (2 * d + 1)
+    if cells > limit:
+        raise ValueError(f"grid of {count_text(cells)} cells is too large: int32 "
+                         f"indices address at most {limit} cells of {2 * d + 1} "
+                         f"operator entries each")
     return PeriodicGrid(d=d, n=counts)
+
+
+def count_text(k: int) -> str:
+    """``k`` in digits, or in three significant digits when it has more than
+    twelve (an ``n`` override may have hundreds)."""
+    digits = str(abs(k))
+    if len(digits) <= 12:
+        return str(k)
+    return f"{'-' * (k < 0)}{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
 
 
 def check_eps(eps: float) -> float:

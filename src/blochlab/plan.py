@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .capacity import DEFAULT_R, CapacityProfile
-from .grid import _reciprocal_int, check_eps, make_grid
+from .grid import _reciprocal_int, check_eps, count_text, make_grid
 from .microstructure import (
     MIN_CELLS_ACROSS,
     FiberLattice,
@@ -64,13 +64,14 @@ def fiber_beta(eps: float, r_eps: float) -> float:
     return beta
 
 
-#: experiment -> (its default eps ladder, whether its cell is a fiber section)
+#: experiment -> (its default eps ladder, whether its cell is a fiber
+#: section, whether it also solves on the doubled ``2m x 2m`` mesh)
 _SWEEPS = {
-    "thm22": (THM22_EPS, False),
-    "pw_thm22": (THM22_EPS, False),
-    "thm31": (THM31_EPS, True),
-    "gap_map": (GAP_MAP_EPS, True),
-    "pw_fiber": (THM31_EPS, True),
+    "thm22": (THM22_EPS, False, True),
+    "pw_thm22": (THM22_EPS, False, False),
+    "thm31": (THM31_EPS, True, True),
+    "gap_map": (GAP_MAP_EPS, True, False),
+    "pw_fiber": (THM31_EPS, True, False),
 }
 
 #: cells per axis of the ``capacity`` annulus check when no ``n`` is given
@@ -120,9 +121,11 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     ``DEFAULT_GAMMA``.  Every ``1/eps`` must be an integer (above 1 for the
     inclusions); ``n``, when given, overrides the resolution rule and must be
     a multiple of each.  Every cell must pass :func:`check_resolution` on its
-    ``m x m`` grid; a refusal names the least ``n`` that would pass.
+    ``m x m`` grid; a refusal names the least ``n`` that would pass.  The
+    ``2m x 2m`` grid of thm22's and thm31's mesh check must pass
+    :func:`blochlab.grid.make_grid` too.
     """
-    default_eps, fiber = _SWEEPS[experiment]
+    default_eps, fiber, doubled = _SWEEPS[experiment]
     eps = [float(e) for e in (default_eps if eps is None else eps)]
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
     reads = ("eps", "gamma") if fiber else ("eps",)
@@ -150,8 +153,8 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
             raise PlanError(f"n = {full} is not a multiple of 1/eps = {s} "
                             f"(eps = {e})", "n")
         m = full // s
-        with _blame("n", *reads, context=f"eps = {e}, unit-pattern grid of "
-                                         f"m = n * eps = {m} cells per axis: "):
+        with _blame("n", *reads, context=f"eps = {e}, unit-pattern grid of m = n * "
+                                         f"eps = {count_text(m)} cells per axis: "):
             try:
                 check_resolution(cell, make_grid(2, m))
             except TooFewCells as exc:  # least n, divisible by every 1/eps, with m >= need
@@ -159,6 +162,10 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
                 hint = (f"need n >= {least}, a multiple of {step}" if least <= _CAP
                         else f"no multiple of {step} up to the {_CAP} cap resolves it")
                 raise ValueError(f"{exc.fact}; {hint}") from None
+        if doubled:
+            with _blame("n", context=f"eps = {e}, doubled-mesh grid of 2m = "
+                                     f"{count_text(2 * m)} cells per axis: "):
+                make_grid(2, 2 * m)
         cell = replace(cell, beta=fiber_beta(e, r) if fiber else float(s * s))
         rungs.append((e, full, m, cell))
     return rungs

@@ -121,11 +121,11 @@ def test_experiment_csv_bytes_stable(tmp_path):
 
 
 def test_capacity_and_homogenize_rows_are_tasks(tmp_path):
-    # one task per sweep rung and one for homogenize: the same bytes in
-    # process and pooled, with the row times in the sidecar only
+    # one task per sweep rung and one for homogenize: the same bytes at every
+    # thread count, with the row times in the sidecar only; capacity rows
+    # never assemble, so they run in this process, never on a pool
     configs = {
-        "capacity.csv": ("command = capacity\neps = 1/3, 1/4\ngamma = 2\n",
-                         min(2, len(os.sched_getaffinity(0)))),
+        "capacity.csv": ("command = capacity\neps = 1/3, 1/4\ngamma = 2\n", 1),
         "homogenize.csv": ("command = homogenize\n"
                            "a = two_phase(eps=1/2, beta=4, rho=1/2)\nn = 16\n", 1),
     }
@@ -297,9 +297,11 @@ report["parsed"] = [cli.parse_config(text).command for text in (
     "command = experiment:pw_fiber\neps = 1/3\ngamma = 2\n",
 )]
 report["scipy_after_parse"] = [m for m in sys.modules if m.startswith("scipy")]
-code, _ = cli.run_and_emit(cli.parse_config("command = capacity\nr = 0.28\nn = 64\n"),
-                           out_dir=sys.argv[1])
-report["capacity_code"] = code
+report["capacity_codes"] = [
+    cli.run_and_emit(cli.parse_config(text), out_dir=sys.argv[1], threads=threads)[0]
+    for text in ("command = capacity\nr = 0.28\nn = 64\n",
+                 "command = capacity\neps = 1/3, 1/4\ngamma = 2\nn = 216\n")
+    for threads in (1, 2)]
 report["scipy_after_runs"] = [m for m in sys.modules if m.startswith("scipy")]
 print(json.dumps(report))
 """
@@ -307,9 +309,10 @@ print(json.dumps(report))
 
 def test_import_loads_every_module_and_no_scipy(tmp_path):
     # perfbench's tracer needs every module loaded by `import blochlab.cli`;
-    # scipy loads only at the first sparse assembly, so config parsing (grid
-    # planning included, for every command) and the capacity command never
-    # pay for it
+    # scipy loads only at an unpooled run's first sparse assembly or before
+    # a pool forks, so config parsing (grid planning included, for every
+    # command) and the capacity command, in both modes and at any thread
+    # count, never pay for it
     proc = _python(_IMPORT_PROBE, tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -320,8 +323,33 @@ def test_import_loads_every_module_and_no_scipy(tmp_path):
     assert report["scipy_at_import"] == []
     assert set(report["parsed"]) == set(_COMMANDS)
     assert report["scipy_after_parse"] == []
-    assert report["capacity_code"] == 0
+    assert report["capacity_codes"] == [0, 0, 0, 0]
     assert report["scipy_after_runs"] == []
+
+
+_POOL_PROBE = r"""
+import json, sys
+import blochlab.cli
+from blochlab.experiments import map_tasks
+
+def sparse_loaded(i):
+    return "scipy.sparse" in sys.modules
+
+done, pool = map_tasks(sparse_loaded, [(i,) for i in range(4)], workers=2)
+print(json.dumps({"pool": pool, "loaded": [v for v, _ in done],
+                  "parent": "scipy.sparse" in sys.modules}))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="a pool of one runs its tasks in this process")
+def test_pooled_tasks_start_with_scipy_loaded():
+    # every pooled task assembles: the parent loads the sparse carrier before
+    # it forks, so no worker imports it and no task's time holds the import
+    proc = _python(_POOL_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {"pool": 2, "loaded": [True] * 4, "parent": True}
 
 
 def test_package_exports_resolve():

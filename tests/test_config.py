@@ -357,6 +357,18 @@ def test_run_time_failures_refused_at_parse_time(text, key, line, message):
      "feature extent must be positive"),
     ("command = experiment:pw_thm22\neps = 5e-324\n", "eps", 2,
      "1/eps must be an integer, got 1/eps = inf"),
+    # grids whose operator int32 CSR indices cannot address: the unit cell,
+    # the doubled mesh of thm22 and thm31, a capacity profile, a 3-D medium
+    (f"command = experiment:thm31\nn = {6 * 10**299}\n", "n", 2,
+     r"m = n \* eps = 2\.00e299 cells per axis: grid of 4\.00e598 cells is too large"),
+    ("command = experiment:thm31\neps = 1/3\nn = 36000\n", "n", 3,
+     "doubled-mesh grid of 2m = 24000 cells per axis: grid of 576000000 cells is too large"),
+    ("command = experiment:thm22\neps = 1/2\nn = 24000\n", "n", 3,
+     "doubled-mesh grid of 2m = 24000 cells per axis: grid of 576000000 cells is too large"),
+    (f"command = capacity\nr = 0.3\nn = {10**300}\n", "n", 3,
+     r"grid of 1\.00e600 cells is too large: int32 indices address at most 429496729 cells"),
+    ("command = bloch\na = constant(1)\neta = (0.1, 0.2, 0.3)\nn = 30000\n", "n", 4,
+     r"grid of 2\.70e13 cells is too large: .* at most 306783378 cells of 7"),
 ])
 def test_value_rules_refuse_with_key_and_line(text, key, line, message):
     # the parser checks syntax only; each value is refused by the rule that

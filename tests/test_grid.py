@@ -20,10 +20,20 @@ def test_make_grid_scalar_count():
 
 
 @pytest.mark.parametrize("d,n", [(0, (4,)), (4, (4, 4, 4, 4)), (2, (4,)),
-                                 (1, (0,)), (2, (4, -2)), (1, (1,))])
+                                 (1, (0,)), (2, (4, -2)), (1, (1,)),
+                                 # just past N (2d + 1) <= 2**31 - 1
+                                 (1, (715827883,)), (2, (20725, 20724)),
+                                 (3, (675, 675, 674)), (2, (10**300, 2))])
 def test_make_grid_rejects(d, n):
     with pytest.raises(ValueError):
         make_grid(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(1, 715827882), (2, 20724), (3, 674)])
+def test_make_grid_admits_every_int32_indexable_grid(d, n):
+    # assemble_shifted's int32 indptr ends at N (2d + 1), which fits here
+    g = make_grid(d, n)
+    assert g.num_cells * (2 * d + 1) <= 2**31 - 1
 
 
 def test_axis_centers_are_midpoints():
