@@ -20,7 +20,6 @@ from .sparse_linalg import (
     ConvergenceError,
     EigSolveReport,
     cg_solve,
-    dense_oracle,
     largest_geneig,
     smallest_eigpair,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ConvergenceError",
     "EigSolveReport",
     "cg_solve",
-    "dense_oracle",
     "largest_geneig",
     "smallest_eigpair",
     "assemble_shifted",

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +102,9 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     process imports ``scipy.sparse``, which every pooled task's assembly
     needs, and forks a pool that inherits it; the tasks run one at a time
     per worker, submitted in decreasing ``cost`` (grid cells) so that the
-    largest solves start first, and a task's time holds no import.
+    largest solves start first, and a task's time holds no import.  Forking
+    from a process that ``/proc/self/task`` shows running more than one
+    thread (an unpinned BLAS) raises a ``RuntimeWarning`` first.
     ``fn`` must be a module-level function, and tasks and results must
     pickle: tasks carry specs (eps, cell, m, eta), never fields, and return
     scalars.  An exception raised in a task re-raises here.
@@ -120,9 +123,18 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     if cost is not None:
         order.sort(key=lambda i: -cost[i])
     # fork, not spawn: workers inherit numpy, scipy and blochlab already
-    # imported (tens of ms per worker instead of a fresh interpreter), and
-    # this process starts no threads of its own (importing scipy.sparse
-    # starts none either)
+    # imported (tens of ms per worker instead of a fresh interpreter).  A
+    # fork is safe only from a single-threaded process: blochlab and scipy
+    # start no threads, but numpy's BLAS does unless it is pinned to one
+    # thread before numpy loads, too late to do here, so this only warns
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except FileNotFoundError:  # no procfs: nothing to count
+        threads = 1
+    if threads > 1:
+        warnings.warn(f"forking {n_workers} pool workers from a process with "
+                      f"{threads} threads; set OPENBLAS_NUM_THREADS=1 before "
+                      "the run", RuntimeWarning, stacklevel=2)
     with multiprocessing.get_context("fork").Pool(n_workers) as pool:
         done = pool.starmap(_timed, [(fn, tasks[i]) for i in order], chunksize=1)
     out: list = [None] * len(tasks)

@@ -209,14 +209,21 @@ def radius_for_gamma(eps: float, gamma: float) -> float:
     """Fiber radius at the critical scaling, exp(-1 / (2*pi*eps**2*gamma)).
 
     With this radius the quantity ``1 / (2*pi*eps**2*|ln r|)`` equals
-    ``gamma`` exactly for every ``eps``.  It lies in [0, 1], so below pi;
+    ``gamma`` exactly for every ``eps``.  It lies in [0, 1), so below pi;
     where ``2*pi*eps**2*gamma`` underflows (eps below about 1.5e-162) it is
-    0.0, the limit, which the radius rules of the media then refuse.
+    0.0, the limit, which the radius rules of the media then refuse.  Where
+    the radius rounds to 1 (``eps = 1/3, gamma = 1e17``, or
+    ``2*pi*eps**2*gamma`` overflowing) ``|ln r|`` is 0, so no radius
+    realizes ``gamma``: that ``gamma`` is refused.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = 2.0 * _PI * eps * eps * gamma
-    return math.exp(-1.0 / x) if x else 0.0
+    r = math.exp(-1.0 / x) if x else 0.0
+    if r == 1.0:
+        raise ValueError(f"gamma = {gamma:.4g} is too large at eps = {eps:.4g}: "
+                         "the fiber radius rounds to 1, where |ln r| = 0")
+    return r
 

@@ -1,14 +1,12 @@
-"""Sparse Hermitian solver kernels.
+"""Sparse Hermitian solver kernels: preconditioned conjugate gradients
+(:func:`cg_solve`), the block eigensolver for the lowest pair of a pencil
+(:func:`smallest_eigpair`) and inverse-operator power iteration for the
+largest generalized eigenvalue (:func:`largest_geneig`).
 
 Matrices are carried as ``scipy.sparse`` CSR (dimension, row-compressed
 index/value arrays, real or complex scalar kind).  Deterministic behavior is
 part of the contract: every randomized start is drawn from a fixed-seed
 generator, and single-threaded runs reproduce bit-identical iterates.
-
-Two independent eigenvalue routes live here on purpose: the iterative block
-solver (:func:`smallest_eigpair`) and a dense cyclic-Jacobi sweep
-(:func:`dense_oracle`) that shares no code with it.  Tests compare the two;
-neither may be redirected through the other.
 """
 
 from __future__ import annotations
@@ -472,94 +470,3 @@ def largest_geneig(
         f"(last value {mu_prev})"
     )
 
-
-# ---------------------------------------------------------------------------
-# dense oracle: cyclic Jacobi rotations (independent of the iterative path)
-
-
-def dense_oracle(
-    B: sp.spmatrix | np.ndarray,
-    M_diag: np.ndarray | None = None,
-    *,
-    max_sweeps: int = 60,
-    tol: float = 1e-14,
-) -> np.ndarray:
-    """All eigenvalues (ascending) of a Hermitian matrix, or of the pencil
-    ``(B, diag(M_diag))``, by cyclic Jacobi rotations in parallel
-    (round-robin) order: each sweep visits every off-diagonal pair once, in
-    rounds of disjoint pairs that are rotated together.
-
-    Deliberately self-contained: no LAPACK eigensolvers, no shared code with
-    :func:`smallest_eigpair`.  Intended for cross-checking at dimension
-    <= 4096.
-    """
-    A = B.toarray() if hasattr(B, "toarray") else np.array(B, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("square matrix required")
-    if n > 4096:
-        raise ValueError(f"dense oracle capped at dimension 4096, got {n}")
-    if M_diag is not None:
-        M = np.asarray(M_diag, dtype=np.float64)
-        if M.min() <= 0:
-            raise ValueError("M_diag must be positive")
-        s = 1.0 / np.sqrt(M)
-        A = A * s[:, None] * s[None, :]
-    herm_defect = np.abs(A - A.conj().T).max()
-    if herm_defect > 1e-12 * max(np.abs(A).max(), 1.0):
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    A = (A + A.conj().T) / 2.0
-
-    fro = np.linalg.norm(A)
-    if fro == 0.0:
-        return np.zeros(n)
-    rounds = _round_robin(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(np.linalg.norm(A) ** 2 - np.linalg.norm(np.diag(A)) ** 2, 0.0))
-        if off <= tol * fro:
-            break
-        for p, q in rounds:
-            g = A[p, q]
-            ag = np.abs(g)
-            live = ag > 1e-18 * fro
-            if not live.all():
-                p, q, g, ag = p[live], q[live], g[live], ag[live]
-            alpha = A[p, p].real
-            delta = A[q, q].real
-            f = g / ag  # unit phases of the pivots
-            tau = (delta - alpha) / (2.0 * ag)
-            t = np.where(tau == 0.0, 1.0,
-                         -np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-            # columns: A <- A U with U = [[c, -s f], [s conj(f), c]] per pair;
-            # the pairs are disjoint, and index arrays read copies
-            col_p = A[:, p]
-            col_q = A[:, q]
-            A[:, p] = c * col_p + sn * np.conj(f) * col_q
-            A[:, q] = -sn * f * col_p + c * col_q
-            # rows: A <- U^H A
-            row_p = A[p, :]
-            row_q = A[q, :]
-            A[p, :] = c[:, None] * row_p + (sn * f)[:, None] * row_q
-            A[q, :] = -(sn * np.conj(f))[:, None] * row_p + c[:, None] * row_q
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            A[p, p] = A[p, p].real
-            A[q, q] = A[q, q].real
-    return np.sort(np.real(np.diag(A)))
-
-
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every pair ``p < q`` of ``range(n)`` once, as rounds of disjoint
-    pairs ``(p, q)`` (circle method; for odd ``n`` one index sits out each
-    round)."""
-    m = n + n % 2
-    players = np.arange(m)
-    rounds = []
-    for _ in range(m - 1):
-        a, b = players[: m // 2], players[m // 2:][::-1]
-        keep = (a < n) & (b < n)
-        rounds.append((np.minimum(a, b)[keep], np.maximum(a, b)[keep]))
-        players = np.concatenate((players[:1], np.roll(players[1:], 1)))
-    return rounds

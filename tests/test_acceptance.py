@@ -33,7 +33,9 @@ from blochlab.microstructure import (
     radius_for_gamma,
     rasterize,
 )
-from blochlab.sparse_linalg import dense_oracle, smallest_eigpair
+from blochlab.sparse_linalg import smallest_eigpair
+
+from jacobi_oracle import dense_oracle
 
 
 def symbol(eta, n):

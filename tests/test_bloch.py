@@ -30,7 +30,8 @@ from blochlab.microstructure import (
     radius_for_gamma,
     rasterize,
 )
-from blochlab.sparse_linalg import dense_oracle
+
+from jacobi_oracle import dense_oracle
 
 
 def symbol(eta, n, d=None):

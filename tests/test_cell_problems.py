@@ -31,7 +31,9 @@ from blochlab.microstructure import (
     radius_for_gamma,
     rasterize,
 )
-from blochlab.sparse_linalg import dense_oracle, largest_geneig
+from blochlab.sparse_linalg import largest_geneig
+
+from jacobi_oracle import dense_oracle
 
 
 def half_half_1d(n, a1=1.0, a2=4.0):

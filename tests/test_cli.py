@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import math
@@ -268,10 +269,11 @@ def test_main_pw_experiment_rejects_third_eta_component(tmp_path, capsys):
 _PACKAGE_ROOT = Path(blochlab.cli.__file__).resolve().parents[1]
 
 
-def _python(code: str, *args) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports the package under test."""
+def _python(code: str, *args, **env) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package under
+    test, with ``env`` set in its environment."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(_PACKAGE_ROOT)] + ([path] if path else [])))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -352,6 +354,35 @@ def test_pooled_tasks_start_with_scipy_loaded():
     assert report == {"pool": 2, "loaded": [True] * 4, "parent": True}
 
 
+_FORK_PROBE = r"""
+import os
+import blochlab.cli
+from blochlab.experiments import map_tasks
+
+print(len(os.listdir("/proc/self/task")))
+map_tasks(abs, [(-1,), (-2,)], workers=2)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="a pool of one runs its tasks in this process")
+@pytest.mark.skipif(not Path("/proc/self/task").exists(),
+                    reason="threads are counted in /proc/self/task")
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_pool_warns_when_forking_a_threaded_parent(blas_threads):
+    # numpy's BLAS starts its threads at import, before blochlab could pin
+    # them; a pool forked from such a parent warns and names the fix
+    proc = _python(_FORK_PROBE, OPENBLAS_NUM_THREADS=str(blas_threads))
+    assert proc.returncode == 0, proc.stderr
+    threads = int(proc.stdout)
+    if blas_threads > 1 and threads == 1:
+        pytest.skip("this numpy's BLAS starts no thread of its own")
+    assert threads == blas_threads
+    warning = (f"RuntimeWarning: forking 2 pool workers from a process with "
+               f"{threads} threads; set OPENBLAS_NUM_THREADS=1 before the run")
+    assert (warning in proc.stderr) == (threads > 1), proc.stderr
+
+
 def test_package_exports_resolve():
     # a deleted name must not linger in the export list
     import blochlab
@@ -359,6 +390,37 @@ def test_package_exports_resolve():
     assert len(set(blochlab.__all__)) == len(blochlab.__all__)
     for name in blochlab.__all__:
         assert hasattr(blochlab, name), name
+
+
+#: public names of the library that no other library or perfbench code
+#: names, each with the reason it stays public
+_USER_FACING = {
+    "canonical_momentum": "the first-zone error message tells users to fold "
+                          "momenta with it",
+    "write_field_dump": "the writer of the documented field-dump format",
+}
+
+
+def test_every_public_helper_is_reached_by_the_library():
+    # no public helper that only tests reach: each public top-level function
+    # and class of a module is named (not in a string) by other src/ code or
+    # by perfbench, or is user-facing for the reason given above
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "blochlab"
+    paths = [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]
+    public, named = set(), set()
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if (path.parent == package and path.name != "__init__.py"
+                    and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not own.startswith("_")):
+                public.add(own)
+            nodes = list(ast.walk(stmt))
+            refs = {n.id for n in nodes if isinstance(n, ast.Name)}
+            refs |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            named |= refs - {own}  # a definition does not reach itself
+    assert public - named == set(_USER_FACING)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),

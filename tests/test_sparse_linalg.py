@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ from blochlab.sparse_linalg import (
     ConvergenceError,
     _adjoint_product,
     cg_solve,
-    dense_oracle,
     largest_geneig,
     smallest_eigpair,
 )
+
+import jacobi_oracle
+from jacobi_oracle import dense_oracle
 
 
 def periodic_laplacian(n, h=1.0):
@@ -293,6 +297,23 @@ def test_dense_oracle_rejects():
         dense_oracle(np.ones((2, 3)))
     with pytest.raises(ValueError, match="positive"):
         dense_oracle(np.eye(2), np.array([1.0, 0.0]))
+
+
+def test_dense_oracle_shares_no_code_with_the_solvers():
+    # the oracle checks the eigensolver only while it is independent of it:
+    # no blochlab or scipy import, and no LAPACK eigen or SVD routine
+    tree = ast.parse(Path(jacobi_oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert imported == {"math", "numpy"}
+    lapack = {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & lapack
 
 
 # ---------------------------------------------------------------------------
