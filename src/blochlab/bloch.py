@@ -300,8 +300,6 @@ def bloch_reduced(
     unit_field: CoefficientField,
     eps: float,
     eta: np.ndarray,
-    *,
-    tol: float = 1e-10,
 ) -> EigSolveReport:
     """Lowest eigenpair of the oscillating problem via the unit-pattern cell.
 
@@ -311,14 +309,14 @@ def bloch_reduced(
     of ``m`` cells per axis versus full grid of ``m / eps``) the two routes
     agree to rounding, not merely asymptotically: the link phases and
     dimensionless stencils coincide.  The report is the unit-pattern solve
-    with ``lambda1`` rescaled; its vector lives on the unit grid.
+    at ``tol = 1e-11``, ``lambda1`` rescaled; its vector is on the unit grid.
     """
     if unit_field.inv_eps != 1:
         raise ValueError("bloch_reduced expects a unit-pattern field (inv_eps == 1)")
     eps = check_eps(eps)
     eta = np.asarray(eta, dtype=np.float64)
     _require_first_zone(eta)
-    report = bloch_lambda1(unit_field, eps * eta, tol=tol)
+    report = bloch_lambda1(unit_field, eps * eta, tol=1e-11)
     # the error estimate is relative, so it survives the eps^-2 rescaling
     return replace(report, lambda1=report.lambda1 / eps**2)
 
@@ -328,8 +326,6 @@ def fiber_lambda1_2d(
     eps: float,
     eta_prime: np.ndarray,
     eta3: float,
-    *,
-    tol: float = 1e-10,
 ) -> EigSolveReport:
     """First eigenvalue for an axis-3 invariant medium via its cross-section.
 
@@ -339,7 +335,7 @@ def fiber_lambda1_2d(
 
         eps^{-2} B_2d(eps eta') + eta3^2 diag(w a(y'))   vs   M = w I,
 
-    with the third direction handled exactly (no discretization along it).
+    with the third direction exact, not discretized, solved at ``tol = 1e-9``.
     """
     if section_field.grid.d != 2:
         raise ValueError("cross-section field must be 2-dimensional")
@@ -354,5 +350,5 @@ def fiber_lambda1_2d(
     B, M, bound = shifted_pencil(
         section_field, eps * eta_prime, scale=1.0 / eps**2, shift=float(eta3) ** 2
     )
-    return smallest_eigpair(B, M, tol=tol, precond=bound)
+    return smallest_eigpair(B, M, tol=1e-9, precond=bound)
 

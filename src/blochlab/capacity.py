@@ -74,17 +74,15 @@ def _profile_rows(
 
 
 def annulus_energy(
-    r_eps: float, R: float = DEFAULT_R, grid2d: PeriodicGrid | None = None
-) -> tuple[float, float | None]:
-    """Analytic and (optionally) discrete Dirichlet energy of the profile.
+    r_eps: float, R: float, grid2d: PeriodicGrid
+) -> tuple[float, float]:
+    """Analytic and discrete Dirichlet energy of the profile.
 
     The discrete value is the plain face-difference energy of the profile's
     cell-center samples on ``grid2d`` (unnormalized integral, matching the
     analytic form), summed over blocks of rows of about ``_BLOCK_CELLS``
     cells, so that its working set does not grow with the grid.
     """
-    if grid2d is None:
-        return CapacityProfile(r_eps, R).analytic_energy, None
     prof = _checked_profile(grid2d, r_eps, R)
     n0, n1 = grid2d.n
     rows = max(1, _BLOCK_CELLS // n1)
@@ -104,18 +102,17 @@ def annulus_energy(
 
 
 def scaled_energy(
-    eps: float, r_eps: float, R: float = DEFAULT_R,
-    grid2d: PeriodicGrid | None = None,
+    eps: float, r_eps: float, R: float,
+    grid2d: PeriodicGrid,
 ) -> float:
     """Thin-structure energy density ``eps^{-2} . mean |grad v|^2`` of the profile.
 
     With ``r_eps = radius_for_gamma(eps, gamma)`` this converges to
     ``gamma`` from below as ``eps`` decreases (the outer cutoff ``R``
-    contributes the deficit ``ln R / (ln R + |ln r_eps|)``).  Without a
-    grid the analytic annulus energy is used.
+    contributes the deficit ``ln R / (ln R + |ln r_eps|)``).  The energy is
+    the discrete one of :func:`annulus_energy` on ``grid2d``.
     """
     eps = check_eps(eps)
-    analytic, discrete = annulus_energy(r_eps, R, grid2d)
-    energy = analytic if discrete is None else discrete
+    _, energy = annulus_energy(r_eps, R, grid2d)
     cell_area = (2.0 * math.pi) ** 2
     return energy / (cell_area * eps**2)

@@ -14,7 +14,7 @@ public call builds one stiffness and the inverse its CG solves use with
 :func:`~blochlab.bloch.shifted_pencil` at zero momentum and shares them
 across its solves: on a medium with few faces above its smallest value (a
 thin fiber section) that inverse is exact, and each solve ends in a few
-steps.
+steps.  Every solve runs at a fixed tolerance; no call takes one.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ _COMPAT_TOL = 1e-10
 Q_NORMALIZATION = "cell-average"
 
 
-def _cell_solver(field: CoefficientField, tol: float):
+def _cell_solver(field: CoefficientField):
     """``b -> x``, the mean-zero solve of ``K x = b`` on the periodic
     stiffness: one ``K`` and one inverse serve every source of a call."""
     K, _, inverse = shifted_pencil(field)
     return partial(
-        cg_solve, K, tol=tol, maxit=50 * max(field.grid.n),
-        deflate_constants=True, precond=inverse,
+        cg_solve, K, tol=1e-12, maxit=50 * max(field.grid.n),
+        precond=inverse,
     )
 
 
@@ -81,8 +81,6 @@ class HomogenizedMatrix:
 
 def homogenized(
     field: CoefficientField,
-    *,
-    tol: float = 1e-12,
 ) -> HomogenizedMatrix:
     """Effective (homogenized) tensor of a periodic coefficient.
 
@@ -96,7 +94,7 @@ def homogenized(
     d = grid.d
     N = grid.num_cells
     vol = N * grid.cell_volume
-    solve = _cell_solver(field, tol)
+    solve = _cell_solver(field)
     X = np.empty((N, d))
     for j in range(d):
         X[:, j] = _corrector_values(field, np.eye(d)[j], solve)
@@ -179,8 +177,6 @@ class DispersionSample:
 def dispersion(
     field: CoefficientField,
     eta: np.ndarray,
-    *,
-    tol: float = 1e-12,
 ) -> DispersionSample:
     """Dispersive correction: ``lam(t eta) = t^2 q eta.eta + t^4 D + O(t^6)``.
 
@@ -196,7 +192,7 @@ def dispersion(
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (grid.d,):
         raise ValueError(f"eta must have shape ({grid.d},)")
-    solve = _cell_solver(field, tol)
+    solve = _cell_solver(field)
     c1_values = _corrector_values(field, eta, solve)
     c2_values, compat, q_eta_eta = _chi2_values(field, eta, c1_values, solve)
     g = c2_values - 0.5 * c1_values * c1_values
@@ -217,9 +213,6 @@ def dispersion(
 def pw_constant(
     field: CoefficientField,
     lam: np.ndarray,
-    *,
-    tol: float = 1e-8,
-    cg_tol: float = 1e-11,
 ) -> float:
     """Weighted Poincare constant: the best ``C`` in
 
@@ -239,4 +232,4 @@ def pw_constant(
     # second length-N vector lives through the power iteration
     K, weight, inverse = shifted_pencil(field)
     weight *= field.a * float(lam @ lam)
-    return largest_geneig(weight, K, tol=tol, cg_tol=cg_tol, precond=inverse)
+    return largest_geneig(weight, K, precond=inverse)

@@ -33,6 +33,7 @@ from .experiments import (
     eta_cells,
     make_table,
     map_tasks,
+    os_threads,
     run_gap_map,
     run_pw,
     run_thm22,
@@ -218,6 +219,7 @@ def run_and_emit(
     Assertion-column failures give exit 2; the files are written either way.
     """
     t0 = time.perf_counter()
+    threads_at_start = os_threads()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.command.startswith("experiment:"):
@@ -234,6 +236,7 @@ def run_and_emit(
         "config": cfg.text,
         "command": cfg.command,
         "threads": threads,
+        "os_threads": threads_at_start,
         "workers": table.workers,
         "package_version": __version__,
         "git_describe": git_describe(),

@@ -88,6 +88,14 @@ def pool_size(threads: int, n_tasks: int) -> int:
     return max(1, min(int(threads), n_tasks, cores))
 
 
+def os_threads() -> int | None:
+    """Threads of this process in ``/proc/self/task``; ``None`` without procfs."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except FileNotFoundError:
+        return None
+
+
 def _timed(fn, task: tuple) -> tuple:
     t0 = time.perf_counter()
     value = fn(*task)
@@ -103,7 +111,7 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     needs, and forks a pool that inherits it; the tasks run one at a time
     per worker, submitted in decreasing ``cost`` (grid cells) so that the
     largest solves start first, and a task's time holds no import.  Forking
-    from a process that ``/proc/self/task`` shows running more than one
+    from a process that :func:`os_threads` shows running more than one
     thread (an unpinned BLAS) raises a ``RuntimeWarning`` first.
     ``fn`` must be a module-level function, and tasks and results must
     pickle: tasks carry specs (eps, cell, m, eta), never fields, and return
@@ -127,11 +135,8 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     # fork is safe only from a single-threaded process: blochlab and scipy
     # start no threads, but numpy's BLAS does unless it is pinned to one
     # thread before numpy loads, too late to do here, so this only warns
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except FileNotFoundError:  # no procfs: nothing to count
-        threads = 1
-    if threads > 1:
+    threads = os_threads()
+    if threads is not None and threads > 1:
         warnings.warn(f"forking {n_workers} pool workers from a process with "
                       f"{threads} threads; set OPENBLAS_NUM_THREADS=1 before "
                       "the run", RuntimeWarning, stacklevel=2)
@@ -203,7 +208,7 @@ def _thm22_task(eps: float, cell, m: int, eta: np.ndarray, forms: bool) -> tuple
     if forms:
         q_eta_eta = float(eta @ homogenized(unit).q @ eta)
         return q_eta_eta, eps * eps * dispersion(unit, eta).value
-    res = bloch_reduced(unit, eps, eta, tol=1e-11)
+    res = bloch_reduced(unit, eps, eta)
     return res.lambda1, res.iterations
 
 
@@ -261,7 +266,7 @@ def run_thm22(
 
 def _fiber_task(eps: float, cell, m: int, eta_p, eta3: float) -> tuple[float, int]:
     """``(lambda1, iterations)`` of one solve on fiber section ``cell`` at ``m x m``."""
-    res = fiber_lambda1_2d(rasterize(cell, make_grid(2, m)), eps, eta_p, eta3, tol=1e-9)
+    res = fiber_lambda1_2d(rasterize(cell, make_grid(2, m)), eps, eta_p, eta3)
     return res.lambda1, res.iterations
 
 

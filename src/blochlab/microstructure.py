@@ -131,8 +131,6 @@ def rasterize(spec: MicrostructureSpec, grid: PeriodicGrid) -> CoefficientField:
                 f"field dump resolution {tuple(n)} does not match the "
                 f"requested grid {grid.n}"
             )
-        if values.min() <= 0:
-            raise ValueError("file-backed coefficients must be positive")
         return CoefficientField(grid=grid, a=values, inv_eps=1)
 
     check_resolution(spec, grid)
@@ -211,10 +209,10 @@ def radius_for_gamma(eps: float, gamma: float) -> float:
     With this radius the quantity ``1 / (2*pi*eps**2*|ln r|)`` equals
     ``gamma`` exactly for every ``eps``.  It lies in [0, 1), so below pi;
     where ``2*pi*eps**2*gamma`` underflows (eps below about 1.5e-162) it is
-    0.0, the limit, which the radius rules of the media then refuse.  Where
-    the radius rounds to 1 (``eps = 1/3, gamma = 1e17``, or
-    ``2*pi*eps**2*gamma`` overflowing) ``|ln r|`` is 0, so no radius
-    realizes ``gamma``: that ``gamma`` is refused.
+    0.0, the limit, which the radius rules of the media then refuse.  Near
+    1 the float radius realizes ``gamma`` only to about ``1e-16 x``
+    relative, ``x = 2*pi*eps**2*gamma`` (not at all where it rounds to 1):
+    a ``gamma`` realized to worse than 1e-6 is refused (``gamma > 3e9`` or so).
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -222,8 +220,9 @@ def radius_for_gamma(eps: float, gamma: float) -> float:
         raise ValueError(f"eps must be positive, got {eps}")
     x = 2.0 * _PI * eps * eps * gamma
     r = math.exp(-1.0 / x) if x else 0.0
-    if r == 1.0:
-        raise ValueError(f"gamma = {gamma:.4g} is too large at eps = {eps:.4g}: "
-                         "the fiber radius rounds to 1, where |ln r| = 0")
+    # 1/(2*pi*eps**2*|ln r|) is gamma / (x |ln r|): x |ln r| must be 1
+    if r and not abs(x * math.log(r) + 1.0) <= 1e-6:
+        raise ValueError(f"gamma = {gamma:.4g} is too large at eps = {eps:.4g}: the "
+                         f"fiber radius {r!r} does not realize it to 1e-6 relative")
     return r
 

@@ -127,6 +127,8 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     """
     default_eps, fiber, doubled = _SWEEPS[experiment]
     eps = [float(e) for e in (default_eps if eps is None else eps)]
+    if not eps:
+        raise PlanError("the eps ladder is empty", "eps")
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
     reads = ("eps", "gamma") if fiber else ("eps",)
     with _blame("eps"):
@@ -192,6 +194,8 @@ def plan_capacity(eps=None, gamma=None, *, r=None, R=None, n: int | None = None)
             check_cells_across(2.0 * r, make_grid(2, n))
         return [(r, R, n)]
     gamma = float(gamma)
+    if not eps:
+        raise PlanError("the eps ladder is empty", "eps")
     rows = []
     for e in eps:
         with _blame("eps"):

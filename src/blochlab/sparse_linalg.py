@@ -1,7 +1,8 @@
-"""Sparse Hermitian solver kernels: preconditioned conjugate gradients
-(:func:`cg_solve`), the block eigensolver for the lowest pair of a pencil
-(:func:`smallest_eigpair`) and inverse-operator power iteration for the
-largest generalized eigenvalue (:func:`largest_geneig`).
+"""Sparse Hermitian solver kernels: the mean-zero solve of a periodic
+stiffness by preconditioned conjugate gradients (:func:`cg_solve`), the
+block eigensolver for the lowest pair of a pencil (:func:`smallest_eigpair`)
+and inverse-operator power iteration, at fixed tolerances, for the largest
+generalized eigenvalue (:func:`largest_geneig`).
 
 Matrices are carried as ``scipy.sparse`` CSR (dimension, row-compressed
 index/value arrays, real or complex scalar kind).  Deterministic behavior is
@@ -28,8 +29,11 @@ _INNER_CG_STEPS = 40
 _RESTART_EVERY = 50
 #: outer iteration budget of the block eigensolver
 _EIG_MAXIT = 500
-#: step budget of the power iteration in :func:`largest_geneig`
+#: step budget of the power iteration in :func:`largest_geneig`, the
+#: relative change of its value that ends it, and its CG solves' tolerance
 _POWER_MAXIT = 300
+_POWER_TOL = 1e-8
+_POWER_CG_TOL = 1e-11
 
 Preconditioner = Callable[[np.ndarray], np.ndarray]
 
@@ -70,31 +74,29 @@ def cg_solve(
     *,
     tol: float = 1e-12,
     maxit: int | None = None,
-    deflate_constants: bool = False,
     x0: np.ndarray | None = None,
     precond: Preconditioner,
 ) -> np.ndarray:
-    """Preconditioned conjugate gradients for Hermitian positive
-    (semi-)definite systems; raises :class:`ConvergenceError` with the
-    residual history when the solve fails.
+    """Mean-zero solution of ``A x = b`` for a periodic stiffness ``A``
+    (Hermitian positive semidefinite, constants its kernel) by
+    preconditioned conjugate gradients; raises :class:`ConvergenceError`
+    with the residual history when the solve fails.
 
-    ``precond`` applies an approximate inverse of ``A``.  With
-    ``deflate_constants`` the constant kernel is projected out of the
-    right-hand side check, the start vector, and the residual at every
-    iteration; the returned solution has zero mean.
+    ``b`` must have zero mean.  The constants are projected out of the
+    start vector and of every residual; ``precond`` applies an approximate
+    inverse of ``A``.
     """
     b = np.asarray(b)
     if maxit is None:
         maxit = max(1000, 2 * b.shape[0])
-    if deflate_constants:
-        drift = abs(b.sum()) / max(np.abs(b).sum(), np.finfo(float).tiny)
-        if drift > 1e-10:
-            raise ValueError(
-                "incompatible right-hand side: nonzero mean "
-                f"(relative drift {drift:.3e}) under constant deflation"
-            )
+    drift = abs(b.sum()) / max(np.abs(b).sum(), np.finfo(float).tiny)
+    if drift > 1e-10:
+        raise ValueError(
+            "incompatible right-hand side: nonzero mean "
+            f"(relative drift {drift:.3e}) under constant deflation"
+        )
     x, history, failure = _pcg(
-        A, b, precond, tol=tol, maxit=maxit, deflate=deflate_constants, x0=x0
+        A, b, precond, tol=tol, maxit=maxit, deflate=True, x0=x0
     )
     if failure is not None:
         raise ConvergenceError(failure, history)
@@ -416,8 +418,6 @@ def largest_geneig(
     weight_diag: np.ndarray,
     K: sp.spmatrix,
     *,
-    tol: float = 1e-8,
-    cg_tol: float = 1e-10,
     precond: Preconditioner,
 ) -> float:
     """Maximum of ``x* W x`` subject to ``x* K x = 1`` over the subspace of
@@ -426,8 +426,9 @@ def largest_geneig(
     Inverse-operator power iteration: each step applies the shifted weight
     (which is exactly orthogonal to constants) and solves with ``K`` under
     constant deflation, preconditioned by ``precond``.  Warm-started CG
-    keeps later steps cheap.  A solve that misses ``cg_tol`` raises
-    :class:`ConvergenceError`.
+    keeps later steps cheap.  The iteration stops when the value changes by
+    at most ``_POWER_TOL`` relative; a solve that misses ``_POWER_CG_TOL``
+    raises :class:`ConvergenceError`.
     """
     w = np.asarray(weight_diag, dtype=np.float64)
     n = w.shape[0]
@@ -452,7 +453,7 @@ def largest_geneig(
         y -= y.mean()  # exact zero up to roundoff; keeps CG consistent
         if np.linalg.norm(y) == 0.0:
             return 0.0
-        u = cg_solve(K, y, tol=cg_tol, deflate_constants=True, x0=warm, precond=precond)
+        u = cg_solve(K, y, tol=_POWER_CG_TOL, x0=warm, precond=precond)
         warm = u
         us = shift(u)
         Ku = K @ u
@@ -462,11 +463,11 @@ def largest_geneig(
             raise ConvergenceError("stiffness form degenerate in power iteration")
         mu = num / den
         x = u / np.linalg.norm(u)
-        if mu_prev is not None and abs(mu - mu_prev) <= tol * max(abs(mu), 1e-300):
+        if mu_prev is not None and abs(mu - mu_prev) <= _POWER_TOL * max(abs(mu), 1e-300):
             return mu
         mu_prev = mu
     raise ConvergenceError(
-        f"power iteration did not settle to rel {tol:.1e} in {_POWER_MAXIT} steps "
+        f"power iteration did not settle to rel {_POWER_TOL:.1e} in {_POWER_MAXIT} steps "
         f"(last value {mu_prev})"
     )
 

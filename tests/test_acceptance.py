@@ -19,7 +19,7 @@ from blochlab.bloch import (
     fiber_lambda1_2d,
     shifted_pencil,
 )
-from blochlab.capacity import annulus_energy, scaled_energy
+from blochlab.capacity import DEFAULT_R, CapacityProfile, annulus_energy, scaled_energy
 from blochlab.cell_problems import dispersion, homogenized
 from blochlab.cli import run_and_emit
 from blochlab.config import parse_config
@@ -59,13 +59,13 @@ def test_criterion_01_constant_medium_exactness():
 
 
 def test_criterion_02_homogenization_closed_forms():
-    q1 = homogenized(half_half_1d(16), tol=1e-13).q[0, 0]
+    q1 = homogenized(half_half_1d(16)).q[0, 0]
     assert abs(q1 - 1.6) <= 1e-12, f"1d harmonic mean: {abs(q1 - 1.6):.3e}"
 
     g = make_grid(2, (16, 16))
     stripe = np.where(np.arange(16) < 8, 1.0, 4.0)
     lam_field = CoefficientField(grid=g, a=np.repeat(stripe, 16))
-    q2 = homogenized(lam_field, tol=1e-13).q
+    q2 = homogenized(lam_field).q
     assert np.abs(q2 - np.diag([1.6, 2.5])).max() <= 1e-10, f"laminate: {q2}"
 
 
@@ -91,7 +91,7 @@ def test_criterion_04_expansion_consistency():
     A = np.column_stack([np.ones_like(t), t**2])
     (c2, c4), *_ = np.linalg.lstsq(A, lam / t**2, rcond=None)
     assert abs(c2 - 1.6) / 1.6 <= 1e-4, f"c2 rel err {abs(c2 - 1.6) / 1.6:.3e}"
-    d_val = dispersion(field, np.array([1.0]), tol=1e-13).value
+    d_val = dispersion(field, np.array([1.0])).value
     rel = abs(c4 - d_val) / abs(d_val)
     assert rel <= 1e-2, f"c4 {c4:.6f} vs dispersion {d_val:.6f}: rel {rel:.3e}"
     assert c4 <= 1e-6, f"quartic coefficient not nonpositive: {c4:.3e}"
@@ -141,7 +141,7 @@ def test_criterion_08_reduction_cross_checks():
         unit = rasterize(replace(spec, eps=1.0), make_grid(2, (m, m)))
         full = rasterize(spec, make_grid(2, (m * inv, m * inv)))
         eta = np.array([0.2, -0.1])
-        lam_r = bloch_reduced(unit, eps, eta, tol=1e-12).lambda1
+        lam_r = bloch_reduced(unit, eps, eta).lambda1
         lam_f = bloch_lambda1(full, eta, tol=1e-12).lambda1
         rel = abs(lam_r - lam_f) / lam_f
         assert rel <= 1e-8, f"eps={eps}: reduced vs full rel {rel:.3e}"
@@ -152,10 +152,8 @@ def test_criterion_08_reduction_cross_checks():
     unit = replace(spec, eps=1.0)
     section = rasterize(unit, make_grid(2, (64, 64)))
     volume = rasterize(unit, make_grid(3, (64, 64, 16)))
-    lam_2d = fiber_lambda1_2d(section, eps, np.array([0.1, 0.1]), 0.1,
-                              tol=1e-12).lambda1
-    lam_3d = bloch_reduced(volume, eps, np.array([0.1, 0.1, 0.1]),
-                           tol=1e-12).lambda1
+    lam_2d = fiber_lambda1_2d(section, eps, np.array([0.1, 0.1]), 0.1).lambda1
+    lam_3d = bloch_reduced(volume, eps, np.array([0.1, 0.1, 0.1])).lambda1
     assert abs(lam_2d - lam_3d) <= 1e-6, (
         f"fiber 2d {lam_2d:.8f} vs 3d {lam_3d:.8f}")
 
@@ -171,7 +169,7 @@ def test_criterion_09_poincare_constants():
 
 
 def test_criterion_10_capacity_identities():
-    analytic, discrete = annulus_energy(0.28, grid2d=make_grid(2, (512, 512)))
+    analytic, discrete = annulus_energy(0.28, DEFAULT_R, make_grid(2, (512, 512)))
     rel = abs(discrete - analytic) / analytic
     assert rel <= 0.02, f"annulus discrete vs analytic rel {rel:.4f}"
 
@@ -179,13 +177,13 @@ def test_criterion_10_capacity_identities():
     devs = []
     for eps in (1 / 3, 1 / 4, 1 / 5, 1 / 6):
         r = radius_for_gamma(eps, gamma)
-        val = scaled_energy(eps, r, R)
+        val = CapacityProfile(r, R).analytic_energy / ((2.0 * math.pi) ** 2 * eps**2)
         devs.append(abs(val - gamma) / gamma)
     assert all(a > b for a, b in zip(devs, devs[1:])), f"deviations {devs}"
     assert devs[-1] <= 0.10, f"deviation at eps=1/6: {devs[-1]:.4f}"
     # grid evaluation stays inside the same band where the disc is resolved
     r5 = radius_for_gamma(1 / 5, gamma)
-    val5 = scaled_energy(1 / 5, r5, R, grid2d=make_grid(2, (512, 512)))
+    val5 = scaled_energy(1 / 5, r5, R, make_grid(2, (512, 512)))
     assert abs(val5 - gamma) / gamma <= 0.10
 
 

@@ -213,7 +213,7 @@ def test_reduced_equals_full_cell():
     unit = rasterize(replace(spec, eps=1.0), make_grid(2, (16, 16)))
     full = rasterize(spec, make_grid(2, (32, 32)))
     eta = np.array([0.2, -0.1])
-    lam_red = bloch_reduced(unit, 1 / 2, eta, tol=1e-12).lambda1
+    lam_red = bloch_reduced(unit, 1 / 2, eta).lambda1
     lam_full = bloch_lambda1(full, eta, tol=1e-12).lambda1
     assert_allclose(lam_red, lam_full, rtol=1e-9)
 
@@ -238,7 +238,7 @@ def test_fiber_constant_closed_form():
     eps = 1 / 2
     eta_p = np.array([0.2, 0.1])
     eta3 = 0.3
-    lam = fiber_lambda1_2d(f, eps, eta_p, eta3, tol=1e-13).lambda1
+    lam = fiber_lambda1_2d(f, eps, eta_p, eta3).lambda1
     expect = symbol(eps * eta_p, (m, m)) / eps**2 + eta3**2
     assert abs(lam - expect) <= 1e-10
 
@@ -257,8 +257,8 @@ def test_fiber_section_scaling_consistency():
     spec = FiberLattice(eps=1 / 2, r_eps=0.8, beta=5.0)
     unit = rasterize(replace(spec, eps=1.0), make_grid(2, (16, 16)))
     eta_p = np.array([0.15, 0.1])
-    lam_fiber = fiber_lambda1_2d(unit, 1 / 2, eta_p, 0.0, tol=1e-12).lambda1
-    lam_red = bloch_reduced(unit, 1 / 2, eta_p, tol=1e-12).lambda1
+    lam_fiber = fiber_lambda1_2d(unit, 1 / 2, eta_p, 0.0).lambda1
+    lam_red = bloch_reduced(unit, 1 / 2, eta_p).lambda1
     assert_allclose(lam_fiber, lam_red, rtol=1e-10)
 
 
@@ -390,8 +390,8 @@ def test_results_carry_solver_meta():
     eta = np.array([0.2, -0.1])
     results = [
         bloch_lambda1(rasterize(spec, make_grid(2, (32, 32))), eta, tol=tol),
-        bloch_reduced(unit, 1 / 2, eta, tol=tol),
-        fiber_lambda1_2d(section, 1 / 2, eta, 0.3, tol=tol),
+        bloch_reduced(unit, 1 / 2, eta),
+        fiber_lambda1_2d(section, 1 / 2, eta, 0.3),
     ]
     for res in results:
         est = res.meta["error_estimate"]
@@ -409,7 +409,7 @@ def test_fiber_solve_working_set():
     section = rasterize(spec, make_grid(2, (m, m)))
     tracemalloc.start()
     try:
-        fiber_lambda1_2d(section, eps, np.array([0.2, 0.2]), 0.3, tol=1e-9)
+        fiber_lambda1_2d(section, eps, np.array([0.2, 0.2]), 0.3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -442,5 +442,5 @@ def test_fiber_lambda1_matches_shift_invert_reference(m, eta_p, eta3, reference)
     r = radius_for_gamma(eps, 2.0)
     spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))
     section = rasterize(spec, make_grid(2, (m, m)))
-    lam = fiber_lambda1_2d(section, eps, np.array(eta_p), eta3, tol=1e-9).lambda1
+    lam = fiber_lambda1_2d(section, eps, np.array(eta_p), eta3).lambda1
     assert abs(lam - reference) <= 1e-6 * reference

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blochlab import capacity
-from blochlab.capacity import CapacityProfile, _profile_rows, annulus_energy, scaled_energy
+from blochlab.capacity import (DEFAULT_R, CapacityProfile, _profile_rows, annulus_energy,
+                               scaled_energy)
 from blochlab.grid import make_grid
 from blochlab.microstructure import radius_for_gamma
 
@@ -50,24 +51,18 @@ def test_profile_values():
 
 def test_profile_resolution_guard():
     with pytest.raises(ValueError, match="need n >="):
-        annulus_energy(0.05, grid2d=make_grid(2, (16, 16)))
+        annulus_energy(0.05, DEFAULT_R, make_grid(2, (16, 16)))
 
 
 def test_profile_needs_two_dimensions():
     with pytest.raises(ValueError, match="two-dimensional"):
-        annulus_energy(0.3, grid2d=make_grid(3, (64, 64, 4)))
-
-
-def test_annulus_energy_analytic_only():
-    analytic, discrete = annulus_energy(0.3)
-    assert discrete is None
-    assert_allclose(analytic, 2 * math.pi / math.log(math.pi / 2 / 0.3))
+        annulus_energy(0.3, DEFAULT_R, make_grid(3, (64, 64, 4)))
 
 
 def test_annulus_energy_discrete_converges():
     r = 0.28
-    analytic, e256 = annulus_energy(r, grid2d=make_grid(2, (256, 256)))
-    _, e512 = annulus_energy(r, grid2d=make_grid(2, (512, 512)))
+    analytic, e256 = annulus_energy(r, DEFAULT_R, make_grid(2, (256, 256)))
+    _, e512 = annulus_energy(r, DEFAULT_R, make_grid(2, (512, 512)))
     assert abs(e256 - analytic) / analytic < 2e-2
     assert abs(e512 - analytic) / analytic < 1e-2
     # refinement moves the discrete value toward the analytic one
@@ -105,11 +100,16 @@ def test_scaled_energy_memory_is_bounded():
     g = make_grid(2, (2046, 2046))
     tracemalloc.start()
     try:
-        scaled_energy(1 / 6, r, grid2d=g)
+        scaled_energy(1 / 6, r, DEFAULT_R, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def analytic_scaled_energy(eps, r, R):
+    # the thin-structure density of the closed-form annulus energy
+    return CapacityProfile(r, R).analytic_energy / ((2.0 * math.pi) ** 2 * eps**2)
 
 
 def test_scaled_energy_tracks_gamma_from_below():
@@ -117,18 +117,19 @@ def test_scaled_energy_tracks_gamma_from_below():
     devs = []
     for eps in (1 / 3, 1 / 4, 1 / 5, 1 / 6):
         r = radius_for_gamma(eps, gamma)
-        val = scaled_energy(eps, r, R=1.2)
+        val = analytic_scaled_energy(eps, r, 1.2)
         assert val < gamma
         devs.append(gamma - val)
     assert all(a > b for a, b in zip(devs, devs[1:]))
     # the deficit is the outer-cutoff share ln R / (ln R + |ln r|)
     r = radius_for_gamma(1 / 6, 1.2)
     expect = gamma * abs(math.log(r)) / (math.log(1.2) + abs(math.log(r)))
-    assert_allclose(scaled_energy(1 / 6, r, R=1.2), expect, rtol=1e-12)
+    assert_allclose(analytic_scaled_energy(1 / 6, r, 1.2), expect, rtol=1e-12)
 
 
 def test_scaled_energy_validation():
+    g = make_grid(2, (64, 64))
     with pytest.raises(ValueError, match="eps"):
-        scaled_energy(0.0, 0.3)
+        scaled_energy(0.0, 0.3, DEFAULT_R, g)
     with pytest.raises(ValueError, match="eps"):
-        scaled_energy(1.5, 0.3)
+        scaled_energy(1.5, 0.3, DEFAULT_R, g)

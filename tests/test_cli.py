@@ -383,6 +383,24 @@ def test_pool_warns_when_forking_a_threaded_parent(blas_threads):
     assert (warning in proc.stderr) == (threads > 1), proc.stderr
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="on one core BLAS starts no second thread")
+@pytest.mark.skipif(not Path("/proc/self/task").exists(),
+                    reason="threads are counted in /proc/self/task")
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_sidecar_records_the_thread_count(tmp_path, blas_threads):
+    # the CLI's thread count as its run starts: an unpinned BLAS shows here
+    cfg = write_cfg(tmp_path, "command = capacity\nr = 0.28\nn = 64\n")
+    main = "import sys, blochlab.cli; sys.exit(blochlab.cli.main(sys.argv[1:]))"
+    proc = _python(main, "--config", cfg, "--out", tmp_path / "out",
+                   OPENBLAS_NUM_THREADS=str(blas_threads))
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads((tmp_path / "out" / "capacity.json").read_text())["os_threads"]
+    if blas_threads > 1 and threads == 1:
+        pytest.skip("this numpy's BLAS starts no thread of its own")
+    assert threads == blas_threads
+
+
 def test_package_exports_resolve():
     # a deleted name must not linger in the export list
     import blochlab
@@ -421,6 +439,55 @@ def test_every_public_helper_is_reached_by_the_library():
             refs |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
             named |= refs - {own}  # a definition does not reach itself
     assert public - named == set(_USER_FACING)
+
+
+#: the one allowlist of the rule below, the experiment harnesses: their
+#: keywords arrive as config keys through _experiment_table's **kw, and
+#: test_experiment_keys_are_harness_parameters checks them
+_HARNESSES = {"run_thm22", "run_thm31", "run_gap_map", "run_pw"}
+
+
+def test_every_public_option_is_set_by_the_library():
+    # a setting no run varies is a constant of its owner: every defaulted
+    # parameter of a public top-level function is supplied, by keyword,
+    # position or functools.partial, by some src/ or perfbench call to a
+    # callable of that name.  A setting that every caller passes with the
+    # same one value is still an option that should be a constant; that
+    # case is left to review, since a call's value is not known here.
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "blochlab"
+    options = {}
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                a = stmt.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                options[stmt.name] = (positional, defaulted)
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    supplied = {fn: set() for fn in options}
+    for path in [*(root / "src").rglob("*.py"), *(root / "perfbench").glob("*.py")]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            callee, args = name(call.func), call.args
+            if callee == "partial" and args:
+                callee, args = name(args[0]), args[1:]
+            if callee not in options:
+                continue
+            starred = [isinstance(arg, ast.Starred) for arg in args] + [True]
+            supplied[callee].update(options[callee][0][:starred.index(True)])
+            supplied[callee].update(kw.arg for kw in call.keywords if kw.arg)
+    unset = {f"{fn}.{p}" for fn, (_, defaulted) in options.items()
+             if fn not in _HARNESSES for p in defaulted if p not in supplied[fn]}
+    assert not unset, f"no library call sets {sorted(unset)}"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),

@@ -332,16 +332,23 @@ def test_run_time_failures_refused_at_parse_time(text, key, line, message):
      r"gamma must be positive, got -1\.0"),
     ("command = capacity\neps = 1/3\ngamma = -2\nn = 64\n", "gamma", 3,
      r"gamma must be positive, got -2\.0"),
-    # gamma so large that the fiber radius rounds to 1: |ln r| = 0 realizes
-    # no gamma, and pw_fiber's ratio would divide by it after its solves
+    # gamma so large that the float fiber radius misses it by more than 1e-6
+    # relative: at 1e12 by 1.1e-5, and where the radius rounds to 1,
+    # |ln r| = 0 realizes no gamma and pw_fiber's ratio would divide by it
+    ("command = experiment:pw_fiber\ngamma = 1e12\n", "gamma", 2,
+     r"gamma = 1e\+12 is too large at eps = 0\.3333: the fiber radius 0\.99999\d* "
+     r"does not realize it to 1e-6 relative"),
     ("command = experiment:pw_fiber\ngamma = 1e17\n", "gamma", 2,
-     r"gamma = 1e\+17 is too large at eps = 0\.3333: the fiber radius rounds to 1"),
+     r"gamma = 1e\+17 is too large at eps = 0\.3333: the fiber radius 1\.0 does not"),
     ("command = capacity\neps = 1/3\ngamma = 1e17\nR = 0.5\n", "gamma", 3,
-     r"gamma = 1e\+17 is too large at eps = 0\.3333: the fiber radius rounds to 1"),
+     r"gamma = 1e\+17 is too large at eps = 0\.3333: the fiber radius 1\.0 does not"),
     ("command = capacity\neps = 1\ngamma = 1e308\nn = 64\n", "gamma", 3,
-     r"gamma = 1e\+308 is too large at eps = 1: the fiber radius rounds to 1"),
+     r"gamma = 1e\+308 is too large at eps = 1: the fiber radius 1\.0 does not"),
+    ("command = homogenize\nn = 48\na = fiber(eps=1/3, gamma=1e12)\n", "a", 3,
+     r"gamma = 1e\+12 is too large at eps = 0\.3333: the fiber radius 0\.99999\d* "
+     r"does not realize it to 1e-6 relative"),
     ("command = homogenize\nn = 48\na = fiber(eps=1/3, gamma=1e17)\n", "a", 3,
-     r"gamma = 1e\+17 is too large at eps = 0\.3333: the fiber radius rounds to 1"),
+     r"gamma = 1e\+17 is too large at eps = 0\.3333: the fiber radius 1\.0 does not"),
     # n: the grids' own rule, at least 2 cells per axis
     ("command = bloch\na = constant(1)\neta = (0.1, 0.1)\nn = 0\n", "n", 4,
      "need at least 2 cells, got 0"),
@@ -520,6 +527,7 @@ def _plan(command, values):
 @example(("experiment:thm22", {"eps": [1e-300]}))
 @example(("experiment:thm22", {"eps": [5e-324]}))
 @example(("experiment:pw_fiber", {"gamma": 1e17}))
+@example(("experiment:pw_fiber", {"gamma": 1e12}))
 @example(("capacity", {"eps": [1.0], "gamma": 1e308, "n": 64}))
 def test_planners_refuse_only_with_their_own_error(run):
     # a planner returns or raises PlanError blaming first a key its rule
@@ -536,10 +544,10 @@ def test_planners_refuse_only_with_their_own_error(run):
         keys = exc.keys
         assert set(keys) <= reads, keys
         gamma = values.get("gamma", DEFAULT_GAMMA)
-        # gamma's own rule: positive, and small enough that no rung's radius
-        # rounds to 1 (at eps <= 1 that takes gamma > 1e15)
+        # gamma's own rule: positive, and small enough that every rung's
+        # radius realizes it to 1e-6 (at eps <= 1 a refusal takes gamma > 1e9)
         assert keys[0] != "gamma" or not gamma > 0 or (
-            gamma > 1e15 and "the fiber radius rounds to 1" in str(exc))
+            gamma > 1e9 and "does not realize it to 1e-6 relative" in str(exc))
         if not gamma > 0 and keys != ("gamma",):  # an eps rule spoke first
             with pytest.raises(PlanError) as valid_gamma:
                 _plan(command, {**values, "gamma": DEFAULT_GAMMA})

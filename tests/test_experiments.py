@@ -90,6 +90,18 @@ def test_planner_blames_the_key_its_rule_reads(plan, key, message):
     assert exc.value.keys[0] == key
 
 
+@pytest.mark.parametrize("run", [
+    run_thm22, run_thm31, run_gap_map, partial(run_pw, family="thm22"),
+    partial(run_pw, family="fiber"), partial(plan_capacity, gamma=2.0),
+], ids=["thm22", "thm31", "gap_map", "pw_thm22", "pw_fiber", "capacity"])
+def test_an_empty_eps_ladder_is_refused(run):
+    # no rung to plan: refused on eps, neither an IndexError after the
+    # plan nor a table of no rows whose checks pass
+    with pytest.raises(PlanError, match="the eps ladder is empty") as exc:
+        run(eps=())
+    assert exc.value.keys == ("eps",)
+
+
 def test_every_solve_rasterizes_the_planned_cell(monkeypatch):
     # the plan builds each rung's unit cell once; every solve samples it, and
     # the fiber rows report its radius and conductivity

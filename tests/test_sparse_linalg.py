@@ -43,7 +43,7 @@ def random_spd(n, seed):
 # Every solver takes a bound P^{-1} with P <= A.  For Q Q^T + n I and for a
 # diagonal matrix, P = c I with c at most the smallest eigenvalue; for a
 # periodic Laplacian, P = lam2 I on the mean-free vectors, lam2 its smallest
-# nonzero eigenvalue.
+# nonzero eigenvalue; a ring of conductances d lies above min(d) times it.
 
 
 def scalar_bound(c):
@@ -58,21 +58,45 @@ def laplacian_lam2(n):
     return 4.0 * math.sin(math.pi / n) ** 2
 
 
+def ring_stiffness(d):
+    # the periodic stiffness of a ring of conductances d_i between cells i
+    # and i + 1: a 1-D cell problem of the random medium d
+    n = len(d)
+    A = sp.lil_matrix((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        A[i, i] += d[i]
+        A[j, j] += d[i]
+        A[i, j] -= d[i]
+        A[j, i] -= d[i]
+    return A.tocsr()
+
+
+def random_ring(n, seed):
+    """A ring of lognormal conductances, its bound and a mean-free
+    right-hand side."""
+    rng = np.random.default_rng(seed)
+    d = np.exp(rng.standard_normal(n))
+    b = rng.standard_normal(n)
+    return ring_stiffness(d), mean_free_bound(d.min() * laplacian_lam2(n)), b - b.mean()
+
+
+def mean_free_solve(K, b):
+    # the dense solution on the mean-free space: the pseudo-inverse's
+    return np.linalg.pinv(K.toarray()) @ b
+
+
 def test_cg_matches_direct_solve():
-    A = random_spd(20, seed=1)
-    rng = np.random.default_rng(2)
-    b = rng.standard_normal(20)
-    x = cg_solve(A, b, tol=1e-13, precond=scalar_bound(20))
-    assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-10, atol=1e-12)
+    K, bound, b = random_ring(20, seed=1)
+    x = cg_solve(K, b, tol=1e-13, precond=bound)
+    assert_allclose(x, mean_free_solve(K, b), rtol=1e-10, atol=1e-12)
 
 
 def test_cg_complex_hermitian():
-    rng = np.random.default_rng(5)
-    Q = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    A = sp.csr_matrix(Q @ Q.conj().T + 12 * np.eye(12))
-    b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    x = cg_solve(A, b, tol=1e-13, precond=scalar_bound(12))
-    assert_allclose(A @ x, b, atol=1e-9)
+    K, bound, b = random_ring(12, seed=5)
+    b = b + 1j * random_ring(12, seed=6)[2]
+    x = cg_solve(K, b, tol=1e-13, precond=bound)
+    assert_allclose(K @ x, b, atol=1e-9)
 
 
 def test_cg_deflated_laplacian():
@@ -80,8 +104,7 @@ def test_cg_deflated_laplacian():
     rng = np.random.default_rng(3)
     b = rng.standard_normal(16)
     b -= b.mean()
-    x = cg_solve(A, b, tol=1e-12, deflate_constants=True,
-                 precond=mean_free_bound(laplacian_lam2(16)))
+    x = cg_solve(A, b, tol=1e-12, precond=mean_free_bound(laplacian_lam2(16)))
     assert abs(x.mean()) < 1e-12
     r = b - A @ x
     assert np.linalg.norm(r - r.mean()) < 1e-10
@@ -90,34 +113,30 @@ def test_cg_deflated_laplacian():
 def test_cg_incompatible_rhs():
     A = periodic_laplacian(8)
     with pytest.raises(ValueError, match="incompatible right-hand side"):
-        cg_solve(A, np.ones(8), deflate_constants=True,
-                 precond=mean_free_bound(laplacian_lam2(8)))
+        cg_solve(A, np.ones(8), precond=mean_free_bound(laplacian_lam2(8)))
 
 
 def test_cg_budget_error_has_history():
-    A = random_spd(30, seed=7)
-    b = np.ones(30)
+    K, bound, b = random_ring(30, seed=7)
     with pytest.raises(ConvergenceError) as exc:
-        cg_solve(A, b, tol=1e-15, maxit=2, precond=scalar_bound(30))
+        cg_solve(K, b, tol=1e-15, maxit=2, precond=bound)
     assert len(exc.value.residual_history) > 0
     assert all(r >= 0 for r in exc.value.residual_history)
 
 
 def test_cg_warm_start_exact():
-    A = random_spd(10, seed=11)
-    b = np.arange(10, dtype=float)
-    x = np.linalg.solve(A.toarray(), b)
-    out = cg_solve(A, b, tol=1e-12, x0=x, precond=scalar_bound(10))
+    K, bound, b = random_ring(10, seed=11)
+    x = mean_free_solve(K, b)
+    out = cg_solve(K, b, tol=1e-12, x0=x, precond=bound)
     assert_allclose(out, x, rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
 def test_cg_random_spd_property(n, seed):
-    A = random_spd(n, seed=seed)
-    b = np.random.default_rng(seed + 1).standard_normal(n)
-    x = cg_solve(A, b, tol=1e-12, precond=scalar_bound(n))
-    assert np.linalg.norm(A @ x - b) <= 1e-8 * max(np.linalg.norm(b), 1.0)
+    K, bound, b = random_ring(n, seed=seed)
+    x = cg_solve(K, b, tol=1e-12, precond=bound)
+    assert np.linalg.norm(K @ x - b) <= 1e-8 * max(np.linalg.norm(b), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +345,7 @@ def test_largest_geneig_circulant_oracle():
     # 1 / (2 - sqrt(3)) = 2 + sqrt(3)
     n = 12
     K = periodic_laplacian(n)
-    val = largest_geneig(np.ones(n), K, tol=1e-10, cg_tol=1e-12,
-                         precond=mean_free_bound(laplacian_lam2(n)))
+    val = largest_geneig(np.ones(n), K, precond=mean_free_bound(laplacian_lam2(n)))
     assert_allclose(val, 2.0 + math.sqrt(3.0), rtol=1e-8)
 
 
@@ -335,41 +353,24 @@ def test_largest_geneig_matches_pencil_route():
     n = 20
     rng = np.random.default_rng(41)
     d = np.exp(rng.standard_normal(n))
-    main = np.r_[d[1:] + d[:-1]]  # conductances d_i between cells i, i+1
-    A = sp.lil_matrix((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        A[i, i] += d[i]
-        A[j, j] += d[i]
-        A[i, j] -= d[i]
-        A[j, i] -= d[i]
-    K = A.tocsr()
-    assert main.shape == (n - 1,)
+    K = ring_stiffness(d)
     w = np.exp(rng.standard_normal(n))
     # the ring of conductances d lies above min(d) times the unit ring
     bound = mean_free_bound(d.min() * laplacian_lam2(n))
-    val = largest_geneig(w, K, tol=1e-10, cg_tol=1e-13, precond=bound)
+    val = largest_geneig(w, K, precond=bound)
     mu = dense_oracle(K, w)[1]
     assert_allclose(val, 1.0 / mu, rtol=1e-7)
 
 
 def test_largest_geneig_stalled_solve_raises():
-    # contrast ~1e5 over 40 cells: CG cannot reach cg_tol=1e-30, so the
-    # power iteration must raise with the stalled solve's history
+    # a preconditioner that is not positive stops the first CG solve, so
+    # the power iteration must raise with the stalled solve's history
     n = 40
     rng = np.random.default_rng(41)
     d = np.exp(2.0 * rng.standard_normal(n))
-    A = sp.lil_matrix((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        A[i, i] += d[i]
-        A[j, j] += d[i]
-        A[i, j] -= d[i]
-        A[j, i] -= d[i]
     w = np.exp(rng.standard_normal(n))
     with pytest.raises(ConvergenceError) as exc:
-        largest_geneig(w, A.tocsr(), tol=1e-10, cg_tol=1e-30,
-                       precond=mean_free_bound(d.min() * laplacian_lam2(n)))
+        largest_geneig(w, ring_stiffness(d), precond=lambda r: -r)
     assert len(exc.value.residual_history) > 0
     assert exc.value.relative_residual is None and exc.value.error_estimate is None
 
