@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import resource
 import subprocess
 import sys
 import time
@@ -34,6 +33,7 @@ from .experiments import (
     make_table,
     map_tasks,
     os_threads,
+    peak_rss_mb,
     run_gap_map,
     run_pw,
     run_thm22,
@@ -42,6 +42,17 @@ from .experiments import (
 from .grid import make_grid
 from .microstructure import rasterize
 from .plan import plan_capacity
+
+#: glibc ``mallopt`` parameters, and the values :func:`main` gives them:
+#: no array gets a mapping of its own, and the heap is never trimmed.  By
+#: default glibc maps the first array of each new largest size on its own,
+#: then raises its threshold, so later arrays of that size go to the heap,
+#: whose freed holes are kept: a solve's blocks are split between two pools,
+#: and its peak resident set counts both.
+_ONE_HEAP = {"M_MMAP_MAX": (-4, 0), "M_TRIM_THRESHOLD": (-1, 1 << 30)}
+
+#: the ``_ONE_HEAP`` settings this process applied, or ``None``
+_allocator: dict | None = None
 
 
 def _csv_cell(v) -> str:
@@ -125,10 +136,10 @@ def _task_table(fn, keys: list[dict], tasks: list[tuple],
                 workers: int) -> ExperimentTable:
     """One row per task, in input order: the row's key cells, then the value
     cells ``fn(*task)`` returns, then its ``runtime_seconds``."""
-    done, workers = map_tasks(fn, tasks, workers)
+    done, workers, peak = map_tasks(fn, tasks, workers)
     rows = [{**key, **values, "runtime_seconds": seconds}
             for key, (values, seconds) in zip(keys, done)]
-    return make_table(rows, workers)
+    return make_table(rows, workers, worker_peak_mb=peak)
 
 
 def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
@@ -183,31 +194,6 @@ def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     return _harness(cfg.command.split(":", 1)[1])(workers=workers, **kw)
 
 
-def _peak_rss_mb(workers: int) -> dict:
-    """Peak resident set so far, in MB: this process, and the largest of
-    its reaped pool workers (``None`` when no pool ran).
-
-    This process's peak is ``VmHWM`` where ``/proc/self/status`` has it:
-    Linux carries ``ru_maxrss`` over ``exec``, so it would also report the
-    launcher's peak.  ``ru_maxrss`` is the fallback elsewhere.
-    """
-    unit = 1024.0**2 if sys.platform == "darwin" else 1024.0  # bytes or KiB
-
-    def mb(who: int) -> float:
-        return resource.getrusage(who).ru_maxrss / unit
-
-    try:
-        with open("/proc/self/status", "rb") as fh:
-            process = next(int(line.split()[1]) / 1024.0  # kB
-                           for line in fh if line.startswith(b"VmHWM:"))
-    except (OSError, StopIteration):
-        process = mb(resource.RUSAGE_SELF)
-    return {
-        "process": process,
-        "workers": mb(resource.RUSAGE_CHILDREN) if workers > 1 else None,
-    }
-
-
 def run_and_emit(
     cfg: RunConfig, out_dir: str | Path = ".", threads: int = 1
 ) -> tuple[int, list[Path]]:
@@ -226,7 +212,8 @@ def run_and_emit(
         table = _experiment_table(cfg, threads)
     else:
         table = _single_command_table(cfg, threads)
-    peak_rss = _peak_rss_mb(table.workers)
+    # this process's peak, and the largest of its pool workers' (None: no pool)
+    peak_rss = {"process": peak_rss_mb(), "workers": table.worker_peak_mb}
 
     stem = cfg.command.replace(":", "_")
     csv_path = out / f"{stem}.csv"
@@ -237,6 +224,7 @@ def run_and_emit(
         "command": cfg.command,
         "threads": threads,
         "os_threads": threads_at_start,
+        "allocator": _allocator,
         "workers": table.workers,
         "package_version": __version__,
         "git_describe": git_describe(),
@@ -256,6 +244,26 @@ def run_and_emit(
     )
     code = 0 if table.passed else 2
     return code, [csv_path, json_path]
+
+
+def _use_one_heap() -> None:
+    """Apply ``_ONE_HEAP`` where libc has ``mallopt``.
+
+    A pool forked later inherits it.  No floating-point operation depends
+    on where an array lives, so the CSV bytes stay the same.
+    """
+    global _allocator
+    import ctypes  # only here: importing blochlab.cli leaves the allocator alone
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return  # no glibc: the platform's allocator stays as it is
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    applied = {name: value for name, (param, value) in _ONE_HEAP.items()
+               if mallopt(param, value) == 1}
+    _allocator = applied or None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -282,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         cfg = parse_config(text)
+        _use_one_heap()  # before the run forks its pool
         code, paths = run_and_emit(cfg, out_dir=args.out,
                                    threads=max(1, args.threads))
     except ConfigError as exc:

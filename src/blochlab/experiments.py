@@ -17,15 +17,19 @@ Every harness lists its independent solves as tasks and hands them to
 :func:`map_tasks`, which runs them in this process or on a fork pool and
 returns the results in input order; rows are then built in order, so the
 table does not depend on the worker count.  A pool's parent imports scipy
-before it forks, so the workers share one sparse carrier.  A row's wall
-time is the sum of its tasks' times; wall times belong to the metadata
-sidecar, not the CSV, which must be byte-stable across reruns.
+before it forks, so the workers share one sparse carrier.  Each pooled
+task also reads its worker's peak resident set as it ends, and the table
+keeps the largest.  A row's wall time is the sum of its tasks' times; wall
+times belong to the metadata sidecar, not the CSV, which must be
+byte-stable across reruns.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import resource
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -47,6 +51,7 @@ class ExperimentTable:
     checks: dict[str, bool]
     meta: dict = field(default_factory=dict)
     workers: int = 1            # processes the rows were computed on
+    worker_peak_mb: float | None = None  # largest pool worker peak; None: no pool
 
     @property
     def passed(self) -> bool:
@@ -55,8 +60,10 @@ class ExperimentTable:
 
 def make_table(rows: list[dict], workers: int,
                checks: dict[str, bool] | None = None,
-               meta: dict | None = None) -> ExperimentTable:
-    """The table of ``rows``, computed on ``workers`` processes.
+               meta: dict | None = None,
+               worker_peak_mb: float | None = None) -> ExperimentTable:
+    """The table of ``rows``, computed on ``workers`` processes whose pool
+    workers peaked at ``worker_peak_mb`` (``None`` when no pool ran).
 
     Each row's key order is the CSV column order; a ``runtime_seconds``
     cell stays in the row for the sidecar but is not a column.  Every check
@@ -70,7 +77,7 @@ def make_table(rows: list[dict], workers: int,
                 raise ValueError(f"non-finite row entry {key}={v}")
         row.update((key, bool(ok)) for key, ok in checks.items())
     columns = [c for c in (rows[0] if rows else ()) if c != "runtime_seconds"]
-    return ExperimentTable(columns, rows, checks, meta or {}, workers)
+    return ExperimentTable(columns, rows, checks, meta or {}, workers, worker_peak_mb)
 
 
 def eta_cells(eta, prefix: str = "eta") -> dict:
@@ -96,15 +103,39 @@ def os_threads() -> int | None:
         return None
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set of this process so far, in MB.
+
+    It is ``VmHWM`` where ``/proc/self/status`` has it: Linux carries
+    ``ru_maxrss`` over ``exec``, so that would also report the launcher's
+    peak.  ``ru_maxrss`` is the fallback elsewhere.
+    """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            return next(int(line.split()[1]) / 1024.0  # kB
+                        for line in fh if line.startswith(b"VmHWM:"))
+    except (OSError, StopIteration):
+        unit = 1024.0**2 if sys.platform == "darwin" else 1024.0  # bytes or KiB
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+
 def _timed(fn, task: tuple) -> tuple:
     t0 = time.perf_counter()
     value = fn(*task)
     return value, time.perf_counter() - t0
 
 
-def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]:
-    """``([(fn(*task), wall seconds), ...], pool)`` for independent tasks,
-    in input order, run on ``pool = pool_size(workers, len(tasks))`` processes.
+def _pooled(fn, task: tuple) -> tuple:
+    """:func:`_timed` in a pool worker, with the worker's peak so far."""
+    return *_timed(fn, task), peak_rss_mb()
+
+
+def map_tasks(fn, tasks, workers: int = 1,
+              cost=None) -> tuple[list[tuple], int, float | None]:
+    """``([(fn(*task), wall seconds), ...], pool, peak)`` for independent
+    tasks, in input order, run on ``pool = pool_size(workers, len(tasks))``
+    processes; ``peak`` is the largest :func:`peak_rss_mb` that a pooled
+    task read in its worker as it ended (``None`` when no pool ran).
 
     With a pool of one the tasks run in this process.  Otherwise this
     process imports ``scipy.sparse``, which every pooled task's assembly
@@ -120,7 +151,7 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
     tasks = list(tasks)
     n_workers = pool_size(workers, len(tasks))
     if n_workers == 1:
-        return [_timed(fn, task) for task in tasks], 1
+        return [_timed(fn, task) for task in tasks], 1, None
     import multiprocessing  # only pooled runs pay for the import
 
     # loaded once, here, so its pages are shared with every worker, which
@@ -141,11 +172,11 @@ def map_tasks(fn, tasks, workers: int = 1, cost=None) -> tuple[list[tuple], int]
                       f"{threads} threads; set OPENBLAS_NUM_THREADS=1 before "
                       "the run", RuntimeWarning, stacklevel=2)
     with multiprocessing.get_context("fork").Pool(n_workers) as pool:
-        done = pool.starmap(_timed, [(fn, tasks[i]) for i in order], chunksize=1)
+        done = pool.starmap(_pooled, [(fn, tasks[i]) for i in order], chunksize=1)
     out: list = [None] * len(tasks)
-    for i, result in zip(order, done):
-        out[i] = result
-    return out, n_workers
+    for i, (value, seconds, _) in zip(order, done):
+        out[i] = (value, seconds)
+    return out, n_workers, max(peak for *_, peak in done)
 
 
 def check_eta(experiment: str, eta) -> np.ndarray:
@@ -232,7 +263,7 @@ def run_thm22(
     for eps, _, m, cell in rungs:
         tasks += [(eps, cell, m, eta, True), (eps, cell, m, eta, False),
                   (eps, cell, 2 * m, eta, False)]
-    done, workers = map_tasks(_thm22_task, tasks, workers, [t[2] ** 2 for t in tasks])
+    done, workers, peak = map_tasks(_thm22_task, tasks, workers, [t[2] ** 2 for t in tasks])
     done = iter(done)
     rows = []
     for eps, n, m, _ in rungs:
@@ -261,7 +292,7 @@ def run_thm22(
         "microstructure": "two_phase(rho=eps, beta=eps^-2, shape=square)",
         "eta": [float(v) for v in eta],
     }
-    return make_table(rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta, peak)
 
 
 def _fiber_task(eps: float, cell, m: int, eta_p, eta3: float) -> tuple[float, int]:
@@ -298,7 +329,7 @@ def run_thm31(
     for eps, _, m, cell in rungs:
         tasks += [(eps, cell, m, eta_p, float(eta[2])), (eps, cell, m, eta_p, 0.0),
                   (eps, cell, 2 * m, eta_p, float(eta[2]))]
-    done, workers = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
+    done, workers, peak = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
     done = iter(done)
     rows = []
     for eps, n, m, cell in rungs:
@@ -336,7 +367,7 @@ def run_thm31(
         "gamma": gamma,
         "eta": [float(v) for v in eta],
     }
-    return make_table(rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta, peak)
 
 
 def run_gap_map(
@@ -360,7 +391,7 @@ def run_gap_map(
     points = [(*rung, t) for rung in rungs for t in t_list]
     tasks = [(eps, cell, m, t * eta[:2], float(t * eta[2]))
              for eps, _, m, cell, t in points]
-    done, workers = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
+    done, workers, peak = map_tasks(_fiber_task, tasks, workers, [t[2] ** 2 for t in tasks])
     rows = []
     lam_at_1: dict[float, float] = {}
     for (eps, n, m, cell, t), ((lam, iters), seconds) in zip(points, done):
@@ -393,7 +424,7 @@ def run_gap_map(
         "eta": [float(v) for v in eta],
         "t_list": t_list,
     }
-    return make_table(rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta, peak)
 
 
 def _pw_task(cell, m: int, lam: np.ndarray) -> tuple[float, float]:
@@ -428,7 +459,7 @@ def run_pw(
     eta = check_eta(f"pw_{family}", eta)
     rungs = plan_sweep(f"pw_{family}", eps, gamma=gamma)
     tasks = [(cell, m, eta) for _, _, m, cell in rungs]
-    done, workers = map_tasks(_pw_task, tasks, workers, [t[1] ** 2 for t in tasks])
+    done, workers, peak = map_tasks(_pw_task, tasks, workers, [t[1] ** 2 for t in tasks])
     rows = []
     for (eps, n, m, cell), ((C, mean_a), seconds) in zip(rungs, done):
         row = {"eps": eps, "n": n, "m": m, **eta_cells(eta)}
@@ -454,4 +485,4 @@ def run_pw(
     }
     if family == "fiber":
         meta["gamma"] = gamma
-    return make_table(rows, workers, checks, meta)
+    return make_table(rows, workers, checks, meta, peak)

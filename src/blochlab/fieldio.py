@@ -15,6 +15,7 @@ readers validate shape and finiteness only.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -32,7 +33,7 @@ def write_field_dump(path: str | Path, values: np.ndarray, n: tuple[int, ...]) -
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
     arr = np.ascontiguousarray(values, dtype="<f8").ravel()
-    if arr.size != int(np.prod(n)):
+    if arr.size != math.prod(n):
         raise ValueError(f"payload size {arr.size} does not match shape {n}")
     padded = n + (1,) * (3 - d)
     header = struct.pack(_HEADER_FMT, MAGIC, d, *padded)
@@ -54,7 +55,7 @@ def read_field_dump(path: str | Path) -> tuple[np.ndarray, tuple[int, ...]]:
     n = (n0, n1, n2)[:d]
     if any(v < 1 for v in n):
         raise ValueError(f"{path}: bad cell counts {n}")
-    count = int(np.prod(n))
+    count = math.prod(n)  # exact: np.prod wraps int64
     expected = HEADER_BYTES + 8 * count
     if len(raw) != expected:
         raise ValueError(

@@ -36,7 +36,7 @@ class PeriodicGrid:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @property
     def cell_volume(self) -> float:

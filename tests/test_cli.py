@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import platform
 import re
 import resource
 import subprocess
@@ -17,6 +18,18 @@ from blochlab.cli import _csv_cell, _harness, main, run_and_emit, write_csv
 from blochlab.config import _COMMANDS, _KINDS, EXPERIMENTS, ConfigError, parse_config
 from blochlab.fieldio import write_field_dump
 from blochlab.sparse_linalg import ConvergenceError
+
+
+#: the allocator policy ``main`` applies; the fixture below keeps it out of
+#: the test process, and the test of the policy puts it back
+_USE_ONE_HEAP = blochlab.cli._use_one_heap
+
+
+@pytest.fixture(autouse=True)
+def _default_allocator(monkeypatch):
+    # a main run in this process would otherwise switch its allocator for
+    # every later test; the CLI's own policy is tested in subprocesses
+    monkeypatch.setattr(blochlab.cli, "_use_one_heap", lambda: None)
 
 
 def run_main(argv):
@@ -337,7 +350,7 @@ from blochlab.experiments import map_tasks
 def sparse_loaded(i):
     return "scipy.sparse" in sys.modules
 
-done, pool = map_tasks(sparse_loaded, [(i,) for i in range(4)], workers=2)
+done, pool, _ = map_tasks(sparse_loaded, [(i,) for i in range(4)], workers=2)
 print(json.dumps({"pool": pool, "loaded": [v for v, _ in done],
                   "parent": "scipy.sparse" in sys.modules}))
 """
@@ -399,6 +412,96 @@ def test_sidecar_records_the_thread_count(tmp_path, blas_threads):
     if blas_threads > 1 and threads == 1:
         pytest.skip("this numpy's BLAS starts no thread of its own")
     assert threads == blas_threads
+
+
+#: the allocator record of a CLI sidecar: glibc's mallopt takes both
+#: settings; elsewhere none is applied
+_ALLOCATOR = ({"M_MMAP_MAX": 0, "M_TRIM_THRESHOLD": 1 << 30}
+              if platform.libc_ver()[0] == "glibc" else None)
+
+_IN_PROCESS = r"""
+import sys, blochlab.cli as cli
+with open(sys.argv[1], encoding="utf-8") as fh:
+    cli.run_and_emit(cli.parse_config(fh.read()), out_dir=sys.argv[2],
+                     threads=int(sys.argv[3]))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("text", [
+    "command = experiment:thm31\neps = 1/3, 1/4\n",
+    "command = experiment:thm22\neps = 1/2, 1/4\nn = 64\n",
+], ids=["thm31", "thm22"])
+def test_allocator_policy_keeps_the_csv_bytes(tmp_path, text, threads):
+    # the CLI serves its arrays from one untrimmed heap, a library caller
+    # from the default allocator: where an array lives moves no bit
+    cfg = write_cfg(tmp_path, text)
+    main = "import sys, blochlab.cli; sys.exit(blochlab.cli.main(sys.argv[1:]))"
+    proc = _python(main, "--config", cfg, "--out", tmp_path / "cli",
+                   "--threads", threads)
+    assert proc.returncode == 0, proc.stderr
+    proc = _python(_IN_PROCESS, cfg, tmp_path / "lib", threads)
+    assert proc.returncode == 0, proc.stderr
+    name = parse_config(text).command.replace(":", "_")
+    csvs = [(tmp_path / side / f"{name}.csv").read_bytes() for side in ("cli", "lib")]
+    assert csvs[0] == csvs[1]
+    sidecars = [json.loads((tmp_path / side / f"{name}.json").read_text())
+                for side in ("cli", "lib")]
+    assert [s["allocator"] for s in sidecars] == [_ALLOCATOR, None]
+
+
+class _Libc:
+    """A libc whose ``mallopt`` records its calls and accepts each."""
+
+    def __init__(self, calls: list):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False])
+def test_main_applies_the_allocator_policy(tmp_path, monkeypatch, has_mallopt):
+    # main hands mallopt both settings and records them; a libc without
+    # mallopt runs the same, and the sidecar says that nothing was applied
+    import ctypes
+
+    calls = []
+    monkeypatch.setattr(blochlab.cli, "_use_one_heap", _USE_ONE_HEAP)
+    monkeypatch.setattr(blochlab.cli, "_allocator", None)
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: _Libc(calls) if has_mallopt else object())
+    text = "command = capacity\nr = 0.28\nn = 64\n"
+    cfg = write_cfg(tmp_path, text)
+    assert run_main(["--config", cfg, "--out", tmp_path / "cli"]) == 0
+    assert set(calls) == ({(-4, 0), (-1, 1 << 30)} if has_mallopt else set())
+    _, (reference, _) = run_and_emit(parse_config(text), out_dir=tmp_path / "lib")
+    assert (tmp_path / "cli" / "capacity.csv").read_bytes() == reference.read_bytes()
+    sidecar = json.loads((tmp_path / "cli" / "capacity.json").read_text())
+    assert sidecar["allocator"] == ({"M_MMAP_MAX": 0, "M_TRIM_THRESHOLD": 1 << 30}
+                                    if has_mallopt else None)
+
+
+_AFTER_A_LARGE_CHILD = r"""
+import subprocess, sys
+import blochlab.cli as cli
+ballast = "b = b'x' * (300 << 20)"
+subprocess.run([sys.executable, "-c", ballast], check=True)
+text = "command = experiment:thm22\neps = 1/2\nn = 32\n"
+cli.run_and_emit(cli.parse_config(text), out_dir=sys.argv[1], threads=2)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="a pool of one runs its tasks in this process")
+def test_sidecar_workers_peak_is_this_runs_pool(tmp_path):
+    # a 300 MB child reaped before the run is no worker of its pool
+    proc = _python(_AFTER_A_LARGE_CHILD, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((tmp_path / "experiment_thm22.json").read_text())
+    assert meta["workers"] == 2
+    assert 0 < meta["peak_rss_mb"]["workers"] < 300
+    assert meta["allocator"] is None  # a library caller keeps its allocator
 
 
 def test_package_exports_resolve():

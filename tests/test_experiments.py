@@ -203,11 +203,13 @@ def _fail_on(x, bad):
 def test_map_tasks_keeps_input_order():
     tasks = [(v,) for v in range(5)]
     for workers in (1, 2):
-        done, pool = map_tasks(_square, tasks, workers, cost=[0, 3, 1, 4, 2])
+        done, pool, peak = map_tasks(_square, tasks, workers, cost=[0, 3, 1, 4, 2])
         assert [value for value, _ in done] == [0, 1, 4, 9, 16]
         assert all(seconds >= 0.0 for _, seconds in done)
         # the pool the tasks ran on is the one clamp of the requested count
         assert pool == pool_size(workers, len(tasks))
+        # its workers' peak, read in the workers; none without a pool
+        assert (peak is None) == (pool == 1) and (peak is None or peak > 0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -31,6 +31,8 @@ def test_roundtrip_all_dimensions(tmp_path):
 def test_write_rejects_bad_shape(tmp_path):
     with pytest.raises(ValueError, match="does not match shape"):
         write_field_dump(tmp_path / "f.blf", np.ones(5), (2, 3))
+    with pytest.raises(ValueError, match="does not match shape"):  # 2^64 cells, not 0
+        write_field_dump(tmp_path / "f.blf", np.ones(0), (2**31, 2**31, 4))
     with pytest.raises(ValueError, match="dimension"):
         write_field_dump(tmp_path / "f.blf", np.ones(16), (2, 2, 2, 2))
 
@@ -53,6 +55,10 @@ def test_read_rejects_size_mismatch(tmp_path):
     p = tmp_path / "f.blf"
     write_field_dump(p, np.ones(6), (2, 3))
     p.write_bytes(p.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="size mismatch"):
+        read_field_dump(p)
+    # a header alone whose cell count is 2^64: an int64 product wraps it to 0
+    p.write_bytes(struct.pack("<8s4I8x", MAGIC, 3, 2**31, 2**31, 4))
     with pytest.raises(ValueError, match="size mismatch"):
         read_field_dump(p)
 
