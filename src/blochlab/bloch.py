@@ -147,6 +147,43 @@ def assemble_shifted(
     return B, M_diag
 
 
+def _fft_bound(inv_sigma: np.ndarray, real_symbol: bool) -> Preconditioner:
+    """The Fourier multiplier ``r -> ifftn(fftn(r) * inv_sigma)`` over the
+    grid axes (``inv_sigma`` has the grid's shape), for a vector of length
+    ``N`` or an ``(N, cols)`` block.  Under a ``real_symbol`` (even in
+    ``xi``) real data take the half spectrum,
+    ``irfftn(rfftn(r) * inv_half, s=shape)``.
+
+    Each apply allocates one spectrum buffer: the forward transform writes
+    into it and every later pass runs in place, the inverse half-spectrum
+    passes in :func:`numpy.fft.irfftn`'s own order.  Each pass is the one
+    numpy's out-of-place forms run, so the result is bit-identical to them.
+    """
+    shape = inv_sigma.shape
+    d = len(shape)
+    axes = tuple(range(d))
+    inv_half = inv_sigma[..., : shape[-1] // 2 + 1]
+
+    def bound(r: np.ndarray) -> np.ndarray:
+        v = r.reshape(shape + r.shape[1:])
+        pad = (1,) * (r.ndim - 1)
+        if real_symbol and not np.iscomplexobj(r):
+            z = np.empty(inv_half.shape + r.shape[1:], dtype=np.complex128)
+            np.fft.rfftn(v, axes=axes, out=z)
+            z *= inv_half.reshape(inv_half.shape + pad)
+            for k in axes[:-1]:
+                np.fft.ifft(z, axis=k, out=z)
+            z = np.fft.irfft(z, n=shape[-1], axis=d - 1)
+        else:
+            z = np.empty(v.shape, dtype=np.complex128)
+            np.fft.fftn(v, axes=axes, out=z)
+            z *= inv_sigma.reshape(shape + pad)
+            np.fft.ifftn(z, axes=axes, out=z)
+        return z.reshape(r.shape)
+
+    return bound
+
+
 def shifted_pencil(
     field: CoefficientField,
     eta: np.ndarray | None = None,
@@ -212,22 +249,7 @@ def shifted_pencil(
     inv_sigma = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, sigma))
     # zero phases make sigma even in xi: real data stay real, half spectrum
     real_symbol = not np.any(theta)
-    inv_half = inv_sigma[..., : shape[-1] // 2 + 1]
-    axes = tuple(range(d))
-
-    def bound(r: np.ndarray) -> np.ndarray:
-        # one spectrum buffer, scaled and transformed back in place
-        v = r.reshape(shape + r.shape[1:])
-        pad = (1,) * (r.ndim - 1)
-        if real_symbol and not np.iscomplexobj(r):
-            z = np.fft.rfftn(v, axes=axes)
-            z *= inv_half.reshape(inv_half.shape + pad)
-            z = np.fft.irfftn(z, s=shape, axes=axes)
-        else:
-            z = np.fft.fftn(v, axes=axes)
-            z *= inv_sigma.reshape(shape + pad)
-            np.fft.ifftn(z, axes=axes, out=z)
-        return z.reshape(r.shape)
+    bound = _fft_bound(inv_sigma, real_symbol)
 
     if not real_symbol or shift != 0.0:
         return B, M, bound

@@ -123,9 +123,12 @@ def _pcg(
     relative residual history (the start, then one entry per completed
     step) and the reason for failure, ``None`` on success.
 
-    ``x``, ``r`` and ``p`` are updated in place through one work buffer;
-    every update evaluates the same operations, in the same order, as its
-    out-of-place form, so the iterates are bit-identical to it.
+    ``x``, ``r`` and ``p`` are updated in place, with no work buffer: the
+    buffer of ``A p`` takes ``alpha A p`` for the ``r`` update and then
+    ``alpha p`` for the ``x`` update (on a restart step the ``x`` update
+    comes first, since ``b - A x`` reads it).  Every update evaluates the
+    same operations as its out-of-place form, so the iterates are
+    bit-identical to it.
     """
     def project(v: np.ndarray) -> np.ndarray:
         # in place: v is always an array this loop owns
@@ -152,7 +155,6 @@ def _pcg(
     z = precond(r)
     p = z.copy()
     rz = np.vdot(r, z).real
-    work = np.empty_like(p)
     for it in range(1, maxit + 1):
         Ap = project(A @ p)
         pAp = np.vdot(p, Ap).real
@@ -161,11 +163,12 @@ def _pcg(
                 f"indefinite curvature encountered at iteration {it}"
             )
         alpha = rz / pAp
-        x += np.multiply(alpha, p, out=work)
         if it % _RESTART_EVERY == 0:
+            x += np.multiply(alpha, p, out=Ap)
             np.subtract(b, A @ x, out=r)  # restart: discard accumulated roundoff
         else:
-            r -= np.multiply(alpha, Ap, out=work)
+            r -= np.multiply(alpha, Ap, out=Ap)
+            x += np.multiply(alpha, p, out=Ap)
         project(r)
         del Ap
         history.append(float(np.linalg.norm(r)) / bnorm)
@@ -459,6 +462,7 @@ def largest_geneig(
         Ku = K @ u
         num = float(np.dot(us, w * us))
         den = float(np.dot(u, Ku))
+        del us, Ku  # not read again: the next solve needs neither
         if den <= 0:
             raise ConvergenceError("stiffness form degenerate in power iteration")
         mu = num / den

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blochlab.bloch import (
+    _fft_bound,
     assemble_shifted,
     bloch_lambda1,
     bloch_reduced,
@@ -20,6 +21,7 @@ from blochlab.bloch import (
     fiber_lambda1_2d,
     shifted_pencil,
 )
+from blochlab.cell_problems import pw_constant
 from blochlab.experiments import fiber_beta
 from blochlab.grid import make_grid
 from blochlab.microstructure import (
@@ -357,6 +359,37 @@ def test_zero_momentum_fiber_solve_takes_the_exact_inverse():
     assert abs(res.lambda1) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(8,), (2,), (6, 5), (4, 2), (2, 6), (4, 3, 5), (3, 2, 4)])
+@pytest.mark.parametrize("momentum", [0.0, 0.3])
+def test_fft_bound_matches_out_of_place_forms(shape, momentum):
+    # the in-place transforms against numpy's out-of-place forms, bit for
+    # bit; the 3-D grids check the order of the inverse half-spectrum passes
+    d = len(shape)
+    xi = np.meshgrid(*(2 * np.pi * np.fft.fftfreq(n) + momentum for n in shape),
+                     indexing="ij")
+    sigma = sum(4 * np.sin(x / 2) ** 2 for x in xi)
+    inv_sigma = np.where(sigma == 0.0, 0.0, 1.0 / np.where(sigma == 0.0, 1.0, sigma))
+    real_symbol = momentum == 0.0
+    bound = _fft_bound(inv_sigma, real_symbol)
+    axes = tuple(range(d))
+    N = math.prod(shape)
+    rng = np.random.default_rng(29)
+    for r in (rng.standard_normal(N), rng.standard_normal((N, 3)),
+              rng.standard_normal(N) + 1j * rng.standard_normal(N)):
+        v = r.reshape(shape + r.shape[1:])
+        pad = (1,) * (r.ndim - 1)
+        if real_symbol and not np.iscomplexobj(r):
+            inv_half = inv_sigma[..., : shape[-1] // 2 + 1]
+            ref = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * inv_half.reshape(inv_half.shape + pad),
+                                s=shape, axes=axes)
+        else:
+            ref = np.fft.ifftn(np.fft.fftn(v, axes=axes) * inv_sigma.reshape(shape + pad),
+                               axes=axes)
+        z = bound(r)
+        assert z.shape == r.shape and z.dtype == ref.dtype
+        assert z.tobytes() == ref.tobytes()
+
+
 def _plain_fft_bound(field, r):
     # P^+ r for the reference medium a_ref = min a at zero momentum, written
     # out from its symbol, independent of the library's transforms
@@ -414,6 +447,22 @@ def test_fiber_solve_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * m * m * 16
+
+
+def test_pw_constant_working_set():
+    # the power iteration and its CG solves keep only the vectors they read
+    # again: traced peak in real N-vectors (about 18 here; 22 with CG's
+    # work buffer, the power step's us and Ku, and a second spectrum buffer
+    # in each apply of the bound)
+    eps, m = 1 / 4, 90
+    section = _fiber_section(eps, m)
+    tracemalloc.start()
+    try:
+        pw_constant(section, np.array([0.25, 0.0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * m * m * 8
 
 
 def test_bloch_lambda1_zero_momentum():

@@ -13,6 +13,7 @@ from blochlab.bloch import shifted_pencil
 from blochlab.grid import make_grid
 from blochlab.microstructure import CoefficientField
 from blochlab.sparse_linalg import (
+    _RESTART_EVERY,
     ConvergenceError,
     _adjoint_product,
     cg_solve,
@@ -129,6 +130,53 @@ def test_cg_warm_start_exact():
     x = mean_free_solve(K, b)
     out = cg_solve(K, b, tol=1e-12, x0=x, precond=bound)
     assert_allclose(out, x, rtol=1e-12)
+
+
+def out_of_place_pcg(A, b, precond, tol, x0=None):
+    """Deflated PCG written out of place, step for step as cg_solve's loop
+    runs it; returns the iterate and its step count."""
+    def project(v):
+        return v - v.mean()
+
+    r = project(b.copy())
+    bnorm = np.linalg.norm(r)
+    x = np.zeros_like(b) if x0 is None else project(x0.copy())
+    if x0 is not None:
+        r = project(b - A @ x)
+    z = precond(r)
+    p = z.copy()
+    rz = np.vdot(r, z).real
+    for it in range(1, 10 * len(b)):
+        Ap = project(A @ p)
+        alpha = rz / np.vdot(p, Ap).real
+        x = x + alpha * p
+        r = b - A @ x if it % _RESTART_EVERY == 0 else r - alpha * Ap
+        r = project(r)
+        if np.linalg.norm(r) / bnorm <= tol:
+            return project(x), it
+        z = precond(r)
+        rz_new = np.vdot(r, z).real
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference PCG did not converge")
+
+
+@pytest.mark.parametrize("complex_rhs", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_cg_in_place_updates_bitwise(complex_rhs, warm):
+    # a weak preconditioner (a scaled identity on the mean-free vectors)
+    # takes the solve past several true-residual restarts
+    n = 200
+    rng = np.random.default_rng(13)
+    d = np.exp(rng.standard_normal(n))
+    K, precond = ring_stiffness(d), mean_free_bound(4.0 * d.max())
+    b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_rhs else 0.0)
+    b -= b.mean()
+    x0 = rng.standard_normal(n).astype(b.dtype) if warm else None
+    ref, steps = out_of_place_pcg(K, b, precond, 1e-12, x0)
+    assert steps > 2 * _RESTART_EVERY
+    x = cg_solve(K, b, tol=1e-12, x0=x0, precond=precond)
+    assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -21,8 +21,15 @@ Every entry names its tree instead: the git tree ids of the exported
 ``src`` and ``perfbench``, which ``git rev-parse <commit>:src`` (and
 ``:perfbench``) reproduce for the commit that holds that tree.
 
-At the end the script prints, per end-to-end metric, each side's median
-and quartiles and the pairs the change won, ties counting for neither.
+At the end the script prints each side's runs that were not correct and
+its failed/attempted operations, then applies the pair rule per
+end-to-end metric of ``BENCHMARK.json``.  Medians and quartiles are taken
+over each side's correct runs, and wins over the pairs whose two runs are
+both correct, ties counting for neither.  The relative change of the
+medians is flagged when it is worse than the metric's bound, and a gain is
+resolved only when the change wins at least 9 of 10 pairs (and at least 10
+pairs ran) and the gap between the medians exceeds the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -127,27 +135,65 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(entries: list[dict], better: dict[str, str]) -> None:
-    pairs: dict[int, dict[str, dict]] = {}
+def summarize(entries: list[dict], metrics: list[dict]) -> list[str]:
+    """The summary of ``entries`` under the pair rule, one line per item;
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``."""
+    pairs: dict[int, dict[str, dict | None]] = {}
+    left_out = []
     for e in entries:
         try:
             result = json.loads(e["last_line"])
         except json.JSONDecodeError:
-            continue
+            result = None  # the run ended before printing its result
         pairs.setdefault(e["pair"], {})[e["side"]] = result
-    complete = [p for p in pairs.values() if len(p) == 2]
-    print(f"{len(complete)} complete pairs; correct: "
-          f"{sum(p[s]['correct'] for p in complete for s in p)} of {2 * len(complete)} runs")
-    for metric, direction in better.items():
-        side = {s: [p[s]["metrics"][metric]["value"] for p in complete
-                    if metric in p[s]["metrics"]] for s in ("parent", "change")}
-        if not side["parent"] or len(side["parent"]) != len(side["change"]):
+        if not (result and result["correct"]):
+            left_out.append(f"  not correct, left out: pair {e['pair']} {e['side']} "
+                            f"seed {e['seed']}")
+
+    def correct(p: dict, side: str) -> bool:
+        return bool(p.get(side) and p[side]["correct"])
+
+    lines = []
+    for side in ("parent", "change"):
+        runs = [p for p in pairs.values() if side in p]
+        done = [p[side] for p in runs if p[side]]
+        lines.append(f"{side}: {sum(correct(p, side) for p in runs)} of {len(runs)} runs "
+                     f"correct; failed/attempted operations {sum(r['failed'] for r in done)}"
+                     f"/{sum(r['attempted'] for r in done)}")
+    lines += left_out
+    both = [p for p in pairs.values() if correct(p, "parent") and correct(p, "change")]
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        sign = -1.0 if metric["better"] == "lower" else 1.0
+        side = {s: [p[s]["metrics"][name]["value"] for p in pairs.values()
+                    if correct(p, s) and name in p[s]["metrics"]] for s in ("parent", "change")}
+        if not side["parent"] or not side["change"]:
             continue
-        sign = -1.0 if direction == "lower" else 1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
-        text = "; ".join(f"{s} median {q[1]:.6g} [q1 {q[0]:.6g}, q3 {q[2]:.6g}]"
-                         for s, q in ((s, quartiles(v)) for s, v in side.items()))
-        print(f"  {metric}: {text}; change better in {wins} of {len(complete)}")
+        q = {s: quartiles(v) for s, v in side.items()}
+        med_p, med_c = q["parent"][1], q["change"][1]
+        if med_p:
+            rel = (med_c - med_p) / abs(med_p)
+        else:
+            rel = 0.0 if med_c == med_p else math.copysign(math.inf, med_c - med_p)
+        won = [sign * (p["change"]["metrics"][name]["value"]
+                       - p["parent"]["metrics"][name]["value"]) > 0
+               for p in both if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+        wins, n = sum(won), len(won)
+        iqr = q["parent"][2] - q["parent"][0]
+        if -sign * rel > bound:
+            verdict = f"WORSE than its {bound:.0%} bound"
+        elif sign * rel > 0 and n >= 10 and 10 * wins >= 9 * n and abs(med_c - med_p) > iqr:
+            verdict = "gain resolved"
+        elif sign * rel > 0:
+            verdict = "gain unresolved"
+        else:
+            verdict = f"worse, within its {bound:.0%} bound" if rel else "unchanged"
+        text = "; ".join(f"{s} median {m:.6g} [q1 {q1:.6g}, q3 {q3:.6g}] of {len(side[s])}"
+                         for s, (q1, m, q3) in q.items())
+        lines.append(f"  {name}: {text}; change {rel:+.2%}; better in {wins} of {n} "
+                     f"pairs; gap {abs(med_c - med_p):.3g} vs parent IQR {iqr:.3g}: "
+                     f"{verdict}")
+    return lines
 
 
 def main() -> int:
@@ -164,8 +210,7 @@ def main() -> int:
 
     parent = git("rev-parse", args.parent).strip()
     sides = {"parent": (parent, args.pr - 1), "change": (None, args.pr)}
-    better = {m["name"]: m["better"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {"entries": []}
     host = machine()
@@ -195,7 +240,7 @@ def main() -> int:
                 print(f"pair {i} {side} seed {seed}: {last}", flush=True)
             record["entries"] += new[-2:]
             out.write_text(json.dumps(record, indent=1) + "\n")
-    summarize(new, better)
+    print("\n".join(summarize(new, metrics)))
     return 0
 
 
