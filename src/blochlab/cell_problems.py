@@ -229,7 +229,7 @@ def pw_constant(
     if not np.any(lam):
         return 0.0
     # the mass diagonal w becomes the weight w a |lam|^2 in place: no
-    # second length-N vector lives through the power iteration
+    # second length-N vector lives through the iteration
     K, weight, inverse = shifted_pencil(field)
     weight *= field.a * float(lam @ lam)
     return largest_geneig(weight, K, precond=inverse)

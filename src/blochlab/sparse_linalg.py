@@ -1,8 +1,9 @@
 """Sparse Hermitian solver kernels: the mean-zero solve of a periodic
 stiffness by preconditioned conjugate gradients (:func:`cg_solve`), the
 block eigensolver for the lowest pair of a pencil (:func:`smallest_eigpair`)
-and inverse-operator power iteration, at fixed tolerances, for the largest
-generalized eigenvalue (:func:`largest_geneig`).
+and a locally optimal iteration of one vector over stiffness solves, at
+fixed tolerances, for the largest generalized eigenvalue
+(:func:`largest_geneig`).
 
 Matrices are carried as ``scipy.sparse`` CSR (dimension, row-compressed
 index/value arrays, real or complex scalar kind).  Deterministic behavior is
@@ -29,8 +30,8 @@ _INNER_CG_STEPS = 40
 _RESTART_EVERY = 50
 #: outer iteration budget of the block eigensolver
 _EIG_MAXIT = 500
-#: step budget of the power iteration in :func:`largest_geneig`, the
-#: relative change of its value that ends it, and its CG solves' tolerance
+#: step budget of the iteration in :func:`largest_geneig`, the relative
+#: change of its value that ends it, and its CG solves' tolerance
 _POWER_MAXIT = 300
 _POWER_TOL = 1e-8
 _POWER_CG_TOL = 1e-11
@@ -41,8 +42,8 @@ Preconditioner = Callable[[np.ndarray], np.ndarray]
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted; carries the residual history and, from
     :func:`smallest_eigpair`, the final ``relative_residual`` and
-    ``error_estimate`` of the lowest pair (``None`` from CG and the power
-    iteration)."""
+    ``error_estimate`` of the lowest pair (``None`` from CG and
+    :func:`largest_geneig`)."""
 
     def __init__(self, message: str, history: list[float] | None = None, *,
                  relative_residual: float | None = None,
@@ -136,9 +137,12 @@ def _pcg(
             v -= v.mean()
         return v
 
-    # the eigensolver passes strided block columns; reductions over a
-    # contiguous copy round the same whatever the caller's layout
-    b = np.ascontiguousarray(b)
+    # one dtype throughout, so that a real warm start takes a complex
+    # solve's dtype; the eigensolver passes strided block columns, and
+    # reductions over a contiguous copy round the same whatever the
+    # caller's layout
+    dtype = np.result_type(A.dtype, b.dtype, *(() if x0 is None else (np.asarray(x0).dtype,)))
+    b = np.ascontiguousarray(b, dtype=dtype)
     r = project(b.copy())
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
@@ -146,7 +150,7 @@ def _pcg(
     if x0 is None:
         x = np.zeros_like(b)
     else:
-        x = project(np.array(x0, copy=True))
+        x = project(np.array(x0, dtype=dtype, copy=True))
         np.subtract(b, A @ x, out=r)
         project(r)
     history = [float(np.linalg.norm(r)) / bnorm]
@@ -426,12 +430,20 @@ def largest_geneig(
     """Maximum of ``x* W x`` subject to ``x* K x = 1`` over the subspace of
     weighted-mean-zero vectors, ``W = diag(weight_diag)``.
 
-    Inverse-operator power iteration: each step applies the shifted weight
-    (which is exactly orthogonal to constants) and solves with ``K`` under
-    constant deflation, preconditioned by ``precond``.  Warm-started CG
-    keeps later steps cheap.  The iteration stops when the value changes by
-    at most ``_POWER_TOL`` relative; a solve that misses ``_POWER_CG_TOL``
-    raises :class:`ConvergenceError`.
+    Locally optimal (LOBPCG-type, block size one) iteration for the largest
+    pair of ``(W~, K)``, ``W~ = W - w w^T / sum(w)`` the weight shifted to
+    annihilate constants (Knyazev 2001).  Each step makes one CG solve
+    ``u = K^+ W~ x`` under constant deflation, preconditioned by
+    ``precond`` and warm-started from ``mu x``, the best multiple of ``x``
+    in the ``K`` norm.  The next value and iterate are the Rayleigh-Ritz
+    maximum over span{x, u, p}, ``p`` the previous step's direction (see
+    :func:`_ritz_max`).  The iteration stops when the value changes by at
+    most ``_POWER_TOL`` relative.  A solve that misses ``_POWER_CG_TOL``
+    raises :class:`ConvergenceError` with the solve's history; a run out
+    of ``_POWER_MAXIT`` steps raises it with each step's relative change.
+
+    Besides the solve, the working set is ``x``, ``u`` and ``p``; ``u``
+    is reused for the new direction and ``x`` for the warm start.
     """
     w = np.asarray(weight_diag, dtype=np.float64)
     n = w.shape[0]
@@ -441,37 +453,77 @@ def largest_geneig(
     if wsum == 0.0 or w.max() == 0.0:
         return 0.0
 
-    def shift(v: np.ndarray) -> np.ndarray:
-        # subtract the weighted mean: the optimal constant shift
-        return v - np.dot(w, v) / wsum
+    def shifted_weight(v: np.ndarray) -> np.ndarray:
+        # W~ v: the weight times v less its weighted mean (the optimal
+        # constant shift)
+        return w * (v - np.dot(w, v) / wsum)
 
     rng = np.random.default_rng(_DEFAULT_SEED)
-    x = shift(rng.standard_normal(n))
+    x = rng.standard_normal(n)
+    x -= np.dot(w, x) / wsum
     x /= np.linalg.norm(x)
-    mu_prev = None
-    warm = None
-    for it in range(1, _POWER_MAXIT + 1):
-        y = w * shift(x)
-        del x  # not read again before the solve returns its successor
+    mu, coef = _ritz_max([x], K, shifted_weight)
+    x *= coef[0]
+    p = None
+    history: list[float] = []
+    for _ in range(_POWER_MAXIT):
+        y = shifted_weight(x)
         y -= y.mean()  # exact zero up to roundoff; keeps CG consistent
         if np.linalg.norm(y) == 0.0:
             return 0.0
-        u = cg_solve(K, y, tol=_POWER_CG_TOL, x0=warm, precond=precond)
-        warm = u
-        us = shift(u)
-        Ku = K @ u
-        num = float(np.dot(us, w * us))
-        den = float(np.dot(u, Ku))
-        del us, Ku  # not read again: the next solve needs neither
-        if den <= 0:
-            raise ConvergenceError("stiffness form degenerate in power iteration")
-        mu = num / den
-        x = u / np.linalg.norm(u)
-        if mu_prev is not None and abs(mu - mu_prev) <= _POWER_TOL * max(abs(mu), 1e-300):
+        x *= mu  # the warm start, and the basis vector along x
+        u = cg_solve(K, y, tol=_POWER_CG_TOL, x0=x, precond=precond)
+        del y
+        u -= x  # the preconditioned residual: the same span, better conditioned
+        mu_new, coef = _ritz_max([x, u] if p is None else [x, u, p], K, shifted_weight)
+        # the new direction is the Ritz vector's part outside x, in u's buffer
+        u *= coef[1]
+        if p is not None:
+            p *= coef[2]
+            u += p
+        p = u
+        del u
+        x *= coef[0]
+        x += p
+        history.append(abs(mu_new - mu) / max(abs(mu_new), 1e-300))
+        mu = mu_new
+        if history[-1] <= _POWER_TOL:
             return mu
-        mu_prev = mu
     raise ConvergenceError(
-        f"power iteration did not settle to rel {_POWER_TOL:.1e} in {_POWER_MAXIT} steps "
-        f"(last value {mu_prev})"
+        f"LOBPCG iteration did not settle to rel {_POWER_TOL:.1e} in {_POWER_MAXIT} "
+        f"steps (last value {mu})",
+        history,
     )
 
+
+def _ritz_max(
+    basis: list[np.ndarray],
+    K: sp.spmatrix,
+    shifted_weight: Callable[[np.ndarray], np.ndarray],
+) -> tuple[float, np.ndarray]:
+    """Largest Ritz pair of ``(W~, K)`` on span(basis): the value and the
+    coefficients of its ``K``-normalized vector.
+
+    The Gram matrices take one ``K @ v`` and one ``W~ v`` at a time.
+    Directions whose eigenvalue in the ``K``-Gram matrix falls below 1e-14
+    of the largest are dropped, as :func:`_m_orthonormalize` does: near
+    convergence the residual and the previous direction shrink towards
+    rounding.
+    """
+    k = len(basis)
+    GK = np.empty((k, k))
+    GW = np.empty((k, k))
+    for i, v in enumerate(basis):
+        Kv = K @ v
+        Wv = shifted_weight(v)
+        for j in range(i, k):
+            GK[i, j] = GK[j, i] = np.dot(basis[j], Kv)
+            GW[i, j] = GW[j, i] = np.dot(basis[j], Wv)
+        del Kv, Wv
+    theta, Q = np.linalg.eigh(GK)
+    keep = theta > max(theta.max(), 0.0) * 1e-14
+    if not np.any(keep):
+        raise ConvergenceError("stiffness form degenerate in the LOBPCG iteration")
+    T = Q[:, keep] / np.sqrt(theta[keep])
+    theta, C = np.linalg.eigh(T.T @ GW @ T)
+    return float(theta[-1]), T @ C[:, -1]

@@ -31,7 +31,8 @@ from blochlab.microstructure import (
     radius_for_gamma,
     rasterize,
 )
-from blochlab.sparse_linalg import largest_geneig
+from blochlab.plan import plan_sweep
+from blochlab.sparse_linalg import ConvergenceError, largest_geneig
 
 from jacobi_oracle import dense_oracle
 
@@ -243,6 +244,42 @@ def test_pw_corrected_inverse_matches_dense_oracle():
     lam = np.array([0.3, 0.1])
     mu = dense_oracle(K, g.cell_volume * f.a * float(lam @ lam))
     assert_allclose(pw_constant(f, lam), 1.0 / mu[1], rtol=1e-9)
+
+
+def _pw_thm22_coarsest():
+    # experiment:pw_thm22's eps = 1/2 rung: one beta = 4 inclusion of
+    # side pi on its 16 x 16 unit cell, weight direction (1/4, 0)
+    _, _, m, cell = plan_sweep("pw_thm22", [0.5])[0]
+    return rasterize(cell, make_grid(2, m)), np.array([0.25, 0.0])
+
+
+def test_pw_thm22_coarsest_rung_matches_dense_oracle(monkeypatch):
+    # the slowest Poincare cell to settle: inverse power iteration stops
+    # 9.2e-9 off after 36 solves under the same stop rule
+    solves = []
+    cg = sparse_linalg.cg_solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "cg_solve", counted)
+    f, lam = _pw_thm22_coarsest()
+    K, _, _ = shifted_pencil(f)
+    mu = dense_oracle(K, f.grid.cell_volume * f.a * float(lam @ lam))
+    assert_allclose(pw_constant(f, lam), 1.0 / mu[1], rtol=1e-9)
+    assert len(solves) <= 15
+
+
+def test_pw_out_of_budget_error_carries_each_steps_change(monkeypatch):
+    monkeypatch.setattr(sparse_linalg, "_POWER_MAXIT", 3)
+    f, lam = _pw_thm22_coarsest()
+    with pytest.raises(ConvergenceError, match="LOBPCG iteration") as exc:
+        pw_constant(f, lam)
+    history = exc.value.residual_history
+    assert len(history) == 3
+    assert all(change > sparse_linalg._POWER_TOL for change in history)
+    assert exc.value.relative_residual is None and exc.value.error_estimate is None
 
 
 def test_pw_fiber_finest_rung_at_default_tolerances(monkeypatch):

@@ -132,6 +132,16 @@ def test_cg_warm_start_exact():
     assert_allclose(out, x, rtol=1e-12)
 
 
+def test_cg_real_warm_start_of_a_complex_solve():
+    # the solve runs in the result type of A, b and x0: a real zero warm
+    # start of a complex right-hand side is the cold solve, bit for bit
+    K, bound, b = random_ring(20, seed=1)
+    b = b + 1j * random_ring(20, seed=2)[2]
+    cold = cg_solve(K, b, tol=1e-12, precond=bound)
+    warm = cg_solve(K, b, tol=1e-12, x0=np.zeros(20), precond=bound)
+    assert warm.dtype == np.complex128 and warm.tobytes() == cold.tobytes()
+
+
 def out_of_place_pcg(A, b, precond, tol, x0=None):
     """Deflated PCG written out of place, step for step as cg_solve's loop
     runs it; returns the iterate and its step count."""
@@ -412,7 +422,7 @@ def test_largest_geneig_matches_pencil_route():
 
 def test_largest_geneig_stalled_solve_raises():
     # a preconditioner that is not positive stops the first CG solve, so
-    # the power iteration must raise with the stalled solve's history
+    # the iteration must raise with the stalled solve's history
     n = 40
     rng = np.random.default_rng(41)
     d = np.exp(2.0 * rng.standard_normal(n))
