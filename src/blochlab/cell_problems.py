@@ -43,10 +43,7 @@ def _cell_solver(field: CoefficientField):
     """``b -> x``, the mean-zero solve of ``K x = b`` on the periodic
     stiffness: one ``K`` and one inverse serve every source of a call."""
     K, _, inverse = shifted_pencil(field)
-    return partial(
-        cg_solve, K, tol=1e-12, maxit=50 * max(field.grid.n),
-        precond=inverse,
-    )
+    return partial(cg_solve, K, tol=1e-12, precond=inverse)
 
 
 def _corrector_values(

@@ -74,7 +74,6 @@ def cg_solve(
     b: np.ndarray,
     *,
     tol: float = 1e-12,
-    maxit: int | None = None,
     x0: np.ndarray | None = None,
     precond: Preconditioner,
 ) -> np.ndarray:
@@ -85,11 +84,9 @@ def cg_solve(
 
     ``b`` must have zero mean.  The constants are projected out of the
     start vector and of every residual; ``precond`` applies an approximate
-    inverse of ``A``.
+    inverse of ``A``.  The budget is ``max(1000, 2 N)`` steps.
     """
     b = np.asarray(b)
-    if maxit is None:
-        maxit = max(1000, 2 * b.shape[0])
     drift = abs(b.sum()) / max(np.abs(b).sum(), np.finfo(float).tiny)
     if drift > 1e-10:
         raise ValueError(
@@ -97,7 +94,7 @@ def cg_solve(
             f"(relative drift {drift:.3e}) under constant deflation"
         )
     x, history, failure = _pcg(
-        A, b, precond, tol=tol, maxit=maxit, deflate=True, x0=x0
+        A, b, precond, tol=tol, maxit=max(1000, 2 * b.shape[0]), deflate=True, x0=x0
     )
     if failure is not None:
         raise ConvergenceError(failure, history)
@@ -214,15 +211,23 @@ def _adjoint_product(V: np.ndarray, W: np.ndarray) -> np.ndarray:
         np.conjugate(V, out=V)
 
 
-def _m_orthonormalize(V: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """SVQB-style M-orthonormalization, dropping near-dependent columns."""
-    G = _adjoint_product(V, M[:, None] * V)
+def _svqb(G: np.ndarray) -> np.ndarray:
+    """``T`` with ``T^H G T = I`` for the Gram matrix ``G`` (symmetrized
+    first): its eigenvectors over the square roots of their eigenvalues,
+    dropping those whose eigenvalue falls below 1e-14 of the largest, the
+    near-dependent directions.  Raises :class:`ConvergenceError` when none
+    is left."""
     G = (G + G.conj().T) / 2.0
     w, Q = np.linalg.eigh(G)
     keep = w > max(w.max(), 0.0) * 1e-14
     if not np.any(keep):
-        raise ConvergenceError("orthonormalization collapsed: zero block")
-    return V @ (Q[:, keep] / np.sqrt(w[keep]))
+        raise ConvergenceError("SVQB collapsed: no independent direction")
+    return Q[:, keep] / np.sqrt(w[keep])
+
+
+def _m_orthonormalize(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """SVQB-style M-orthonormalization, dropping near-dependent columns."""
+    return V @ _svqb(_adjoint_product(V, M[:, None] * V))
 
 
 def _project_out(V: np.ndarray, W: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -450,7 +455,7 @@ def largest_geneig(
     if w.min() < 0:
         raise ValueError("weights must be nonnegative")
     wsum = w.sum()
-    if wsum == 0.0 or w.max() == 0.0:
+    if wsum == 0.0:
         return 0.0
 
     def shifted_weight(v: np.ndarray) -> np.ndarray:
@@ -505,10 +510,9 @@ def _ritz_max(
     coefficients of its ``K``-normalized vector.
 
     The Gram matrices take one ``K @ v`` and one ``W~ v`` at a time.
-    Directions whose eigenvalue in the ``K``-Gram matrix falls below 1e-14
-    of the largest are dropped, as :func:`_m_orthonormalize` does: near
-    convergence the residual and the previous direction shrink towards
-    rounding.
+    Directions of the ``K``-Gram matrix are dropped by :func:`_svqb`'s
+    rule: near convergence the residual and the previous direction shrink
+    towards rounding.
     """
     k = len(basis)
     GK = np.empty((k, k))
@@ -520,10 +524,6 @@ def _ritz_max(
             GK[i, j] = GK[j, i] = np.dot(basis[j], Kv)
             GW[i, j] = GW[j, i] = np.dot(basis[j], Wv)
         del Kv, Wv
-    theta, Q = np.linalg.eigh(GK)
-    keep = theta > max(theta.max(), 0.0) * 1e-14
-    if not np.any(keep):
-        raise ConvergenceError("stiffness form degenerate in the LOBPCG iteration")
-    T = Q[:, keep] / np.sqrt(theta[keep])
+    T = _svqb(GK)
     theta, C = np.linalg.eigh(T.T @ GW @ T)
     return float(theta[-1]), T @ C[:, -1]

@@ -1,11 +1,16 @@
-"""The pair rule of ``tools/bench_pairs.py``'s summary, on synthetic runs."""
+"""``tools/bench_pairs.py``: the pair rule of its summary, on synthetic runs,
+and its log, ``BENCH_trajectory.jsonl``, one JSON object per line, which
+each run appends to and nothing rewrites."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
-spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
@@ -70,3 +75,77 @@ def test_runs_that_are_not_correct_stay_out_of_the_medians():
     assert "change median 60 [q1 60, q3 60] of 8" in peak
     assert "better in 8 of 8 pairs" in peak and peak.endswith("gain unresolved")
     assert line(lines, "row_pass_ratio").endswith("unchanged")
+
+
+ENTRY_KEYS = {"commit", "tree", "pr", "side", "pair", "workload", "command", "seed",
+              "date", "machine", "last_line"}
+
+
+@pytest.fixture
+def stubbed(monkeypatch, tmp_path):
+    """``bench_pairs.main`` with no git, export or benchmark run, over a log
+    that already holds two lines; ``runs`` holds the log's bytes as each
+    run starts, and a run raises when ``fail_at`` is its index."""
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"pair": 0, "old": 1}\n{"pair": 1, "old": 2}\n')
+    state = {"runs": [], "fail_at": None}
+
+    def run_side(tree, workload, seed, seconds):
+        state["runs"].append(log.read_bytes())
+        if len(state["runs"]) - 1 == state["fail_at"]:
+            raise RuntimeError("killed")
+        result = {"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0}}}
+        return ["python3", "perfbench/run.py"], json.dumps(result)
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc123\n")
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda commit, dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "export_worktree", lambda dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "git_tree_id", lambda path: "tree-" + path.name)
+    monkeypatch.setattr(bench_pairs, "machine", lambda: {"nproc": 1})
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--parent", "HEAD", "--pr", "7", "--workload", "inclusions",
+        "--pairs", "2", "--seed", "40", "--seconds", "1", "--out", str(log)])
+    return log, state
+
+
+def test_each_run_appends_one_line_and_the_old_lines_stay(stubbed):
+    log, state = stubbed
+    old = log.read_bytes()
+    assert bench_pairs.main() == 0
+    runs = state["runs"] + [log.read_bytes()]
+    for before, after in zip(runs, runs[1:]):
+        assert after.startswith(before) and after.count(b"\n") == before.count(b"\n") + 1
+    assert runs[0] == old and len(runs) == 5
+    new = [json.loads(text) for text in log.read_text().splitlines()[2:]]
+    assert [(e["pair"], e["side"], e["seed"], e["pr"]) for e in new] == [
+        (0, "parent", 40, 6), (0, "change", 40, 7), (1, "change", 41, 7), (1, "parent", 41, 6)]
+    assert all(set(e) == ENTRY_KEYS for e in new)
+
+
+def test_a_run_killed_mid_pair_keeps_the_finished_run(stubbed):
+    log, state = stubbed
+    old = log.read_bytes()
+    state["fail_at"] = 1  # pair 0's second side
+    with pytest.raises(RuntimeError, match="killed"):
+        bench_pairs.main()
+    lines = log.read_text().splitlines()
+    assert log.read_bytes().startswith(old) and len(lines) == 3
+    kept = json.loads(lines[2])
+    assert (kept["pair"], kept["side"], kept["commit"]) == (0, "parent", "abc123")
+
+
+def test_committed_trajectory_is_one_entry_per_line():
+    lines = (ROOT / "BENCH_trajectory.jsonl").read_text().splitlines()
+    entries = [json.loads(text) for text in lines]
+    assert entries and all(set(e) == ENTRY_KEYS for e in entries)
+    assert all(e["side"] in ("parent", "change") for e in entries)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    # one call of the tool: a workload's pairs from one first seed
+    calls: dict[tuple, list] = {}
+    for e in entries:
+        calls.setdefault((e["workload"], e["seed"] - e["pair"]), []).append(e)
+    for run in calls.values():
+        lines = bench_pairs.summarize(run, metrics)
+        assert lines[0].startswith("parent: ") and lines[1].startswith("change: ")

@@ -16,6 +16,7 @@ from blochlab.sparse_linalg import (
     _RESTART_EVERY,
     ConvergenceError,
     _adjoint_product,
+    _svqb,
     cg_solve,
     largest_geneig,
     smallest_eigpair,
@@ -120,7 +121,7 @@ def test_cg_incompatible_rhs():
 def test_cg_budget_error_has_history():
     K, bound, b = random_ring(30, seed=7)
     with pytest.raises(ConvergenceError) as exc:
-        cg_solve(K, b, tol=1e-15, maxit=2, precond=bound)
+        cg_solve(K, b, tol=0.0, precond=bound)  # tol 0 runs out the budget
     assert len(exc.value.residual_history) > 0
     assert all(r >= 0 for r in exc.value.residual_history)
 
@@ -331,6 +332,18 @@ def test_adjoint_product_bitwise(dtype):
     G = _adjoint_product(S, BS)
     assert G.tobytes() == (before.conj().T @ BS).tobytes()
     assert S.tobytes() == before.tobytes()
+
+
+def test_svqb_keeps_the_independent_directions():
+    # rank 2 in 3 columns: the third is the sum of the first two
+    V = np.random.default_rng(5).standard_normal((6, 2))
+    V = np.column_stack([V, V.sum(axis=1)])
+    G = V.T @ V
+    T = _svqb(G)
+    assert T.shape == (3, 2)
+    assert_allclose(T.T @ G @ T, np.eye(2), atol=1e-12)
+    with pytest.raises(ConvergenceError):
+        _svqb(np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------

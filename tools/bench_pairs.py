@@ -1,5 +1,5 @@
 """Alternating parent/change pairs of the committed benchmark, recorded in
-``BENCH_trajectory.json``.
+``BENCH_trajectory.jsonl``.
 
     python3 tools/bench_pairs.py --parent <commit> --pr <number> \
         --workload fiber_sweep --pairs 10 --seed 51 --seconds 30
@@ -13,8 +13,9 @@ on both sides alike.  Each run is
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in its tree, under the interpreter that runs this script (whose versions
 the entry records), and its entry keeps the last line of its standard
-output (the benchmark's JSON result) verbatim.  Entries are appended to
-``--out``.
+output (the benchmark's JSON result) verbatim.  As each run ends, its
+entry is appended to ``--out`` as one JSON line; the script never reads or
+rewrites ``--out``, so a finished run outlives a later kill.
 
 A change-side entry names no commit, since it ran before one existed.
 Every entry names its tree instead: the git tree ids of the exported
@@ -205,14 +206,12 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_trajectory.json"))
+    parser.add_argument("--out", default=str(ROOT / "BENCH_trajectory.jsonl"))
     args = parser.parse_args()
 
     parent = git("rev-parse", args.parent).strip()
     sides = {"parent": (parent, args.pr - 1), "change": (None, args.pr)}
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    out = Path(args.out)
-    record = json.loads(out.read_text()) if out.exists() else {"entries": []}
     host = machine()
     new: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -237,9 +236,9 @@ def main() -> int:
                             .isoformat(timespec="seconds"),
                     "machine": host, "last_line": last,
                 })
+                with open(args.out, "a") as log:
+                    log.write(json.dumps(new[-1]) + "\n")
                 print(f"pair {i} {side} seed {seed}: {last}", flush=True)
-            record["entries"] += new[-2:]
-            out.write_text(json.dumps(record, indent=1) + "\n")
     print("\n".join(summarize(new, metrics)))
     return 0
 
