@@ -291,8 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(text)
         _use_one_heap()  # before the run forks its pool
-        code, paths = run_and_emit(cfg, out_dir=args.out,
-                                   threads=max(1, args.threads))
+        code, paths = run_and_emit(cfg, out_dir=args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import _require_first_zone, bloch_reduced, fiber_lambda1_2d
-from .cell_problems import dispersion, homogenized, pw_constant
+from .cell_problems import dispersion, pw_constant
 from .grid import make_grid
 from .microstructure import rasterize
 from .plan import DEFAULT_GAMMA, FIBER_BETA_EXPONENT
@@ -233,12 +233,13 @@ _FIBER_MEDIUM = (f"fiber_lattice(r=radius_for_gamma, "
 
 
 def _thm22_task(eps: float, cell, m: int, eta: np.ndarray, forms: bool) -> tuple:
-    """``(q_eta_eta, eps^2 dispersion)`` when ``forms``, else
+    """``(q_eta_eta, eps^2 value)`` of one :func:`dispersion` call (its flux
+    form, as the ``dispersion`` command reports it) when ``forms``, else
     ``(lambda1, iterations)`` of the reduced solve, on ``cell`` at ``m x m``."""
     unit = rasterize(cell, make_grid(2, m))
     if forms:
-        q_eta_eta = float(eta @ homogenized(unit).q @ eta)
-        return q_eta_eta, eps * eps * dispersion(unit, eta).value
+        sample = dispersion(unit, eta)
+        return sample.q_eta_eta, eps * eps * sample.value
     res = bloch_reduced(unit, eps, eta)
     return res.lambda1, res.iterations
 

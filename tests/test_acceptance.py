@@ -35,17 +35,8 @@ from blochlab.microstructure import (
 )
 from blochlab.sparse_linalg import smallest_eigpair
 
+from closed_forms import half_half_1d, symbol
 from jacobi_oracle import dense_oracle
-
-
-def symbol(eta, n):
-    h = 2.0 * math.pi / np.asarray(n, dtype=float)
-    return float(np.sum(4.0 * np.sin(np.asarray(eta) * h / 2.0) ** 2 / h**2))
-
-
-def half_half_1d(n, a1=1.0, a2=4.0):
-    vals = np.where(np.arange(n) < n // 2, a1, a2).astype(float)
-    return CoefficientField(grid=make_grid(1, n), a=vals)
 
 
 def test_criterion_01_constant_medium_exactness():

@@ -77,6 +77,27 @@ def test_runs_that_are_not_correct_stay_out_of_the_medians():
     assert line(lines, "row_pass_ratio").endswith("unchanged")
 
 
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    # wall_s: parent 2.0 .. 3.8 s, IQR 1.1 s around a 2.9 s median (37.9%)
+    entries = []
+    for i in range(10):
+        entries.append(entry(i, "parent", wall_s=2.0 + 0.2 * i, peak_rss_mb=60.0 + 0.01 * i,
+                             row_pass_ratio=1.0))
+        entries.append(entry(i, "change", wall_s=2.05 + 0.2 * i, peak_rss_mb=60.5 + 0.01 * i,
+                             row_pass_ratio=1.0))
+    lines = bench_pairs.summarize(entries, METRICS)
+    wall = line(lines, "wall_s")
+    assert "vs parent IQR 1.1 (37.9% of its median)" in wall
+    assert wall.endswith("unresolved: parent spread 37.9% > 25% bound")
+    # equal medians inside the same spread are no more resolved
+    same = [entry(i, side, wall_s=2.0 + 0.2 * i) for i in range(10) for side in ("parent", "change")]
+    assert line(bench_pairs.summarize(same, METRICS), "wall_s").endswith(
+        "unresolved: parent spread 37.9% > 25% bound")
+    # a tight parent keeps the two verdicts
+    assert line(lines, "peak_rss_mb").endswith("worse, within its 15% bound")
+    assert line(lines, "row_pass_ratio").endswith("unchanged")
+
+
 ENTRY_KEYS = {"commit", "tree", "pr", "side", "pair", "workload", "command", "seed",
               "date", "machine", "last_line"}
 

@@ -33,15 +33,8 @@ from blochlab.microstructure import (
     rasterize,
 )
 
+from closed_forms import symbol
 from jacobi_oracle import dense_oracle
-
-
-def symbol(eta, n, d=None):
-    """Discrete constant-medium symbol: sum of 4 sin^2((eta_k) h_k / 2) / h_k^2."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    n = np.broadcast_to(np.asarray(n), eta.shape)
-    h = 2.0 * math.pi / n
-    return float(np.sum(4.0 * np.sin(eta * h / 2.0) ** 2 / h**2))
 
 
 def constant_field(d, n, a0=1.0):

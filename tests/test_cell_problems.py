@@ -34,12 +34,8 @@ from blochlab.microstructure import (
 from blochlab.plan import plan_sweep
 from blochlab.sparse_linalg import ConvergenceError, largest_geneig
 
+from closed_forms import half_half_1d
 from jacobi_oracle import dense_oracle
-
-
-def half_half_1d(n, a1=1.0, a2=4.0):
-    vals = np.where(np.arange(n) < n // 2, a1, a2)
-    return CoefficientField(grid=make_grid(1, n), a=vals.astype(float))
 
 
 def laminate_2d(n, a1=1.0, a2=4.0):

@@ -647,6 +647,19 @@ def test_main_pooled_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert "ConvergenceError: eigensolver did not converge" in capsys.readouterr().err
 
 
+def test_main_passes_the_requested_thread_count_through(tmp_path):
+    # pool_size is the one clamp: the sidecar records 0 as asked, 1 worker ran
+    p = write_cfg(tmp_path, "command = bloch\na = constant(1)\nn = 8\n"
+                            "eta = (0.1, 0.0); (0.2, 0.0)\n")
+    for threads in (0, 1):
+        assert run_main(["--config", p, "--out", tmp_path / str(threads),
+                         "--threads", threads]) == 0
+    assert ((tmp_path / "0" / "bloch.csv").read_bytes()
+            == (tmp_path / "1" / "bloch.csv").read_bytes())
+    meta = json.loads((tmp_path / "0" / "bloch.json").read_text())
+    assert meta["threads"] == 0 and meta["workers"] == 1
+
+
 def test_main_exit_two_on_failed_checks(tmp_path, capsys):
     # reversed ladder: the gap grows instead of shrinking, so the
     # monotonicity column fails while files are still written

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from blochlab import experiments
+from blochlab import cell_problems, experiments
+from blochlab.cell_problems import dispersion
 from blochlab.experiments import (
     ExperimentTable,
     eta_cells,
@@ -26,6 +27,8 @@ from blochlab.experiments import (
     run_thm22,
     run_thm31,
 )
+from blochlab.grid import make_grid
+from blochlab.microstructure import rasterize
 from blochlab.plan import PlanError, plan_capacity, plan_sweep, resolve_resolution
 from blochlab.sparse_linalg import ConvergenceError
 
@@ -217,6 +220,35 @@ def test_map_tasks_reraises_convergence_error(workers):
     with pytest.raises(ConvergenceError, match="no convergence at task 2") as info:
         map_tasks(_fail_on, [(v, 2) for v in range(3)], workers)
     assert info.value.residual_history == [1.0, 0.25, 0.125]
+
+
+def test_thm22_forms_are_one_dispersion_call():
+    # q_eta_eta is dispersion's flux form, the dispersion command's value
+    eps_list = [1 / 2, 1 / 4]
+    eta = np.array([0.25, 0.0])
+    table = run_thm22(eps=eps_list)
+    rungs = plan_sweep("thm22", eps_list)
+    assert len(table.rows) == len(rungs) == 2
+    for row, (eps, _, m, cell) in zip(table.rows, rungs):
+        sample = dispersion(rasterize(cell, make_grid(2, m)), eta)
+        assert row["q_eta_eta"] == sample.q_eta_eta
+        assert row["dispersion_value"] == eps * eps * sample.value
+
+
+def test_thm22_forms_task_builds_one_stiffness_and_solves_twice(monkeypatch):
+    counts = {"shifted_pencil": 0, "cg_solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cell_problems, name, counted(name, getattr(cell_problems, name)))
+    ((eps, _, m, cell),) = plan_sweep("thm22", [1 / 2])
+    experiments._thm22_task(eps, cell, m, np.array([0.25, 0.0]), True)
+    assert counts == {"shifted_pencil": 1, "cg_solve": 2}
 
 
 def test_thm22_validation():

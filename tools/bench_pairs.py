@@ -30,7 +30,10 @@ both correct, ties counting for neither.  The relative change of the
 medians is flagged when it is worse than the metric's bound, and a gain is
 resolved only when the change wins at least 9 of 10 pairs (and at least 10
 pairs ran) and the gap between the medians exceeds the parent's
-interquartile range.
+interquartile range.  Each metric's line gives that range relative to the
+parent's median; where it is wider than the bound, a change that is neither
+flagged nor a gain reads "unresolved" rather than "unchanged" or "worse,
+within its bound", since the parent's own runs do not resolve the bound.
 """
 
 from __future__ import annotations
@@ -181,19 +184,22 @@ def summarize(entries: list[dict], metrics: list[dict]) -> list[str]:
                for p in both if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
         wins, n = sum(won), len(won)
         iqr = q["parent"][2] - q["parent"][0]
+        spread = iqr / abs(med_p) if med_p else (math.inf if iqr else 0.0)
         if -sign * rel > bound:
             verdict = f"WORSE than its {bound:.0%} bound"
         elif sign * rel > 0 and n >= 10 and 10 * wins >= 9 * n and abs(med_c - med_p) > iqr:
             verdict = "gain resolved"
         elif sign * rel > 0:
             verdict = "gain unresolved"
+        elif spread > bound:
+            verdict = f"unresolved: parent spread {spread:.1%} > {bound:.0%} bound"
         else:
             verdict = f"worse, within its {bound:.0%} bound" if rel else "unchanged"
         text = "; ".join(f"{s} median {m:.6g} [q1 {q1:.6g}, q3 {q3:.6g}] of {len(side[s])}"
                          for s, (q1, m, q3) in q.items())
         lines.append(f"  {name}: {text}; change {rel:+.2%}; better in {wins} of {n} "
-                     f"pairs; gap {abs(med_c - med_p):.3g} vs parent IQR {iqr:.3g}: "
-                     f"{verdict}")
+                     f"pairs; gap {abs(med_c - med_p):.3g} vs parent IQR {iqr:.3g} "
+                     f"({spread:.1%} of its median): {verdict}")
     return lines
 
 
