@@ -156,15 +156,19 @@ def _fft_bound(inv_sigma: np.ndarray, real_symbol: bool) -> Preconditioner:
 
     Each apply allocates one spectrum buffer: the forward transform writes
     into it and every later pass runs in place, the inverse half-spectrum
-    passes in :func:`numpy.fft.irfftn`'s own order.  Each pass is the one
-    numpy's out-of-place forms run, so the result is bit-identical to them.
+    passes in :func:`numpy.fft.irfftn`'s own order.  The last pass writes
+    into ``out`` when one is given, a contiguous array of the result's
+    shape and dtype that may be ``r`` itself (the forward transform has
+    read ``r`` by then); otherwise the half spectrum allocates the result.
+    Each pass is the one numpy's out-of-place forms run, so the result is
+    bit-identical to them.
     """
     shape = inv_sigma.shape
     d = len(shape)
     axes = tuple(range(d))
     inv_half = inv_sigma[..., : shape[-1] // 2 + 1]
 
-    def bound(r: np.ndarray) -> np.ndarray:
+    def bound(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         v = r.reshape(shape + r.shape[1:])
         pad = (1,) * (r.ndim - 1)
         if real_symbol and not np.iscomplexobj(r):
@@ -173,12 +177,13 @@ def _fft_bound(inv_sigma: np.ndarray, real_symbol: bool) -> Preconditioner:
             z *= inv_half.reshape(inv_half.shape + pad)
             for k in axes[:-1]:
                 np.fft.ifft(z, axis=k, out=z)
-            z = np.fft.irfft(z, n=shape[-1], axis=d - 1)
+            z = np.fft.irfft(z, n=shape[-1], axis=d - 1,
+                             out=None if out is None else out.reshape(v.shape))
         else:
             z = np.empty(v.shape, dtype=np.complex128)
             np.fft.fftn(v, axes=axes, out=z)
             z *= inv_sigma.reshape(shape + pad)
-            np.fft.ifftn(z, axes=axes, out=z)
+            z = np.fft.ifftn(z, axes=axes, out=z if out is None else out.reshape(v.shape))
         return z.reshape(r.shape)
 
     return bound
@@ -222,7 +227,8 @@ def shifted_pencil(
 
         K^+ = P^+ - P^+ U C^{-1} U^T P^+,   C = D^{-1} + U^T P^+ U,
 
-    at two applies of ``P^+`` each.  ``P^+`` is a periodic convolution, so
+    at two applies of ``P^+`` each, the second writing its result over
+    its own input.  ``P^+`` is a periodic convolution, so
     ``C`` is read off its Green's function ``P^+ e_0`` at the differences
     of the ``2F`` face endpoints.  Every other pencil gets the plain bound.
     Either way ``P <= B``, with equality for the corrected inverse, and the
@@ -291,13 +297,14 @@ def shifted_pencil(
     heads = np.ravel_multi_index(tuple(heads), shape)
 
     def corrected(r: np.ndarray) -> np.ndarray:
-        # K^+ r = P^+ (r - U s): the buffer of P^+ r takes r - U s in turn
+        # K^+ r = P^+ (r - U s): the buffer of P^+ r takes r - U s, then
+        # the second apply's result
         z = bound(r)
         s = L_inv.T @ (L_inv @ (z[heads] - z[tails]))
         z[...] = r
         np.subtract.at(z, heads, s)
         np.add.at(z, tails, s)
-        return bound(z)
+        return bound(z, out=z)
 
     return B, M, corrected
 

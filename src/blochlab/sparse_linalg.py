@@ -36,6 +36,8 @@ _POWER_MAXIT = 300
 _POWER_TOL = 1e-8
 _POWER_CG_TOL = 1e-11
 
+#: an approximate inverse ``r -> P^{-1} r`` of a vector or an ``(N, cols)``
+#: block; its caller may overwrite the array it returns
 Preconditioner = Callable[[np.ndarray], np.ndarray]
 
 
@@ -124,9 +126,10 @@ def _pcg(
     ``x``, ``r`` and ``p`` are updated in place, with no work buffer: the
     buffer of ``A p`` takes ``alpha A p`` for the ``r`` update and then
     ``alpha p`` for the ``x`` update (on a restart step the ``x`` update
-    comes first, since ``b - A x`` reads it).  Every update evaluates the
-    same operations as its out-of-place form, so the iterates are
-    bit-identical to it.
+    comes first, since ``b - A x`` reads it).  The first direction ``p``
+    is the first preconditioned residual's own array, copied only when it
+    shares memory with ``r``.  Every update evaluates the same operations
+    as its out-of-place form, so the iterates are bit-identical to it.
     """
     def project(v: np.ndarray) -> np.ndarray:
         # in place: v is always an array this loop owns
@@ -154,7 +157,7 @@ def _pcg(
     if history[-1] <= tol:
         return x, history, None
     z = precond(r)
-    p = z.copy()
+    p = z.copy() if np.may_share_memory(z, r) else z
     rz = np.vdot(r, z).real
     for it in range(1, maxit + 1):
         Ap = project(A @ p)
@@ -236,8 +239,12 @@ def _project_out(V: np.ndarray, W: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _pencil_scale(B: sp.spmatrix, M: np.ndarray) -> float:
-    # infinity-norm bound on M^{-1/2} B M^{-1/2}; cheap and rigorous
-    row_sums = np.asarray(abs(B).sum(axis=1)).ravel()
+    # infinity-norm bound on M^{-1/2} B M^{-1/2}; cheap and rigorous.  The
+    # row sums of |B| reduce over the non-empty rows as scipy's
+    # abs(B).sum(axis=1) does, with no copy of the pencil's index arrays
+    rows = np.flatnonzero(np.diff(B.indptr))
+    row_sums = np.zeros(B.shape[0])
+    row_sums[rows] = np.add.reduceat(np.abs(B.data), B.indptr[rows])
     return float((row_sums / M).max())
 
 

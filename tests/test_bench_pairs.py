@@ -98,6 +98,19 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
     assert line(lines, "row_pass_ratio").endswith("unchanged")
 
 
+def test_one_pair_leaves_every_metric_but_a_flagged_one_unresolved():
+    # one parent run has an IQR of 0 by construction: no spread is known
+    entries = [entry(0, "parent", wall_s=2.41, peak_rss_mb=62.0, row_pass_ratio=1.0),
+               entry(0, "change", wall_s=2.59, peak_rss_mb=60.4, row_pass_ratio=1.0)]
+    lines = bench_pairs.summarize(entries, METRICS)
+    assert line(lines, "wall_s").endswith("unresolved: 1 parent run(s)")
+    assert line(lines, "peak_rss_mb").endswith("unresolved: 1 parent run(s)")
+    assert line(lines, "row_pass_ratio").endswith("unresolved: 1 parent run(s)")
+    entries[1] = entry(0, "change", wall_s=3.5, peak_rss_mb=60.4, row_pass_ratio=1.0)
+    assert line(bench_pairs.summarize(entries, METRICS), "wall_s").endswith(
+        "WORSE than its 25% bound")
+
+
 ENTRY_KEYS = {"commit", "tree", "pr", "side", "pair", "workload", "command", "seed",
               "date", "machine", "last_line"}
 

@@ -16,6 +16,7 @@ from blochlab.sparse_linalg import (
     _RESTART_EVERY,
     ConvergenceError,
     _adjoint_product,
+    _pencil_scale,
     _svqb,
     cg_solve,
     largest_geneig,
@@ -124,6 +125,25 @@ def test_cg_budget_error_has_history():
         cg_solve(K, b, tol=0.0, precond=bound)  # tol 0 runs out the budget
     assert len(exc.value.residual_history) > 0
     assert all(r >= 0 for r in exc.value.residual_history)
+
+
+def test_cg_takes_a_preconditioner_that_returns_its_argument():
+    # the first direction is a copy when the preconditioner hands back r
+    # itself, so the iterates match those of a fresh array bit for bit
+    K, _, b = random_ring(20, seed=13)
+    x = cg_solve(K, b, tol=1e-12, precond=lambda r: r)
+    assert x.tobytes() == cg_solve(K, b, tol=1e-12, precond=lambda r: r / 1.0).tobytes()
+
+
+def test_pencil_scale_matches_scipy_row_sums():
+    # the reduction of abs(B).sum(axis=1), bit for bit; an empty row reads 0
+    f = CoefficientField(grid=make_grid(2, (6, 5)), a=np.random.default_rng(17).lognormal(size=30))
+    B, _, _ = shifted_pencil(f, np.array([0.2, -0.1]))
+    for A in (B, sp.csr_matrix(np.diag([0.0, 2.0, 0.0, -3.0]))):
+        m = np.linspace(0.5, 1.5, A.shape[0])
+        ref = float((np.asarray(abs(A).sum(axis=1)).ravel() / m).max())
+        assert _pencil_scale(A, m) == ref
+    assert _pencil_scale(sp.csr_matrix((3, 3)), np.ones(3)) == 0.0
 
 
 def test_cg_warm_start_exact():

@@ -34,6 +34,9 @@ interquartile range.  Each metric's line gives that range relative to the
 parent's median; where it is wider than the bound, a change that is neither
 flagged nor a gain reads "unresolved" rather than "unchanged" or "worse,
 within its bound", since the parent's own runs do not resolve the bound.
+With fewer than ``MIN_PARENT_RUNS`` correct parent runs that spread is not
+known at all, and every metric that is not flagged reads "unresolved: k
+parent run(s)".
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+#: fewer correct parent runs than this leave the parent's spread unknown
+#: (one run has an IQR of 0 by construction)
+MIN_PARENT_RUNS = 4
 
 
 def git(*args: str) -> str:
@@ -187,6 +193,8 @@ def summarize(entries: list[dict], metrics: list[dict]) -> list[str]:
         spread = iqr / abs(med_p) if med_p else (math.inf if iqr else 0.0)
         if -sign * rel > bound:
             verdict = f"WORSE than its {bound:.0%} bound"
+        elif len(side["parent"]) < MIN_PARENT_RUNS:
+            verdict = f"unresolved: {len(side['parent'])} parent run(s)"
         elif sign * rel > 0 and n >= 10 and 10 * wins >= 9 * n and abs(med_c - med_p) > iqr:
             verdict = "gain resolved"
         elif sign * rel > 0:
