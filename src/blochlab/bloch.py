@@ -12,9 +12,10 @@ constant medium reproduces the discrete symbol
 ``sum_k 4 sin^2(eta_k h_k / 2) / h_k^2`` exactly.
 
 Assembly and every cell problem share one face stencil, defined here: the
-face coefficient ``a_f``, the difference ``D_k`` and their adjoint scatters.
-Every pencil, the zero-momentum stiffness of the cell problems included,
-comes from :func:`shifted_pencil` with the inverse its solves use.
+face coefficient ``a_f``, the difference ``D_k``, their adjoint scatters and
+the face form's Gram matrix, the one place a vector's stiffness energy is
+formed.  Every pencil, the zero-momentum stiffness of the cell problems
+included, comes from :func:`shifted_pencil` with the inverse its solves use.
 
 Eigenvalues are reported for the pencil ``B(eta) x = lam M x`` with
 ``M = w I``, i.e. in mean-per-volume normalization: for ``a = I`` the first
@@ -63,12 +64,21 @@ def face_arrays(field: CoefficientField, axis: int) -> np.ndarray:
     """
     a = field.a
     a_next = field.grid.neighbor_values(a, axis)
-    return 2.0 * a * a_next / (a + a_next)
+    # 2 a a_next / (a + a_next), in two buffers
+    a_f = 2.0 * a
+    a_f *= a_next
+    a_next += a
+    a_f /= a_next
+    return a_f
 
 
 def face_difference(u: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
-    """Plain forward difference ``D_k u = (u_{c+e_k} - u_c) / h_k`` per face."""
-    return (grid.neighbor_values(u, axis) - u) / grid.h[axis]
+    """Plain forward difference ``D_k u = (u_{c+e_k} - u_c) / h_k`` per face,
+    formed in the buffer of the neighbor values."""
+    d = grid.neighbor_values(u, axis)
+    d -= u
+    d /= grid.h[axis]
+    return d
 
 
 def scatter_difference(b: np.ndarray, x: np.ndarray, grid: PeriodicGrid, axis: int):
@@ -83,6 +93,37 @@ def scatter_sum(b: np.ndarray, x: np.ndarray, grid: PeriodicGrid, axis: int):
     enters both cells ``c`` and ``c + e_axis`` with ``+``."""
     b += x
     b += grid.neighbor_values(x, axis, -1)
+
+
+def face_gram(field: CoefficientField, basis: list[np.ndarray]) -> np.ndarray:
+    """The stiffness energy of real vectors as the face sum, the Gram
+    matrix ``G[i, j] = sum_k sum_f w a_f (D_k v_i)_f (D_k v_j)_f`` of the
+    zero-momentum ``K`` of :func:`assemble_shifted`.
+
+    ``v^T (K v)`` cancels, row by row, terms as large as the largest face
+    coefficient; every term of a diagonal entry here is nonnegative, so a
+    vector's energy keeps its relative accuracy at any contrast.  Each
+    entry is accumulated from 0.0 over the axes, one
+    ``np.sum((w a_f) * d_i * d_j)`` each, and ``G`` is exactly symmetric.
+    """
+    grid = field.grid
+    n = len(basis)
+    G = np.zeros((n, n))
+    for k in range(grid.d):
+        wa = grid.cell_volume * face_arrays(field, k)
+        scaled = []  # w a_f D_k v_i of the vectors before v_j
+        for j, v in enumerate(basis):
+            d = face_difference(v, grid, k)
+            # nothing reads wa or a scaled difference after the last
+            # vector, so its products overwrite them
+            last = j == n - 1
+            for i, t in enumerate(scaled):
+                G[i, j] += np.sum(np.multiply(t, d, out=t if last else None))
+            t = np.multiply(wa, d, out=wa if last else None)
+            G[j, j] += np.sum(np.multiply(d, t, out=d))
+            scaled.append(t)
+        del wa, scaled, d, t  # release before the next axis allocates
+    return np.triu(G) + np.triu(G, 1).T
 
 
 def assemble_shifted(

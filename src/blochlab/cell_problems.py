@@ -27,6 +27,7 @@ import numpy as np
 from .bloch import (
     face_arrays,
     face_difference,
+    face_gram,
     scatter_difference,
     scatter_sum,
     shifted_pencil,
@@ -193,13 +194,9 @@ def dispersion(
     c1_values = _corrector_values(field, eta, solve)
     c2_values, compat, q_eta_eta = _chi2_values(field, eta, c1_values, solve)
     g = c2_values - 0.5 * c1_values * c1_values
-    w, N = grid.cell_volume, grid.num_cells
-    energy = 0.0
-    for k in range(grid.d):
-        dg = face_difference(g, grid, k)
-        energy += np.sum(w * face_arrays(field, k) * dg * dg)
+    energy = face_gram(field, [g])[0, 0]
     return DispersionSample(
-        value=-energy / (N * w),
+        value=-energy / (grid.num_cells * grid.cell_volume),
         q_eta_eta=q_eta_eta,
         compat=compat,
         chi1=c1_values,
@@ -217,16 +214,17 @@ def pw_constant(
 
     over periodic ``u``, with ``c`` the weight-mean of ``u`` (the optimal
     shift).  Exactly quadratic in ``lam``: scaling ``lam`` scales the weight,
-    not the maximizer.
+    not the maximizer.  The Ritz steps take the stiffness energy from
+    :func:`~blochlab.bloch.face_gram`, so the value returned is the exact
+    quotient of its own Ritz vector to rounding: a lower bound on the
+    constant at any contrast.
     """
     grid = field.grid
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (grid.d,):
         raise ValueError(f"lam must have shape ({grid.d},)")
-    if not np.any(lam):
-        return 0.0
     # the mass diagonal w becomes the weight w a |lam|^2 in place: no
     # second length-N vector lives through the iteration
     K, weight, inverse = shifted_pencil(field)
     weight *= field.a * float(lam @ lam)
-    return largest_geneig(weight, K, precond=inverse)
+    return largest_geneig(weight, K, precond=inverse, gram=partial(face_gram, field))

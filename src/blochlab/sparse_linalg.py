@@ -32,13 +32,15 @@ _RESTART_EVERY = 50
 _EIG_MAXIT = 500
 #: step budget of the iteration in :func:`largest_geneig`, the relative
 #: change of its value that ends it, and its CG solves' tolerance
-_POWER_MAXIT = 300
-_POWER_TOL = 1e-8
-_POWER_CG_TOL = 1e-11
+_GENEIG_MAXIT = 300
+_GENEIG_TOL = 1e-8
+_GENEIG_CG_TOL = 1e-11
 
 #: an approximate inverse ``r -> P^{-1} r`` of a vector or an ``(N, cols)``
 #: block; its caller may overwrite the array it returns
 Preconditioner = Callable[[np.ndarray], np.ndarray]
+#: the stiffness Gram matrix ``G[i, j] = v_i^T K v_j`` of a list of vectors
+Gram = Callable[[list[np.ndarray]], np.ndarray]
 
 
 class ConvergenceError(RuntimeError):
@@ -438,9 +440,12 @@ def largest_geneig(
     K: sp.spmatrix,
     *,
     precond: Preconditioner,
+    gram: Gram,
 ) -> float:
     """Maximum of ``x* W x`` subject to ``x* K x = 1`` over the subspace of
-    weighted-mean-zero vectors, ``W = diag(weight_diag)``.
+    weighted-mean-zero vectors, ``W = diag(weight_diag)``.  ``gram`` forms
+    the stiffness energy ``v_i^T K v_j`` of the Rayleigh-Ritz steps; ``K``
+    itself enters only the CG solves.
 
     Locally optimal (LOBPCG-type, block size one) iteration for the largest
     pair of ``(W~, K)``, ``W~ = W - w w^T / sum(w)`` the weight shifted to
@@ -450,9 +455,9 @@ def largest_geneig(
     in the ``K`` norm.  The next value and iterate are the Rayleigh-Ritz
     maximum over span{x, u, p}, ``p`` the previous step's direction (see
     :func:`_ritz_max`).  The iteration stops when the value changes by at
-    most ``_POWER_TOL`` relative.  A solve that misses ``_POWER_CG_TOL``
+    most ``_GENEIG_TOL`` relative.  A solve that misses ``_GENEIG_CG_TOL``
     raises :class:`ConvergenceError` with the solve's history; a run out
-    of ``_POWER_MAXIT`` steps raises it with each step's relative change.
+    of ``_GENEIG_MAXIT`` steps raises it with each step's relative change.
 
     Besides the solve, the working set is ``x``, ``u`` and ``p``; ``u``
     is reused for the new direction and ``x`` for the warm start.
@@ -474,20 +479,20 @@ def largest_geneig(
     x = rng.standard_normal(n)
     x -= np.dot(w, x) / wsum
     x /= np.linalg.norm(x)
-    mu, coef = _ritz_max([x], K, shifted_weight)
+    mu, coef = _ritz_max([x], gram, shifted_weight)
     x *= coef[0]
     p = None
     history: list[float] = []
-    for _ in range(_POWER_MAXIT):
+    for _ in range(_GENEIG_MAXIT):
         y = shifted_weight(x)
         y -= y.mean()  # exact zero up to roundoff; keeps CG consistent
         if np.linalg.norm(y) == 0.0:
             return 0.0
         x *= mu  # the warm start, and the basis vector along x
-        u = cg_solve(K, y, tol=_POWER_CG_TOL, x0=x, precond=precond)
+        u = cg_solve(K, y, tol=_GENEIG_CG_TOL, x0=x, precond=precond)
         del y
         u -= x  # the preconditioned residual: the same span, better conditioned
-        mu_new, coef = _ritz_max([x, u] if p is None else [x, u, p], K, shifted_weight)
+        mu_new, coef = _ritz_max([x, u] if p is None else [x, u, p], gram, shifted_weight)
         # the new direction is the Ritz vector's part outside x, in u's buffer
         u *= coef[1]
         if p is not None:
@@ -499,10 +504,10 @@ def largest_geneig(
         x += p
         history.append(abs(mu_new - mu) / max(abs(mu_new), 1e-300))
         mu = mu_new
-        if history[-1] <= _POWER_TOL:
+        if history[-1] <= _GENEIG_TOL:
             return mu
     raise ConvergenceError(
-        f"LOBPCG iteration did not settle to rel {_POWER_TOL:.1e} in {_POWER_MAXIT} "
+        f"LOBPCG iteration did not settle to rel {_GENEIG_TOL:.1e} in {_GENEIG_MAXIT} "
         f"steps (last value {mu})",
         history,
     )
@@ -510,27 +515,25 @@ def largest_geneig(
 
 def _ritz_max(
     basis: list[np.ndarray],
-    K: sp.spmatrix,
+    gram: Gram,
     shifted_weight: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[float, np.ndarray]:
     """Largest Ritz pair of ``(W~, K)`` on span(basis): the value and the
     coefficients of its ``K``-normalized vector.
 
-    The Gram matrices take one ``K @ v`` and one ``W~ v`` at a time.
-    Directions of the ``K``-Gram matrix are dropped by :func:`_svqb`'s
-    rule: near convergence the residual and the previous direction shrink
-    towards rounding.
+    The ``K``-Gram matrix comes from ``gram``, the weight's from one
+    ``W~ v`` at a time.  Directions of the ``K``-Gram matrix are dropped
+    by :func:`_svqb`'s rule: near convergence the residual and the
+    previous direction shrink towards rounding.
     """
     k = len(basis)
-    GK = np.empty((k, k))
+    GK = gram(basis)
     GW = np.empty((k, k))
     for i, v in enumerate(basis):
-        Kv = K @ v
         Wv = shifted_weight(v)
         for j in range(i, k):
-            GK[i, j] = GK[j, i] = np.dot(basis[j], Kv)
             GW[i, j] = GW[j, i] = np.dot(basis[j], Wv)
-        del Kv, Wv
+        del Wv
     T = _svqb(GK)
     theta, C = np.linalg.eigh(T.T @ GW @ T)
     return float(theta[-1]), T @ C[:, -1]

@@ -18,6 +18,7 @@ from blochlab.bloch import (
     bloch_lambda1,
     bloch_reduced,
     canonical_momentum,
+    face_gram,
     fiber_lambda1_2d,
     shifted_pencil,
 )
@@ -101,6 +102,21 @@ def _coo_stiffness(field, eta):
         shape=(N, N),
     )
     return coo.tocsr()
+
+
+@pytest.mark.parametrize("shape", [(16,), (6, 5), (4, 2, 3)], ids=["1d", "2d", "3d"])
+def test_face_gram_is_the_stiffness_gram(shape):
+    # the face form on low-contrast media, against V^T K V of the assembled
+    # zero-momentum stiffness (the 3-d grid has a 2-cell axis)
+    rng = np.random.default_rng(71)
+    g = make_grid(len(shape), shape)
+    f = CoefficientField(grid=g, a=np.exp(0.5 * rng.standard_normal(g.num_cells)))
+    V = [rng.standard_normal(g.num_cells) for _ in range(3)]
+    K = shifted_pencil(f)[0]
+    ref = np.array([[u @ (K @ v) for v in V] for u in V])
+    G = face_gram(f, V)
+    assert np.array_equal(G, G.T)
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize(

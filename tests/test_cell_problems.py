@@ -11,6 +11,7 @@ coefficient to the closed form
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from blochlab import sparse_linalg
-from blochlab.bloch import shifted_pencil
+from blochlab.bloch import face_gram, shifted_pencil
 from blochlab.cell_problems import dispersion, homogenized, pw_constant
 from blochlab.experiments import fiber_beta
 from blochlab.grid import make_grid
@@ -219,7 +220,7 @@ def test_pw_many_faces_keep_the_plain_bound(make_field):
     x -= x.mean()
     assert np.abs(bound(K @ x) - x).max() > 1e-3 * np.abs(x).max()
     weight = f.grid.cell_volume * (f.a * float(lam @ lam))
-    plain = largest_geneig(weight, K, precond=bound)
+    plain = largest_geneig(weight, K, precond=bound, gram=partial(face_gram, f))
     assert pw_constant(f, lam) == plain
 
 
@@ -250,8 +251,8 @@ def _pw_thm22_coarsest():
 
 
 def test_pw_thm22_coarsest_rung_matches_dense_oracle(monkeypatch):
-    # the slowest Poincare cell to settle: inverse power iteration stops
-    # 9.2e-9 off after 36 solves under the same stop rule
+    # the slowest Poincare cell to settle: the inverse power iteration that
+    # preceded LOBPCG stopped 9.2e-9 off after 36 solves under the same stop rule
     solves = []
     cg = sparse_linalg.cg_solve
 
@@ -268,18 +269,60 @@ def test_pw_thm22_coarsest_rung_matches_dense_oracle(monkeypatch):
 
 
 def test_pw_out_of_budget_error_carries_each_steps_change(monkeypatch):
-    monkeypatch.setattr(sparse_linalg, "_POWER_MAXIT", 3)
+    monkeypatch.setattr(sparse_linalg, "_GENEIG_MAXIT", 3)
     f, lam = _pw_thm22_coarsest()
     with pytest.raises(ConvergenceError, match="LOBPCG iteration") as exc:
         pw_constant(f, lam)
     history = exc.value.residual_history
     assert len(history) == 3
-    assert all(change > sparse_linalg._POWER_TOL for change in history)
+    assert all(change > sparse_linalg._GENEIG_TOL for change in history)
     assert exc.value.relative_residual is None and exc.value.error_estimate is None
 
 
+def _face_quotient(f, weight, x):
+    # sum weight (x - c)^2 / sum_k sum w a_f (D_k x)^2 in extended
+    # precision, c the weighted mean of x: the exact Poincare quotient of x
+    ld = np.longdouble
+    g = f.grid
+    wt, x, a = weight.astype(ld), x.astype(ld), f.a.astype(ld)
+    x = x - (wt @ x) / wt.sum()
+    energy = ld(0.0)
+    for k in range(g.d):
+        def nxt(u):
+            return np.roll(u.reshape(g.n), -1, axis=k).ravel()
+        a_f = 2 * a * nxt(a) / (a + nxt(a))
+        dx = (nxt(x) - x) / ld(g.h[k])
+        energy += (ld(g.cell_volume) * a_f) @ (dx * dx)
+    return (wt @ (x * x)) / energy
+
+
+@pytest.mark.parametrize("eps, gamma, bound", [(1 / 5, 2, 1e-12), (1 / 6, 2, 1e-12),
+                                               (1 / 7, 3, 1e-11)],
+                         ids=["g2_eps5", "g2_eps6", "g3_eps7"])
+def test_pw_is_the_exact_quotient_of_its_ritz_vector(monkeypatch, eps, gamma, bound):
+    # the constant is a maximum, so the exact quotient of any vector is a
+    # lower bound on it; the returned value must be that of its own Ritz
+    # vector at fiber contrast (beta 1.7e5 to 3.0e6)
+    ritz = sparse_linalg._ritz_max
+    last = []
+
+    def captured(basis, *args):
+        mu, coef = ritz(basis, *args)
+        last[:] = [mu, sum(c * v for c, v in zip(coef, basis))]
+        return mu, coef
+
+    monkeypatch.setattr(sparse_linalg, "_ritz_max", captured)
+    _, _, m, cell = plan_sweep("pw_fiber", [eps], gamma=gamma)[0]
+    f = rasterize(cell, make_grid(2, m))
+    lam = np.array([0.25, 0.0])
+    got = pw_constant(f, lam)
+    assert got == last[0]
+    exact = _face_quotient(f, f.grid.cell_volume * f.a * float(lam @ lam), last[1])
+    assert abs(got - float(exact)) <= bound * got
+
+
 def test_pw_fiber_finest_rung_at_default_tolerances(monkeypatch):
-    # eps = 1/6 section, beta = 2.4e6: every stiffness solve of the power
+    # eps = 1/6 section, beta = 2.4e6: every stiffness solve of the LOBPCG
     # iteration ends in a few CG steps on the corrected inverse
     steps = []
     pcg = sparse_linalg._pcg

@@ -50,6 +50,27 @@ def test_each_cell_against_its_cached_reference(tmp_path, capsys):
     assert not (tmp_path / "oracle_local.json").exists()
 
 
+def test_a_reference_below_the_shipped_constant_is_marked(tmp_path, capsys):
+    # the shipped constant is a lower bound: only a reference more than
+    # 1e-10 below it is marked, not one within that or one above it
+    cells = _cached_pw_thm22()
+    offsets = [5e-11, 2e-10, -5e-9]
+    out = tmp_path / "inclusions" / "pass0" / "pw_thm22"
+    out.mkdir(parents=True)
+    lines = ["eps,n,m,eta1,eta2,pw_constant"]
+    for (eps, m, ref), off in zip(cells, offsets):
+        lines.append(f"{eps!r},{round(m / eps)},{m},0.25,0,{ref * (1 + off)!r}")
+    (out / "experiment_pw_thm22.csv").write_text("\n".join(lines) + "\n")
+    before = sorted(p.name for p in (ROOT / "perfbench").iterdir())
+
+    assert oracle_errors.main([str(tmp_path / "inclusions")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    marked = [line.endswith("reference below lower bound") for line in printed[:3]]
+    assert marked == [False, True, False]
+    assert printed[-1].startswith("largest: 5e-09 at pw_thm22 row 2")
+    assert sorted(p.name for p in (ROOT / "perfbench").iterdir()) == before
+
+
 def test_a_pass_without_checked_cells_is_an_error(tmp_path):
     (tmp_path / "inclusions" / "pass0").mkdir(parents=True)
     assert oracle_errors.main([str(tmp_path / "inclusions")]) == 1

@@ -75,6 +75,14 @@ def ring_stiffness(d):
     return A.tocsr()
 
 
+def ring_gram(d):
+    # the face form of ring_stiffness(d): G[i, j] = sum_f d_f (D v_i)_f (D v_j)_f
+    def gram(basis):
+        D = np.array([np.roll(v, -1) - v for v in basis])
+        return D @ (d * D).T
+    return gram
+
+
 def random_ring(n, seed):
     """A ring of lognormal conductances, its bound and a mean-free
     right-hand side."""
@@ -436,7 +444,8 @@ def test_largest_geneig_circulant_oracle():
     # 1 / (2 - sqrt(3)) = 2 + sqrt(3)
     n = 12
     K = periodic_laplacian(n)
-    val = largest_geneig(np.ones(n), K, precond=mean_free_bound(laplacian_lam2(n)))
+    val = largest_geneig(np.ones(n), K, precond=mean_free_bound(laplacian_lam2(n)),
+                         gram=ring_gram(np.ones(n)))
     assert_allclose(val, 2.0 + math.sqrt(3.0), rtol=1e-8)
 
 
@@ -448,7 +457,7 @@ def test_largest_geneig_matches_pencil_route():
     w = np.exp(rng.standard_normal(n))
     # the ring of conductances d lies above min(d) times the unit ring
     bound = mean_free_bound(d.min() * laplacian_lam2(n))
-    val = largest_geneig(w, K, precond=bound)
+    val = largest_geneig(w, K, precond=bound, gram=ring_gram(d))
     mu = dense_oracle(K, w)[1]
     assert_allclose(val, 1.0 / mu, rtol=1e-7)
 
@@ -461,17 +470,19 @@ def test_largest_geneig_stalled_solve_raises():
     d = np.exp(2.0 * rng.standard_normal(n))
     w = np.exp(rng.standard_normal(n))
     with pytest.raises(ConvergenceError) as exc:
-        largest_geneig(w, ring_stiffness(d), precond=lambda r: -r)
+        largest_geneig(w, ring_stiffness(d), precond=lambda r: -r, gram=ring_gram(d))
     assert len(exc.value.residual_history) > 0
     assert exc.value.relative_residual is None and exc.value.error_estimate is None
 
 
 def test_largest_geneig_zero_weight():
     K = periodic_laplacian(8)
-    assert largest_geneig(np.zeros(8), K, precond=mean_free_bound(laplacian_lam2(8))) == 0.0
+    assert largest_geneig(np.zeros(8), K, precond=mean_free_bound(laplacian_lam2(8)),
+                          gram=ring_gram(np.ones(8))) == 0.0
 
 
 def test_largest_geneig_negative_weight_rejected():
     K = periodic_laplacian(8)
     with pytest.raises(ValueError, match="nonnegative"):
-        largest_geneig(-np.ones(8), K, precond=mean_free_bound(laplacian_lam2(8)))
+        largest_geneig(-np.ones(8), K, precond=mean_free_bound(laplacian_lam2(8)),
+                       gram=ring_gram(np.ones(8)))

@@ -8,6 +8,12 @@ checks against its oracle gets one line: invocation, row, cell, value,
 reference and relative error, followed by the largest error, the run's
 ``value_rel_err_max``.
 
+A Poincare constant is a maximum, and each shipped ``pw_constant`` is the
+exact face quotient of its own Ritz vector to about 1e-12, so it is a
+lower bound on the discrete constant.  A cell whose reference lies more
+than ``LOWER_BOUND_SLACK`` relative below the shipped value is marked
+``reference below lower bound``: there the reference is the one in error.
+
 The cells and references come from ``perfbench/workloads.py`` and
 ``perfbench/oracle.py``, imported as ``run.py`` imports them.  Nothing is
 written: no bytecode, and no reference into either cache.  A reference in
@@ -23,6 +29,8 @@ import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: how far, relative, a Poincare reference may lie below the shipped value
+LOWER_BOUND_SLACK = 1e-10
 
 
 def cell_errors(run_dir: Path) -> list[tuple]:
@@ -57,6 +65,12 @@ def cell_errors(run_dir: Path) -> list[tuple]:
     return errors
 
 
+def below_lower_bound(cell: str, value: float, ref: float) -> bool:
+    """Whether ``ref`` lies below the lower bound that a shipped
+    ``pw_constant`` is, by more than ``LOWER_BOUND_SLACK`` relative."""
+    return cell == "pw_constant" and value - ref > LOWER_BOUND_SLACK * abs(ref)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("run_dir", type=Path, help="a finished run: .bench_run/WORKLOAD")
@@ -66,7 +80,8 @@ def main(argv=None) -> int:
         print(f"no checked cell under {args.run_dir / 'pass0'}", file=sys.stderr)
         return 1
     for name, i, cell, value, ref, err in errors:
-        print(f"{name:12s} row {i:2d} {cell:16s} {value!r:>22} {ref!r:>22} {err:.3e}")
+        mark = "  reference below lower bound" if below_lower_bound(cell, value, ref) else ""
+        print(f"{name:12s} row {i:2d} {cell:16s} {value!r:>22} {ref!r:>22} {err:.3e}{mark}")
     name, i, cell, *_, err = max(errors, key=lambda e: e[-1])
     print(f"largest: {err:.6g} at {name} row {i} {cell}")
     return 0
