@@ -19,11 +19,13 @@ included, comes from :func:`shifted_pencil` with the inverse its solves use.
 
 Eigenvalues are reported for the pencil ``B(eta) x = lam M x`` with
 ``M = w I``, i.e. in mean-per-volume normalization: for ``a = I`` the first
-eigenvalue tends to ``|eta|^2``.
+eigenvalue tends to ``|eta|^2``.  The mass is carried as the scalar ``w``
+from assembly to the eigensolver; every pencil is ``(B, w, inverse)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -74,11 +76,25 @@ def face_arrays(field: CoefficientField, axis: int) -> np.ndarray:
 
 def face_difference(u: np.ndarray, grid: PeriodicGrid, axis: int) -> np.ndarray:
     """Plain forward difference ``D_k u = (u_{c+e_k} - u_c) / h_k`` per face,
-    formed in the buffer of the neighbor values."""
-    d = grid.neighbor_values(u, axis)
-    d -= u
+    in one fresh buffer with no rolled copy of ``u``.  Trailing dimensions
+    of ``u`` (columns) ride along.
+
+    The flat array less itself shifted by one step along the axis gives
+    every face but the last of each line, which wraps to the first cell;
+    a second, smaller subtraction writes those.  The first one reads
+    contiguous runs: a subtraction of 2-D slices along the last axis would
+    have numpy allocate its own buffers, three 64 KiB for real data.
+    """
+    v = u.reshape(grid.n + u.shape[1:])
+    step = math.prod(v.shape[axis + 1:])
+    d = np.empty(v.shape, dtype=u.dtype)
+    flat_u, flat_d = v.reshape(-1), d.reshape(-1)
+    np.subtract(flat_u[step:], flat_u[:-step], out=flat_d[:-step])
+    first = (slice(None),) * axis + (slice(0, 1),)
+    last = (slice(None),) * axis + (slice(-1, None),)
+    np.subtract(v[first], v[last], out=d[last])
     d /= grid.h[axis]
-    return d
+    return d.reshape(u.shape)
 
 
 def scatter_difference(b: np.ndarray, x: np.ndarray, grid: PeriodicGrid, axis: int):
@@ -128,8 +144,9 @@ def face_gram(field: CoefficientField, basis: list[np.ndarray]) -> np.ndarray:
 
 def assemble_shifted(
     field: CoefficientField, eta: np.ndarray | None = None
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Assemble ``(B(eta), M_diag)`` for the shifted form on ``field.grid``.
+) -> tuple[sp.csr_matrix, float]:
+    """Assemble ``(B(eta), w)`` for the shifted form on ``field.grid``, ``w``
+    the cell volume: the mass is ``M = w I``.
 
     Returns a real matrix when ``eta`` is ``None`` or zero (the plain
     stiffness with constant kernel), complex otherwise.  The CSR arrays are
@@ -184,8 +201,7 @@ def assemble_shifted(
     indptr = np.arange(0, N * width + 1, width, dtype=np.int32)
     B = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(N, N))
     B.sort_indices()
-    M_diag = np.full(N, w)
-    return B, M_diag
+    return B, w
 
 
 def _fft_bound(inv_sigma: np.ndarray, real_symbol: bool) -> Preconditioner:
@@ -236,10 +252,11 @@ def shifted_pencil(
     *,
     scale: float = 1.0,
     shift: float = 0.0,
-) -> tuple[sp.csr_matrix, np.ndarray, Preconditioner]:
-    """The pencil ``(B, M_diag)`` of every library solve, with the inverse
-    its solves use: ``B = scale * B(eta) + shift * diag(w a)`` for the
-    stencil of :func:`assemble_shifted`.
+) -> tuple[sp.csr_matrix, float, Preconditioner]:
+    """``(B, w, inverse)``: the pencil ``B x = lam w x`` of every library
+    solve, with the inverse its solves use, where
+    ``B = scale * B(eta) + shift * diag(w a)`` for the stencil of
+    :func:`assemble_shifted` and ``w`` is the cell volume.
 
     The inverse starts from the bound ``P^{-1}``.  ``P`` is the same pencil
     with every face coefficient and every ``a`` on the diagonal replaced by
@@ -275,9 +292,9 @@ def shifted_pencil(
     Either way ``P <= B``, with equality for the corrected inverse, and the
     inverse accepts a vector of length ``N`` or an ``(N, cols)`` block.
     """
-    B, M = assemble_shifted(field, eta)
+    B, w = assemble_shifted(field, eta)
     grid = field.grid
-    d, h, w, N, shape = grid.d, grid.h, grid.cell_volume, grid.num_cells, grid.n
+    d, h, N, shape = grid.d, grid.h, grid.num_cells, grid.n
     # in place, for the fiber section: no second CSR copy lives through the
     # solve, and every entry rounds as in ``B(eta) * scale + diags(shift)``
     if scale != 1.0 or shift != 0.0:
@@ -299,7 +316,7 @@ def shifted_pencil(
     bound = _fft_bound(inv_sigma, real_symbol)
 
     if not real_symbol or shift != 0.0:
-        return B, M, bound
+        return B, w, bound
     faces, d_f = [], []
     for k in range(d):
         a_f = face_arrays(field, k)
@@ -308,7 +325,7 @@ def shifted_pencil(
     d_f = np.concatenate(d_f)
     F = d_f.size
     if F == 0 or F * F > N:
-        return B, M, bound
+        return B, w, bound
     # grid coordinates of the 2F endpoints only, shape (d, F)
     tails, heads = [], []
     for k in range(d):
@@ -347,7 +364,7 @@ def shifted_pencil(
         np.add.at(z, tails, s)
         return bound(z, out=z)
 
-    return B, M, corrected
+    return B, w, corrected
 
 
 def bloch_lambda1(
@@ -362,8 +379,8 @@ def bloch_lambda1(
     ``exp(i x . eta) phi``), normalized so the discrete integral of
     ``|phi|^2`` over the cell is one: ``w sum |phi|^2 = 1``.
     """
-    B, M, bound = shifted_pencil(field, eta)
-    return smallest_eigpair(B, M, tol=tol, precond=bound)
+    B, w, bound = shifted_pencil(field, eta)
+    return smallest_eigpair(B, w, tol=tol, precond=bound)
 
 
 def bloch_reduced(
@@ -417,8 +434,8 @@ def fiber_lambda1_2d(
         raise ValueError("eta_prime must have two components")
     _require_first_zone(np.array([eta_prime[0], eta_prime[1], float(eta3)]))
 
-    B, M, bound = shifted_pencil(
+    B, w, bound = shifted_pencil(
         section_field, eps * eta_prime, scale=1.0 / eps**2, shift=float(eta3) ** 2
     )
-    return smallest_eigpair(B, M, tol=1e-9, precond=bound)
+    return smallest_eigpair(B, w, tol=1e-9, precond=bound)
 

@@ -223,8 +223,9 @@ def pw_constant(
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (grid.d,):
         raise ValueError(f"lam must have shape ({grid.d},)")
-    # the mass diagonal w becomes the weight w a |lam|^2 in place: no
-    # second length-N vector lives through the iteration
-    K, weight, inverse = shifted_pencil(field)
-    weight *= field.a * float(lam @ lam)
+    # the weight w a |lam|^2, scaled by the mass w in place: one
+    # length-N vector
+    K, w, inverse = shifted_pencil(field)
+    weight = field.a * float(lam @ lam)
+    weight *= w
     return largest_geneig(weight, K, precond=inverse, gram=partial(face_gram, field))

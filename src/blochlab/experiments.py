@@ -26,6 +26,7 @@ byte-stable across reruns.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import resource
@@ -103,6 +104,14 @@ def os_threads() -> int | None:
         return None
 
 
+@functools.cache
+def _threads_before_pools() -> int | None:
+    """:func:`os_threads` as this process forks its first pool, read once:
+    ``/proc/self/task`` can still list a finished pool's handler threads for
+    a moment after it returns, and they are no reason to warn."""
+    return os_threads()
+
+
 def peak_rss_mb() -> float:
     """Peak resident set of this process so far, in MB.
 
@@ -142,8 +151,9 @@ def map_tasks(fn, tasks, workers: int = 1,
     needs, and forks a pool that inherits it; the tasks run one at a time
     per worker, submitted in decreasing ``cost`` (grid cells) so that the
     largest solves start first, and a task's time holds no import.  Forking
-    from a process that :func:`os_threads` shows running more than one
-    thread (an unpinned BLAS) raises a ``RuntimeWarning`` first.
+    from a process that :func:`os_threads` showed running more than one
+    thread before its first pool (an unpinned BLAS) raises a
+    ``RuntimeWarning`` first.
     ``fn`` must be a module-level function, and tasks and results must
     pickle: tasks carry specs (eps, cell, m, eta), never fields, and return
     scalars.  An exception raised in a task re-raises here.
@@ -166,7 +176,7 @@ def map_tasks(fn, tasks, workers: int = 1,
     # fork is safe only from a single-threaded process: blochlab and scipy
     # start no threads, but numpy's BLAS does unless it is pinned to one
     # thread before numpy loads, too late to do here, so this only warns
-    threads = os_threads()
+    threads = _threads_before_pools()
     if threads is not None and threads > 1:
         warnings.warn(f"forking {n_workers} pool workers from a process with "
                       f"{threads} threads; set OPENBLAS_NUM_THREADS=1 before "

@@ -1,9 +1,9 @@
 """Sparse Hermitian solver kernels: the mean-zero solve of a periodic
 stiffness by preconditioned conjugate gradients (:func:`cg_solve`), the
-block eigensolver for the lowest pair of a pencil (:func:`smallest_eigpair`)
-and a locally optimal iteration of one vector over stiffness solves, at
-fixed tolerances, for the largest generalized eigenvalue
-(:func:`largest_geneig`).
+block eigensolver for the lowest pair of a pencil whose mass is a scalar
+multiple of the identity (:func:`smallest_eigpair`) and a locally optimal
+iteration of one vector over stiffness solves, at fixed tolerances, for the
+largest generalized eigenvalue (:func:`largest_geneig`).
 
 Matrices are carried as ``scipy.sparse`` CSR (dimension, row-compressed
 index/value arrays, real or complex scalar kind).  Deterministic behavior is
@@ -230,31 +230,31 @@ def _svqb(G: np.ndarray) -> np.ndarray:
     return Q[:, keep] / np.sqrt(w[keep])
 
 
-def _m_orthonormalize(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _m_orthonormalize(V: np.ndarray, mass: float) -> np.ndarray:
     """SVQB-style M-orthonormalization, dropping near-dependent columns."""
-    return V @ _svqb(_adjoint_product(V, M[:, None] * V))
+    return V @ _svqb(_adjoint_product(V, mass * V))
 
 
-def _project_out(V: np.ndarray, W: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _project_out(V: np.ndarray, W: np.ndarray, mass: float) -> np.ndarray:
     """Remove the M-orthogonal projection of W onto orthonormal V."""
-    return W - V @ _adjoint_product(V, M[:, None] * W)
+    return W - V @ _adjoint_product(V, mass * W)
 
 
-def _pencil_scale(B: sp.spmatrix, M: np.ndarray) -> float:
+def _pencil_scale(B: sp.spmatrix, mass: float) -> float:
     # infinity-norm bound on M^{-1/2} B M^{-1/2}; cheap and rigorous.  The
     # row sums of |B| reduce over the non-empty rows as scipy's
     # abs(B).sum(axis=1) does, with no copy of the pencil's index arrays
     rows = np.flatnonzero(np.diff(B.indptr))
     row_sums = np.zeros(B.shape[0])
     row_sums[rows] = np.add.reduceat(np.abs(B.data), B.indptr[rows])
-    return float((row_sums / M).max())
+    return float((row_sums / mass).max())
 
 
 def _error_estimates(
     R: np.ndarray,
     X: np.ndarray,
     lam: np.ndarray,
-    M: np.ndarray,
+    mass: float,
     precond: Preconditioner,
     lam_floor: float,
 ) -> np.ndarray:
@@ -266,18 +266,21 @@ def _error_estimates(
     zero to rounding.
     """
     num = np.einsum("ij,ij->j", R.conj(), precond(R)).real
-    mass = np.einsum("ij,ij->j", X.conj(), M[:, None] * X).real
-    return num / (np.maximum(np.abs(lam), lam_floor) * mass)
+    xmx = np.einsum("ij,ij->j", X.conj(), mass * X).real
+    return num / (np.maximum(np.abs(lam), lam_floor) * xmx)
 
 
 def smallest_eigpair(
     B: sp.spmatrix,
-    M_diag: np.ndarray,
+    mass: float,
     *,
     tol: float = 1e-10,
     precond: Preconditioner,
 ) -> EigSolveReport:
-    """Lowest eigenpair of ``B x = lam M x`` with diagonal ``M``.
+    """Lowest eigenpair of ``B x = lam M x`` with ``M = mass * I``, the
+    mass of every pencil of :mod:`blochlab.bloch` (``mass`` is the cell
+    volume).  ``mass`` must be a positive finite float; anything else
+    raises ``ValueError``.
 
     Block iteration of LOBPCG type over span([X, preconditioned residuals,
     previous directions]), with a block of three columns: the sought pair
@@ -288,9 +291,9 @@ def smallest_eigpair(
     plus fixed-seed Gaussian columns, so runs are reproducible.
 
     Convergence is declared when the lowest vector satisfies
-    ``||B x - lam M x||_2 <= tol * scale * ||x||_2`` where ``scale`` bounds
-    the pencil norm, and the next one satisfies it at ``sqrt(tol)``.  At
-    high contrast ``scale`` is huge and that rule alone admits inaccurate
+    ``||B x - lam M x||_2 <= tol * scale * mass * ||x||_2`` where ``scale``
+    bounds the pencil norm, and the next one satisfies it at ``sqrt(tol)``.
+    At high contrast ``scale`` is huge and that rule alone admits inaccurate
     eigenvalues, so the lowest vector must also satisfy
     ``est = r^H P^{-1} r / (|lam| x^H M x) <= tol``.  ``precond`` must
     satisfy ``P <= B``, which makes ``est`` a bound on the relative
@@ -298,20 +301,20 @@ def smallest_eigpair(
     ``||B x - lam M x|| / ||M x||`` used by distributional-form checks, and
     ``meta`` holds the final ``error_estimate`` (``est``) and the total
     ``inner_cg_steps``.  When the budget runs out, :class:`ConvergenceError`
-    carries the lowest pair's ``||B x - lam M x||_2 / (scale ||x||_2)`` of
+    carries the lowest pair's ``||B x - lam M x||_2 / (scale mass ||x||_2)`` of
     every iteration as its history, and that relative residual and ``est``
     of the final pair.
 
     The working set is a few blocks: each length-``n`` block is released
-    as soon as the iteration no longer reads it, and no conjugated copy of
-    a block is made (see :func:`_adjoint_product`).  This changes no
+    as soon as the iteration no longer reads it, no conjugated copy of a
+    block is made (see :func:`_adjoint_product`), and the mass is the one
+    scalar, not a length-``n`` diagonal.  This changes no
     floating-point operation, so the iterates are bit-identical to those
     of the plain out-of-place form.
     """
     n = B.shape[0]
-    M = np.asarray(M_diag, dtype=np.float64)
-    if M.shape != (n,) or M.min() <= 0:
-        raise ValueError("M_diag must be a positive vector matching B")
+    if not (isinstance(mass, float) and math.isfinite(mass) and mass > 0):
+        raise ValueError(f"mass must be a positive finite float, got {mass!r}")
 
     block = min(3, n)
 
@@ -325,12 +328,12 @@ def smallest_eigpair(
     X[:, 1:] = rand_cols
     del rand_cols
 
-    scale = _pencil_scale(B, M)
+    scale = _pencil_scale(B, mass)
     lam_floor = _MACHEPS * scale
     # capped-CG preconditioning needs to know whether constants are in the
     # kernel (shift-free assembly): then the inner systems must be deflated
     kernel_norm = float(np.linalg.norm(B @ np.ones(n)))
-    deflate_inner = kernel_norm <= 1e-8 * scale * M.mean() * math.sqrt(n)
+    deflate_inner = kernel_norm <= 1e-8 * scale * mass * math.sqrt(n)
     inner_steps = 0
 
     def _precondition(R: np.ndarray) -> np.ndarray:
@@ -344,7 +347,7 @@ def smallest_eigpair(
             inner_steps += len(inner_history) - 1
         return R
 
-    X = _m_orthonormalize(X, M)
+    X = _m_orthonormalize(X, mass)
     P = None
     lam = None
     history: list[float] = []
@@ -358,10 +361,10 @@ def smallest_eigpair(
         X = X @ C
         BX = BX @ C
         lam = theta
-        R = BX - (M[:, None] * X) * lam
+        R = BX - (mass * X) * lam
         del BX
         resnorms = np.linalg.norm(R, axis=0)
-        floor = scale * M.mean() * np.linalg.norm(X, axis=0)
+        floor = scale * mass * np.linalg.norm(X, axis=0)
         history.append(float(resnorms[0] / floor[0]))
         # insist on a settled second pair as well: a start vector that is an
         # exact eigenvector of a higher band must not end the search early.
@@ -371,23 +374,23 @@ def smallest_eigpair(
         # the budget's last step ends here too: after an update, SVQB
         # rotates the columns, and the polish would read a mixed one
         if settled and guard_ok and (
-            _error_estimates(R[:, :1], X[:, :1], lam[:1], M, precond, lam_floor)[0]
+            _error_estimates(R[:, :1], X[:, :1], lam[:1], mass, precond, lam_floor)[0]
             <= tol
         ) or it == _EIG_MAXIT:
             break
 
-        W = _project_out(X, _precondition(R), M)
+        W = _project_out(X, _precondition(R), mass)
         del R
         try:
-            W = _m_orthonormalize(W, M)
+            W = _m_orthonormalize(W, mass)
         except ConvergenceError:
             break  # residual block vanished: converged to working precision
         basis = [X, W]
         if P is not None:
-            P = _project_out(X, P, M)
-            P = _project_out(W, P, M)
+            P = _project_out(X, P, mass)
+            P = _project_out(W, P, mass)
             try:
-                P = _m_orthonormalize(P, M)
+                P = _m_orthonormalize(P, mass)
                 basis.append(P)
             except ConvergenceError:
                 P = None
@@ -399,7 +402,7 @@ def smallest_eigpair(
         Xnew = S @ C[:, :block]
         P = S[:, block:] @ C[block:, :block]
         del S
-        X = _m_orthonormalize(Xnew, M)
+        X = _m_orthonormalize(Xnew, mass)
         del Xnew
         block = X.shape[1]
 
@@ -407,15 +410,15 @@ def smallest_eigpair(
     # slice so that it rounds as the block operations above do
     X1 = X[:, :1]
     BX1 = B @ X1
-    MX1 = M[:, None] * X1
+    MX1 = mass * X1
     lam1 = np.einsum("ij,ij->j", X1.conj(), BX1).real / np.einsum(
         "ij,ij->j", X1.conj(), MX1
     ).real
     R = BX1 - MX1 * lam1
     rnorm = np.linalg.norm(R, axis=0)
     resid = rnorm / np.linalg.norm(MX1, axis=0)
-    rel = float((rnorm / (scale * M.mean() * np.linalg.norm(X1, axis=0)))[0])
-    est = float(_error_estimates(R, X1, lam1, M, precond, lam_floor)[0])
+    rel = float((rnorm / (scale * mass * np.linalg.norm(X1, axis=0)))[0])
+    est = float(_error_estimates(R, X1, lam1, mass, precond, lam_floor)[0])
     if not (rel <= tol and est <= tol):
         raise ConvergenceError(
             f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "

@@ -7,6 +7,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import tracemalloc
+
 import pytest
 
 
@@ -15,3 +17,17 @@ def tmp_out(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     return out
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn, *args, **kwargs)``: the largest traced allocation, in
+    bytes, while one call ``fn(*args, **kwargs)`` runs."""
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

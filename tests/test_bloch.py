@@ -2,7 +2,6 @@
 symbol and the exact gauge/conjugation symmetries of the discretization."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,10 +60,10 @@ def test_canonical_momentum_zone_and_shift(x):
 
 def test_assemble_real_at_zero_momentum():
     f = constant_field(2, (6, 6))
-    B, M = assemble_shifted(f, None)
+    B, w = assemble_shifted(f, None)
     assert B.dtype == np.float64
     assert_allclose(np.asarray(B.sum(axis=1)).ravel(), 0.0, atol=1e-12)
-    assert_allclose(M, f.grid.cell_volume)
+    assert isinstance(w, float) and w == f.grid.cell_volume
 
 
 def test_assemble_hermitian_at_nonzero_momentum():
@@ -148,20 +147,15 @@ def test_assemble_matches_coo_bytes(shape, two_phase, momentum):
         assert got.tobytes() == want.tobytes(), name
 
 
-def test_assembly_memory_is_bounded():
-    # CSR written directly: the result holds about 7 complex N-vectors
-    # (5 entries per row, int32 indices, the mass diagonal); the traced
-    # peak stays within 10 (23.6 through index lists and a COO matrix)
+def test_assembly_memory_is_bounded(traced_peak):
+    # CSR written directly: the result holds about 6.5 complex N-vectors
+    # (5 entries per row, int32 indices; the mass is the scalar w); the
+    # traced peak stays within 10 (23.6 through index lists and a COO matrix)
     eps, m = 1 / 4, 90
     r = radius_for_gamma(eps, 2.0)
     spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))
     section = rasterize(spec, make_grid(2, (m, m)))
-    tracemalloc.start()
-    try:
-        assemble_shifted(section, eps * np.array([0.2, 0.2]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(assemble_shifted, section, eps * np.array([0.2, 0.2]))
     assert peak <= 10 * m * m * 16
 
 
@@ -171,8 +165,8 @@ def test_symbol_eigenvalues_1d():
     n = 8
     f = constant_field(1, n)
     eta = 0.3
-    B, M = assemble_shifted(f, np.array([eta]))
-    vals = dense_oracle(B, M)
+    B, w = assemble_shifted(f, np.array([eta]))
+    vals = dense_oracle(B, np.full(n, w))
     expect = sorted(symbol(eta + m, n) for m in range(n))
     assert_allclose(vals, expect, atol=1e-10)
 
@@ -329,13 +323,13 @@ def test_shifted_pencil_fiber_matches_probe_form():
     # perfbench's kernel probe times (B2 * eps^-2 + diags(eta3^2 w a)); the
     # solver's in-place scale and shift must give that matrix to the bit
     eps, _, eta_p, eta3 = FIBER_PENCIL
-    f, (B, M, _) = _fiber_pencil()
+    f, (B, mass, _) = _fiber_pencil()
     B2, _ = assemble_shifted(f, eps * eta_p)
     w = f.grid.cell_volume
     probe = (B2 * (1.0 / eps**2) + sp.diags(eta3**2 * w * f.a)).tocsr()
     for attr in ("data", "indices", "indptr"):
         assert getattr(B, attr).tobytes() == getattr(probe, attr).tobytes(), attr
-    assert np.array_equal(M, np.full(f.grid.num_cells, w))
+    assert mass == w
 
 
 def test_shifted_pencil_below_rough_pencil():
@@ -449,38 +443,31 @@ def test_results_carry_solver_meta():
         assert res.meta["inner_cg_steps"] > 0
 
 
-def test_fiber_solve_working_set():
+def test_fiber_solve_working_set(traced_peak):
     # the block eigensolver keeps a few length-N blocks alive, not dozens of
-    # vectors: traced peak of the whole solve, assembly included, in complex
-    # N-vectors (about 26 here; 63 before blocks were released early)
+    # vectors: traced peak of a warm solve, assembly included, in complex
+    # N-vectors.  It reads about 25.1 (the mass is the scalar w, not a
+    # length-N diagonal), so one stray N-vector fails the bound
     eps, m = 1 / 4, 90
     r = radius_for_gamma(eps, 2.0)
     spec = FiberLattice(eps=1.0, r_eps=r, beta=fiber_beta(eps, r))
     section = rasterize(spec, make_grid(2, (m, m)))
-    tracemalloc.start()
-    try:
-        fiber_lambda1_2d(section, eps, np.array([0.2, 0.2]), 0.3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * m * m * 16
+    args = (section, eps, np.array([0.2, 0.2]), 0.3)
+    fiber_lambda1_2d(*args)  # warm: first-call allocations are not the solve's
+    peak = traced_peak(fiber_lambda1_2d, *args)
+    assert peak <= 25.4 * m * m * 16, f"{peak / (m * m * 16):.2f} complex N-vectors"
 
 
 @pytest.mark.parametrize("eps, m, budget", [(1 / 4, 90, 20), (1 / 6, 341, 18.5)],
                          ids=["eps4_m90", "eps6_m341"])
-def test_pw_constant_working_set(eps, m, budget):
+def test_pw_constant_working_set(traced_peak, eps, m, budget):
     # the LOBPCG iteration and its CG solves keep only the vectors they read
     # again: traced peak in real N-vectors, about 18.2 on both sections.  A
     # CG work buffer and a second spectrum buffer in each apply of the bound
     # made it 22 at m=90; at m=341, CG's copy of its first direction and a
     # fresh output for the corrected inverse's second apply made it 20.1
     section = _fiber_section(eps, m)
-    tracemalloc.start()
-    try:
-        pw_constant(section, np.array([0.25, 0.0]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(pw_constant, section, np.array([0.25, 0.0]))
     assert peak <= budget * m * m * 8
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,17 +92,12 @@ def test_streamed_energy_matches_full_grid(monkeypatch, n, R, block_cells):
     assert_allclose(energy, _full_grid_energy(g, 0.28, R), rtol=1e-13)
 
 
-def test_scaled_energy_memory_is_bounded():
+def test_scaled_energy_memory_is_bounded(traced_peak):
     # the eps = 1/6 rung of the capacity sweep: two full 2046^2 grids would
     # take 64 MiB
     r = radius_for_gamma(1 / 6, 2.0)
     g = make_grid(2, (2046, 2046))
-    tracemalloc.start()
-    try:
-        scaled_energy(1 / 6, r, DEFAULT_R, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(scaled_energy, 1 / 6, r, DEFAULT_R, g)
     assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 

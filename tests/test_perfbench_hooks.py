@@ -122,11 +122,11 @@ def test_result_attributes_the_tracer_reads():
     # residual_history; count_nnz reads the assembled matrix's nnz
     rng = np.random.default_rng(3)
     field = CoefficientField(grid=make_grid(1, (16,)), a=np.exp(rng.standard_normal(16)))
-    B, M, bound = shifted_pencil(field, np.array([0.3]))
-    report = smallest_eigpair(B, M, precond=bound)
+    B, w, bound = shifted_pencil(field, np.array([0.3]))
+    report = smallest_eigpair(B, w, precond=bound)
     assert isinstance(report.iterations, int) and report.iterations >= 1
     with pytest.raises(ConvergenceError) as failed:
-        smallest_eigpair(B, M, tol=1e-30, precond=bound)
+        smallest_eigpair(B, w, tol=1e-30, precond=bound)
     assert len(failed.value.residual_history) >= 1
     nnz = assemble_shifted(field, np.array([0.3]))[0].nnz
     assert isinstance(nnz, int) and nnz > 0
