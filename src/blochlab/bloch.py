@@ -21,12 +21,15 @@ Eigenvalues are reported for the pencil ``B(eta) x = lam M x`` with
 ``M = w I``, i.e. in mean-per-volume normalization: for ``a = I`` the first
 eigenvalue tends to ``|eta|^2``.  The mass is carried as the scalar ``w``
 from assembly to the eigensolver; every pencil is ``(B, w, inverse)``.
+
+One reduction serves both reduced solves: the unit pattern's pencil
+``eps^-2 B(eps eta) + shift diag(w a)``, whose reports, residual included,
+are in the eps-periodic problem's units.  No entry point takes a tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -295,10 +298,11 @@ def shifted_pencil(
     B, w = assemble_shifted(field, eta)
     grid = field.grid
     d, h, N, shape = grid.d, grid.h, grid.num_cells, grid.n
-    # in place, for the fiber section: no second CSR copy lives through the
-    # solve, and every entry rounds as in ``B(eta) * scale + diags(shift)``
-    if scale != 1.0 or shift != 0.0:
+    # in place: no second CSR copy lives through the solve, and every entry
+    # rounds as in ``B(eta) * scale + diags(shift)``
+    if scale != 1.0:
         B.data *= scale
+    if shift != 0.0:
         B.setdiag(B.diagonal() + shift * w * field.a)
 
     eta_arr = np.zeros(d) if eta is None else np.asarray(eta, dtype=np.float64)
@@ -367,19 +371,27 @@ def shifted_pencil(
     return B, w, corrected
 
 
-def bloch_lambda1(
-    field: CoefficientField,
-    eta: np.ndarray,
-    *,
-    tol: float = 1e-10,
-) -> EigSolveReport:
-    """Lowest eigenpair at momentum ``eta``.
+def bloch_lambda1(field: CoefficientField, eta: np.ndarray) -> EigSolveReport:
+    """Lowest eigenpair at momentum ``eta``, solved to ``tol = 1e-10``.
 
     The eigenvector is the periodic part ``phi`` (the physical mode is
     ``exp(i x . eta) phi``), normalized so the discrete integral of
     ``|phi|^2`` over the cell is one: ``w sum |phi|^2 = 1``.
     """
     B, w, bound = shifted_pencil(field, eta)
+    return smallest_eigpair(B, w, tol=1e-10, precond=bound)
+
+
+def _reduced_lambda1(
+    unit_field: CoefficientField, eps: float, eta: np.ndarray, shift: float, tol: float
+) -> EigSolveReport:
+    """The one reduction: the lowest pair of the unit-pattern pencil
+    ``eps^{-2} B(eps eta) + shift diag(w a)``, in the units of the
+    eps-periodic problem, its residual included."""
+    if unit_field.inv_eps != 1:
+        raise ValueError("reduced solves expect a unit-pattern field (inv_eps == 1)")
+    eps = check_eps(eps)
+    B, w, bound = shifted_pencil(unit_field, eps * eta, scale=1.0 / eps**2, shift=shift)
     return smallest_eigpair(B, w, tol=tol, precond=bound)
 
 
@@ -395,17 +407,13 @@ def bloch_reduced(
     pattern replaces the full fine-grid solve.  On matched grids (unit grid
     of ``m`` cells per axis versus full grid of ``m / eps``) the two routes
     agree to rounding, not merely asymptotically: the link phases and
-    dimensionless stencils coincide.  The report is the unit-pattern solve
-    at ``tol = 1e-11``, ``lambda1`` rescaled; its vector is on the unit grid.
+    dimensionless stencils coincide.  The unit pencil, scaled by
+    ``eps^{-2}``, is solved at ``tol = 1e-11``: the report is in the
+    eps-periodic problem's units, its vector on the unit grid.
     """
-    if unit_field.inv_eps != 1:
-        raise ValueError("bloch_reduced expects a unit-pattern field (inv_eps == 1)")
-    eps = check_eps(eps)
     eta = np.asarray(eta, dtype=np.float64)
     _require_first_zone(eta)
-    report = bloch_lambda1(unit_field, eps * eta, tol=1e-11)
-    # the error estimate is relative, so it survives the eps^-2 rescaling
-    return replace(report, lambda1=report.lambda1 / eps**2)
+    return _reduced_lambda1(unit_field, eps, eta, 0.0, 1e-11)
 
 
 def fiber_lambda1_2d(
@@ -422,20 +430,13 @@ def fiber_lambda1_2d(
 
         eps^{-2} B_2d(eps eta') + eta3^2 diag(w a(y'))   vs   M = w I,
 
-    with the third direction exact, not discretized, solved at ``tol = 1e-9``.
+    the reduction of :func:`bloch_reduced` plus the axial term, with the
+    third direction exact, not discretized, solved at ``tol = 1e-9``.
     """
     if section_field.grid.d != 2:
         raise ValueError("cross-section field must be 2-dimensional")
-    if section_field.inv_eps != 1:
-        raise ValueError("cross-section must be a unit pattern (inv_eps == 1)")
-    eps = check_eps(eps)
     eta_prime = np.asarray(eta_prime, dtype=np.float64)
     if eta_prime.shape != (2,):
         raise ValueError("eta_prime must have two components")
     _require_first_zone(np.array([eta_prime[0], eta_prime[1], float(eta3)]))
-
-    B, w, bound = shifted_pencil(
-        section_field, eps * eta_prime, scale=1.0 / eps**2, shift=float(eta3) ** 2
-    )
-    return smallest_eigpair(B, w, tol=1e-9, precond=bound)
-
+    return _reduced_lambda1(section_field, eps, eta_prime, float(eta3) ** 2, 1e-9)

@@ -14,7 +14,6 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from blochlab.bloch import (
-    bloch_lambda1,
     bloch_reduced,
     fiber_lambda1_2d,
     shifted_pencil,
@@ -35,7 +34,7 @@ from blochlab.microstructure import (
 )
 from blochlab.sparse_linalg import smallest_eigpair
 
-from closed_forms import half_half_1d, symbol
+from closed_forms import half_half_1d, lowest_pair, symbol
 from jacobi_oracle import dense_oracle
 
 
@@ -43,7 +42,7 @@ def test_criterion_01_constant_medium_exactness():
     n = 64
     eta = np.array([0.3, 0.2])
     field = rasterize(Constant(1.0), make_grid(2, (n, n)))
-    lam = bloch_lambda1(field, eta, tol=1e-12).lambda1
+    lam = lowest_pair(field, eta, 1e-12).lambda1
     sym = symbol(eta, (n, n))
     assert abs(lam - sym) <= 1e-10, f"solver vs symbol: {abs(lam - sym):.3e}"
     assert abs(sym - 0.13) <= 1e-3, f"symbol vs |eta|^2: {abs(sym - 0.13):.3e}"
@@ -78,7 +77,7 @@ def test_criterion_04_expansion_consistency():
     # lam(t) = c2 t^2 + c4 t^4 + O(t^6): regress lam / t^2 linearly on t^2
     field = half_half_1d(256)
     t = np.linspace(0.012, 0.03, 5)
-    lam = [bloch_lambda1(field, np.array([s]), tol=1e-13).lambda1 for s in t]
+    lam = [lowest_pair(field, np.array([s]), 1e-13).lambda1 for s in t]
     A = np.column_stack([np.ones_like(t), t**2])
     (c2, c4), *_ = np.linalg.lstsq(A, lam / t**2, rcond=None)
     assert abs(c2 - 1.6) / 1.6 <= 1e-4, f"c2 rel err {abs(c2 - 1.6) / 1.6:.3e}"
@@ -133,7 +132,7 @@ def test_criterion_08_reduction_cross_checks():
         full = rasterize(spec, make_grid(2, (m * inv, m * inv)))
         eta = np.array([0.2, -0.1])
         lam_r = bloch_reduced(unit, eps, eta).lambda1
-        lam_f = bloch_lambda1(full, eta, tol=1e-12).lambda1
+        lam_f = lowest_pair(full, eta, 1e-12).lambda1
         rel = abs(lam_r - lam_f) / lam_f
         assert rel <= 1e-8, f"eps={eps}: reduced vs full rel {rel:.3e}"
 
@@ -184,15 +183,15 @@ def test_criterion_11_structural_invariants(tmp_path):
     eta = np.array([0.21, -0.4])
 
     runs = []
-    base = bloch_lambda1(field, eta, tol=1e-12)
-    shifted = bloch_lambda1(field, eta + np.array([1.0, 0.0]), tol=1e-12)
-    mirrored = bloch_lambda1(field, -eta, tol=1e-12)
+    base = lowest_pair(field, eta, 1e-12)
+    shifted = lowest_pair(field, eta + np.array([1.0, 0.0]), 1e-12)
+    mirrored = lowest_pair(field, -eta, 1e-12)
     runs += [base, shifted, mirrored]
     assert abs(base.lambda1 - shifted.lambda1) <= 1e-12 * max(base.lambda1, 1.0)
     assert abs(base.lambda1 - mirrored.lambda1) <= 1e-11 * max(base.lambda1, 1.0)
 
     richer = rasterize(TwoPhaseInclusion(eps=1.0, beta=9.0, rho=0.5), g)
-    upper = bloch_lambda1(richer, eta, tol=1e-12)
+    upper = lowest_pair(richer, eta, 1e-12)
     runs.append(upper)
     assert base.lambda1 <= upper.lambda1 + 1e-12
 

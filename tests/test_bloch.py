@@ -33,7 +33,7 @@ from blochlab.microstructure import (
     rasterize,
 )
 
-from closed_forms import symbol
+from closed_forms import lowest_pair, symbol
 from jacobi_oracle import dense_oracle
 
 
@@ -174,7 +174,7 @@ def test_symbol_eigenvalues_1d():
 def test_bloch_lambda1_matches_symbol():
     f = constant_field(2, (16, 16))
     eta = np.array([0.3, 0.2])
-    res = bloch_lambda1(f, eta, tol=1e-12)
+    res = lowest_pair(f, eta, 1e-12)
     assert_allclose(res.lambda1, symbol(eta, (16, 16)), atol=1e-10)
     assert res.residual <= 1e-10
 
@@ -182,16 +182,16 @@ def test_bloch_lambda1_matches_symbol():
 def test_gauge_invariance_exact():
     f = rasterize(TwoPhaseInclusion(eps=1.0, beta=6.0, rho=0.5), make_grid(2, (8, 8)))
     eta = np.array([0.21, -0.4])
-    a = bloch_lambda1(f, eta, tol=1e-12).lambda1
-    b = bloch_lambda1(f, eta + np.array([1.0, 0.0]), tol=1e-12).lambda1
+    a = lowest_pair(f, eta, 1e-12).lambda1
+    b = lowest_pair(f, eta + np.array([1.0, 0.0]), 1e-12).lambda1
     assert abs(a - b) < 1e-12 * max(abs(a), 1.0)
 
 
 def test_conjugation_symmetry():
     f = rasterize(TwoPhaseInclusion(eps=1.0, beta=6.0, rho=0.5), make_grid(2, (8, 8)))
     eta = np.array([0.17, 0.33])
-    a = bloch_lambda1(f, eta, tol=1e-12).lambda1
-    b = bloch_lambda1(f, -eta, tol=1e-12).lambda1
+    a = lowest_pair(f, eta, 1e-12).lambda1
+    b = lowest_pair(f, -eta, 1e-12).lambda1
     assert abs(a - b) < 1e-11 * max(abs(a), 1.0)
 
 
@@ -201,14 +201,14 @@ def test_coefficient_monotonicity():
     lo = rasterize(TwoPhaseInclusion(eps=1.0, beta=2.0, rho=0.5), g)
     hi = rasterize(TwoPhaseInclusion(eps=1.0, beta=5.0, rho=0.5), g)
     eta = np.array([0.25, 0.1])
-    assert bloch_lambda1(lo, eta, tol=1e-12).lambda1 <= (
-        bloch_lambda1(hi, eta, tol=1e-12).lambda1 + 1e-12
+    assert lowest_pair(lo, eta, 1e-12).lambda1 <= (
+        lowest_pair(hi, eta, 1e-12).lambda1 + 1e-12
     )
 
 
 def test_eigvector_normalization():
     f = rasterize(TwoPhaseInclusion(eps=1.0, beta=3.0, rho=0.5), make_grid(2, (8, 8)))
-    res = bloch_lambda1(f, np.array([0.2, 0.1]), tol=1e-12)
+    res = lowest_pair(f, np.array([0.2, 0.1]), 1e-12)
     w = f.grid.cell_volume
     assert_allclose(w * np.sum(np.abs(res.vector) ** 2), 1.0, rtol=1e-10)
 
@@ -219,8 +219,37 @@ def test_reduced_equals_full_cell():
     full = rasterize(spec, make_grid(2, (32, 32)))
     eta = np.array([0.2, -0.1])
     lam_red = bloch_reduced(unit, 1 / 2, eta).lambda1
-    lam_full = bloch_lambda1(full, eta, tol=1e-12).lambda1
+    lam_full = lowest_pair(full, eta, 1e-12).lambda1
     assert_allclose(lam_red, lam_full, rtol=1e-9)
+
+
+def _reduced_pair(eps):
+    unit = rasterize(TwoPhaseInclusion(eps=1.0, beta=16.0, rho=0.5), make_grid(2, (16, 16)))
+    eta = np.array([0.2, -0.1])
+    return unit, eta, bloch_reduced(unit, eps, eta)
+
+
+@pytest.mark.parametrize("eps", [1 / 2, 1 / 4, 1 / 8])
+def test_reduced_is_the_scaled_unit_pencil(eps):
+    # one reduction: the unit pencil scaled by eps^-2, whose report is in
+    # the eps-periodic problem's units, residual included.  eps^-2 is a
+    # power of two, so the scaling is exact and so is every comparison
+    unit, eta, red = _reduced_pair(eps)
+    scaled = lowest_pair(unit, eps * eta, 1e-11, scale=eps**-2)
+    plain = lowest_pair(unit, eps * eta, 1e-11)
+    assert red.lambda1 == scaled.lambda1 == plain.lambda1 / eps**2
+    assert red.vector.tobytes() == scaled.vector.tobytes() == plain.vector.tobytes()
+    assert red.iterations == scaled.iterations == plain.iterations
+    assert red.residual == scaled.residual == plain.residual / eps**2
+
+
+def test_reduced_matches_the_unit_spectrum_off_powers_of_two():
+    # eps^-2 = 9 rounds the scaled pencil's entries: the same eigenvalue to
+    # the solve's accuracy, not to the bit
+    eps = 1 / 3
+    unit, eta, red = _reduced_pair(eps)
+    plain = lowest_pair(unit, eps * eta, 1e-11)
+    assert_allclose(red.lambda1, plain.lambda1 / eps**2, rtol=1e-10)
 
 
 def test_reduced_validation():
@@ -357,7 +386,7 @@ def test_periodic_stiffness_inverse_is_exact_on_fiber_section():
 def test_zero_momentum_fiber_solve_takes_the_exact_inverse():
     # the same section at eta = 0: the pencil is K, so the inner CG runs on
     # its exact inverse (27 steps on the plain bound)
-    res = bloch_lambda1(_fiber_section(1 / 5, 184), np.zeros(2), tol=1e-9)
+    res = lowest_pair(_fiber_section(1 / 5, 184), np.zeros(2), 1e-9)
     assert res.meta["inner_cg_steps"] <= 5
     assert abs(res.lambda1) <= 1e-10
 
@@ -433,7 +462,7 @@ def test_results_carry_solver_meta():
     section = rasterize(FiberLattice(eps=1.0, r_eps=0.8, beta=50.0), make_grid(2, (16, 16)))
     eta = np.array([0.2, -0.1])
     results = [
-        bloch_lambda1(rasterize(spec, make_grid(2, (32, 32))), eta, tol=tol),
+        bloch_lambda1(rasterize(spec, make_grid(2, (32, 32))), eta),
         bloch_reduced(unit, 1 / 2, eta),
         fiber_lambda1_2d(section, 1 / 2, eta, 0.3),
     ]
@@ -473,7 +502,7 @@ def test_pw_constant_working_set(traced_peak, eps, m, budget):
 
 def test_bloch_lambda1_zero_momentum():
     f = rasterize(TwoPhaseInclusion(eps=1.0, beta=4.0, rho=0.5), make_grid(2, (16, 16)))
-    res = bloch_lambda1(f, np.zeros(2), tol=1e-10)
+    res = bloch_lambda1(f, np.zeros(2))
     assert abs(res.lambda1) <= 1e-10
 
 

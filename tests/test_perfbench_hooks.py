@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import blochlab.cli  # noqa: F401  (loads every module, as the tracer does)
-from blochlab.bloch import (assemble_shifted, bloch_lambda1, fiber_lambda1_2d,
-                            shifted_pencil)
+from blochlab.bloch import (assemble_shifted, bloch_lambda1, bloch_reduced,
+                            fiber_lambda1_2d, shifted_pencil)
 from blochlab.cell_problems import homogenized, pw_constant
 from blochlab.grid import make_grid
 from blochlab.microstructure import (CoefficientField, FiberLattice,
@@ -106,6 +106,7 @@ def test_each_solve_records_one_assembly(monkeypatch):
     section = rasterize(FiberLattice(eps=1.0, r_eps=0.8, beta=50.0), grid)
     solves = {
         "bloch_lambda1": lambda: bloch_lambda1(field, np.array([0.2, 0.1])),
+        "bloch_reduced": lambda: bloch_reduced(section, 1 / 2, np.array([0.2, 0.1])),
         "fiber_lambda1_2d": lambda: fiber_lambda1_2d(
             section, 1 / 2, np.array([0.2, 0.1]), 0.3),
         "homogenized": lambda: homogenized(field),
