@@ -207,12 +207,12 @@ def assemble_shifted(
     return B, w
 
 
-def _fft_bound(inv_sigma: np.ndarray, real_symbol: bool) -> Preconditioner:
+def _fft_bound(inv_sigma: np.ndarray, shape: tuple[int, ...], real: bool) -> Preconditioner:
     """The Fourier multiplier ``r -> ifftn(fftn(r) * inv_sigma)`` over the
-    grid axes (``inv_sigma`` has the grid's shape), for a vector of length
-    ``N`` or an ``(N, cols)`` block.  Under a ``real_symbol`` (even in
-    ``xi``) real data take the half spectrum,
-    ``irfftn(rfftn(r) * inv_half, s=shape)``.
+    axes of a grid of ``shape``, for a vector of length ``N`` or an
+    ``(N, cols)`` block.  A complex pencil's ``inv_sigma`` is the full
+    spectrum; a ``real`` pencil's is :func:`numpy.fft.rfftn`'s half, of
+    shape ``shape[:-1] + (shape[-1] // 2 + 1,)``, and takes real data only.
 
     Each apply allocates one spectrum buffer: the forward transform writes
     into it and every later pass runs in place, the inverse half-spectrum
@@ -223,27 +223,22 @@ def _fft_bound(inv_sigma: np.ndarray, real_symbol: bool) -> Preconditioner:
     Each pass is the one numpy's out-of-place forms run, so the result is
     bit-identical to them.
     """
-    shape = inv_sigma.shape
     d = len(shape)
     axes = tuple(range(d))
-    inv_half = inv_sigma[..., : shape[-1] // 2 + 1]
+    forward = np.fft.rfftn if real else np.fft.fftn
 
     def bound(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         v = r.reshape(shape + r.shape[1:])
-        pad = (1,) * (r.ndim - 1)
-        if real_symbol and not np.iscomplexobj(r):
-            z = np.empty(inv_half.shape + r.shape[1:], dtype=np.complex128)
-            np.fft.rfftn(v, axes=axes, out=z)
-            z *= inv_half.reshape(inv_half.shape + pad)
+        z = np.empty(inv_sigma.shape + r.shape[1:], dtype=np.complex128)
+        forward(v, axes=axes, out=z)
+        z *= inv_sigma.reshape(inv_sigma.shape + (1,) * (r.ndim - 1))
+        out = None if out is None else out.reshape(v.shape)
+        if real:
             for k in axes[:-1]:
                 np.fft.ifft(z, axis=k, out=z)
-            z = np.fft.irfft(z, n=shape[-1], axis=d - 1,
-                             out=None if out is None else out.reshape(v.shape))
+            z = np.fft.irfft(z, n=shape[-1], axis=d - 1, out=out)
         else:
-            z = np.empty(v.shape, dtype=np.complex128)
-            np.fft.fftn(v, axes=axes, out=z)
-            z *= inv_sigma.reshape(shape + pad)
-            z = np.fft.ifftn(z, axes=axes, out=z if out is None else out.reshape(v.shape))
+            z = np.fft.ifftn(z, axes=axes, out=z if out is None else out)
         return z.reshape(r.shape)
 
     return bound
@@ -272,9 +267,9 @@ def shifted_pencil(
         sigma(xi) = w sum_k a_ref 4 sin^2((eta_k h_k + xi_k) / 2) / h_k^2
                     * scale + shift * w * a_ref,   xi_k = 2 pi fftfreq(n_k),
 
-    so ``P^{-1} r = ifftn(fftn(r) / sigma)``.  Modes where ``sigma``
-    vanishes (the constants at zero momentum and zero shift) are the
-    kernel of ``B`` and are projected out.
+    so ``P^{-1} r = ifftn(fftn(r) / sigma)``, on the half spectrum for a
+    real ``B``, which takes real data only.  Modes where ``sigma`` vanishes
+    (the constants at zero momentum and zero shift) are projected out.
 
     At zero momentum and zero shift ``B`` is the periodic stiffness ``K``
     of the cell problems.  It differs from ``P`` only on the ``F`` faces
@@ -305,21 +300,23 @@ def shifted_pencil(
     if shift != 0.0:
         B.setdiag(B.diagonal() + shift * w * field.a)
 
-    eta_arr = np.zeros(d) if eta is None else np.asarray(eta, dtype=np.float64)
-    theta = eta_arr * np.asarray(h)
+    # the one real/complex decision: B is real exactly at zero momentum, where
+    # sigma is even in xi, so the half spectrum holds every value and the max
+    real = not np.iscomplexobj(B.data)
+    spectrum = shape[:-1] + (shape[-1] // 2 + 1,) if real else shape
+    theta = (np.zeros(d) if eta is None else np.asarray(eta, dtype=np.float64)) * np.asarray(h)
     a_ref = float(field.a.min())
-    sigma = np.full(shape, shift * w * a_ref)
+    sigma = np.full(spectrum, shift * w * a_ref)
     for k in range(d):
-        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n[k])
+        # fftfreq, not rfftfreq: the last axis keeps its negative Nyquist
+        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n[k])[: spectrum[k]]
         sym = w * a_ref * scale * 4.0 * np.sin((theta[k] + xi) / 2.0) ** 2 / h[k] ** 2
-        sigma = sigma + sym.reshape([-1 if j == k else 1 for j in range(d)])
+        sigma += sym.reshape([-1 if j == k else 1 for j in range(d)])
     kernel = sigma <= 1e-28 * sigma.max()  # rounding-level symbol: exact zero mode
-    inv_sigma = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, sigma))
-    # zero phases make sigma even in xi: real data stay real, half spectrum
-    real_symbol = not np.any(theta)
-    bound = _fft_bound(inv_sigma, real_symbol)
+    sigma[kernel] = np.inf  # 1 / inf = 0: the kernel is projected out
+    bound = _fft_bound(np.divide(1.0, sigma, out=sigma), shape, real)
 
-    if not real_symbol or shift != 0.0:
+    if not real or shift != 0.0:
         return B, w, bound
     faces, d_f = [], []
     for k in range(d):

@@ -118,12 +118,13 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     ``r = radius_for_gamma(eps, gamma)`` and conductivity ``fiber_beta(eps, r)``.
 
     ``eps`` and ``gamma`` default to the sweep's ladder and
-    ``DEFAULT_GAMMA``.  Every ``1/eps`` must be an integer (above 1 for the
-    inclusions); ``n``, when given, overrides the resolution rule and must be
-    a multiple of each.  Every cell must pass :func:`check_resolution` on its
-    ``m x m`` grid; a refusal names the least ``n`` that would pass.  The
-    ``2m x 2m`` grid of thm22's and thm31's mesh check must pass
-    :func:`blochlab.grid.make_grid` too.
+    ``DEFAULT_GAMMA``.  The ladder strictly decreases, since the checks read
+    its last rung as the finest, and every ``1/eps`` must be an integer
+    (above 1 for the inclusions); ``n``, when given, overrides the resolution
+    rule and must be a multiple of each.  Every cell must pass
+    :func:`check_resolution` on its ``m x m`` grid; a refusal names the
+    least ``n`` that would pass.  The ``2m x 2m`` grid of thm22's and
+    thm31's mesh check must pass :func:`blochlab.grid.make_grid` too.
     """
     default_eps, fiber, doubled = _SWEEPS[experiment]
     eps = [float(e) for e in (default_eps if eps is None else eps)]
@@ -133,6 +134,8 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     reads = ("eps", "gamma") if fiber else ("eps",)
     with _blame("eps"):
         inverses = [_reciprocal_int(e) for e in eps]
+    if any(a >= b for a, b in zip(inverses, inverses[1:])):
+        raise PlanError("the eps ladder must strictly decrease, finest rung last", "eps")
     step = math.lcm(*inverses)
     rungs = []
     for e, s in zip(eps, inverses):

@@ -1,4 +1,5 @@
 import ast
+import csv
 import inspect
 import json
 import math
@@ -666,15 +667,15 @@ def test_main_passes_the_requested_thread_count_through(tmp_path):
 
 
 def test_main_exit_two_on_failed_checks(tmp_path, capsys):
-    # reversed ladder: the gap grows instead of shrinking, so the
-    # monotonicity column fails while files are still written
-    p = write_cfg(tmp_path, "command = experiment:thm22\neps = 1/4, 1/2\nn = 64\n")
+    # a valid one-rung ladder whose excess, 0.671, lies below the band's
+    # gamma/2 = 1: the band column fails while files are still written
+    p = write_cfg(tmp_path, "command = experiment:thm31\neps = 1/3\n")
     rc = run_main(["--config", p, "--out", tmp_path / "out"])
     assert rc == 2
     captured = capsys.readouterr()
     assert "assertion columns" in captured.err
-    csv_text = (tmp_path / "out" / "experiment_thm22.csv").read_text()
-    assert "fail" in csv_text
+    rows = list(csv.DictReader((tmp_path / "out" / "experiment_thm31.csv").read_text().splitlines()))
+    assert [row["excess_band_pass"] for row in rows] == ["fail"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

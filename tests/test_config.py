@@ -208,6 +208,18 @@ def test_numbers_are_finite_decimals(text, key, line):
     ("command = experiment:thm31\neps = -1/3\n", "eps", 2),
     ("command = experiment:thm22\neps = 0\n", "eps", 2),
     ("command = capacity\neps = -0.3\ngamma = 2\nn = 64\n", "eps", 2),
+    # an experiment's ladder strictly decreases: its checks read the last
+    # rung as the finest
+    ("command = experiment:thm22\neps = 1/4, 1/2\nn = 64\n", "eps", 2),
+    ("command = experiment:thm22\nn = 64\neps = 1/4, 1/4\n", "eps", 3),
+    ("command = experiment:thm31\neps = 1/4, 1/3\n", "eps", 2),
+    ("command = experiment:thm31\ngamma = 2\neps = 1/3, 1/4, 1/4\n", "eps", 3),
+    ("command = experiment:gap_map\neps = 1/4, 1/3\n", "eps", 2),
+    ("command = experiment:gap_map\neps = 1/3, 1/3\n", "eps", 2),
+    ("command = experiment:pw_thm22\neps = 1/4, 1/2\n", "eps", 2),
+    ("command = experiment:pw_thm22\neps = 1/2, 1/2\n", "eps", 2),
+    ("command = experiment:pw_fiber\neps = 1/4, 1/3\n", "eps", 2),
+    ("command = experiment:pw_fiber\neps = 1/4, 1/4\n", "eps", 2),
 ])
 def test_eps_ladder_checked_at_parse_time(text, key, line):
     # every 1/eps a run resolves a grid for is an integer, and an

@@ -105,6 +105,20 @@ def test_an_empty_eps_ladder_is_refused(run):
     assert exc.value.keys == ("eps",)
 
 
+@pytest.mark.parametrize("run", [
+    run_thm22, run_thm31, run_gap_map, partial(run_pw, family="thm22"),
+    partial(run_pw, family="fiber"),
+], ids=["thm22", "thm31", "gap_map", "pw_thm22", "pw_fiber"])
+@pytest.mark.parametrize("ladder", [(1 / 4, 1 / 3), (1 / 4, 1 / 4)], ids=["ascending", "repeated"])
+def test_an_eps_ladder_that_does_not_decrease_is_refused(run, ladder):
+    # the checks read the rows in ladder order and the last as the finest
+    # rung: an ascending ladder read its coarsest rung as the finest, and
+    # failed thm31's and pw_thm22's monotone checks on a good solve
+    with pytest.raises(PlanError, match="the eps ladder must strictly decrease") as exc:
+        run(eps=ladder)
+    assert exc.value.keys == ("eps",)
+
+
 def test_every_solve_rasterizes_the_planned_cell(monkeypatch):
     # the plan builds each rung's unit cell once; every solve samples it, and
     # the fiber rows report its radius and conductivity
