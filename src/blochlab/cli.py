@@ -6,6 +6,9 @@ decimal separator, ``\\n`` line endings, booleans written as ``pass``/``fail``,
 empty cells for inapplicable fields.  Everything run-dependent (wall times,
 git state) goes to the JSON sidecar.
 
+Every run solves on the grids that its command family's planner in
+:mod:`blochlab.plan` gives, the planner the config parser called.
+
 Exit codes: 0 success, 2 when a harness assertion column reports a
 failure, 1 on any error.
 """
@@ -39,9 +42,8 @@ from .experiments import (
     run_thm22,
     run_thm31,
 )
-from .grid import make_grid
 from .microstructure import rasterize
-from .plan import plan_capacity
+from .plan import plan_capacity, plan_single
 
 #: glibc ``mallopt`` parameters, and the values :func:`main` gives them:
 #: no array gets a mapping of its own, and the heap is never trimmed.  By
@@ -88,12 +90,11 @@ def git_describe() -> str:
     return "unknown"
 
 
-def _momentum_task(command: str, a, n: int, eta) -> dict:
-    """Value cells of one ``bloch``/``dispersion``/``pw`` row: the field is
-    rasterized on ``n`` cells per axis in ``len(eta)`` dimensions."""
+def _momentum_task(command: str, a, grid, eta) -> dict:
+    """Value cells of one ``bloch``/``dispersion``/``pw`` row, on ``a``
+    rasterized on ``grid``."""
+    field = rasterize(a, grid)
     eta = np.asarray(eta, dtype=np.float64)
-    d = len(eta)
-    field = rasterize(a, make_grid(d, (n,) * d))
     if command == "bloch":
         res = bloch_lambda1(field, eta)
         return {"lambda1": res.lambda1, "residual": res.residual,
@@ -105,10 +106,10 @@ def _momentum_task(command: str, a, n: int, eta) -> dict:
     return {"pw_constant": pw_constant(field, eta)}
 
 
-def _homogenize_task(a, n: int) -> dict:
-    """Value cells of the ``homogenize`` row: planar by convention, fiber
-    patterns homogenize their cross-section."""
-    hom = homogenized(rasterize(a, make_grid(2, (n, n))))
+def _homogenize_task(a, grid) -> dict:
+    """Value cells of the ``homogenize`` row, on ``a`` rasterized on its
+    planar ``grid``: fiber patterns homogenize their cross-section."""
+    hom = homogenized(rasterize(a, grid))
     d = hom.q.shape[0]
     row = {}
     for name, mat in (("q", hom.q), ("voigt", hom.voigt)):
@@ -119,16 +120,14 @@ def _homogenize_task(a, n: int) -> dict:
     return row
 
 
-def _annulus_task(r: float, R: float, n: int) -> dict:
-    """Value cells of the ``capacity`` annulus check on ``n`` cells per axis."""
-    analytic, discrete = annulus_energy(r, R, make_grid(2, (n, n)))
-    return {"analytic_energy": analytic, "discrete_energy": discrete,
-            "rel_error": abs(discrete - analytic) / analytic}
-
-
-def _scaled_energy_task(eps: float, gamma: float, r: float, R: float, n: int) -> dict:
-    """Value cells of one ``capacity`` sweep row on ``n`` cells per axis."""
-    energy = scaled_energy(eps, r, R, make_grid(2, (n, n)))
+def _capacity_task(eps: float | None, gamma: float | None, r: float, R: float, grid) -> dict:
+    """Value cells of one ``capacity`` row on ``grid``: the annulus check
+    when ``eps`` is ``None``, else the sweep's scaled energy at ``eps``."""
+    if eps is None:
+        analytic, discrete = annulus_energy(r, R, grid)
+        return {"analytic_energy": analytic, "discrete_energy": discrete,
+                "rel_error": abs(discrete - analytic) / analytic}
+    energy = scaled_energy(eps, r, R, grid)
     return {"scaled_energy": energy, "gamma_deviation": abs(energy - gamma) / gamma}
 
 
@@ -145,32 +144,29 @@ def _task_table(fn, keys: list[dict], tasks: list[tuple],
 def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     """Tables for the non-experiment commands; no assertion columns.
 
-    Every row is one :func:`map_tasks` task: one per momentum for
-    ``bloch``, ``dispersion`` and ``pw`` on ``workers`` requested
-    processes, and a single task for ``homogenize``.  ``capacity`` rows
-    (one per eps of the sweep, or the annulus check) are closed-form profile
-    sums that never assemble; they run in this process, which saves a pool
-    its scipy import and keeps ``capacity`` free of scipy.
+    Every row is one :func:`map_tasks` task on the grid its planner gives:
+    one per momentum for ``bloch``, ``dispersion`` and ``pw`` on ``workers``
+    requested processes, and a single task for ``homogenize``.
+    ``capacity`` rows (one per eps of the sweep, or the annulus check) are
+    closed-form profile sums that never assemble; they run in this process,
+    which saves a pool its scipy import and keeps ``capacity`` free of scipy.
     """
     name = cfg.command
+    if name == "capacity":
+        rows = plan_capacity(cfg.eps, cfg.gamma, r=cfg.r, R=cfg.R, n=cfg.n)
+        cells = [{"eps": eps, "gamma": cfg.gamma, "r": r, "R": R, "n": grid.n[0]}
+                 for eps, r, R, grid in rows]
+        keys = [{k: v for k, v in c.items() if v is not None} for c in cells]  # annulus: r, R, n
+        tasks = [(eps, cfg.gamma, r, R, grid) for eps, r, R, grid in rows]
+        return _task_table(_capacity_task, keys, tasks, 1)
+
+    grid = plan_single(cfg.a, cfg.n, cfg.eta)
     if name == "homogenize":
-        return _task_table(_homogenize_task, [{}], [(cfg.a, cfg.n)], workers)
-
-    if name in ("bloch", "dispersion", "pw"):
-        prefix = "lambda" if name == "pw" else "eta"  # pw: eta is the direction
-        keys = [eta_cells(eta, prefix) for eta in cfg.eta]
-        tasks = [(name, cfg.a, cfg.n, eta) for eta in cfg.eta]
-        return _task_table(_momentum_task, keys, tasks, workers)
-
-    # capacity: the config holds r (annulus check) or eps and gamma (sweep)
-    if cfg.r is not None:
-        (r, R, n), = plan_capacity(r=cfg.r, R=cfg.R, n=cfg.n)
-        return _task_table(_annulus_task, [{"r": r, "R": R, "n": n}], [(r, R, n)], 1)
-    rows = plan_capacity(cfg.eps, cfg.gamma, R=cfg.R, n=cfg.n)
-    keys = [{"eps": eps, "gamma": cfg.gamma, "r": r, "R": R, "n": n}
-            for eps, r, R, n in rows]
-    tasks = [(eps, cfg.gamma, r, R, n) for eps, r, R, n in rows]
-    return _task_table(_scaled_energy_task, keys, tasks, 1)
+        return _task_table(_homogenize_task, [{}], [(cfg.a, grid)], workers)
+    prefix = "lambda" if name == "pw" else "eta"  # pw: eta is the direction
+    keys = [eta_cells(eta, prefix) for eta in cfg.eta]
+    tasks = [(name, cfg.a, grid, eta) for eta in cfg.eta]
+    return _task_table(_momentum_task, keys, tasks, workers)
 
 
 def _harness(name: str):

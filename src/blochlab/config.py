@@ -16,14 +16,12 @@ take; ``_CONSTRUCTORS`` does the same for the arguments of each
 microstructure constructor.  A kind is syntax only (a number, an integer,
 a list or tuple of numbers, a call): no kind bounds a value.  Each value
 rule has one home, the medium or planner that owns it, which the parser
-runs: the microstructure specs' own checks, a single command's ``n``
-against its medium, the harnesses' ``eta`` and ``t_list`` checks, and every
-rule of the grid plan that an experiment or ``capacity`` run makes with
-:mod:`blochlab.plan` (the eps range, ``gamma > 0``, ``0 < r < R < pi``, at
-least 2 cells per axis and no more cells than int32 indices address).
-Unknown keys, keys the command does not read, missing keys, wrong types
-and every refusal of those rules are all rejected here, with the key and
-line number.
+runs: the microstructure specs' own checks as it builds ``a``, then, on one
+refusal path, an experiment harness's ``eta`` and ``t_list`` checks and the
+command family's planner in :mod:`blochlab.plan` (a sweep's plan, a single
+command's grid, ``capacity``'s mode and rows).  Unknown keys, keys the
+command does not read, missing keys, wrong types and every refusal of
+those rules are all rejected here, with the key and line number.
 
 A key left out stays ``None``, and the run fills its default: an
 experiment's eps ladder, ``gamma``, ``eta`` and ``t_list`` come from its
@@ -40,16 +38,8 @@ import re
 from dataclasses import dataclass
 
 from .experiments import check_eta, check_t_list
-from .grid import make_grid
-from .microstructure import (
-    Constant,
-    FiberLattice,
-    FromFile,
-    TwoPhaseInclusion,
-    check_resolution,
-    radius_for_gamma,
-)
-from .plan import PlanError, fiber_beta, plan_capacity, plan_sweep
+from .microstructure import Constant, FiberLattice, FromFile, TwoPhaseInclusion, radius_for_gamma
+from .plan import PlanError, _blame, fiber_beta, plan_capacity, plan_single, plan_sweep
 
 #: key -> value kind
 _KINDS = {
@@ -65,8 +55,8 @@ _KINDS = {
 }
 
 #: command -> (required keys, optional keys); ``command`` applies to every
-#: command.  ``capacity`` also needs ``r`` (annulus check) or both
-#: ``eps`` and ``gamma`` (scaled-energy sweep), never both modes.
+#: command.  Which of its optional keys ``capacity`` needs is the mode rule
+#: of :func:`blochlab.plan.plan_capacity`.
 _COMMANDS = {
     "homogenize": (("a", "n"), ()),
     "bloch": (("a", "eta", "n"), ()),
@@ -267,8 +257,8 @@ def _build_microstructure(text: str, line: int, key: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config document, planning the grids of an
-    experiment or ``capacity`` run."""
+    """Parse and validate a config document, planning its run's grids with
+    the command family's planner."""
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -341,44 +331,24 @@ def parse_config(text: str) -> RunConfig:
         if key not in entries:
             raise ConfigError(f"command {command!r} requires key {key!r}",
                               line=cmd_line, key=key)
-    if command == "capacity":  # the annulus check (r) or the sweep (eps, gamma)
-        for key in ("eps", "gamma"):
-            if "r" in entries and key in entries:
-                raise ConfigError(
-                    "not read in the annulus mode of capacity (r is set)",
-                    line=entries[key][1], key=key)
-            if "r" not in entries and key not in entries:
-                raise ConfigError(
-                    "capacity needs either r (annulus check) or eps and gamma "
-                    "(scaled-energy sweep)", line=cmd_line, key=key)
-    # a single command's grid (planar for homogenize) must sample its
-    # medium: rasterize's own checks, without rasterizing
-    if cfg.a is not None:
-        d = len(cfg.eta[0]) if cfg.eta is not None else 2
-        try:
-            check_resolution(cfg.a, make_grid(d, cfg.n))
-        except ValueError as exc:
-            raise ConfigError(str(exc), line=entries["n"][1], key="n") from None
-    # an experiment's momentum and t_list pass its harness's own checks
-    experiment = command.startswith("experiment:")
-    if experiment:
-        name = command.split(":", 1)[1]
-        for key, check in (("eta", lambda v: check_eta(name, v[0])), ("t_list", check_t_list)):
-            if key in entries:
-                try:
-                    check(getattr(cfg, key))
-                except ValueError as exc:
-                    raise ConfigError(str(exc), line=entries[key][1], key=key) from None
-    # the run's grids, planned as its harness or the capacity command plans
-    # them; a refusal names the first key the failing rule reads that the
-    # config sets
+    # the value rules, run by the command family's one planner as the run
+    # runs them; a refusal names the first key the failing rule reads that
+    # the config sets, else the first it reads, on the command's line
     try:
-        if experiment:
+        if command.startswith("experiment:"):
+            name = command.split(":", 1)[1]
+            for key, check in (("eta", lambda v: check_eta(name, v[0])),
+                               ("t_list", check_t_list)):
+                if key in entries:
+                    with _blame(key):
+                        check(getattr(cfg, key))
             plan_sweep(name, cfg.eps, gamma=cfg.gamma, n=cfg.n)
         elif command == "capacity":
             plan_capacity(cfg.eps, cfg.gamma, r=cfg.r, R=cfg.R, n=cfg.n)
+        else:
+            plan_single(cfg.a, cfg.n, cfg.eta)
     except PlanError as exc:
-        key = next((k for k in exc.keys if k in entries), "command")
+        key = next((k for k in exc.keys if k in entries), exc.keys[0])
         line = entries[key][1] if key in entries else cmd_line
         raise ConfigError(str(exc), line=line, key=key) from None
     return cfg

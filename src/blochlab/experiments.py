@@ -155,8 +155,9 @@ def map_tasks(fn, tasks, workers: int = 1,
     thread before its first pool (an unpinned BLAS) raises a
     ``RuntimeWarning`` first.
     ``fn`` must be a module-level function, and tasks and results must
-    pickle: tasks carry specs (eps, cell, m, eta), never fields, and return
-    scalars.  An exception raised in a task re-raises here.
+    pickle: tasks carry specs (eps, cell, m, eta, or a grid, which is a
+    ``(d, n)`` spec), never fields, and return scalars.  An exception
+    raised in a task re-raises here.
     """
     tasks = list(tasks)
     n_workers = pool_size(workers, len(tasks))
@@ -192,8 +193,9 @@ def map_tasks(fn, tasks, workers: int = 1,
 def check_eta(experiment: str, eta) -> np.ndarray:
     """The momentum of ``experiment:<experiment>`` as a float array, once it
     passes the harness's rule: three components with a nonzero third, in the
-    first zone, for the fiber sweeps (thm31, gap_map), else two, of norm
-    <= 1/4 for thm22."""
+    first zone, for the fiber sweeps (thm31, gap_map), else two, of norm in
+    (0, 1/4] for thm22 (at zero momentum its eigenvalues and forms vanish,
+    and its checks would compare rounding)."""
     eta = np.asarray(eta, dtype=np.float64)
     fiber = experiment in ("thm31", "gap_map")
     if eta.shape != ((3,) if fiber else (2,)):
@@ -203,8 +205,8 @@ def check_eta(experiment: str, eta) -> np.ndarray:
         raise ValueError(f"{run} needs a nonzero third momentum component")
     if fiber:
         _require_first_zone(eta)
-    if experiment == "thm22" and float(np.hypot(*eta)) > 0.25 + 1e-12:
-        raise ValueError("sweep is meaningful only for |eta| <= 1/4")
+    if experiment == "thm22" and not 0.0 < float(np.hypot(*eta)) <= 0.25 + 1e-12:
+        raise ValueError("sweep is meaningful only for 0 < |eta| <= 1/4")
     return eta
 
 
@@ -449,7 +451,7 @@ def run_pw(
     family: str = "thm22",
     eta=(0.25, 0.0),
     *,
-    gamma: float = DEFAULT_GAMMA,
+    gamma: float | None = None,
     workers: int = 1,
 ) -> ExperimentTable:
     """Weighted Poincare constants along the two microstructure families.
@@ -463,7 +465,8 @@ def run_pw(
     Constants are computed on each rung's unit cell from
     :func:`blochlab.plan.plan_sweep`, one :func:`map_tasks` task per eps.
     ``eta`` is the weight direction of :func:`pw_constant` (``lambda`` in
-    the metadata).
+    the metadata).  Only the fiber family takes ``gamma``, which defaults
+    to ``DEFAULT_GAMMA``.
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
@@ -495,5 +498,5 @@ def run_pw(
         "lambda": [float(v) for v in eta],
     }
     if family == "fiber":
-        meta["gamma"] = gamma
+        meta["gamma"] = DEFAULT_GAMMA if gamma is None else gamma
     return make_table(rows, workers, checks, meta, peak)

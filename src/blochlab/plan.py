@@ -1,13 +1,12 @@
-"""Grid plans: a sweep's grids and unit cells, and the ``capacity`` command's grids.
-
-Each command family has one planner, which the harnesses, the ``capacity``
-command and the config parser all call, so a run is refused by the same
-rule, with the same message, at parse time and before its first solve.
-The parser checks only syntax: the value rules of ``eps``, ``gamma``,
-``n``, ``r`` and ``R`` are the rules the planners run here.  A refusal is a
-:class:`PlanError` naming the inputs its rule reads, the one to blame
-first; the parser reports the first of them that the config sets, with
-its line.
+"""Grid plans: each command family's one planner, which the harnesses, the
+command line and the config parser all call, so a run is refused by the
+same rule, with the same message, at parse time and before its first solve:
+:func:`plan_sweep` for the experiments, :func:`plan_single` for
+``homogenize``, ``bloch``, ``dispersion`` and ``pw``, and
+:func:`plan_capacity` for ``capacity``, whose mode it also decides.  A
+refusal is a :class:`PlanError` naming the inputs its rule reads, the one
+to blame first; the parser reports the first of them that the config sets,
+with its line, or else the first of them on the command's line.
 
 Resolution rule: the full-grid resolution per epsilon is the smallest
 multiple of 1/eps giving at least 8 cells across the finest feature,
@@ -23,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from .capacity import DEFAULT_R, CapacityProfile
-from .grid import _reciprocal_int, check_eps, count_text, make_grid
+from .grid import PeriodicGrid, _reciprocal_int, check_eps, count_text, make_grid
 from .microstructure import (
     MIN_CELLS_ACROSS,
     FiberLattice,
@@ -117,16 +116,19 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     inclusion ``rho = eps, beta = eps^-2`` or the fiber section of radius
     ``r = radius_for_gamma(eps, gamma)`` and conductivity ``fiber_beta(eps, r)``.
 
-    ``eps`` and ``gamma`` default to the sweep's ladder and
-    ``DEFAULT_GAMMA``.  The ladder strictly decreases, since the checks read
-    its last rung as the finest, and every ``1/eps`` must be an integer
-    (above 1 for the inclusions); ``n``, when given, overrides the resolution
-    rule and must be a multiple of each.  Every cell must pass
+    ``eps`` defaults to the sweep's ladder, and a fiber sweep's ``gamma``
+    to ``DEFAULT_GAMMA``; the inclusion sweeps take no ``gamma``.  The
+    ladder strictly decreases, since the checks read its last rung as the
+    finest, and every ``1/eps`` must be an integer (above 1 for the
+    inclusions); ``n``, when given, overrides the resolution rule and must
+    be a multiple of each.  Every cell must pass
     :func:`check_resolution` on its ``m x m`` grid; a refusal names the
     least ``n`` that would pass.  The ``2m x 2m`` grid of thm22's and
     thm31's mesh check must pass :func:`blochlab.grid.make_grid` too.
     """
     default_eps, fiber, doubled = _SWEEPS[experiment]
+    if gamma is not None and not fiber:
+        raise PlanError(f"the inclusion sweep {experiment} takes no gamma", "gamma")
     eps = [float(e) for e in (default_eps if eps is None else eps)]
     if not eps:
         raise PlanError("the eps ladder is empty", "eps")
@@ -176,26 +178,47 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     return rungs
 
 
-def plan_capacity(eps=None, gamma=None, *, r=None, R=None, n: int | None = None):
-    """The grids of the ``capacity`` command.
+def plan_single(a, n: int, eta=None) -> PeriodicGrid:
+    """The grid on which a single command solves medium ``a``: ``n`` cells
+    per axis on ``len(eta[0])`` axes for the momenta ``eta``, planar for
+    ``homogenize``; refused on ``n`` by :func:`blochlab.grid.make_grid` or
+    :func:`check_resolution` (rasterize's checks, without rasterizing)."""
+    with _blame("n"):
+        grid = make_grid(2 if eta is None else len(eta[0]), n)
+        check_resolution(a, grid)
+    return grid
 
-    With ``r``, the annulus check: ``[(r, R, n)]``, ``n`` defaulting to
-    ``ANNULUS_N``.  Otherwise the sweep: ``[(eps, r, R, n), ...]``, one per
-    ``eps``, with ``r = radius_for_gamma(eps, gamma)`` and, without ``n``,
-    the resolution rule's ``n`` (which needs every ``1/eps`` an integer).
-    ``R`` defaults to ``DEFAULT_R``.  Every profile needs
+
+def plan_capacity(eps=None, gamma=None, *, r=None, R=None, n: int | None = None
+                  ) -> list[tuple[float | None, float, float, PeriodicGrid]]:
+    """``[(eps, r, R, grid), ...]``, the rows of the ``capacity`` command,
+    each with the ``n x n`` grid its profile was checked on.
+
+    ``r`` alone plans the annulus check, one row with ``eps`` ``None`` and
+    ``n`` defaulting to ``ANNULUS_N``; ``eps`` and ``gamma`` the sweep, one
+    row per ``eps`` with ``r = radius_for_gamma(eps, gamma)`` and, without
+    ``n``, the resolution rule's ``n`` (which needs every ``1/eps`` an
+    integer).  ``R`` defaults to ``DEFAULT_R``.  Every profile needs
     ``0 < r < R < pi`` and ``MIN_CELLS_ACROSS`` cells across its disc (the
     rule of the capacity solves); every sweep ``eps`` lies in ``(0, 1]``
     and ``gamma`` is positive.
     """
+    given = {"eps": eps is not None, "gamma": gamma is not None}
+    if r is not None and any(given.values()):
+        raise PlanError("not read in the annulus mode of capacity (r is set)",
+                        *(k for k in given if given[k]))
+    if r is None and not all(given.values()):
+        raise PlanError("capacity needs either r (annulus check) or eps and gamma "
+                        "(scaled-energy sweep)", *(k for k in given if not given[k]))
     R = DEFAULT_R if R is None else float(R)
     if r is not None:
         r, n = float(r), ANNULUS_N if n is None else n
         with _blame(*(("r", "R") if 0.0 < R < math.pi else ("R", "r"))):
             CapacityProfile(r, R)
         with _blame("n", "r"):
-            check_cells_across(2.0 * r, make_grid(2, n))
-        return [(r, R, n)]
+            grid = make_grid(2, n)
+            check_cells_across(2.0 * r, grid)
+        return [(None, r, R, grid)]
     gamma = float(gamma)
     if not eps:
         raise PlanError("the eps ladder is empty", "eps")
@@ -210,8 +233,9 @@ def plan_capacity(eps=None, gamma=None, *, r=None, R=None, n: int | None = None)
         with _blame("eps", "gamma"):
             full = resolve_resolution(e, 2.0 * e * rad) if n is None else n
         with _blame("n", "eps", "gamma"):
-            check_cells_across(2.0 * rad, make_grid(2, full))
-        rows.append((e, rad, R, full))
+            grid = make_grid(2, full)
+            check_cells_across(2.0 * rad, grid)
+        rows.append((e, rad, R, grid))
     return rows
 
 

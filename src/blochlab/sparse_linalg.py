@@ -88,9 +88,14 @@ def cg_solve(
 
     ``b`` must have zero mean.  The constants are projected out of the
     start vector and of every residual; ``precond`` applies an approximate
-    inverse of ``A``.  The budget is ``max(1000, 2 N)`` steps.
+    inverse of ``A``.  The budget is ``max(1000, 2 N)`` steps.  The solve
+    runs in the result type of ``A``, ``b`` and ``x0``, but a real ``A``
+    (whose bound applies real data) refuses a complex ``b`` or ``x0``.
     """
     b = np.asarray(b)
+    if A.dtype.kind != "c" and (np.iscomplexobj(b) or np.iscomplexobj(x0)):
+        raise ValueError("a real matrix takes a real right-hand side and warm start; "
+                         "solve the real and imaginary parts apart")
     drift = abs(b.sum()) / max(np.abs(b).sum(), np.finfo(float).tiny)
     if drift > 1e-10:
         raise ValueError(

@@ -200,6 +200,7 @@ def test_numbers_are_finite_decimals(text, key, line):
     ("command = experiment:thm31\nn = 100\n", "n", 2),
     ("command = experiment:thm31\neta = (0.2, 0.2)\n", "eta", 2),
     ("command = experiment:thm22\neta = (0.3, 0.0)\n", "eta", 2),
+    ("command = experiment:thm22\neps = 1/2, 1/4\neta = (0, 0)\n", "eta", 3),
     ("command = experiment:gap_map\nt_list = 1/4, 1\n", "t_list", 2),
     ("command = experiment:gap_map\neps = 1/3\nt_list = 1, 1\n", "t_list", 3),
     ("command = experiment:gap_map\nt_list = 1\n", "t_list", 2),
@@ -287,6 +288,9 @@ def test_eps_ladder_checked_at_parse_time(text, key, line):
      "the inclusion family needs eps < 1"),
     ("command = experiment:pw_thm22\neps = 1\n", "eps", 2,
      "the inclusion family needs eps < 1"),
+    # capacity's mode: a missing key is named on the command's line
+    ("command = capacity\ngamma = 2\n", "eps", 1, "capacity needs either r"),
+    ("command = capacity\nR = 1\neps = 1/3\n", "gamma", 1, "capacity needs either r"),
     # capacity: cells across the disc, the eps range, the cap
     ("command = capacity\nr = 0.01\n", "r", 2, "spans only 1.63 cells"),
     ("command = capacity\neps = 2\ngamma = 2\nn = 64\n", "eps", 2,

@@ -270,6 +270,10 @@ def test_thm22_validation():
         run_thm22(eta=(0.1, 0.1, 0.1))
     with pytest.raises(ValueError, match=r"\|eta\| <= 1/4"):
         run_thm22(eta=(0.3, 0.0))
+    # at zero momentum lambda1 and q vanish, and the gap and mesh checks
+    # compared rounding: lambda1 read -3.2e-15 and 6.3e-15, and both failed
+    with pytest.raises(ValueError, match=r"0 < \|eta\| <= 1/4"):
+        run_thm22(eps=(1 / 2, 1 / 4), eta=(0.0, 0.0))
 
 
 def test_thm31_single_rung():
@@ -336,6 +340,34 @@ def test_pw_small_runs():
     # only the fiber family reads gamma, so only its metadata records it
     assert "gamma" not in t22.meta
     assert fib.meta["gamma"] == 2.0
+
+
+@pytest.mark.parametrize("run", [
+    partial(run_pw, family="thm22"), partial(plan_sweep, "thm22"),
+    partial(plan_sweep, "pw_thm22"),
+], ids=["run_pw", "thm22", "pw_thm22"])
+def test_inclusion_sweeps_refuse_gamma(run):
+    # the inclusion cell reads no gamma: run_pw(family="thm22", gamma=123.0)
+    # returned the same constants and recorded no gamma
+    with pytest.raises(PlanError, match="takes no gamma") as exc:
+        run(eps=(1 / 2,), gamma=123.0)
+    assert exc.value.keys == ("gamma",)
+
+
+@pytest.mark.parametrize("values, message, keys", [
+    ({"eps": [1 / 3], "gamma": 2.0, "r": 0.3}, "not read in the annulus mode", ("eps", "gamma")),
+    ({"gamma": 2.0, "r": 0.3}, "not read in the annulus mode", ("gamma",)),
+    ({}, "needs either r .* or eps and gamma", ("eps", "gamma")),
+    ({"eps": [1 / 3]}, "needs either r .* or eps and gamma", ("gamma",)),
+    ({"gamma": 2.0, "R": 1.0}, "needs either r .* or eps and gamma", ("eps",)),
+], ids=["r-eps-gamma", "r-gamma", "none", "eps", "gamma"])
+def test_plan_capacity_refuses_mixed_and_missing_modes(values, message, keys):
+    # a library call is refused as the parser refuses the config: before,
+    # plan_capacity([1/3], 2.0, r=0.3) planned the annulus check and dropped
+    # eps and gamma, and a sweep without gamma raised a TypeError
+    with pytest.raises(PlanError, match=message) as exc:
+        plan_capacity(**values)
+    assert exc.value.keys == keys
 
 
 def test_pw_validation():

@@ -105,9 +105,20 @@ def test_cg_matches_direct_solve():
 
 def test_cg_complex_hermitian():
     K, bound, b = random_ring(12, seed=5)
+    K = K.astype(np.complex128)  # a complex pencil: a real one takes real data only
     b = b + 1j * random_ring(12, seed=6)[2]
     x = cg_solve(K, b, tol=1e-13, precond=bound)
     assert_allclose(K @ x, b, atol=1e-9)
+
+
+@pytest.mark.parametrize("rhs, x0", [(1j, None), (1.0, 1j)], ids=["b", "x0"])
+def test_cg_refuses_complex_data_on_a_real_matrix(rhs, x0):
+    # a real pencil's FFT bound applies real data only: the solve refuses a
+    # complex right-hand side or warm start at its entry, by name
+    K, bound, b = random_ring(12, seed=5)
+    start = None if x0 is None else x0 * np.ones(12) / 12
+    with pytest.raises(ValueError, match="a real matrix takes a real right-hand side"):
+        cg_solve(K, rhs * b, tol=1e-12, x0=start, precond=bound)
 
 
 def test_cg_deflated_laplacian():
@@ -164,6 +175,7 @@ def test_cg_real_warm_start_of_a_complex_solve():
     # the solve runs in the result type of A, b and x0: a real zero warm
     # start of a complex right-hand side is the cold solve, bit for bit
     K, bound, b = random_ring(20, seed=1)
+    K = K.astype(np.complex128)
     b = b + 1j * random_ring(20, seed=2)[2]
     cold = cg_solve(K, b, tol=1e-12, precond=bound)
     warm = cg_solve(K, b, tol=1e-12, x0=np.zeros(20), precond=bound)
@@ -210,6 +222,7 @@ def test_cg_in_place_updates_bitwise(complex_rhs, warm):
     K, precond = ring_stiffness(d), mean_free_bound(4.0 * d.max())
     b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_rhs else 0.0)
     b -= b.mean()
+    K = K.astype(b.dtype)  # a real matrix takes real data only
     x0 = rng.standard_normal(n).astype(b.dtype) if warm else None
     ref, steps = out_of_place_pcg(K, b, precond, 1e-12, x0)
     assert steps > 2 * _RESTART_EVERY

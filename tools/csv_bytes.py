@@ -66,7 +66,10 @@ def cell_diffs(old: str, new: str) -> list[tuple]:
     return diffs
 
 
-def _workloads():
+def benchmark_invocations():
+    """``([(workload, invocation), ...], write_lognormal)`` of the workloads
+    that ``BENCHMARK.json`` names, from ``perfbench/workloads.py`` imported
+    without bytecode."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -100,7 +103,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent = git("rev-parse", argv[0]).strip()
-    invocations, write_lognormal = _workloads()
+    invocations, write_lognormal = benchmark_invocations()
     matched = total = 0
     with tempfile.TemporaryDirectory(prefix="csv_bytes_") as tmp:
         tmp = Path(tmp)
