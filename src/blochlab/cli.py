@@ -10,7 +10,9 @@ Every run solves on the grids that its command family's planner in
 :mod:`blochlab.plan` gives, the planner the config parser called.
 
 Exit codes: 0 success, 2 when a harness assertion column reports a
-failure, 1 on any error.
+failure, 1 on any error.  :func:`main` returns its code to a library
+caller; the process entry, :func:`entry_point`, flushes the output and
+ends the process with that code, without interpreter finalization.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -77,11 +81,17 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def git_describe() -> str:
+    """``git describe`` of the checkout this package lives in, ``unknown``
+    outside one: git runs only where the package sits at ``src/blochlab`` of
+    a checkout, so a copy under some other repository (a virtualenv inside
+    a project, say) never reports that repository's commit."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return "unknown"
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10, cwd=root,
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
@@ -302,5 +312,23 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry_point() -> NoReturn:
+    """The ``blochlab`` console script and ``python -m blochlab.cli``: run
+    :func:`main`, flush standard output and error, and end the process with
+    the returned code at once.
+
+    Interpreter finalization only frees what the process is about to lose
+    anyway, and once scipy is loaded it takes about 50 ms.  Nothing is left
+    for it: ``run_and_emit`` has closed the files it wrote, and a pool has
+    been terminated and joined by its ``with`` block.  A ``SystemExit`` from
+    argparse or an uncaught exception leaves :func:`main` before this point
+    and exits the normal way.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import inspect
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import platform
 import re
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -286,10 +288,19 @@ _PACKAGE_ROOT = Path(blochlab.cli.__file__).resolve().parents[1]
 def _python(code: str, *args, **env) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports the package under
     test, with ``env`` set in its environment."""
+    return _interpreter(["-c", code, *args], **env)
+
+
+def _interpreter(args, **env) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args`` that imports the package under test,
+    with ``env`` set in its environment and standard output and error to
+    pipes, buffered as pipes are by default (``PYTHONUNBUFFERED`` is
+    dropped)."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(_PACKAGE_ROOT)] + ([path] if path else [])))
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -676,6 +687,114 @@ def test_main_exit_two_on_failed_checks(tmp_path, capsys):
     assert "assertion columns" in captured.err
     rows = list(csv.DictReader((tmp_path / "out" / "experiment_thm31.csv").read_text().splitlines()))
     assert [row["excess_band_pass"] for row in rows] == ["fail"]
+
+
+def _cli(*args) -> subprocess.CompletedProcess:
+    """``python -m blochlab.cli`` on ``args``.  Its standard output is a
+    pipe, so what it prints stays buffered until the process flushes it."""
+    return _interpreter(["-m", "blochlab.cli", *args])
+
+
+def test_process_exits_zero_with_every_output_complete(tmp_path):
+    # the entry point ends the process without finalization: the printed
+    # paths, the CSV and the sidecar are all complete when it does
+    cfg = write_cfg(tmp_path, "command = bloch\na = constant(1)\nn = 8\n"
+                              "eta = (0.1, 0.2); (0.3, 0.0)\n")
+    out = tmp_path / "out"
+    proc = _cli("--config", cfg, "--out", out, "--threads", 2)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [str(out / "bloch.csv"), str(out / "bloch.json")]
+    text = (out / "bloch.csv").read_text()
+    assert text.endswith("\n") and len(list(csv.DictReader(text.splitlines()))) == 2
+    sidecar = json.loads((out / "bloch.json").read_text())
+    assert len(sidecar["wall_times"]["row_seconds"]) == 2
+
+
+def test_process_exits_one_on_an_error(tmp_path):
+    proc = _cli("--config", write_cfg(tmp_path, "command = fly\n"), "--out", tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "unknown command" in proc.stderr
+
+
+def test_process_exits_two_on_failed_checks(tmp_path):
+    # the config of test_main_exit_two_on_failed_checks, across the process
+    # boundary: the message, the paths and the failing row all arrive
+    cfg = write_cfg(tmp_path, "command = experiment:thm31\neps = 1/3\n")
+    out = tmp_path / "out"
+    proc = _cli("--config", cfg, "--out", out)
+    assert proc.returncode == 2
+    assert "assertion columns" in proc.stderr
+    assert proc.stdout.splitlines() == [str(out / "experiment_thm31.csv"),
+                                        str(out / "experiment_thm31.json")]
+    rows = list(csv.DictReader((out / "experiment_thm31.csv").read_text().splitlines()))
+    assert [row["excess_band_pass"] for row in rows] == ["fail"]
+
+
+def test_process_exits_the_normal_way_on_a_usage_error():
+    # argparse's SystemExit never reaches the entry point's exit
+    proc = _cli("--threads", 2)
+    assert proc.returncode == 2
+    assert "--config" in proc.stderr
+
+
+_FINALIZED = "import atexit\natexit.register(print, 'finalized')\n"
+
+
+@pytest.mark.parametrize("text, code", [
+    ("command = capacity\nr = 0.28\nn = 64\n", 0), ("command = fly\n", 1)])
+def test_main_returns_to_a_library_caller(tmp_path, text, code):
+    # main returns its code; the interpreter goes on and finalizes as usual
+    caller = (_FINALIZED + "import sys, blochlab.cli as cli\n"
+              "print('returned', cli.main(sys.argv[1:]))\n")
+    proc = _python(caller, "--config", write_cfg(tmp_path, text), "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [f"returned {code}", "finalized"]
+
+
+def test_entry_point_skips_finalization(tmp_path):
+    cfg = write_cfg(tmp_path, "command = capacity\nr = 0.28\nn = 64\n")
+    proc = _python(_FINALIZED + "import blochlab.cli as cli\ncli.entry_point()\n",
+                   "--config", cfg, "--out", tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(tmp_path / "out" / name)
+                                        for name in ("capacity.csv", "capacity.json")]
+
+
+def test_console_script_is_the_module_entry_point():
+    # `blochlab` and `python -m blochlab.cli` end the process the same way
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((_PACKAGE_ROOT.parent / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["blochlab"].partition(":")
+    assert getattr(importlib.import_module(module), name) is blochlab.cli.entry_point
+    source = ast.parse(Path(blochlab.cli.__file__).read_text())
+    (block,) = [stmt for stmt in source.body if isinstance(stmt, ast.If)
+                and ast.unparse(stmt.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_reports_only_the_package_checkout(tmp_path):
+    # a copy of the package inside another repository (a virtualenv in a
+    # project) is not that repository's checkout; at its src/blochlab it is
+    outer = tmp_path / "outer"
+    outer.mkdir()
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "outer"],
+                 ["tag", "v9.9-outer"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=outer, check=True, capture_output=True)
+    probe = "import blochlab.cli as cli; print(cli.__file__, cli.git_describe())"
+    reports = []
+    for copy in (outer / "venv" / "lib", outer / "src"):
+        shutil.copytree(_PACKAGE_ROOT / "blochlab", copy / "blochlab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(copy)))
+        assert proc.returncode == 0, proc.stderr
+        where, describe = proc.stdout.split()
+        assert Path(where) == copy / "blochlab" / "cli.py"
+        reports.append(describe)
+    assert reports == ["unknown", "v9.9-outer"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

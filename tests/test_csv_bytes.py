@@ -34,3 +34,16 @@ def test_a_row_or_column_on_one_side_only():
     wider = "eps,lambda1,pass,gap\n0.5,2.0,pass,1\n0.25,4.0,pass,0\n"
     assert csv_bytes.cell_diffs(OLD, wider) == [
         (0, "gap", None, "1", None), (1, "gap", None, "0", None)]
+
+
+def test_every_benchmark_config_is_written_and_parses(tmp_path):
+    # the configs that csv_bytes and process_phases run: one per invocation,
+    # the lognormal one reading the dump written beside them
+    from blochlab.config import parse_config
+
+    configs = csv_bytes.write_configs(tmp_path)
+    assert [(w, inv.name) for w, inv, _ in configs] == [
+        (w, inv.name) for w, inv in csv_bytes.benchmark_invocations()[0]]
+    texts = [cfg.read_text(encoding="utf-8") for *_, cfg in configs]
+    assert all(parse_config(text) for text in texts)
+    assert sum(str(tmp_path / "lognormal.blf") in text for text in texts) == 1

@@ -81,6 +81,22 @@ def benchmark_invocations():
     return [(name, inv) for name in names for inv in WORKLOADS[name]], write_lognormal
 
 
+def write_configs(tmp: Path) -> list[tuple]:
+    """``[(workload, invocation, config path), ...]`` of every benchmark
+    invocation: each config is written under ``tmp/cfg`` and reads the
+    lognormal field of seed ``FIELD_SEED``, written to ``tmp/lognormal.blf``."""
+    invocations, write_lognormal = benchmark_invocations()
+    dump = tmp / "lognormal.blf"
+    write_lognormal(dump, FIELD_SEED)
+    configs = []
+    for workload, inv in invocations:
+        cfg = tmp / "cfg" / workload / f"{inv.name}.cfg"
+        cfg.parent.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(inv.config.replace("{field}", str(dump)), encoding="utf-8")
+        configs.append((workload, inv, cfg))
+    return configs
+
+
 def _run(tree: Path, cfg: Path, out: Path, threads: int, name: str) -> bytes | None:
     """The CSV ``name`` of one CLI run in ``tree``, ``None`` when the run
     made none."""
@@ -103,19 +119,13 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent = git("rev-parse", argv[0]).strip()
-    invocations, write_lognormal = benchmark_invocations()
     matched = total = 0
     with tempfile.TemporaryDirectory(prefix="csv_bytes_") as tmp:
         tmp = Path(tmp)
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
         export_commit(parent, trees["parent"])
         export_worktree(trees["change"])
-        dump = tmp / "lognormal.blf"
-        write_lognormal(dump, FIELD_SEED)
-        for workload, inv in invocations:
-            cfg = tmp / "cfg" / workload / f"{inv.name}.cfg"
-            cfg.parent.mkdir(parents=True, exist_ok=True)
-            cfg.write_text(inv.config.replace("{field}", str(dump)), encoding="utf-8")
+        for workload, inv, cfg in write_configs(tmp):
             for threads in THREADS:
                 csvs = {side: _run(tree, cfg, tmp / "out" / side / workload / inv.name
                                    / f"threads{threads}", threads, inv.csv_name)
