@@ -218,6 +218,8 @@ def run_and_emit(
         table = _experiment_table(cfg, threads)
     else:
         table = _single_command_table(cfg, threads)
+    # the run ends here: the CSV write and git_describe's subprocess are not in it
+    total_seconds = time.perf_counter() - t0
     # this process's peak, and the largest of its pool workers' (None: no pool)
     peak_rss = {"process": peak_rss_mb(), "workers": table.worker_peak_mb}
 
@@ -240,7 +242,7 @@ def run_and_emit(
         "table_meta": table.meta,
         "peak_rss_mb": peak_rss,
         "wall_times": {
-            "total_seconds": time.perf_counter() - t0,
+            "total_seconds": total_seconds,
             "row_seconds": [row.get("runtime_seconds") for row in table.rows],
         },
     }

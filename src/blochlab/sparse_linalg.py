@@ -305,10 +305,13 @@ def smallest_eigpair(
     eigenvalue error.  The report carries the mass-normalized residual
     ``||B x - lam M x|| / ||M x||`` used by distributional-form checks, and
     ``meta`` holds the final ``error_estimate`` (``est``) and the total
-    ``inner_cg_steps``.  When the budget runs out, :class:`ConvergenceError`
-    carries the lowest pair's ``||B x - lam M x||_2 / (scale mass ||x||_2)`` of
-    every iteration as its history, and that relative residual and ``est``
-    of the final pair.
+    ``inner_cg_steps``.  When the final pair misses ``tol``, because the
+    budget ran out or the residual block vanished first,
+    :class:`ConvergenceError` says which, at which iteration, and carries the
+    lowest pair's ``||B x - lam M x||_2 / (scale mass ||x||_2)`` of every
+    iteration as its history, and that relative residual and ``est`` of the
+    final pair.  The inner solves are deflated only for a real pencil whose
+    kernel holds the constants.
 
     The working set is a few blocks: each length-``n`` block is released
     as soon as the iteration no longer reads it, no conjugated copy of a
@@ -336,9 +339,12 @@ def smallest_eigpair(
     scale = _pencil_scale(B, mass)
     lam_floor = _MACHEPS * scale
     # capped-CG preconditioning needs to know whether constants are in the
-    # kernel (shift-free assembly): then the inner systems must be deflated
-    kernel_norm = float(np.linalg.norm(B @ np.ones(n)))
-    deflate_inner = kernel_norm <= 1e-8 * scale * mass * math.sqrt(n)
+    # kernel (shift-free assembly): then the inner systems must be deflated.
+    # Only a real pencil can have them there: a complex one carries a
+    # nonzero momentum, and near zero momentum ||B 1|| alone would read small
+    deflate_inner = dtype == np.float64 and (
+        float(np.linalg.norm(B @ np.ones(n))) <= 1e-8 * scale * mass * math.sqrt(n)
+    )
     inner_steps = 0
 
     def _precondition(R: np.ndarray) -> np.ndarray:
@@ -356,6 +362,7 @@ def smallest_eigpair(
     P = None
     lam = None
     history: list[float] = []
+    stopped = f" in {_EIG_MAXIT} iterations"  # how a failed solve ended
 
     for it in range(1, _EIG_MAXIT + 1):
         BX = B @ X
@@ -381,7 +388,10 @@ def smallest_eigpair(
         if settled and guard_ok and (
             _error_estimates(R[:, :1], X[:, :1], lam[:1], mass, precond, lam_floor)[0]
             <= tol
-        ) or it == _EIG_MAXIT:
+        ):
+            stopped = f": its block met the stop rule at iteration {it} of {_EIG_MAXIT}"
+            break
+        if it == _EIG_MAXIT:
             break
 
         W = _project_out(X, _precondition(R), mass)
@@ -389,7 +399,10 @@ def smallest_eigpair(
         try:
             W = _m_orthonormalize(W, mass)
         except ConvergenceError:
-            break  # residual block vanished: converged to working precision
+            # residual block vanished: converged to working precision, or
+            # stalled there short of tol
+            stopped = f": its residual block vanished at iteration {it} of {_EIG_MAXIT}"
+            break
         basis = [X, W]
         if P is not None:
             P = _project_out(X, P, mass)
@@ -426,7 +439,7 @@ def smallest_eigpair(
     est = float(_error_estimates(R, X1, lam1, mass, precond, lam_floor)[0])
     if not (rel <= tol and est <= tol):
         raise ConvergenceError(
-            f"eigensolver did not reach tol={tol:.1e} in {_EIG_MAXIT} iterations "
+            f"eigensolver did not reach tol={tol:.1e}{stopped} "
             f"(relative residual {rel}, error estimate {est})",
             history, relative_residual=rel, error_estimate=est,
         )

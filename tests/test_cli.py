@@ -11,6 +11,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,22 @@ def test_sidecar_contents(tmp_path):
         assert rss["workers"] is None
     assert meta["config"] == text  # the text as read, comment included
     assert "package_version" in meta and "git_describe" in meta
+
+
+def test_sidecar_run_time_ends_before_the_outputs(tmp_path, monkeypatch):
+    # total_seconds is taken once the table is computed: a slow git_describe
+    # (a subprocess in a checkout) is not part of the run
+    def slow_git_describe():
+        time.sleep(0.3)
+        return "unknown"
+
+    cfg = parse_config("command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n")
+    run_and_emit(cfg, out_dir=tmp_path / "warm")  # the first run imports scipy
+    monkeypatch.setattr(blochlab.cli, "git_describe", slow_git_describe)
+    _, paths = run_and_emit(cfg, out_dir=tmp_path)
+    meta = json.loads(paths[1].read_text())
+    assert meta["git_describe"] == "unknown"
+    assert 0 < meta["wall_times"]["total_seconds"] < 0.3
 
 
 def test_experiment_keys_reach_the_harness(tmp_path):

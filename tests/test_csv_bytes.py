@@ -1,4 +1,5 @@
-"""``tools/csv_bytes.py``: the cell diff it prints for two CSVs that differ."""
+"""``tools/csv_bytes.py``: the cell diff it prints for two CSVs that differ,
+the verdict per invocation, and one tiny config run in this checkout."""
 
 import importlib.util
 from pathlib import Path
@@ -37,7 +38,7 @@ def test_a_row_or_column_on_one_side_only():
 
 
 def test_every_benchmark_config_is_written_and_parses(tmp_path):
-    # the configs that csv_bytes and process_phases run: one per invocation,
+    # the configs that csv_bytes runs: one per invocation,
     # the lognormal one reading the dump written beside them
     from blochlab.config import parse_config
 
@@ -47,3 +48,35 @@ def test_every_benchmark_config_is_written_and_parses(tmp_path):
     texts = [cfg.read_text(encoding="utf-8") for *_, cfg in configs]
     assert all(parse_config(text) for text in texts)
     assert sum(str(tmp_path / "lognormal.blf") in text for text in texts) == 1
+
+
+def test_a_side_whose_own_runs_differ_is_reported():
+    run = csv_bytes.Run
+    same = {side: [run(1.0, 0.5, OLD.encode())] * 2 for side in csv_bytes.SIDES}
+    assert csv_bytes.compare("x", same) == (True, ["x: identical"])
+    new = OLD.replace("4.0", "4.5").encode()
+    drift = dict(same, change=[run(1.0, 0.5, OLD.encode()), run(1.0, 0.5, new)])
+    assert csv_bytes.compare("x", drift) == (False, [
+        "x: the change's own runs differ: 1 cell(s) differ",
+        "  row 1, lambda1: 4.0 -> 4.5 (+1.25e-01)"])
+    missing = dict(same, parent=[run(1.0, None, None), run(1.0, 0.5, OLD.encode())])
+    assert csv_bytes.compare("x", missing) == (False, ["x: no CSV from the parent"])
+
+
+def test_both_sides_of_one_tiny_config(tmp_path):
+    # the same tree on both sides: its CSVs match, every wall holds its run,
+    # and the table has one line per side, then the summed medians
+    cfg = tmp_path / "bloch.cfg"
+    cfg.write_text("command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n",
+                   encoding="utf-8")
+    trees = {side: ROOT for side in csv_bytes.SIDES}
+    result = csv_bytes.measure(trees, [("tiny/bloch", cfg, "bloch.csv")], 1, tmp_path / "out")
+    assert list(result) == [("tiny/bloch", t) for t in csv_bytes.THREADS]
+    for sides in result.values():
+        assert csv_bytes.compare("tiny/bloch", sides) == (True, ["tiny/bloch: identical"])
+        for ((wall, run, _),) in sides.values():
+            assert 0 < run < wall
+    lines = csv_bytes.report({"tiny/bloch": result["tiny/bloch", csv_bytes.CORES]})
+    assert len(lines) == 1 + 2 + 2
+    assert lines[1].startswith("tiny/bloch") and " rest " in lines[2]
+    assert lines[3].startswith("sum of medians") and " rest " in lines[4]

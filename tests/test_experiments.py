@@ -318,6 +318,28 @@ def test_gap_map_small():
     assert table.checks["t1_floor_pass"]
 
 
+def test_gap_map_near_zero_momentum_follows_the_quadratic_law():
+    # a complex pencil has no constant kernel, so its inner solves are never
+    # deflated, however small ||B 1|| reads near zero momentum
+    table = run_gap_map(eps=[1 / 3], t_list=[1, 2**-12, 2**-14])
+    assert len(table.rows) == 3
+    lam = {row["t"]: row["lambda1"] for row in table.rows}
+    assert 16 * lam[2**-14] == pytest.approx(lam[2**-12], rel=2e-3)
+
+
+@pytest.mark.parametrize("t, stop", [
+    (2**-16, "its block met the stop rule at iteration 20 of 500"),
+    (2**-20, "its residual block vanished at iteration 155 of 500"),
+])
+def test_eigensolver_failure_names_the_iteration_it_stopped_at(t, stop):
+    # both stop short of the 500-iteration budget with the CSR quotient's
+    # estimate above tol (ROADMAP item 1); the message says where and why
+    with pytest.raises(ConvergenceError) as exc:
+        run_gap_map(eps=[1 / 3], t_list=[1, t])
+    assert f"did not reach tol=1.0e-09: {stop} (" in str(exc.value)
+    assert len(exc.value.residual_history) == int(stop.split()[-3])
+
+
 def test_gap_map_validation():
     with pytest.raises(ValueError, match="t_list must start at 1"):
         run_gap_map(eps=(1 / 3,), t_list=(0.5, 0.25))

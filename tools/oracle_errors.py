@@ -15,8 +15,9 @@ than ``LOWER_BOUND_SLACK`` relative below the shipped value is marked
 ``reference below lower bound``: there the reference is the one in error.
 
 The cells and references come from ``perfbench/workloads.py`` and
-``perfbench/oracle.py``, imported as ``run.py`` imports them.  Nothing is
-written: no bytecode, and no reference into either cache.  A reference in
+``perfbench/oracle.py``, imported as ``run.py`` imports them, through
+``tools/csv_bytes.py``'s ``perfbench_modules``.  Nothing is written: no
+bytecode, and no reference into either cache.  A reference in
 neither ``perfbench/oracle_cache.json`` nor the run's local cache is
 computed again.
 """
@@ -28,7 +29,10 @@ import csv
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# a script's own directory leads sys.path; a module loaded by path needs it
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from csv_bytes import perfbench_modules  # noqa: E402
+
 #: how far, relative, a Poincare reference may lie below the shipped value
 LOWER_BOUND_SLACK = 1e-10
 
@@ -37,18 +41,10 @@ def cell_errors(run_dir: Path) -> list[tuple]:
     """``(invocation, row, cell, value, reference, relative error)`` for
     every checked cell of the first pass in ``run_dir``; an invocation
     without a CSV has no cells."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        import oracle as oracle_mod
-        from workloads import LOGNORMAL_N, WORKLOADS, reference_cells
-    finally:
-        sys.dont_write_bytecode = saved
-
-    invs = WORKLOADS[run_dir.name]
+    oracle_mod, workloads = perfbench_modules("oracle", "workloads")
+    invs = workloads.WORKLOADS[run_dir.name]
     dump = run_dir / "lognormal.blf"
-    file_field = oracle_mod.file_field(dump, LOGNORMAL_N) if dump.exists() else None
+    file_field = oracle_mod.file_field(dump, workloads.LOGNORMAL_N) if dump.exists() else None
     oracle = oracle_mod.Oracle(run_dir.parent / "oracle_local.json")
     errors = []
     for inv in invs:
@@ -58,7 +54,7 @@ def cell_errors(run_dir: Path) -> list[tuple]:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         for i, row in enumerate(rows):
-            for cell, spec in reference_cells(inv, row, file_field):
+            for cell, spec in workloads.reference_cells(inv, row, file_field):
                 ref = oracle.get(spec)
                 value = float(row[cell])
                 errors.append((inv.name, i, cell, value, ref, abs(value - ref) / abs(ref)))
