@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import PeriodicGrid, check_eps
+from .grid import PeriodicGrid, _require_first_zone, check_eps
 from .microstructure import CoefficientField
 from .sparse_linalg import EigSolveReport, Preconditioner, smallest_eigpair
 
@@ -51,15 +51,6 @@ def canonical_momentum(eta: np.ndarray) -> np.ndarray:
     """
     eta = np.asarray(eta, dtype=np.float64)
     return eta - np.ceil(eta - 0.5)
-
-
-def _require_first_zone(eta: np.ndarray) -> None:
-    # reductions assume first-zone momenta; folding is the caller's call
-    if np.any(np.abs(eta) > 0.5 + 1e-12):
-        raise ValueError(
-            f"momentum {tuple(float(v) for v in eta)} lies outside the first "
-            "zone [-1/2, 1/2]; fold it with canonical_momentum first"
-        )
 
 
 def face_arrays(field: CoefficientField, axis: int) -> np.ndarray:

@@ -47,15 +47,6 @@ class CapacityProfile:
 _BLOCK_CELLS = 1 << 17
 
 
-def _checked_profile(grid: PeriodicGrid, r_eps: float, R: float) -> CapacityProfile:
-    """The profile, once the grid is planar and resolves the disc."""
-    prof = CapacityProfile(r_eps, R)
-    if grid.d != 2:
-        raise ValueError("capacity profiles are two-dimensional")
-    check_cells_across(2.0 * r_eps, grid)  # the fiber section's disc at s = 1
-    return prof
-
-
 def _profile_rows(
     grid: PeriodicGrid, prof: CapacityProfile, i0: int, i1: int
 ) -> np.ndarray:
@@ -83,7 +74,10 @@ def annulus_energy(
     analytic form), summed over blocks of rows of about ``_BLOCK_CELLS``
     cells, so that its working set does not grow with the grid.
     """
-    prof = _checked_profile(grid2d, r_eps, R)
+    prof = CapacityProfile(r_eps, R)
+    if grid2d.d != 2:
+        raise ValueError("capacity profiles are two-dimensional")
+    check_cells_across(2.0 * r_eps, grid2d)  # the fiber section's disc at s = 1
     n0, n1 = grid2d.n
     rows = max(1, _BLOCK_CELLS // n1)
     h = grid2d.h

@@ -95,7 +95,7 @@ def git_describe() -> str:
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or it ran past its timeout
         pass
     return "unknown"
 
@@ -104,7 +104,6 @@ def _momentum_task(command: str, a, grid, eta) -> dict:
     """Value cells of one ``bloch``/``dispersion``/``pw`` row, on ``a``
     rasterized on ``grid``."""
     field = rasterize(a, grid)
-    eta = np.asarray(eta, dtype=np.float64)
     if command == "bloch":
         res = bloch_lambda1(field, eta)
         return {"lambda1": res.lambda1, "residual": res.residual,

@@ -17,9 +17,9 @@ microstructure constructor.  A kind is syntax only (a number, an integer,
 a list or tuple of numbers, a call): no kind bounds a value.  Each value
 rule has one home, the medium or planner that owns it, which the parser
 runs: the microstructure specs' own checks as it builds ``a``, then, on one
-refusal path, an experiment harness's ``eta`` and ``t_list`` checks and the
-command family's planner in :mod:`blochlab.plan` (a sweep's plan, a single
-command's grid, ``capacity``'s mode and rows).  Unknown keys, keys the
+refusal path, the command family's planner in :mod:`blochlab.plan` (a
+sweep's plan, its ``eta`` and ``t_list`` included, a single command's grid,
+``capacity``'s mode and rows).  Unknown keys, keys the
 command does not read, missing keys, wrong types and every refusal of
 those rules are all rejected here, with the key and line number.
 
@@ -37,9 +37,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .experiments import check_eta, check_t_list
 from .microstructure import Constant, FiberLattice, FromFile, TwoPhaseInclusion, radius_for_gamma
-from .plan import PlanError, _blame, fiber_beta, plan_capacity, plan_single, plan_sweep
+from .plan import PlanError, fiber_beta, plan_capacity, plan_single, plan_sweep
 
 #: key -> value kind
 _KINDS = {
@@ -336,13 +335,8 @@ def parse_config(text: str) -> RunConfig:
     # the config sets, else the first it reads, on the command's line
     try:
         if command.startswith("experiment:"):
-            name = command.split(":", 1)[1]
-            for key, check in (("eta", lambda v: check_eta(name, v[0])),
-                               ("t_list", check_t_list)):
-                if key in entries:
-                    with _blame(key):
-                        check(getattr(cfg, key))
-            plan_sweep(name, cfg.eps, gamma=cfg.gamma, n=cfg.n)
+            plan_sweep(command.split(":", 1)[1], cfg.eps, gamma=cfg.gamma, n=cfg.n,
+                       eta=cfg.eta[0] if cfg.eta else None, t_list=cfg.t_list)
         elif command == "capacity":
             plan_capacity(cfg.eps, cfg.gamma, r=cfg.r, R=cfg.R, n=cfg.n)
         else:

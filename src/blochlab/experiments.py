@@ -11,7 +11,8 @@ alone (solver start vectors come from a fixed internal seed).
 Every harness takes its rungs from :func:`blochlab.plan.plan_sweep`: each
 rung's grids and the unit cell every solve of the rung rasterizes, planned
 under the resolution rule and every grid check before the first solve, on
-the sweep's default eps ladder when ``eps`` is ``None``.
+the sweep's default eps ladder when ``eps`` is ``None``; it checks ``eta``
+and ``t_list`` too, so a harness refuses them as the config parser does.
 
 Every harness lists its independent solves as tasks and hands them to
 :func:`map_tasks`, which runs them in this process or on a fork pool and
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import _require_first_zone, bloch_reduced, fiber_lambda1_2d
+from .bloch import bloch_reduced, fiber_lambda1_2d
 from .cell_problems import dispersion, pw_constant
 from .grid import make_grid
 from .microstructure import rasterize
@@ -190,39 +191,6 @@ def map_tasks(fn, tasks, workers: int = 1,
     return out, n_workers, max(peak for *_, peak in done)
 
 
-def check_eta(experiment: str, eta) -> np.ndarray:
-    """The momentum of ``experiment:<experiment>`` as a float array, once it
-    passes the harness's rule: three components with a nonzero third, in the
-    first zone, for the fiber sweeps (thm31, gap_map), else two, of norm in
-    (0, 1/4] for thm22 (at zero momentum its eigenvalues and forms vanish,
-    and its checks would compare rounding)."""
-    eta = np.asarray(eta, dtype=np.float64)
-    fiber = experiment in ("thm31", "gap_map")
-    if eta.shape != ((3,) if fiber else (2,)):
-        raise ValueError(f"eta must have {'three' if fiber else 'two'} components")
-    if fiber and eta[2] == 0.0:
-        run = "main run" if experiment == "thm31" else "map"
-        raise ValueError(f"{run} needs a nonzero third momentum component")
-    if fiber:
-        _require_first_zone(eta)
-    if experiment == "thm22" and not 0.0 < float(np.hypot(*eta)) <= 0.25 + 1e-12:
-        raise ValueError("sweep is meaningful only for 0 < |eta| <= 1/4")
-    return eta
-
-
-def check_t_list(t_list) -> list[float]:
-    """The gap map's momentum scales as floats, once they start at 1 and
-    strictly decrease through at least two entries, all positive (a negative
-    scale reflects the momentum)."""
-    t_list = [float(t) for t in t_list]
-    if len(t_list) < 2 or t_list[0] != 1.0 or not all(
-        b < a for a, b in zip(t_list, t_list[1:])
-    ) or not t_list[-1] > 0.0:
-        raise ValueError("t_list must start at 1 and strictly decrease, "
-                         "with at least two entries, all > 0")
-    return t_list
-
-
 def _nonincreasing(seq) -> bool:
     return all(b <= a for a, b in zip(seq, seq[1:]))
 
@@ -244,7 +212,7 @@ _FIBER_MEDIUM = (f"fiber_lattice(r=radius_for_gamma, "
                  f"beta=r^-2*eps^-{FIBER_BETA_EXPONENT})")
 
 
-def _thm22_task(eps: float, cell, m: int, eta: np.ndarray, forms: bool) -> tuple:
+def _thm22_task(eps: float, cell, m: int, eta, forms: bool) -> tuple:
     """``(q_eta_eta, eps^2 value)`` of one :func:`dispersion` call (its flux
     form, as the ``dispersion`` command reports it) when ``forms``, else
     ``(lambda1, iterations)`` of the reduced solve, on ``cell`` at ``m x m``."""
@@ -270,8 +238,7 @@ def run_thm22(
     the period does.  ``workers`` is the requested pool size of
     :func:`map_tasks`.
     """
-    eta = check_eta("thm22", eta)
-    rungs = plan_sweep("thm22", eps, n=n)
+    rungs = plan_sweep("thm22", eps, n=n, eta=eta)
     tasks = []
     for eps, _, m, cell in rungs:
         tasks += [(eps, cell, m, eta, True), (eps, cell, m, eta, False),
@@ -334,10 +301,10 @@ def run_thm31(
     and doubled-mesh solves of every rung are separate tasks of
     :func:`map_tasks`, on ``workers`` requested processes.
     """
-    eta = check_eta("thm31", eta)
+    rungs = plan_sweep("thm31", eps, gamma=gamma, n=n, eta=eta)
+    eta = np.asarray(eta, dtype=np.float64)
     eta_sq = float(eta @ eta)
     eta_p = eta[:2]
-    rungs = plan_sweep("thm31", eps, gamma=gamma, n=n)
     tasks = []
     for eps, _, m, cell in rungs:
         tasks += [(eps, cell, m, eta_p, float(eta[2])), (eps, cell, m, eta_p, 0.0),
@@ -398,9 +365,8 @@ def run_gap_map(
     not commute, which is the discontinuity at zero momentum.  Every
     (eps, t) cell is one task of :func:`map_tasks`.
     """
-    eta = check_eta("gap_map", eta)
-    t_list = check_t_list(t_list)
-    rungs = plan_sweep("gap_map", eps, gamma=gamma)
+    rungs = plan_sweep("gap_map", eps, gamma=gamma, eta=eta, t_list=t_list)
+    eta, t_list = np.asarray(eta, dtype=np.float64), [float(t) for t in t_list]
     points = [(*rung, t) for rung in rungs for t in t_list]
     tasks = [(eps, cell, m, t * eta[:2], float(t * eta[2]))
              for eps, _, m, cell, t in points]
@@ -470,8 +436,7 @@ def run_pw(
     """
     if family not in ("thm22", "fiber"):
         raise ValueError(f"unknown family {family!r}")
-    eta = check_eta(f"pw_{family}", eta)
-    rungs = plan_sweep(f"pw_{family}", eps, gamma=gamma)
+    rungs = plan_sweep(f"pw_{family}", eps, gamma=gamma, eta=eta)
     tasks = [(cell, m, eta) for _, _, m, cell in rungs]
     done, workers, peak = map_tasks(_pw_task, tasks, workers, [t[1] ** 2 for t in tasks])
     rows = []

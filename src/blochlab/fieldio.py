@@ -10,7 +10,7 @@ Layout: a 32-byte header followed by the payload.
                per cell
 
 Everything is little-endian.  The format carries no coefficient semantics;
-readers validate shape and finiteness only.
+readers validate the header as laid out above, shape and finiteness only.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ def read_field_dump(path: str | Path) -> tuple[np.ndarray, tuple[int, ...]]:
     n = (n0, n1, n2)[:d]
     if any(v < 1 for v in n):
         raise ValueError(f"{path}: bad cell counts {n}")
+    if any(v != 1 for v in (n0, n1, n2)[d:]):
+        raise ValueError(f"{path}: unused axes must store 1, got counts {(n0, n1, n2)}")
+    if any(raw[24:HEADER_BYTES]):
+        raise ValueError(f"{path}: reserved header bytes 24-31 are not zero")
     count = math.prod(n)  # exact: np.prod wraps int64
     expected = HEADER_BYTES + 8 * count
     if len(raw) != expected:

@@ -113,6 +113,13 @@ def check_eps(eps: float) -> float:
     return eps
 
 
+def _require_first_zone(eta: np.ndarray) -> None:
+    # reductions assume first-zone momenta; folding is the caller's call
+    if np.any(np.abs(eta) > 0.5 + 1e-12):
+        raise ValueError(f"momentum {tuple(float(v) for v in eta)} lies outside the first "
+                         "zone [-1/2, 1/2]; fold it with canonical_momentum first")
+
+
 def _reciprocal_int(eps: float) -> int:
     """Validate that eps is the reciprocal of a positive integer, return it."""
     inv = 1.0 / check_eps(eps)

@@ -1,12 +1,12 @@
-"""Grid plans: each command family's one planner, which the harnesses, the
+"""Run plans: each command family's one planner, which the harnesses, the
 command line and the config parser all call, so a run is refused by the
 same rule, with the same message, at parse time and before its first solve:
-:func:`plan_sweep` for the experiments, :func:`plan_single` for
-``homogenize``, ``bloch``, ``dispersion`` and ``pw``, and
-:func:`plan_capacity` for ``capacity``, whose mode it also decides.  A
-refusal is a :class:`PlanError` naming the inputs its rule reads, the one
-to blame first; the parser reports the first of them that the config sets,
-with its line, or else the first of them on the command's line.
+:func:`plan_sweep` for the experiments (their momentum and ``t_list``
+too), :func:`plan_single` for ``homogenize``, ``bloch``, ``dispersion`` and
+``pw``, and :func:`plan_capacity` for ``capacity``, whose mode it also
+decides.  A refusal is a :class:`PlanError` naming the inputs its rule
+reads, the one to blame first; the parser reports the first of them that
+the config sets, with its line, or else the first of them on the command's line.
 
 Resolution rule: the full-grid resolution per epsilon is the smallest
 multiple of 1/eps giving at least 8 cells across the finest feature,
@@ -21,8 +21,11 @@ import math
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
+
 from .capacity import DEFAULT_R, CapacityProfile
-from .grid import PeriodicGrid, _reciprocal_int, check_eps, count_text, make_grid
+from .grid import (PeriodicGrid, _reciprocal_int, _require_first_zone, check_eps, count_text,
+                   make_grid)
 from .microstructure import (
     MIN_CELLS_ACROSS,
     FiberLattice,
@@ -108,8 +111,41 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
     return cap
 
 
-def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
-               ) -> list[tuple[float, int, int, TwoPhaseInclusion | FiberLattice]]:
+def check_eta(experiment: str, eta) -> np.ndarray:
+    """The momentum of ``experiment:<experiment>`` as a float array, once it
+    passes the experiment's rule: three components with a nonzero third, in the
+    first zone, for the fiber sweeps (thm31, gap_map), else two, of norm in
+    (0, 1/4] for thm22 (at zero momentum its eigenvalues and forms vanish,
+    and its checks would compare rounding)."""
+    eta = np.asarray(eta, dtype=np.float64)
+    fiber = experiment in ("thm31", "gap_map")
+    if eta.shape != ((3,) if fiber else (2,)):
+        raise ValueError(f"eta must have {'three' if fiber else 'two'} components")
+    if fiber and eta[2] == 0.0:
+        run = "main run" if experiment == "thm31" else "map"
+        raise ValueError(f"{run} needs a nonzero third momentum component")
+    if fiber:
+        _require_first_zone(eta)
+    if experiment == "thm22" and not 0.0 < float(np.hypot(*eta)) <= 0.25 + 1e-12:
+        raise ValueError("sweep is meaningful only for 0 < |eta| <= 1/4")
+    return eta
+
+
+def check_t_list(t_list) -> list[float]:
+    """The gap map's momentum scales as floats, once they start at 1 and
+    strictly decrease through at least two entries, all positive (a negative
+    scale reflects the momentum)."""
+    t_list = [float(t) for t in t_list]
+    if len(t_list) < 2 or t_list[0] != 1.0 or not all(
+        b < a for a, b in zip(t_list, t_list[1:])
+    ) or not t_list[-1] > 0.0:
+        raise ValueError("t_list must start at 1 and strictly decrease, "
+                         "with at least two entries, all > 0")
+    return t_list
+
+
+def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None, eta=None,
+               t_list=None) -> list[tuple[float, int, int, TwoPhaseInclusion | FiberLattice]]:
     """``[(eps, n, m, cell), ...]``, one per rung of ``experiment:<experiment>``:
     full-grid and unit-pattern cells per axis, and the unit-pattern spec that
     every solve of the rung rasterizes on its ``m x m`` (or doubled) grid: the
@@ -125,8 +161,16 @@ def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None
     :func:`check_resolution` on its ``m x m`` grid; a refusal names the
     least ``n`` that would pass.  The ``2m x 2m`` grid of thm22's and
     thm31's mesh check must pass :func:`blochlab.grid.make_grid` too.
+    Before all these, ``eta`` and ``t_list``, when given, must pass
+    :func:`check_eta` and :func:`check_t_list`, each refused on its own key.
     """
     default_eps, fiber, doubled = _SWEEPS[experiment]
+    if eta is not None:
+        with _blame("eta"):
+            check_eta(experiment, eta)
+    if t_list is not None:
+        with _blame("t_list"):
+            check_t_list(t_list)
     if gamma is not None and not fiber:
         raise PlanError(f"the inclusion sweep {experiment} takes no gamma", "gamma")
     eps = [float(e) for e in (default_eps if eps is None else eps)]

@@ -814,6 +814,23 @@ def test_git_describe_reports_only_the_package_checkout(tmp_path):
     assert reports == ["unknown", "v9.9-outer"]
 
 
+def test_git_describe_reports_unknown_when_git_runs_past_its_timeout(tmp_path, monkeypatch):
+    # a git describe that waits on a busy index past its timeout raised
+    # TimeoutExpired out of run_and_emit after the CSV was written, and the
+    # run exited 1 with no sidecar
+    (tmp_path / ".git").mkdir()
+    monkeypatch.setattr(blochlab.cli, "__file__", str(tmp_path / "src" / "blochlab" / "cli.py"))
+    calls = []
+
+    def timeout(args, **kwargs):
+        calls.append(kwargs["cwd"])
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", timeout)
+    assert blochlab.cli.git_describe() == "unknown"
+    assert calls == [tmp_path.resolve()]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: the smallest config of every table kind, keyed as in README's column block

@@ -582,6 +582,24 @@ def test_planners_refuse_only_with_their_own_error(run):
         assert keys is None, text
 
 
+@pytest.mark.parametrize("text, run", [
+    ("command = experiment:thm31\neps = 1/3\neta = (0.2, 0.2, 0.0)\n",
+     lambda: experiments.run_thm31(eps=[1 / 3], eta=(0.2, 0.2, 0.0))),
+    ("command = experiment:gap_map\neps = 1/3\nt_list = 1, 1\n",
+     lambda: experiments.run_gap_map(eps=[1 / 3], t_list=[1, 1])),
+], ids=["thm31-eta", "gap_map-t_list"])
+def test_a_harness_refuses_eta_and_t_list_as_the_parser_does(text, run):
+    # both run the rule inside plan_sweep: the same key and message; before,
+    # the harness raised a plain ValueError that named no key
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    with mock.patch.object(experiments, "map_tasks", _first_solve), \
+            pytest.raises(PlanError) as called:
+        run()
+    assert called.value.keys == (parsed.value.key,)
+    assert str(parsed.value) == f"line 3, key '{parsed.value.key}': {called.value}"
+
+
 def test_capacity_with_n_takes_any_eps():
     cfg = parse_config("command = capacity\neps = 0.3\ngamma = 2\nn = 64\n")
     assert cfg.eps == [0.3] and cfg.n == 64

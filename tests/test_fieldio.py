@@ -72,6 +72,20 @@ def test_read_rejects_nonfinite(tmp_path):
         read_field_dump(p)
 
 
+@pytest.mark.parametrize("counts, reserved, message", [
+    ((4, 4, 7), bytes(8), r"unused axes must store 1, got counts \(4, 4, 7\)"),
+    ((4, 4, 1), b"garbage!", "reserved header bytes 24-31 are not zero"),
+], ids=["unused-axis", "reserved-bytes"])
+def test_read_rejects_a_header_that_breaks_the_layout(tmp_path, counts, reserved, message):
+    # unused axes store 1 and bytes 24-31 are zero; before, either dump of
+    # a d = 2 field read back as a 4 x 4 field
+    p = tmp_path / "f.blf"
+    p.write_bytes(struct.pack("<8s4I8s", MAGIC, 2, *counts, reserved) + np.ones(16).tobytes())
+    with pytest.raises(ValueError, match=message) as exc:
+        read_field_dump(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
 def test_read_rejects_bad_dimension(tmp_path):
     p = tmp_path / "f.blf"
     header = struct.pack("<8s4I8x", MAGIC, 5, 2, 2, 1)
