@@ -289,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
                              "clamped to the usable cores and to the number "
                              "of solves; the CSV is the same for every N")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
 
     try:
         text = Path(args.config).read_bytes().decode("utf-8")  # line ends kept

@@ -111,10 +111,10 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
     return cap
 
 
-def check_eta(experiment: str, eta) -> np.ndarray:
-    """The momentum of ``experiment:<experiment>`` as a float array, once it
-    passes the experiment's rule: three components with a nonzero third, in the
-    first zone, for the fiber sweeps (thm31, gap_map), else two, of norm in
+def check_eta(experiment: str, eta) -> None:
+    """Refuse a momentum of ``experiment:<experiment>`` that breaks the
+    experiment's rule: three components with a nonzero third, in the first
+    zone, for the fiber sweeps (thm31, gap_map), else two, of norm in
     (0, 1/4] for thm22 (at zero momentum its eigenvalues and forms vanish,
     and its checks would compare rounding)."""
     eta = np.asarray(eta, dtype=np.float64)
@@ -128,20 +128,18 @@ def check_eta(experiment: str, eta) -> np.ndarray:
         _require_first_zone(eta)
     if experiment == "thm22" and not 0.0 < float(np.hypot(*eta)) <= 0.25 + 1e-12:
         raise ValueError("sweep is meaningful only for 0 < |eta| <= 1/4")
-    return eta
 
 
-def check_t_list(t_list) -> list[float]:
-    """The gap map's momentum scales as floats, once they start at 1 and
-    strictly decrease through at least two entries, all positive (a negative
-    scale reflects the momentum)."""
+def check_t_list(t_list) -> None:
+    """Refuse gap-map momentum scales unless they start at 1 and strictly
+    decrease through at least two entries, all positive (a negative scale
+    reflects the momentum)."""
     t_list = [float(t) for t in t_list]
     if len(t_list) < 2 or t_list[0] != 1.0 or not all(
         b < a for a, b in zip(t_list, t_list[1:])
     ) or not t_list[-1] > 0.0:
         raise ValueError("t_list must start at 1 and strictly decrease, "
                          "with at least two entries, all > 0")
-    return t_list
 
 
 def plan_sweep(experiment: str, eps=None, *, gamma=None, n: int | None = None, eta=None,

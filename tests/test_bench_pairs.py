@@ -170,6 +170,21 @@ def test_a_run_killed_mid_pair_keeps_the_finished_run(stubbed):
     assert (kept["pair"], kept["side"], kept["commit"]) == (0, "parent", "abc123")
 
 
+def test_fewer_than_one_pair_is_a_usage_error(stubbed, monkeypatch, capsys):
+    # refused before either tree is exported or the log is touched
+    log, state = stubbed
+    old = log.read_bytes()
+    exported = []
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda *args: exported.append(args))
+    argv = list(sys.argv)
+    argv[argv.index("--pairs") + 1] = "0"
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2 and "--pairs must be at least 1" in capsys.readouterr().err
+    assert (exported, state["runs"], log.read_bytes()) == ([], [], old)
+
+
 def test_committed_trajectory_is_one_entry_per_line():
     lines = (ROOT / "BENCH_trajectory.jsonl").read_text().splitlines()
     entries = [json.loads(text) for text in lines]

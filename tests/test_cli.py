@@ -682,16 +682,27 @@ def test_main_pooled_failure_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_main_passes_the_requested_thread_count_through(tmp_path):
-    # pool_size is the one clamp: the sidecar records 0 as asked, 1 worker ran
+    # pool_size is the one clamp: the sidecar records 3 as asked, and at
+    # most the 2 solves' workers ran
     p = write_cfg(tmp_path, "command = bloch\na = constant(1)\nn = 8\n"
                             "eta = (0.1, 0.0); (0.2, 0.0)\n")
-    for threads in (0, 1):
+    for threads in (1, 3):
         assert run_main(["--config", p, "--out", tmp_path / str(threads),
                          "--threads", threads]) == 0
-    assert ((tmp_path / "0" / "bloch.csv").read_bytes()
+    assert ((tmp_path / "3" / "bloch.csv").read_bytes()
             == (tmp_path / "1" / "bloch.csv").read_bytes())
-    meta = json.loads((tmp_path / "0" / "bloch.json").read_text())
-    assert meta["threads"] == 0 and meta["workers"] == 1
+    meta = json.loads((tmp_path / "3" / "bloch.json").read_text())
+    assert meta["threads"] == 3 and meta["workers"] == min(2, len(os.sched_getaffinity(0)))
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_main_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
+    # a usage error, as for a missing --config: the config is never read
+    with pytest.raises(SystemExit) as exc:
+        run_main(["--config", tmp_path / "nope.cfg", "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads must be at least 1" in err and "cannot read config" not in err
 
 
 def test_main_exit_two_on_failed_checks(tmp_path, capsys):

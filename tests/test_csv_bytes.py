@@ -1,5 +1,6 @@
 """``tools/csv_bytes.py``: the cell diff it prints for two CSVs that differ,
-the verdict per invocation, and one tiny config run in this checkout."""
+the verdict per invocation, the exit status, and one tiny config run in
+this checkout."""
 
 import importlib.util
 from pathlib import Path
@@ -51,32 +52,36 @@ def test_every_benchmark_config_is_written_and_parses(tmp_path):
 
 
 def test_a_side_whose_own_runs_differ_is_reported():
-    run = csv_bytes.Run
-    same = {side: [run(1.0, 0.5, OLD.encode())] * 2 for side in csv_bytes.SIDES}
+    same = {side: [OLD.encode()] * 2 for side in csv_bytes.SIDES}
     assert csv_bytes.compare("x", same) == (True, ["x: identical"])
     new = OLD.replace("4.0", "4.5").encode()
-    drift = dict(same, change=[run(1.0, 0.5, OLD.encode()), run(1.0, 0.5, new)])
+    drift = dict(same, change=[OLD.encode(), new])
     assert csv_bytes.compare("x", drift) == (False, [
         "x: the change's own runs differ: 1 cell(s) differ",
         "  row 1, lambda1: 4.0 -> 4.5 (+1.25e-01)"])
-    missing = dict(same, parent=[run(1.0, None, None), run(1.0, 0.5, OLD.encode())])
+    missing = dict(same, parent=[None, OLD.encode()])
     assert csv_bytes.compare("x", missing) == (False, ["x: no CSV from the parent"])
 
 
+def test_the_exit_status_is_one_on_any_difference(monkeypatch, capsys):
+    # main over faked trees and runs: the count of identical CSVs, then 0 or 1
+    for name in ("export_commit", "export_worktree"):
+        monkeypatch.setattr(csv_bytes, name, lambda *args: None)
+    monkeypatch.setattr(csv_bytes, "write_configs", lambda tmp: [])
+    for change, code in ((OLD, 0), (OLD.replace("4.0", "4.5"), 1)):
+        result = {("w/x", 1): {"parent": [OLD.encode()], "change": [change.encode()]}}
+        monkeypatch.setattr(csv_bytes, "measure", lambda *args: result)
+        assert csv_bytes.main(["HEAD"]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == f"{1 - code} of 1 CSVs identical"
+
+
 def test_both_sides_of_one_tiny_config(tmp_path):
-    # the same tree on both sides: its CSVs match, every wall holds its run,
-    # and the table has one line per side, then the summed medians
+    # the same tree on both sides: its CSVs match at every thread count
     cfg = tmp_path / "bloch.cfg"
     cfg.write_text("command = bloch\na = constant(1)\nn = 8\neta = (0.1, 0.2)\n",
                    encoding="utf-8")
     trees = {side: ROOT for side in csv_bytes.SIDES}
     result = csv_bytes.measure(trees, [("tiny/bloch", cfg, "bloch.csv")], 1, tmp_path / "out")
     assert list(result) == [("tiny/bloch", t) for t in csv_bytes.THREADS]
-    for sides in result.values():
-        assert csv_bytes.compare("tiny/bloch", sides) == (True, ["tiny/bloch: identical"])
-        for ((wall, run, _),) in sides.values():
-            assert 0 < run < wall
-    lines = csv_bytes.report({"tiny/bloch": result["tiny/bloch", csv_bytes.CORES]})
-    assert len(lines) == 1 + 2 + 2
-    assert lines[1].startswith("tiny/bloch") and " rest " in lines[2]
-    assert lines[3].startswith("sum of medians") and " rest " in lines[4]
+    for csvs in result.values():
+        assert csv_bytes.compare("tiny/bloch", csvs) == (True, ["tiny/bloch: identical"])

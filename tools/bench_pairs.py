@@ -222,6 +222,8 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", default=str(ROOT / "BENCH_trajectory.jsonl"))
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     parent = git("rev-parse", args.parent).strip()
     sides = {"parent": (parent, args.pr - 1), "change": (None, args.pr)}
