@@ -150,17 +150,31 @@ def _task_table(fn, keys: list[dict], tasks: list[tuple],
     return make_table(rows, workers, worker_peak_mb=peak)
 
 
-def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
-    """Tables for the non-experiment commands; no assertion columns.
+def _table(cfg: RunConfig, workers: int) -> ExperimentTable:
+    """The table of ``cfg``, its solves on ``workers`` requested processes.
 
-    Every row is one :func:`map_tasks` task on the grid its planner gives:
-    one per momentum for ``bloch``, ``dispersion`` and ``pw`` on ``workers``
-    requested processes, and a single task for ``homogenize``.
-    ``capacity`` rows (one per eps of the sweep, or the annulus check) are
-    closed-form profile sums that never assemble; they run in this process,
-    which saves a pool its scipy import and keeps ``capacity`` free of scipy.
+    An experiment runs its harness, looked up at call time so that a
+    wrapper patched over it (as perfbench's tracer does) is the one that
+    runs.  Every other row is one :func:`map_tasks` task on its planner's
+    grid: one per momentum for ``bloch``, ``dispersion`` and ``pw``, one
+    for ``homogenize``.  ``capacity`` rows are closed-form profile sums
+    that never assemble; they run in this process, which saves a pool its
+    scipy import and keeps ``capacity`` free of scipy.
     """
     name = cfg.command
+    if name.startswith("experiment:"):
+        kw = {key: value for key in _COMMANDS[name][1]
+              if (value := getattr(cfg, key)) is not None}
+        if "eta" in kw:
+            (kw["eta"],) = kw["eta"]  # an experiment takes one momentum
+        harness = {
+            "experiment:thm22": run_thm22,
+            "experiment:thm31": run_thm31,
+            "experiment:gap_map": run_gap_map,
+            "experiment:pw_thm22": functools.partial(run_pw, family="thm22"),
+            "experiment:pw_fiber": functools.partial(run_pw, family="fiber"),
+        }[name]
+        return harness(workers=workers, **kw)
     if name == "capacity":
         rows = plan_capacity(cfg.eps, cfg.gamma, r=cfg.r, R=cfg.R, n=cfg.n)
         cells = [{"eps": eps, "gamma": cfg.gamma, "r": r, "R": R, "n": grid.n[0]}
@@ -178,27 +192,6 @@ def _single_command_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
     return _task_table(_momentum_task, keys, tasks, workers)
 
 
-def _harness(name: str):
-    """The function that computes ``experiment:<name>``.  The lookup reads
-    the module's names at call time, so a wrapper patched over a harness
-    (as perfbench's tracer does) is the one that runs."""
-    return {
-        "thm22": run_thm22,
-        "thm31": run_thm31,
-        "gap_map": run_gap_map,
-        "pw_thm22": functools.partial(run_pw, family="thm22"),
-        "pw_fiber": functools.partial(run_pw, family="fiber"),
-    }[name]
-
-
-def _experiment_table(cfg: RunConfig, workers: int = 1) -> ExperimentTable:
-    kw = {key: value for key in _COMMANDS[cfg.command][1]
-          if (value := getattr(cfg, key)) is not None}
-    if "eta" in kw:
-        (kw["eta"],) = kw["eta"]  # an experiment takes one momentum
-    return _harness(cfg.command.split(":", 1)[1])(workers=workers, **kw)
-
-
 def run_and_emit(
     cfg: RunConfig, out_dir: str | Path = ".", threads: int = 1
 ) -> tuple[int, list[Path]]:
@@ -213,10 +206,7 @@ def run_and_emit(
     threads_at_start = os_threads()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.command.startswith("experiment:"):
-        table = _experiment_table(cfg, threads)
-    else:
-        table = _single_command_table(cfg, threads)
+    table = _table(cfg, threads)
     # the run ends here: the CSV write and git_describe's subprocess are not in it
     total_seconds = time.perf_counter() - t0
     # this process's peak, and the largest of its pool workers' (None: no pool)

@@ -114,9 +114,11 @@ def resolve_resolution(eps: float, feature_extent: float) -> int:
 def check_eta(experiment: str, eta) -> None:
     """Refuse a momentum of ``experiment:<experiment>`` that breaks the
     experiment's rule: three components with a nonzero third, in the first
-    zone, for the fiber sweeps (thm31, gap_map), else two, of norm in
-    (0, 1/4] for thm22 (at zero momentum its eigenvalues and forms vanish,
-    and its checks would compare rounding)."""
+    zone, for the fiber sweeps (thm31, gap_map), and for thm31 a nonzero
+    in-plane part too; else two, nonzero for the Poincare sweeps (pw_thm22,
+    pw_fiber), of norm in (0, 1/4] for thm22.  At a zero (in-plane)
+    momentum the eigenvalues, forms or constants that the checks compare
+    vanish, and the checks would compare rounding."""
     eta = np.asarray(eta, dtype=np.float64)
     fiber = experiment in ("thm31", "gap_map")
     if eta.shape != ((3,) if fiber else (2,)):
@@ -124,6 +126,10 @@ def check_eta(experiment: str, eta) -> None:
     if fiber and eta[2] == 0.0:
         run = "main run" if experiment == "thm31" else "map"
         raise ValueError(f"{run} needs a nonzero third momentum component")
+    if experiment == "thm31" and not eta[:2].any():
+        raise ValueError("control run needs a nonzero in-plane momentum (eta1, eta2)")
+    if experiment.startswith("pw_") and not eta.any():
+        raise ValueError("the weight direction must be nonzero")
     if fiber:
         _require_first_zone(eta)
     if experiment == "thm22" and not 0.0 < float(np.hypot(*eta)) <= 0.25 + 1e-12:

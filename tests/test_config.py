@@ -402,6 +402,14 @@ def test_run_time_failures_refused_at_parse_time(text, key, line, message):
      r"grid of 1\.00e600 cells is too large: int32 indices address at most 429496729 cells"),
     ("command = bloch\na = constant(1)\neta = (0.1, 0.2, 0.3)\nn = 30000\n", "n", 4,
      r"grid of 2\.70e13 cells is too large: .* at most 306783378 cells of 7"),
+    # eta: a zero weight direction, or thm31's zero in-plane momentum, where
+    # the constants or the control eigenvalue vanish and the checks compare zeros
+    ("command = experiment:pw_thm22\neps = 1/2, 1/4\neta = (0.0, 0.0)\n", "eta", 3,
+     "the weight direction must be nonzero"),
+    ("command = experiment:pw_fiber\neps = 1/3\neta = (0.0, 0.0)\n", "eta", 3,
+     "the weight direction must be nonzero"),
+    ("command = experiment:thm31\neps = 1/3\neta = (0.0, 0.0, 0.3)\n", "eta", 3,
+     r"control run needs a nonzero in-plane momentum \(eta1, eta2\)"),
 ])
 def test_value_rules_refuse_with_key_and_line(text, key, line, message):
     # the parser checks syntax only; each value is refused by the rule that
@@ -419,6 +427,7 @@ def test_value_rules_refuse_with_key_and_line(text, key, line, message):
     "command = homogenize\na = two_phase(eps=1/3, beta=4, rho=1/3)\nn = 36\n",
     "command = bloch\na = from_file(path=missing.bin)\nn = 7\neta = (0.1, 0.1)\n",
     "command = experiment:thm31\neps = 1/3, 1/4\nn = 180\n",
+    "command = experiment:gap_map\neps = 1/3\neta = (0.0, 0.0, 0.3)\n",  # no control solve
 ])
 def test_parse_time_checks_admit_valid_runs(text):
     # the boundary cases pass, and a dump is not read while parsing
@@ -494,10 +503,7 @@ def test_every_admitted_config_plans_at_run_time(text):
     with mock.patch.object(experiments, "map_tasks", _first_solve), \
             mock.patch.object(cli, "_task_table", _first_solve), \
             pytest.raises(_Planned):
-        if cfg.command == "capacity":
-            cli._single_command_table(cfg)
-        else:
-            cli._experiment_table(cfg)
+        cli._table(cfg, 1)
 
 
 #: a planner's inputs: eps ladders of reciprocals and of floats in [-1, 2]
@@ -587,7 +593,11 @@ def test_planners_refuse_only_with_their_own_error(run):
      lambda: experiments.run_thm31(eps=[1 / 3], eta=(0.2, 0.2, 0.0))),
     ("command = experiment:gap_map\neps = 1/3\nt_list = 1, 1\n",
      lambda: experiments.run_gap_map(eps=[1 / 3], t_list=[1, 1])),
-], ids=["thm31-eta", "gap_map-t_list"])
+    ("command = experiment:pw_fiber\neps = 1/3\neta = (0.0, 0.0)\n",
+     lambda: experiments.run_pw(eps=[1 / 3], family="fiber", eta=(0.0, 0.0))),
+    ("command = experiment:thm31\neps = 1/3\neta = (0.0, 0.0, 0.3)\n",
+     lambda: experiments.run_thm31(eps=[1 / 3], eta=(0.0, 0.0, 0.3))),
+], ids=["thm31-eta", "gap_map-t_list", "pw_fiber-eta", "thm31-in-plane-eta"])
 def test_a_harness_refuses_eta_and_t_list_as_the_parser_does(text, run):
     # both run the rule inside plan_sweep: the same key and message; before,
     # the harness raised a plain ValueError that named no key

@@ -59,6 +59,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: fewer correct parent runs than this leave the parent's spread unknown
 #: (one run has an IQR of 0 by construction)
 MIN_PARENT_RUNS = 4
+#: one BLAS thread, as perfbench pins it in its children; every tool that
+#: runs the package sets it before numpy loads
+BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def git(*args: str) -> str:
@@ -127,8 +130,7 @@ def machine() -> dict:
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple[list, str]:
     command = ["python3", "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = dict(os.environ, **BLAS_PIN)
     proc = subprocess.run([sys.executable, *command[1:]], cwd=tree, env=env,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()

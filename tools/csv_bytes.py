@@ -44,7 +44,7 @@ from pathlib import Path
 
 # a script's own directory leads sys.path; a module loaded by path needs it
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT, export_commit, export_worktree, git  # noqa: E402
+from bench_pairs import BLAS_PIN, ROOT, export_commit, export_worktree, git  # noqa: E402
 
 PERFBENCH = ROOT / "perfbench"
 SIDES = ("parent", "change")
@@ -119,8 +119,7 @@ def write_configs(tmp: Path) -> list[tuple]:
 
 
 def _env(tree: Path) -> dict:
-    return dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), **BLAS_PIN)
 
 
 def spawn(tree: Path, cfg: Path, out: Path, threads: int, csv_name: str) -> bytes | None:

@@ -3,16 +3,24 @@
     python3 tools/traffic.py
 
 Every invocation of the workloads that ``BENCHMARK.json`` names, as
-``perfbench/workloads.py`` defines them (imported without bytecode, so
-nothing is written under ``perfbench/``), runs in this process through
-``blochlab.cli.main`` at ``--threads 1``, with one BLAS thread and the
-lognormal field of seed 1 (``write_lognormal(path, 1)``), under a
+``perfbench/workloads.py`` defines them, runs in this process through
+``blochlab.cli.main`` on the configs and lognormal field that
+``csv_bytes.write_configs`` writes (nothing is written under
+``perfbench/``), with the BLAS pin ``bench_pairs.BLAS_PIN``, under a
 ``sys.settrace`` line tracer that follows only frames of files in
-``src/blochlab``.  The package is imported under the tracer too, so its
-module-level lines count.  For each module the script then prints the
-executable lines (those of its compiled code objects) that no invocation
-reached, as ranges of consecutive executable lines, and every invocation
-that did not exit 0.  Outputs go to a temporary directory.
+``src/blochlab``.  Each invocation runs at every thread count of
+``csv_bytes.THREADS`` (1, 2 and the usable cores, perfbench's own
+``--threads``), and a line counts as reached when any of these runs
+reaches it: at one thread the solves run in this process, and at more the
+pool path of ``map_tasks`` runs here while the solves run in forked
+workers, which the tracer does not follow.  So the body of
+``experiments._pooled``, which only a worker runs, is always listed, as is
+``map_tasks``' warning of a fork from a threaded process, which the BLAS
+pin keeps from firing.  The package is imported under the tracer too, so
+its module-level lines count.  For each module the script then prints the
+executable lines (those of its compiled code objects) that no run
+reached, as ranges of consecutive executable lines, and every run that did
+not exit 0.  Outputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from pathlib import Path
 
 # a script's own directory leads sys.path; a module loaded by path needs it
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import ROOT  # noqa: E402
-from csv_bytes import FIELD_SEED, benchmark_invocations  # noqa: E402
+from bench_pairs import BLAS_PIN, ROOT  # noqa: E402
+from csv_bytes import THREADS, write_configs  # noqa: E402
 
 PACKAGE = ROOT / "src" / "blochlab"
 
@@ -44,11 +52,13 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def trace_runs(configs: list[str], workdir: Path) -> tuple[dict[Path, set[int]], list[int]]:
+def trace_runs(configs: list[Path], workdir: Path) -> tuple[dict[Path, set[int]], list[int]]:
     """``({module path: lines reached}, exit codes)`` of ``blochlab.cli.main``
-    run on each config text at ``--threads 1``, in this process, under a line
-    tracer of the files in ``src/blochlab``; ``blochlab.cli`` is imported
-    under it, from ``src/``, unless this process has imported it already."""
+    run on each config file at every thread count of ``THREADS`` (the codes
+    config by config, each in the order of ``THREADS``), in this process,
+    under a line tracer of the files in ``src/blochlab``; ``blochlab.cli``
+    is imported under it, from ``src/``, unless this process has imported
+    it already."""
     hits: dict[Path, set[int]] = defaultdict(set)
     inside: dict[str, Path | None] = {}  # co_filename -> module path, None outside
 
@@ -76,13 +86,13 @@ def trace_runs(configs: list[str], workdir: Path) -> tuple[dict[Path, set[int]],
     try:
         import blochlab.cli
 
-        for i, text in enumerate(configs):
-            cfg = workdir / f"run{i}.cfg"
-            cfg.write_text(text, encoding="utf-8")
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                codes.append(blochlab.cli.main(["--config", str(cfg), "--out",
-                                                str(workdir / f"out{i}"), "--threads", "1"]))
+        for i, cfg in enumerate(configs):
+            for threads in THREADS:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    codes.append(blochlab.cli.main([
+                        "--config", str(cfg), "--out", str(workdir / f"out{i}_{threads}"),
+                        "--threads", str(threads)]))
     finally:
         sys.settrace(previous)
         sys.path.remove(str(ROOT / "src"))
@@ -106,18 +116,15 @@ def main(argv: list[str]) -> int:
     if argv:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy loads
-    invocations, write_lognormal = benchmark_invocations()
+    os.environ.update(BLAS_PIN)  # before numpy loads
     with tempfile.TemporaryDirectory(prefix="traffic_") as tmp:
-        tmp = Path(tmp)
-        dump = tmp / "lognormal.blf"
-        write_lognormal(dump, FIELD_SEED)
-        configs = [inv.config.replace("{field}", str(dump)) for _, inv in invocations]
-        hits, codes = trace_runs(configs, tmp)
-    for (workload, inv), code in zip(invocations, codes):
+        invocations = write_configs(Path(tmp))
+        hits, codes = trace_runs([cfg for *_, cfg in invocations], Path(tmp))
+    runs = [(f"{workload}/{inv.name}", threads)
+            for workload, inv, _ in invocations for threads in THREADS]
+    for (label, threads), code in zip(runs, codes):
         if code != 0:
-            print(f"{workload}/{inv.name}: exit {code}")
+            print(f"{label} --threads {threads}: exit {code}")
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         executable = sorted(executable_lines(path))
@@ -126,7 +133,8 @@ def main(argv: list[str]) -> int:
         print(f"{path.relative_to(ROOT)}: {len(unreached)} of {len(executable)} "
               f"executable lines unreached" + (f": {ranges(unreached, executable)}"
                                                if unreached else ""))
-    print(f"{missed} of {total} executable lines unreached by {len(codes)} invocations")
+    print(f"{missed} of {total} executable lines unreached by {len(invocations)} "
+          f"invocations at --threads {', '.join(map(str, THREADS))}")
     return 0
 
 
